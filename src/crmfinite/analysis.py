@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from .approximations import WeightDistribution, sample_weights
+from .approximations import WeightDistribution, fsd, sample_weights
 from .marginals import dp_urn_probs, fsd_urn_probs
 
 __all__ = [
@@ -374,11 +374,12 @@ def composition_frequencies(source, N, reps, rng) -> dict:
             sizes = tuple(sorted(counts, reverse=True))
             freq[sizes] = freq.get(sizes, 0) + 1
         return freq
-    if isinstance(source, FSDSource):
-        weights = rng.dirichlet(np.full(source.K, source.gamma / source.K), size=reps)
-    else:
-        rows = [sample_weights(source.dist, rng) for _ in range(reps)]
-        weights = np.stack([r / r.sum() for r in rows])
+    dist = fsd(source.gamma, source.K) if isinstance(source, FSDSource) else source.dist
+    weights = sample_weights(dist, rng, size=reps)
+    totals = weights.sum(axis=1, keepdims=True)
+    if not np.all(totals > 0):
+        raise ValueError("a sampled weight vector has no atoms to normalize")
+    weights /= totals
     u = rng.random((reps, N))
     cdf = np.cumsum(weights, axis=1)
     labels = (u[:, :, None] > cdf[:, None, :]).sum(axis=2)

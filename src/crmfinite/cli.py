@@ -6,7 +6,7 @@ outputs plus a manifest.json into --out, and exits 0 only if every requested
 check passed.  Replicates run on independent Philox streams derived as
 split(master, replicate); files are written atomically (tmp + rename) and
 merged in replicate order, so outputs are byte-identical for identical
-(config, seed, version) regardless of thread count.  The manifest records the
+(config, seed, version).  The manifest records the
 config hash, seed, library version and wall time (wall time is the one field
 that varies between runs).
 """
@@ -14,7 +14,6 @@ that varies between runs).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -147,15 +146,7 @@ def weight_distribution_from_config(obj) -> WeightDistribution:
 # subcommands; each returns (ok, summary_dict)
 # ---------------------------------------------------------------------------
 
-def _run_replicated(fn, replicates, threads):
-    """fn(replicate) -> result; preserves replicate order in the output."""
-    if threads <= 1 or replicates == 1:
-        return [fn(r) for r in range(replicates)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replicates)))
-
-
-def cmd_sample_prior(config, out, seed, replicates, threads):
+def cmd_sample_prior(config, out, seed, replicates):
     _require_keys(config, {"distribution"}, {"seed"}, "sample-prior config")
     dist = weight_distribution_from_config(config["distribution"])
 
@@ -165,7 +156,7 @@ def cmd_sample_prior(config, out, seed, replicates, threads):
         actives = rng.random(weights.size) < np.minimum(weights, 1.0)
         return weights, int(actives.sum())
 
-    results = _run_replicated(one, replicates, threads)
+    results = [one(rep) for rep in range(replicates)]
     rows = []
     for rep, (weights, _) in enumerate(results):
         rows.extend((rep, i, float(w)) for i, w in enumerate(weights))
@@ -186,15 +177,13 @@ def cmd_sample_prior(config, out, seed, replicates, threads):
     return True, summary
 
 
-def cmd_marginal_sim(config, out, seed, replicates, threads):
+def cmd_marginal_sim(config, out, seed, replicates):
     _require_keys(config, {"model", "N", "source"}, {"K", "seed"}, "marginal-sim config")
     model = _model_from_config(config["model"])
     N, source, K = int(config["N"]), config["source"], config.get("K")
 
-    def one(rep):
-        return simulate_allocation(model, N, derive_rng(seed, rep), source=source, K=K)
-
-    allocs = _run_replicated(one, replicates, threads)
+    allocs = [simulate_allocation(model, N, derive_rng(seed, rep), source=source, K=K)
+              for rep in range(replicates)]
     rows = []
     for rep, alloc in enumerate(allocs):
         for r, c in zip(*np.nonzero(alloc.counts)):
@@ -209,7 +198,7 @@ def cmd_marginal_sim(config, out, seed, replicates, threads):
     return True, summary
 
 
-def cmd_check_conditions(config, out, seed, replicates, threads):
+def cmd_check_conditions(config, out, seed, replicates):
     _require_keys(config, {"model", "n_max", "K_set"}, {"constants", "seed"},
                   "check-conditions config")
     model = _model_from_config(config["model"])
@@ -225,7 +214,7 @@ def cmd_check_conditions(config, out, seed, replicates, threads):
     return bool(report["pass"]), {"pass": report["pass"], "bounds": bounds.name}
 
 
-def cmd_bounds_table(config, out, seed, replicates, threads):
+def cmd_bounds_table(config, out, seed, replicates):
     _require_keys(config, {"gamma", "K_max"}, {"K_min", "seed"}, "bounds-table config")
     gamma = float(config["gamma"])
     k_lo, k_hi = int(config.get("K_min", 1)), int(config["K_max"])
@@ -247,7 +236,7 @@ def cmd_bounds_table(config, out, seed, replicates, threads):
     return ok, {"gamma": gamma, "K_range": [k_lo, k_hi], "lower_bound_ok": ok}
 
 
-def cmd_eppf_convergence(config, out, seed, replicates, threads):
+def cmd_eppf_convergence(config, out, seed, replicates):
     _require_keys(config, {"alpha", "N", "K_set"}, {"seed"}, "eppf-convergence config")
     alpha, N = float(config["alpha"]), int(config["N"])
     K_set = sorted(int(k) for k in config["K_set"])
@@ -274,7 +263,7 @@ def cmd_eppf_convergence(config, out, seed, replicates, threads):
     return ok, {"alpha": alpha, "N": N, "slopes": slopes}
 
 
-def cmd_make_data(config, out, seed, replicates, threads):
+def cmd_make_data(config, out, seed, replicates):
     _require_keys(config, {"N", "D", "n_features"},
                   {"activation", "feature_scale", "noise_prec", "weight_prec", "seed"},
                   "make-data config")
@@ -299,12 +288,15 @@ def read_data_csv(path) -> np.ndarray:
     triples = [line.split(",") for line in lines[1:]]
     rows = [int(t[0]) for t in triples]
     dims = [int(t[1]) for t in triples]
+    values = np.array([float(t[2]) for t in triples])
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: {int((~np.isfinite(values)).sum())} non-finite values")
     y = np.zeros((max(rows) + 1, max(dims) + 1))
-    y[rows, dims] = [float(t[2]) for t in triples]
+    y[rows, dims] = values
     return y
 
 
-def cmd_gibbs_run(config, out, seed, replicates, threads):
+def cmd_gibbs_run(config, out, seed, replicates):
     _require_keys(config, {"model", "prior_kind", "sweeps", "burnin", "data_path"},
                   {"thin", "heldout_path", "heldout_scans", "seed"}, "gibbs-run config")
     m = config["model"]
@@ -331,7 +323,7 @@ def cmd_gibbs_run(config, out, seed, replicates, threads):
             pll = predictive_log_likelihood(eval_samples, heldout)
         return state, rows, pll
 
-    results = _run_replicated(one, replicates, threads)
+    results = [one(rep) for rep in range(replicates)]
     merged = []
     for rep, (_, rows, _) in enumerate(results):
         _write_csv(os.path.join(out, f"chain_{rep:04d}.csv"),
@@ -354,7 +346,7 @@ def cmd_gibbs_run(config, out, seed, replicates, threads):
     return True, summary
 
 
-def cmd_compare_ifa(config, out, seed, replicates, threads):
+def cmd_compare_ifa(config, out, seed, replicates):
     _require_keys(config, {"spec", "K", "draws"}, {"a_grid", "b_grid", "seed"},
                   "compare-ifa config")
     spec = RateMeasureSpec.from_json(config["spec"])
@@ -371,15 +363,14 @@ def cmd_compare_ifa(config, out, seed, replicates, threads):
         total, n_vec = 0.0, 0
         left = draws
         while left > 0:
-            take = min(left, 200_000)
+            # 50k draws per call: bigger batches leave the heap fragmented
+            # and raise peak RSS over repeated runs, without being faster
+            take = min(left, 50_000)
             vecs = take // K
             if vecs == 0:
                 break
-            w = sample_weights(dist, rng) if vecs == 1 else None
-            if w is None:
-                w = np.concatenate([sample_weights(dist, rng) for _ in range(vecs)])
-            active = rng.random(w.size) < np.minimum(w, 1.0)
-            total += active.sum()
+            w = np.minimum(sample_weights(dist, rng, size=vecs), 1.0)
+            total += (rng.random(w.shape) < w).sum()
             n_vec += vecs
             left -= vecs * K
         return total / n_vec
@@ -424,7 +415,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="64-bit master seed")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--replicates", type=int, default=1)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -442,8 +432,7 @@ def main(argv=None) -> int:
         seed = int(seed) & (2**64 - 1)
         os.makedirs(args.out, exist_ok=True)
         started = time.time()
-        ok, summary = _COMMANDS[args.command](config, args.out, seed,
-                                              max(1, args.replicates), max(1, args.threads))
+        ok, summary = _COMMANDS[args.command](config, args.out, seed, max(1, args.replicates))
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

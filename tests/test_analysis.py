@@ -18,6 +18,7 @@ from crmfinite.analysis import (
     bondesson_tfa_bound,
     chernoff_lower,
     chernoff_upper,
+    composition_frequencies,
     dp_fsd_two_sample_gap,
     eppf,
     growth_function,
@@ -32,7 +33,7 @@ from crmfinite.analysis import (
     tv_exact,
     tv_exact_interval,
 )
-from crmfinite.approximations import AifaConfig, aifa_numeric
+from crmfinite.approximations import AifaConfig, aifa_numeric, beta_stick_breaking
 from crmfinite.measures import gamma_process
 from crmfinite.rng import derive_rng
 
@@ -275,6 +276,13 @@ def test_normalized_aifa_more_blocks_than_atoms_is_zero():
     from crmfinite.approximations import aifa_numeric
     src = NormalizedAifaSource(aifa_numeric(AifaConfig(gamma_process(1.0, 1.0, 0.0), 2)))
     assert float(eppf(src, PartitionComposition((1, 1, 1)))) == 0.0
+
+
+def test_monte_carlo_rejects_vectors_without_atoms():
+    # beta stick-breaking with gamma * K = 0.6 leaves about half the rows empty
+    src = NormalizedAifaSource(beta_stick_breaking(0.3, 1.0, 2))
+    with pytest.raises(ValueError, match="no atoms"):
+        composition_frequencies(src, 3, 100, derive_rng(80, 0))
 
 
 def test_monte_carlo_wide_warning():

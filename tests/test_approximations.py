@@ -6,10 +6,7 @@ from scipy import integrate, special, stats
 
 from crmfinite.approximations import (
     AifaConfig,
-    WeightDistribution,
-    WeightKind,
     aifa_closed_form,
-    aifa_log_density,
     aifa_numeric,
     beta_stick_breaking,
     bfry,
@@ -20,7 +17,7 @@ from crmfinite.approximations import (
     sample_weights,
     tsb,
 )
-from crmfinite.measures import IndicatorKind, RateMeasureSpec, beta_process, gamma_process
+from crmfinite.measures import RateMeasureSpec, beta_process, gamma_process
 from crmfinite.rng import derive_rng
 
 D0_SPECS = [
@@ -169,7 +166,7 @@ def test_aifa_total_mass_converges():
     assert exact[10] < exact[100] < exact[1000] < 1.0
     reps, K = 3000, 1000
     w = aifa_numeric(AifaConfig(spec, K))
-    totals = np.array([sample_weights(w, rng).sum() for _ in range(reps)])
+    totals = sample_weights(w, rng, size=reps).sum(axis=1)
     se = totals.std() / math.sqrt(reps)
     assert abs(totals.mean() - 1.0) < 3 * se + 1e-3  # 1/(K+1) construction bias
 
@@ -189,6 +186,10 @@ def test_reproducibility_bit_identical():
         w2 = sample_weights(dist, derive_rng(7, 3))
         assert np.array_equal(w1, w2), dist.kind
         assert np.all(w1 > 0), dist.kind
+        rows1 = sample_weights(dist, derive_rng(7, 4), size=5)
+        rows2 = sample_weights(dist, derive_rng(7, 4), size=5)
+        assert rows1.ndim == 2 and rows1.shape[0] == 5, dist.kind
+        assert np.array_equal(rows1, rows2), dist.kind
 
 
 def test_tsb_single_stick():
@@ -201,11 +202,14 @@ def test_tsb_fsd_sum_to_one():
         for _ in range(200):
             w = sample_weights(dist, rng)
             assert abs(w.sum() - 1.0) < 1e-12
+        rows = sample_weights(dist, rng, size=200)
+        assert rows.shape == (200, dist.K)
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_fsd_symmetric_mean():
     rng = derive_rng(9, 0)
-    draws = np.array([sample_weights(fsd(1.0, 2), rng)[0] for _ in range(100_000)])
+    draws = sample_weights(fsd(1.0, 2), rng, size=100_000)[:, 0]
     se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) < 3 * se
 
@@ -219,7 +223,7 @@ def test_bondesson_expectation_ratio():
     # E[theta_{k+1}]/E[theta_k] = gamma*alpha/(1 + gamma*alpha) exactly
     gamma, alpha, K, reps = 1.0, 2.0, 6, 60_000
     rng = derive_rng(10, 0)
-    w = np.stack([sample_weights(bondesson(gamma, alpha, K), rng) for _ in range(reps)])
+    w = sample_weights(bondesson(gamma, alpha, K), rng, size=reps)
     means = w.mean(axis=0)
     ratio = gamma * alpha / (1 + gamma * alpha)
     for k in range(K - 1):
@@ -232,7 +236,7 @@ def test_bondesson_alpha_one_is_product_of_betas():
     # so E[theta_k] = (gamma/(gamma+1))^k and every path is decreasing
     gamma, K, reps = 1.0, 5, 50_000
     rng = derive_rng(11, 0)
-    w = np.stack([sample_weights(bondesson(gamma, 1.0, K), rng) for _ in range(reps)])
+    w = sample_weights(bondesson(gamma, 1.0, K), rng, size=reps)
     assert np.all(np.diff(w, axis=1) <= 0)
     for k in range(K):
         target = (gamma / (gamma + 1.0)) ** (k + 1)
@@ -247,6 +251,47 @@ def test_beta_stick_breaking_round_count():
                        for _ in range(reps)])
     se = counts.std() / math.sqrt(reps)
     assert abs(counts.mean() - gamma * K) < 3 * se
+
+
+def _stick_breaking_reference(gamma, alpha, K, rng):
+    """The per-round product v_i prod_{j<i} (1 - v_j): i beta draws per atom."""
+    out = []
+    for i in range(1, K + 1):
+        v = rng.beta(1.0, alpha, size=(rng.poisson(gamma), i))
+        out.append(v[:, -1] * np.prod(1.0 - v[:, :-1], axis=1))
+    return np.concatenate(out)
+
+
+def test_beta_stick_breaking_matches_per_round_product():
+    # pooled atoms of a Poisson-round construction are i.i.d. given their
+    # number, so a two-sample KS test on atom sizes is valid
+    gamma, alpha, K, reps = 2.0, 1.5, 8, 4000
+    rng = derive_rng(15, 0)
+    ref = np.concatenate([_stick_breaking_reference(gamma, alpha, K, rng) for _ in range(reps)])
+    rows = sample_weights(beta_stick_breaking(gamma, alpha, K), rng, size=reps)
+    lengths = (rows > 0).sum(axis=1)
+    # zero padding only past each row's atom count
+    assert np.all(rows[np.arange(rows.shape[1]) >= lengths[:, None]] == 0)
+    atoms = rows[rows > 0]
+    assert stats.ks_2samp(np.log(ref), np.log(atoms)).pvalue > 1e-3
+    totals = rows.sum(axis=1)
+    exact = gamma * (1.0 - (alpha / (1.0 + alpha)) ** K)
+    assert abs(totals.mean() - exact) < 4 * totals.std() / math.sqrt(reps)
+
+
+def test_failed_validation_is_sticky(monkeypatch):
+    cfg = AifaConfig(beta_process(1.0, 1.0, 0.0), 10)
+    reference = cfg._reference_sample
+    monkeypatch.setattr(cfg, "_reference_sample", lambda n, rng: 2.0 * reference(n, rng))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="cross-check"):
+            cfg.sample(10, derive_rng(16, 0))
+
+
+def test_valid_config_passes_validation():
+    # misses the 10k-draw KS screen (KS = 0.0214) and passes the 200k retest
+    cfg = AifaConfig(beta_process(5.0, 1.0, 0.0), 5)
+    assert cfg.sample(100, derive_rng(17, 0)).shape == (100,)
 
 
 def test_bfry_log_density_normalizes():
@@ -288,7 +333,7 @@ def test_bfry_sampler_matches_exact_representation():
     c, alpha = 0.02, 0.6
     rng = derive_rng(13, 0)
     dist = bfry(c * 100, alpha, 100)  # c = gamma/K = 0.02
-    table_draws = np.concatenate([sample_weights(dist, rng) for _ in range(300)])
+    table_draws = sample_weights(dist, rng, size=300).ravel()
     table_s = table_draws / (1 - table_draws)
     g = rng.gamma(1 - alpha, 1.0, size=table_s.size)
     u = rng.random(table_s.size)
@@ -311,27 +356,6 @@ def test_aifa_numeric_unbounded_support_sampler():
     assert abs(draws.mean() - mean_exact) < 4 * se
 
 
-def test_weight_distribution_json_round_trip():
-    dists = [
-        aifa_numeric(AifaConfig(beta_process(2.0, 0.0, 0.6), 20, a=0.5, b=0.2,
-                                indicator_kind=IndicatorKind.HARD)),
-        aifa_closed_form(gamma_process(1.0, 1.0, 0.0), 10),
-        bondesson(1.0, 2.0, 15),
-        tsb(1.0, 8),
-        fsd(1.0, 5),
-        bfry(2.0, 0.6, 12),
-    ]
-    for dist in dists:
-        again = WeightDistribution.from_json(dist.to_json())
-        assert again.kind == dist.kind and again.K == dist.K
-        if dist.kind is WeightKind.AIFA_NUMERIC:
-            a, b = again.params["config"], dist.params["config"]
-            assert a.spec == b.spec and a.a == b.a and a.b == b.b \
-                and a.indicator == b.indicator
-        else:
-            assert again.params == dist.params
-
-
 def test_beta_family_weights_leq_one():
     rng = derive_rng(14, 0)
     for dist in (aifa_numeric(AifaConfig(beta_process(2.0, 0.0, 0.6), 30)),
@@ -339,6 +363,4 @@ def test_beta_family_weights_leq_one():
                  bondesson(1.0, 1.5, 10),
                  beta_stick_breaking(1.0, 1.0, 5),
                  bfry(2.0, 0.6, 30)):
-        for _ in range(50):
-            w = sample_weights(dist, rng)
-            assert np.all(w <= 1.0), dist.kind
+        assert np.all(sample_weights(dist, rng, size=50) <= 1.0), dist.kind

@@ -7,12 +7,12 @@ import pytest
 from crmfinite.cli import main, read_data_csv
 
 
-def run(tmp_path, command, config, seed=11, replicates=1, threads=1, name="cfg", env=None):
+def run(tmp_path, command, config, seed=11, replicates=1, name="cfg", env=None, extra=()):
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(config))
-    out = tmp_path / f"out_{name}_{seed}_{replicates}_{threads}"
+    out = tmp_path / f"out_{name}_{seed}_{replicates}"
     argv = [command, "--config", str(cfg), "--seed", str(seed), "--out", str(out),
-            "--replicates", str(replicates), "--threads", str(threads)]
+            "--replicates", str(replicates), *extra]
     old = {}
     if env:
         for k, v in env.items():
@@ -43,12 +43,20 @@ def test_sample_prior_fsd_symmetry(tmp_path):
     assert manifest["pass"] and manifest["seed"] == 11 and manifest["command"] == "sample-prior"
 
 
-def test_outputs_byte_identical_across_threads(tmp_path):
+def test_outputs_byte_identical_across_runs(tmp_path):
     config = {"distribution": {"kind": "bondesson", "K": 6, "gamma": 1.0, "alpha": 1.5}}
-    _, out1 = run(tmp_path, "sample-prior", config, replicates=8, threads=1, name="a")
-    _, out2 = run(tmp_path, "sample-prior", config, replicates=8, threads=4, name="b")
+    _, out1 = run(tmp_path, "sample-prior", config, replicates=8, name="a")
+    _, out2 = run(tmp_path, "sample-prior", config, replicates=8, name="b")
     assert (out1 / "weights.csv").read_bytes() == (out2 / "weights.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_threads_flag_rejected(tmp_path, capsys):
+    config = {"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}}
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sample-prior", config, replicates=2, extra=("--threads", "2"))
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_seed_changes_output(tmp_path):
@@ -148,6 +156,17 @@ def test_gibbs_pipeline(tmp_path):
     assert single[0] == "sweep,stat_name,value"
     state = json.loads((gout / "state_0001.json").read_text())
     assert len(state["tau"]) == 6
+
+
+def test_non_finite_data_rejected(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("row,dim,value\n0,0,1.5\n0,1,nan\n1,0,0.5\n1,1,2.0\n")
+    config = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3},
+              "prior_kind": "aifa", "sweeps": 4, "burnin": 2, "data_path": str(data)}
+    code, _ = run(tmp_path, "gibbs-run", config, name="nan")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "non-finite" in err["detail"]
 
 
 def test_compare_ifa_cli(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -133,22 +134,29 @@ def test_fresh_mass_closed_forms():
 # -- Monte Carlo / analytic agreement -----------------------------------------
 
 def test_sampled_counts_match_pmf():
-    # history lengths 1, 4, 19 put the comparison at n = 2, 5, 20
+    # history lengths 1, 4, 19 put the comparison at n = 2, 5, 20; each of the
+    # 18 (model, history, K) cases is one chi-square goodness-of-fit test over
+    # x = 0, 1, 2, >=3, Bonferroni-gated to a family-wise false-alarm rate 1e-3
     reps = 20_000
     cases = [(BB, [1]), (BB, [1, 0, 0, 1]), (BB, [1, 0] * 9 + [1]),
              (GP, [2]), (GP, [2, 0, 1, 0]), (GP, [1, 0] * 9 + [2]),
              (BNB, [1]), (BNB, [1, 2, 0, 0]), (BNB, [0, 1] * 9 + [3])]
+    alpha = 1e-3 / (2 * len(cases))
     for model, hist in cases:
         for K in (None, 10):
-            rng = derive_rng(31, hash((model.kind.value, K or 0)) % 2**31)
+            key = f"{model.kind.value}/{hist}/{K}"
+            rng = derive_rng(31, zlib.crc32(key.encode()))
             draws = np.array([sample_predictive_count(model, hist, rng, K=K)
                               for _ in range(reps)])
-            for x in range(3):
-                p = (target_predictive_pmf(model, hist, x) if K is None
-                     else approx_predictive_pmf(model, K, hist, x))
-                freq = (draws == x).mean()
-                se = math.sqrt(max(p * (1 - p), 1e-12) / reps)
-                assert abs(freq - p) < 3 * se + 1e-9, (model.kind, K, x)
+            p = np.array([target_predictive_pmf(model, hist, x) if K is None
+                          else approx_predictive_pmf(model, K, hist, x) for x in range(3)])
+            p = np.append(p, max(1.0 - p.sum(), 0.0))
+            observed = np.bincount(np.minimum(draws, 3), minlength=4)
+            live = p > 1e-12
+            assert observed[~live].sum() == 0, key  # zero-probability cells stay empty
+            expected = reps * p[live] / p[live].sum()
+            chi2 = float(((observed[live] - expected) ** 2 / expected).sum())
+            assert stats.chi2.sf(chi2, live.sum() - 1) > alpha, (key, chi2)
 
 
 # -- allocations ---------------------------------------------------------------
