@@ -382,14 +382,10 @@ def composition_frequencies(source, N, reps, rng) -> dict:
     weights /= totals
     u = rng.random((reps, N))
     cdf = np.cumsum(weights, axis=1)
-    labels = (u[:, :, None] > cdf[:, None, :]).sum(axis=2)
-    order = np.argsort(labels, axis=1, kind="stable")
-    sorted_labels = np.take_along_axis(labels, order, axis=1)
-    breaks = np.concatenate([np.ones((reps, 1), dtype=bool),
-                             sorted_labels[:, 1:] != sorted_labels[:, :-1]], axis=1)
     for i in range(reps):
-        idx = np.flatnonzero(breaks[i])
-        sizes = tuple(sorted(np.diff(np.append(idx, N)).tolist(), reverse=True))
+        # label of a draw = number of cdf entries below its uniform
+        counts = np.bincount(np.searchsorted(cdf[i], u[i]))
+        sizes = tuple(sorted(counts[counts > 0].tolist(), reverse=True))
         freq[sizes] = freq.get(sizes, 0) + 1
     return freq
 

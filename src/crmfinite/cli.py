@@ -3,12 +3,13 @@
 Every subcommand reads a JSON config, derives all randomness from a single
 64-bit master seed (env BNP_SEED > --seed flag > config "seed"), writes its
 outputs plus a manifest.json into --out, and exits 0 only if every requested
-check passed.  Replicates run on independent Philox streams derived as
+check passed (1: a check failed, 2: bad config or data, 3: the run crashed).
+Replicates run on independent Philox streams derived as
 split(master, replicate); files are written atomically (tmp + rename) and
 merged in replicate order, so outputs are byte-identical for identical
-(config, seed, version).  The manifest records the
-config hash, seed, library version and wall time (wall time is the one field
-that varies between runs).
+(config, seed, version).  The manifest records the config hash, seed, library
+version, wall time (the one field that varies between runs) and the run's
+status: ok, check_failed, config_error or crashed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -336,12 +338,14 @@ def cmd_gibbs_run(config, out, seed, replicates):
             "tau": state.tau.tolist(), "psi": state.psi.tolist(),
             "x": state.x.tolist(), "w": state.w.tolist(),
             "gamma_w": state.gamma_w, "gamma_e": state.gamma_e, "prior": state.prior,
+            "degenerate_draws": state.degenerate_draws,
         }
         _write_atomic(os.path.join(out, f"state_{rep:04d}.json"), json.dumps(checkpoint))
     plls = [pll for *_, pll in results if pll is not None]
     summary = {"prior_kind": config["prior_kind"], "sweeps": sweeps, "burnin": burnin,
                "thin": thin, "replicates": replicates,
-               "predictive_log_likelihood": plls or None}
+               "predictive_log_likelihood": plls or None,
+               "degenerate_draws": [state.degenerate_draws for state, *_ in results]}
     _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2))
     return True, summary
 
@@ -417,7 +421,10 @@ def main(argv=None) -> int:
     parser.add_argument("--replicates", type=int, default=1)
     args = parser.parse_args(argv)
 
+    started = time.perf_counter()
+    config = seed = None
     try:
+        os.makedirs(args.out, exist_ok=True)
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
@@ -430,28 +437,32 @@ def main(argv=None) -> int:
         if seed is None:
             raise ConfigError("no seed: set BNP_SEED, --seed, or config.seed")
         seed = int(seed) & (2**64 - 1)
-        os.makedirs(args.out, exist_ok=True)
-        started = time.time()
         ok, summary = _COMMANDS[args.command](config, args.out, seed, max(1, args.replicates))
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "config_sha256": hashlib.sha256(
-                json.dumps(config, sort_keys=True).encode()).hexdigest(),
-            "seed": seed,
-            "replicates": max(1, args.replicates),
-            "library_version": __version__,
-            "wall_time_s": time.time() - started,
-            "pass": bool(ok),
-        }
-        _write_atomic(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2))
+        status, code, message = ("ok", 0, None) if ok else ("check_failed", 1, {"failures": summary})
     except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
-        return 2
-    if not ok:
-        print(json.dumps({"failures": summary}), file=sys.stderr)
-        return 1
-    return 0
+        status, code, message = "config_error", 2, {"error": type(exc).__name__, "detail": str(exc)}
+    except Exception as exc:  # a crash: the traceback, then the one-line JSON error
+        traceback.print_exc()
+        status, code, message = "crashed", 3, {"error": type(exc).__name__, "detail": str(exc)}
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "config_sha256": None if config is None else hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "seed": seed,
+        "replicates": max(1, args.replicates),
+        "library_version": __version__,
+        "wall_time_s": time.perf_counter() - started,
+        "pass": status == "ok",
+        "status": status,
+    }
+    try:
+        _write_atomic(os.path.join(args.out, "manifest.json"), json.dumps(manifest, indent=2))
+    except OSError:  # --out is not writable; the error line below names the cause
+        traceback.print_exc()
+    if message is not None:
+        print(json.dumps(message), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

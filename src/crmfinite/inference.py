@@ -13,11 +13,13 @@ precision hyperpriors, and atom sizes tau under either prior:
 
 The AIFA tau conditionals are exact independent betas and factorize across
 atoms; the truncation prior keeps the ordering 1 >= tau_1 >= ... >= tau_K > 0
-and its conditionals are interval-truncated betas, sampled by bisection on
-the regularized incomplete beta function.
+and its conditionals are interval-truncated betas, drawn exactly by inverting
+the regularized incomplete beta function at one uniform.
 
 The scan order is fixed (x, w, psi, precisions, tau) and every update draws
 through the caller's generator, so a chain is reproducible from its seed.
+The x, w and psi blocks share one residual E = y - reconstruction, computed
+once per sweep and kept current by one rank-one update per column.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ def aifa_tau_conditional(k, x_column_sum, N, model: LinearGaussianModel):
 
 
 def sample_truncated_beta(a, b, lo, hi, rng):
-    """Beta(a, b) restricted to [lo, hi] by bisection on the regularized
-    incomplete beta function; returns (draw, degenerate_flag)."""
+    """Beta(a, b) restricted to [lo, hi] by inverting the regularized
+    incomplete beta function at one uniform; returns (draw, degenerate_flag)."""
     if hi - lo < _DEGENERATE_WIDTH:
         return 0.5 * (lo + hi), True
     flo = special.betainc(a, b, lo)
@@ -164,17 +166,11 @@ def sample_truncated_beta(a, b, lo, hi, rng):
         la = (a - 1) * math.log(max(lo, 1e-300)) + (b - 1) * math.log1p(-min(lo, 1 - 1e-16))
         lb = (a - 1) * math.log(hi) + (b - 1) * math.log1p(-min(hi, 1 - 1e-16))
         return (lo if la > lb else hi), True
-    target = flo + rng.random() * mass
-    a_, b_ = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a_ + b_)
-        if special.betainc(a, b, mid) < target:
-            a_ = mid
-        else:
-            b_ = mid
-        if b_ - a_ < 1e-12 * max(1.0, abs(b_)):
-            break
-    return 0.5 * (a_ + b_), False
+    draw = float(special.betaincinv(a, b, flo + rng.random() * mass))
+    if not math.isfinite(draw):
+        raise RuntimeError(f"betaincinv gave {draw} for Beta({a}, {b}) on [{lo}, {hi}]")
+    # rounding in betainc/betaincinv can step just outside the interval
+    return min(max(draw, lo), hi), False
 
 
 def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel):
@@ -222,57 +218,49 @@ def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel,
 # the sweep
 # ---------------------------------------------------------------------------
 
-def _update_x(state, y, model, rng):
-    """Uncollapsed Bernoulli updates given tau, column by column, rows vectorized."""
-    recon = state.reconstruction
-    logit_tau = np.log(state.tau) - np.log1p(-state.tau)
+def _draw_x(state, k, proj, psi_sq, rng):
+    """Uncollapsed Bernoulli update of x[:, k] given tau_k, rows vectorized."""
+    tau_k = state.tau[k]
+    wk = state.w[:, k]
+    p = special.expit(math.log(tau_k) - math.log1p(-tau_k)
+                      + state.gamma_e * (wk * proj - 0.5 * wk**2 * psi_sq))
+    state.x[:, k] = rng.random(p.size) < p
+
+
+def _draw_w(state, k, proj, psi_sq, rng):
+    xk = state.x[:, k].astype(float)
+    lam = state.gamma_w + state.gamma_e * xk * psi_sq
+    mean = state.gamma_e * xk * proj / lam
+    state.w[:, k] = mean + rng.normal(size=xk.size) / np.sqrt(lam)
+
+
+def _scan_columns(state, E, draw, rng):
+    """Redraw x[:, k] or w[:, k] for every k by draw(state, k, proj, psi_sq, rng),
+    proj = (y - reconstruction without column k) @ psi_k; keeps E = y - recon."""
+    for k in range(state.psi.shape[0]):
+        psi_k = state.psi[k]
+        psi_sq = psi_k @ psi_k
+        s_old = state.x[:, k] * state.w[:, k]
+        draw(state, k, E @ psi_k + s_old * psi_sq, psi_sq, rng)
+        E -= np.outer(state.x[:, k] * state.w[:, k] - s_old, psi_k)
+
+
+def _update_psi(state, E, model, rng):
     for k in range(model.K):
-        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
-        resid = y - (recon - contrib)
-        wk = state.w[:, k]
-        gain = state.gamma_e * (wk * (resid @ state.psi[k])
-                                - 0.5 * wk**2 * (state.psi[k] @ state.psi[k]))
-        logit = logit_tau[k] + gain
-        with np.errstate(over="ignore"):
-            p = 1.0 / (1.0 + np.exp(-logit))
-        new = (rng.random(p.size) < p).astype(np.int8)
-        recon += np.outer(new * wk, state.psi[k]) - contrib
-        state.x[:, k] = new
-    return recon
-
-
-def _update_w(state, y, model, rng, recon):
-    for k in range(model.K):
-        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
-        resid = y - (recon - contrib)
-        xk = state.x[:, k].astype(float)
-        lam = state.gamma_w + state.gamma_e * xk * (state.psi[k] @ state.psi[k])
-        mean = state.gamma_e * xk * (resid @ state.psi[k]) / lam
-        state.w[:, k] = mean + rng.normal(size=xk.size) / np.sqrt(lam)
-        recon += np.outer(state.x[:, k] * state.w[:, k], state.psi[k]) - contrib
-    return recon
-
-
-def _update_psi(state, y, model, rng, recon):
-    for k in range(model.K):
-        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
-        resid = y - (recon - contrib)
         s = state.x[:, k] * state.w[:, k]
-        prec = 1.0 / model.psi_scale + state.gamma_e * float(s @ s)
-        mean = state.gamma_e * (s @ resid) / prec
-        state.psi[k] = mean + rng.normal(size=model.D) / math.sqrt(prec)
-        recon += np.outer(s, state.psi[k]) - contrib
-    return recon
+        s_sq = float(s @ s)
+        prec = 1.0 / model.psi_scale + state.gamma_e * s_sq
+        mean = state.gamma_e * (s @ E + s_sq * state.psi[k]) / prec
+        new = mean + rng.normal(size=model.D) / math.sqrt(prec)
+        E -= np.outer(s, new - state.psi[k])
+        state.psi[k] = new
 
 
-def _update_precisions(state, y, model, rng, recon):
-    n, d = y.shape
-    k = state.w.shape[1]
-    state.gamma_w = rng.gamma(model.prec_shape + 0.5 * n * k,
+def _update_precisions(state, E, model, rng):
+    state.gamma_w = rng.gamma(model.prec_shape + 0.5 * state.w.size,
                               1.0 / (model.prec_rate + 0.5 * float((state.w**2).sum())))
-    resid = y - recon
-    state.gamma_e = rng.gamma(model.prec_shape + 0.5 * n * d,
-                              1.0 / (model.prec_rate + 0.5 * float((resid**2).sum())))
+    state.gamma_e = rng.gamma(model.prec_shape + 0.5 * E.size,
+                              1.0 / (model.prec_rate + 0.5 * float((E**2).sum())))
 
 
 def _update_tau(state, model, rng):
@@ -321,10 +309,11 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
                     f"{name} update changed {term}: {before[term]!r} -> {after[term]!r}")
         return out
 
-    recon = guarded("x", lambda: _update_x(state, y, model, rng))
-    recon = guarded("w", lambda: _update_w(state, y, model, rng, recon))
-    recon = guarded("psi", lambda: _update_psi(state, y, model, rng, recon))
-    guarded("precisions", lambda: _update_precisions(state, y, model, rng, recon))
+    E = y - state.reconstruction
+    guarded("x", lambda: _scan_columns(state, E, _draw_x, rng))
+    guarded("w", lambda: _scan_columns(state, E, _draw_w, rng))
+    guarded("psi", lambda: _update_psi(state, E, model, rng))
+    guarded("precisions", lambda: _update_precisions(state, E, model, rng))
     guarded("tau", lambda: _update_tau(state, model, rng))
 
     for name, value in (("tau", state.tau), ("psi", state.psi), ("w", state.w),
@@ -439,9 +428,10 @@ def impute_heldout_locals(state: GibbsState, y_heldout, model, rng, scans=5):
                             (rng.random((m, model.K)) < state.tau).astype(np.int8),
                             rng.normal(0.0, 1.0 / math.sqrt(state.gamma_w), size=(m, model.K)),
                             state.gamma_w, state.gamma_e, state.prior)
+    E = y - eval_state.reconstruction
     for _ in range(scans):
-        recon = _update_x(eval_state, y, model, rng)
-        _update_w(eval_state, y, model, rng, recon)
+        _scan_columns(eval_state, E, _draw_x, rng)
+        _scan_columns(eval_state, E, _draw_w, rng)
     return eval_state
 
 

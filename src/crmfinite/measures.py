@@ -233,8 +233,9 @@ def indicator_value(ind: ApproxIndicator, theta):
     if np.any(inside):
         t = theta[inside] if theta.shape else np.array([float(theta)])
         u = 1.0 - (t - b) ** 2 / b**2
-        with np.errstate(divide="ignore", under="ignore"):
-            val = np.exp(-1.0 / u + 1.0)  # u -> 0+ at the left knot: limit 0
+        with np.errstate(divide="ignore", under="ignore", over="ignore"):
+            # u -> 0+ at the left knot: limit 0; there rounding can leave u <= 0
+            val = np.where(u > 0, np.exp(-1.0 / u + 1.0), 0.0)
         if theta.shape:
             out[inside] = val
         else:

@@ -33,7 +33,13 @@ from crmfinite.analysis import (
     tv_exact,
     tv_exact_interval,
 )
-from crmfinite.approximations import AifaConfig, aifa_numeric, beta_stick_breaking
+from crmfinite.approximations import (
+    AifaConfig,
+    aifa_numeric,
+    beta_stick_breaking,
+    fsd,
+    sample_weights,
+)
 from crmfinite.measures import gamma_process
 from crmfinite.rng import derive_rng
 
@@ -242,9 +248,24 @@ def test_sequence_probability_insertion_order_invariant():
         assert max(vals) - min(vals) < 1e-12
 
 
+def _dense_composition_frequencies(source, N, reps, rng):
+    """Reference for the FSD weight path: labels from the dense (reps, N, K)
+    comparison u > cdf."""
+    weights = sample_weights(fsd(source.gamma, source.K), rng, size=reps)
+    weights /= weights.sum(axis=1, keepdims=True)
+    u = rng.random((reps, N))
+    labels = (u[:, :, None] > np.cumsum(weights, axis=1)[:, None, :]).sum(axis=2)
+    freq = {}
+    for row in labels:
+        sizes = tuple(sorted(np.unique(row, return_counts=True)[1].tolist(), reverse=True))
+        freq[sizes] = freq.get(sizes, 0) + 1
+    return freq
+
+
 def test_monte_carlo_matches_exact():
     # every N = 3 composition within 4 Monte Carlo standard errors at 10^6
-    # replicates, for the DP urn and the FSD weight path
+    # replicates, for the DP urn and the FSD weight path; and the FSD path's
+    # labels equal the dense comparison at K = 1000
     from crmfinite.analysis import composition_frequencies
     reps = 1_000_000
     for stream, source in enumerate((DPSource(1.0), FSDSource(1.0, 8))):
@@ -256,6 +277,9 @@ def test_monte_carlo_matches_exact():
             est = p_hat / partition_count(comp)
             exact = float(eppf(source, comp))
             assert abs(est - exact) < 4 * se + 1e-9, (source, comp)
+    wide = FSDSource(0.5, 1000)
+    assert composition_frequencies(wide, 20, 500, derive_rng(77, 2)) == \
+        _dense_composition_frequencies(wide, 20, 500, derive_rng(77, 2))
 
 
 def test_monte_carlo_normalized_aifa_matches_fsd():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from crmfinite import cli
 from crmfinite.cli import main, read_data_csv
 
 
@@ -41,6 +42,7 @@ def test_sample_prior_fsd_symmetry(tmp_path):
     assert summary["mean_total_mass"] == pytest.approx(1.0, abs=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["pass"] and manifest["seed"] == 11 and manifest["command"] == "sample-prior"
+    assert manifest["status"] == "ok"
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
@@ -77,10 +79,29 @@ def test_env_seed_override(tmp_path):
 
 def test_unknown_field_rejected(tmp_path, capsys):
     config = {"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}, "bogus": 1}
-    code, _ = run(tmp_path, "sample-prior", config, name="bad")
+    code, out = run(tmp_path, "sample-prior", config, name="bad")
     assert code == 2
     err = capsys.readouterr().err
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error" and not manifest["pass"]
+
+
+def test_crash_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
+    def boom(config, out, seed, replicates):
+        raise RuntimeError("sweep produced non-finite values")
+
+    monkeypatch.setitem(cli._COMMANDS, "sample-prior", boom)
+    config = {"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}}
+    code, out = run(tmp_path, "sample-prior", config, name="crash")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last == {"error": "RuntimeError", "detail": "sweep produced non-finite values"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "crashed" and not manifest["pass"]
+    assert manifest["seed"] == 11 and manifest["wall_time_s"] >= 0
 
 
 def test_invalid_payload_nonzero_exit(tmp_path, capsys):
@@ -103,6 +124,7 @@ def test_check_conditions_preset_and_failure_exit(tmp_path, capsys):
     code, out = run(tmp_path, "check-conditions", bad, name="badc")
     assert code == 1
     assert not json.loads((out / "report.json").read_text())["pass"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "check_failed"
     capsys.readouterr()
 
 
@@ -150,12 +172,14 @@ def test_gibbs_pipeline(tmp_path):
     assert code == 0
     summary = json.loads((gout / "summary.json").read_text())
     assert len(summary["predictive_log_likelihood"]) == 2
+    assert len(summary["degenerate_draws"]) == 2
     chain = (gout / "chain.csv").read_text().strip().splitlines()
     assert chain[0] == "replicate,sweep,stat_name,value"
     single = (gout / "chain_0000.csv").read_text().strip().splitlines()
     assert single[0] == "sweep,stat_name,value"
     state = json.loads((gout / "state_0001.json").read_text())
     assert len(state["tau"]) == 6
+    assert state["degenerate_draws"] == summary["degenerate_draws"][1]
 
 
 def test_non_finite_data_rejected(tmp_path, capsys):

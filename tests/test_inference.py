@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from crmfinite import inference
 from crmfinite.inference import (
     GibbsState,
     LinearGaussianModel,
@@ -82,6 +83,59 @@ def test_truncated_beta_degenerate_interval():
     assert flag and draw == pytest.approx(0.5, abs=1e-14)
 
 
+def _bisection_truncated_beta(a, b, lo, hi, rng):
+    """Reference: the truncated-beta sampler that bisects on betainc."""
+    if hi - lo < 1e-14:
+        return 0.5 * (lo + hi), True
+    flo = special.betainc(a, b, lo)
+    fhi = special.betainc(a, b, hi)
+    mass = fhi - flo
+    if mass <= 1e-300:
+        for _ in range(1000):
+            cand = rng.beta(a, b)
+            if lo <= cand <= hi:
+                return cand, False
+        la = (a - 1) * math.log(max(lo, 1e-300)) + (b - 1) * math.log1p(-min(lo, 1 - 1e-16))
+        lb = (a - 1) * math.log(hi) + (b - 1) * math.log1p(-min(hi, 1 - 1e-16))
+        return (lo if la > lb else hi), True
+    target = flo + rng.random() * mass
+    a_, b_ = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a_ + b_)
+        if special.betainc(a, b, mid) < target:
+            a_ = mid
+        else:
+            b_ = mid
+        if b_ - a_ < 1e-12 * max(1.0, abs(b_)):
+            break
+    return 0.5 * (a_ + b_), False
+
+
+def test_truncated_beta_matches_bisection():
+    # same uniform, same draw: shapes up to N = 500 columns, intervals at 0 and 1;
+    # cases whose mass underflows take the shared rejection fallback.  Skipped:
+    # intervals where one ulp of the CDF spans more than 1e-10 in t (CDF near 1,
+    # density tiny), since there bisection itself cannot resolve 1e-10
+    shapes = [(0.3, 1.0), (1.7, 2.3), (1.0, 501.0), (5.0, 496.0), (300.0, 200.0),
+              (301.0, 1.0)]
+    intervals = [(0.0, 1.0), (1e-9, 1e-6), (1e-4, 0.02), (0.55, 0.65),
+                 (0.3, 0.3 + 1e-9), (0.98, 0.999), (0.999999, 1.0)]
+    checked = 0
+    for a, b in shapes:
+        for lo, hi in intervals:
+            fhi = special.betainc(a, b, hi)
+            mass = fhi - special.betainc(a, b, lo)
+            if mass > 1e-300 and np.spacing(fhi) * (hi - lo) / mass > 1e-10:
+                continue
+            checked += 1
+            for i in range(10):
+                draw, flag = sample_truncated_beta(a, b, lo, hi, derive_rng(70, i))
+                ref, ref_flag = _bisection_truncated_beta(a, b, lo, hi, derive_rng(70, i))
+                assert lo <= draw <= hi and flag == ref_flag
+                assert abs(draw - ref) <= 1e-10, (a, b, lo, hi, draw, ref)
+    assert checked >= 40
+
+
 def test_truncated_beta_mean_matches_quadrature():
     a, b, lo, hi = 3.0, 5.0, 0.15, 0.55
     rng = derive_rng(52, 0)
@@ -129,11 +183,10 @@ def test_zero_feature_state_reduces_to_priors():
     state = init_state(MODEL, 10, rng1)
     state.x[:] = 0
     y = sample_data(state, derive_rng(56, 1))
-    from crmfinite.inference import _update_psi, _update_w
-    recon = state.reconstruction
+    from crmfinite.inference import _draw_w, _scan_columns, _update_psi
     probe = derive_rng(56, 2)
     st = state.copy()
-    _update_w(st, y, MODEL, probe, recon.copy())
+    _scan_columns(st, y - state.reconstruction, _draw_w, probe)
     ref = derive_rng(56, 2)
     expected = np.column_stack(
         [0.0 + ref.normal(size=10) / np.sqrt(np.full(10, st.gamma_w))
@@ -141,12 +194,73 @@ def test_zero_feature_state_reduces_to_priors():
     np.testing.assert_array_equal(st.w, expected)
     probe2 = derive_rng(56, 3)
     st2 = state.copy()
-    _update_psi(st2, y, MODEL, probe2, state.reconstruction)
+    _update_psi(st2, y - state.reconstruction, MODEL, probe2)
     ref2 = derive_rng(56, 3)
     expected_psi = np.stack(
         [0.0 + ref2.normal(size=MODEL.D) / math.sqrt(1.0 / MODEL.psi_scale)
          for _ in range(MODEL.K)])
     np.testing.assert_array_equal(st2.psi, expected_psi)
+
+
+def _reference_sweep(state, y, model, rng):
+    """Reference: the x, w, psi and precision blocks as separate loops that
+    rebuild the residual from the reconstruction at every column, then tau."""
+    recon = state.reconstruction
+    logit_tau = np.log(state.tau) - np.log1p(-state.tau)
+    for k in range(model.K):
+        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
+        resid = y - (recon - contrib)
+        wk = state.w[:, k]
+        gain = state.gamma_e * (wk * (resid @ state.psi[k])
+                                - 0.5 * wk**2 * (state.psi[k] @ state.psi[k]))
+        logit = logit_tau[k] + gain
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-logit))
+        new = (rng.random(p.size) < p).astype(np.int8)
+        recon += np.outer(new * wk, state.psi[k]) - contrib
+        state.x[:, k] = new
+    for k in range(model.K):
+        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
+        resid = y - (recon - contrib)
+        xk = state.x[:, k].astype(float)
+        lam = state.gamma_w + state.gamma_e * xk * (state.psi[k] @ state.psi[k])
+        mean = state.gamma_e * xk * (resid @ state.psi[k]) / lam
+        state.w[:, k] = mean + rng.normal(size=xk.size) / np.sqrt(lam)
+        recon += np.outer(state.x[:, k] * state.w[:, k], state.psi[k]) - contrib
+    for k in range(model.K):
+        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
+        resid = y - (recon - contrib)
+        s = state.x[:, k] * state.w[:, k]
+        prec = 1.0 / model.psi_scale + state.gamma_e * float(s @ s)
+        mean = state.gamma_e * (s @ resid) / prec
+        state.psi[k] = mean + rng.normal(size=model.D) / math.sqrt(prec)
+        recon += np.outer(s, state.psi[k]) - contrib
+    n, d = y.shape
+    state.gamma_w = rng.gamma(model.prec_shape + 0.5 * n * model.K,
+                              1.0 / (model.prec_rate + 0.5 * float((state.w**2).sum())))
+    state.gamma_e = rng.gamma(model.prec_shape + 0.5 * n * d,
+                              1.0 / (model.prec_rate + 0.5 * float(((y - recon)**2).sum())))
+    inference._update_tau(state, model, rng)
+
+
+@pytest.mark.parametrize("prior", ["aifa", "bondesson_tfa"])
+def test_residual_kernel_matches_reference_sweep(prior, monkeypatch):
+    # same random numbers in the same order: x identical, the rest equal up to
+    # floating-point rounding (tolerance fixed from float64, not from a run)
+    state = init_state(MODEL, 40, derive_rng(69, 0), prior)
+    y = sample_data(state, derive_rng(69, 1))
+    new, ref = state.copy(), state.copy()
+    rng = derive_rng(69, 2)
+    for _ in range(20):
+        gibbs_sweep(new, y, MODEL, rng)
+    monkeypatch.setattr(inference, "sample_truncated_beta", _bisection_truncated_beta)
+    rng = derive_rng(69, 2)
+    for _ in range(20):
+        _reference_sweep(ref, y, MODEL, rng)
+    assert np.array_equal(new.x, ref.x)
+    for name in ("w", "psi", "tau", "gamma_w", "gamma_e"):
+        np.testing.assert_allclose(getattr(new, name), getattr(ref, name),
+                                   rtol=1e-8, atol=1e-12, err_msg=name)
 
 
 def test_debug_sweep_blanket_assertions():
