@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from .approximations import WeightDistribution, fsd, sample_weights
+from .approximations import WeightDistribution, sample_weights
 from .marginals import dp_urn_probs, fsd_urn_probs
 
 __all__ = [
@@ -264,15 +264,28 @@ def all_compositions(N):
     return [PartitionComposition(sizes) for sizes in rec(int(N), int(N))]
 
 
+def _check_concentration(value, name):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DPSource:
     alpha: float
+
+    def __post_init__(self):
+        _check_concentration(self.alpha, "DP concentration alpha")
 
 
 @dataclass(frozen=True)
 class FSDSource:
     gamma: float
     K: int
+
+    def __post_init__(self):
+        _check_concentration(self.gamma, "FSD concentration gamma")
+        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)) or self.K < 1:
+            raise ValueError(f"FSD dimension K must be an integer >= 1, got {self.K!r}")
 
 
 @dataclass(frozen=True)
@@ -349,45 +362,61 @@ def eppf(source, comp: PartitionComposition, method="exact", reps=None, rng=None
     return EppfEstimate(value, stderr, wide=hits < 100)
 
 
+def _urn_labels(source, N, reps, rng):
+    """(reps, N) labels from the copy-step urn (Blackwell & MacQueen 1973).
+
+    Draw i copies the label of a uniformly chosen earlier draw with
+    probability i / (i + alpha); otherwise it takes a fresh label (DP) or a
+    uniform label in 0..K-1 (FSD).  One uniform v ~ U(0, i + alpha) per draw
+    does both: v < i copies draw floor(v), and (v - i) / alpha is uniform
+    on [0, 1) otherwise."""
+    dp = isinstance(source, DPSource)
+    alpha = source.alpha if dp else source.gamma
+    v = rng.random((reps, N)) * (np.arange(N) + alpha)
+    labels = np.empty((reps, N), dtype=np.int64)
+    rows = np.arange(reps)
+    for i in range(N):
+        vi = v[:, i]
+        if dp:
+            fresh = np.full(reps, i)  # a label no earlier draw holds
+        else:
+            fresh = np.minimum(((vi - i) / alpha * source.K).astype(np.int64), source.K - 1)
+        earlier = labels[rows, np.minimum(vi, max(i - 1, 0)).astype(np.int64)]
+        labels[:, i] = np.where(vi < i, earlier, fresh)
+    return labels
+
+
+def _tabulate_compositions(labels) -> dict:
+    """{block sizes in descending order: number of rows} of a (reps, N)
+    label array."""
+    reps, N = labels.shape
+    s = np.sort(labels, axis=1)
+    block = np.cumsum(np.concatenate([np.ones((reps, 1), dtype=bool),
+                                      s[:, 1:] != s[:, :-1]], axis=1), axis=1) - 1
+    sizes = np.bincount((np.arange(reps)[:, None] * N + block).ravel(),
+                        minlength=reps * N).reshape(reps, N)
+    sizes = -np.sort(-sizes, axis=1)
+    sizes = sizes[np.lexsort(sizes.T)]  # equal compositions become runs of rows
+    starts = np.flatnonzero(np.r_[True, np.any(sizes[1:] != sizes[:-1], axis=1)])
+    hits = np.diff(np.r_[starts, reps])
+    return {tuple(int(x) for x in sizes[k] if x): int(h) for k, h in zip(starts, hits)}
+
+
 def composition_frequencies(source, N, reps, rng) -> dict:
     """One Monte Carlo pass: {composition sizes: hit count} over ``reps``
-    size-N samples from the source (urn draws for DP, normalized weight
-    vectors otherwise)."""
-    freq: dict = {}
-    if isinstance(source, DPSource):
-        for _ in range(reps):
-            counts: list = []
-            for n in range(N):
-                existing, fresh = dp_urn_probs(counts, source.alpha)
-                u = rng.random()
-                cum = fresh
-                if u <= cum:
-                    counts.append(1)
-                    continue
-                for j, pj in enumerate(existing):
-                    cum += pj
-                    if u <= cum:
-                        counts[j] += 1
-                        break
-                else:
-                    counts[-1] += 1
-            sizes = tuple(sorted(counts, reverse=True))
-            freq[sizes] = freq.get(sizes, 0) + 1
-        return freq
-    dist = fsd(source.gamma, source.K) if isinstance(source, FSDSource) else source.dist
-    weights = sample_weights(dist, rng, size=reps)
+    size-N samples from the source (copy-step urn draws for DP and FSD,
+    normalized weight vectors otherwise)."""
+    if isinstance(source, (DPSource, FSDSource)):
+        return _tabulate_compositions(_urn_labels(source, N, reps, rng))
+    weights = sample_weights(source.dist, rng, size=reps)
     totals = weights.sum(axis=1, keepdims=True)
     if not np.all(totals > 0):
         raise ValueError("a sampled weight vector has no atoms to normalize")
     weights /= totals
     u = rng.random((reps, N))
     cdf = np.cumsum(weights, axis=1)
-    for i in range(reps):
-        # label of a draw = number of cdf entries below its uniform
-        counts = np.bincount(np.searchsorted(cdf[i], u[i]))
-        sizes = tuple(sorted(counts[counts > 0].tolist(), reverse=True))
-        freq[sizes] = freq.get(sizes, 0) + 1
-    return freq
+    # label of a draw = number of cdf entries below its uniform
+    return _tabulate_compositions(np.stack([np.searchsorted(c, x) for c, x in zip(cdf, u)]))
 
 
 def _composition_frequency(source, comp, reps, rng):

@@ -16,20 +16,30 @@ the target process arrive as independent Poissons with means M_{n,x}; their
 per-round totals have closed forms (the beta-negative-binomial one is a
 digamma difference, cross-checked against brute-force summation in the tests).
 
+Each predictive is the marginal of a conjugate latent weight: after n rounds
+with count total S an atom's weight is Beta(S + shift, alpha + n - S),
+Gamma(S + shift, rate lambda + n) or Beta(S + shift, alpha + r n), and its
+later counts are i.i.d. Bernoulli, Poisson or negative binomial given that
+weight.  Allocations are simulated this way, with no round-by-round walk.
+The level-K (AIFA) source *is* K i.i.d. IFA weights, Beta(c/K, alpha) or
+Gamma(c/K, lambda), plus the likelihood.  The target source draws each
+round's births as one Poisson, their sizes by inverse CDF over
+M_{n,x} / sum_x M_{n,x}, and every later count from the posterior weight
+after the birth round.
+
 Infinite sums over x are truncated with certified remainders: totals are known
 in closed form, and because the predictive families are likelihood-ratio
 ordered in the count total, past the single sign change of the term
 difference the neglected remainder is exactly |tail_a - tail_b|.
 
-The module also houses feature-allocation simulation, the Dirichlet-process
-and finite-symmetric-Dirichlet urns, and the numeric four-inequality
-growth/approximation condition checker with per-family presets.
+The module also houses the Dirichlet-process and finite-symmetric-Dirichlet
+urn probabilities and the numeric four-inequality growth/approximation
+condition checker with per-family presets.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -49,15 +59,11 @@ __all__ = [
     "target_new_atom_rate",
     "total_new_atom_rate",
     "approx_fresh_mass",
-    "sample_predictive_count",
     "FeatureAllocation",
     "simulate_allocation",
     "allocation_log_probability",
-    "FRESH",
     "dp_urn_probs",
     "fsd_urn_probs",
-    "dp_urn_step",
-    "fsd_urn_step",
     "Condition1Bounds",
     "generic_condition_bounds",
     "condition_preset",
@@ -65,6 +71,8 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
+_ATOM_BLOCK = 512  # AIFA atoms per count draw: memory stays O(N * block)
+_SIZE_GRID_MAX = 1 << 23
 
 
 class ModelKind(enum.Enum):
@@ -235,31 +243,27 @@ def approx_fresh_mass(model: ExpFamilyModel, K, n):
     return out if out.shape else float(out)
 
 
-def sample_predictive_count(model, history, rng, K=None):
-    """One draw of the next count: target process when K is None, level-K
-    approximation otherwise (which also allows all-zero histories)."""
-    history = _check_history(model, history)
-    total = history.sum()
-    if K is None:
-        if total == 0:
-            raise ValueError("atom not yet instantiated in the target process")
-        shift = 0.0
-    else:
-        shift = model.mass_shift / K
-    return _sample_count(model, history.size + 1, total, shift, rng)
+def _conjugate_weight(model, S, n_seen, shift, rng):
+    """Latent weight of an atom whose first ``n_seen`` counts total S, drawn
+    from its conjugate posterior; ``shift`` is the level-K pseudo-count c/K
+    (0 for the target).  S and n_seen broadcast."""
+    S, n_seen = np.asarray(S, dtype=float), np.asarray(n_seen, dtype=float)
+    if model.kind is ModelKind.BETA_BERNOULLI:
+        return rng.beta(S + shift, model.alpha + n_seen - S)
+    if model.kind is ModelKind.GAMMA_POISSON:
+        return rng.gamma(S + shift, 1.0 / (model.lam + n_seen))
+    return rng.beta(S + shift, model.alpha + model.r * n_seen)
 
 
-def _sample_count(model, n, S, shift, rng):
-    """Inverse-CDF walk over the predictive pmf (proper, so it terminates)."""
-    u = rng.random()
-    x, cum = 0, 0.0
-    while True:
-        cum += math.exp(float(_predictive_logpmf(model, n, S, shift, x)))
-        if u <= cum or cum >= 1.0 - 1e-15:
-            return x
-        x += 1
-        if x > 10_000_000:
-            raise RuntimeError("predictive sampling walk failed to terminate")
+def _draw_counts(model, theta, rng, n_rows):
+    """(n_rows, len(theta)) counts, i.i.d. down each column given its weight."""
+    size = (n_rows, theta.size)
+    if model.kind is ModelKind.BETA_BERNOULLI:
+        return (rng.random(size) < theta).astype(np.int64)
+    if model.kind is ModelKind.GAMMA_POISSON:
+        return rng.poisson(theta, size)
+    # a weight that rounds to 1 would leave the negative binomial no success mass
+    return rng.negative_binomial(model.r, np.maximum(1.0 - theta, np.finfo(float).eps), size)
 
 
 # ---------------------------------------------------------------------------
@@ -295,107 +299,71 @@ class FeatureAllocation:
     def n_columns(self):
         return self.counts.shape[1]
 
-    def to_csv(self) -> str:
-        """Sparse row,col,count triplets."""
-        buf = io.StringIO()
-        buf.write("row,col,count\n")
-        for r, c in zip(*np.nonzero(self.counts)):
-            buf.write(f"{r},{c},{self.counts[r, c]}\n")
-        return buf.getvalue()
 
-    def to_json(self) -> dict:
-        return {"rows": self.n_rows, "columns": self.n_columns,
-                "counts": self.counts.tolist()}
-
-    @classmethod
-    def from_csv(cls, text: str, n_rows=None) -> "FeatureAllocation":
-        rows, cols, vals = [], [], []
-        for line in text.strip().splitlines()[1:]:
-            r, c, v = (int(tok) for tok in line.split(","))
-            rows.append(r), cols.append(c), vals.append(v)
-        n = (max(rows) + 1) if rows else 0
-        if n_rows is not None:
-            n = max(n, n_rows)
-        j = (max(cols) + 1) if cols else 0
-        counts = np.zeros((n, j), dtype=np.int64)
-        counts[rows, cols] = vals
-        return cls(counts)
+def _birth_sizes(model, rounds, rng):
+    """Sizes of atoms born in the given (1-based) rounds, by inverse CDF over
+    M_{n,x} / sum_x M_{n,x}.  The x grid doubles, only for the atoms whose
+    uniform it does not cover yet; sizes stop where the remaining rate is
+    below 1e-12."""
+    totals = np.asarray(total_new_atom_rate(model, rounds), dtype=float)
+    target = np.minimum(rng.random(rounds.size) * totals, totals - _TAIL_TOL)
+    sizes = np.zeros(rounds.size, dtype=np.int64)
+    todo = np.arange(rounds.size)
+    x_max = 64
+    while todo.size:
+        if x_max > _SIZE_GRID_MAX:
+            raise RuntimeError("birth-size walk failed to terminate")
+        x = np.arange(1, x_max + 1, dtype=float)
+        rates = target_new_atom_rate(model, rounds[todo, None], x[None, :])
+        # the pairwise sum decides coverage: a cumsum over millions of terms
+        # drifts past the 1e-12 tail
+        done = rates.sum(axis=1) >= target[todo]
+        below = (np.cumsum(rates[done], axis=1) < target[todo[done], None]).sum(axis=1)
+        sizes[todo[done]] = np.minimum(below + 1, x_max)
+        todo = todo[~done]
+        x_max *= 2
+    return sizes
 
 
 def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) -> FeatureAllocation:
-    """Simulate N rounds of the marginal process.
+    """Simulate N rounds of the marginal process from conjugate latent weights.
 
-    source="target": existing atoms draw from the target predictive and fresh
-    atoms arrive as Poisson counts per size, sizes truncated once the
-    remaining total rate is below 1e-12.  source="aifa": existing atoms draw
-    from the level-K predictive and each of the K - J dormant atoms draws
-    from the all-zero-history law.
+    source="aifa": K i.i.d. level-K IFA weights, each atom with N i.i.d.
+    counts given its weight; atoms that never fire are dropped.
+    source="target": each round's births are one Poisson draw with sizes from
+    M_{n,x}; an atom's counts after its birth round are i.i.d. given its
+    posterior weight after that round.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if source not in ("target", "aifa"):
         raise ValueError(f"unknown source {source!r}")
-    if source == "aifa" and (K is None or K < 1):
-        raise ValueError("aifa source needs an approximation level K >= 1")
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        return _simulate_allocation_bernoulli(model, N, rng, source, K)
-    shift = model.mass_shift / K if source == "aifa" else 0.0
-    columns: list[list[int]] = []  # per column, counts from its birth row on
-    births: list[int] = []
-    totals: list[int] = []
-    for n in range(1, N + 1):
-        for j, col in enumerate(columns):
-            x = _sample_count(model, n, totals[j], shift, rng)
-            col.append(x)
-            totals[j] += x
-        if source == "target":
-            new_sizes = []
-            budget = float(total_new_atom_rate(model, n))
-            x = 1
-            while budget > _TAIL_TOL:
-                rate = float(target_new_atom_rate(model, n, x))
-                budget -= rate
-                count = int(rng.poisson(rate)) if rate > 0 else 0
-                new_sizes.extend([x] * count)
-                x += 1
-        else:
-            dormant = K - len(columns)
-            draws = [_sample_count(model, n, 0, shift, rng) for _ in range(dormant)]
-            new_sizes = [x for x in draws if x > 0]
-        # appearance order within the round: descending count, then draw order
-        for i in sorted(range(len(new_sizes)), key=lambda i: (-new_sizes[i], i)):
-            columns.append([new_sizes[i]])
-            births.append(n - 1)
-            totals.append(new_sizes[i])
-    mat = np.zeros((N, len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        mat[births[j]:births[j] + len(col), j] = col
-    return FeatureAllocation(mat)
-
-
-def _simulate_allocation_bernoulli(model, N, rng, source, K):
-    """Binary fast path: whole rounds are vectorized across columns."""
-    al = model.alpha
-    shift = model.mass_shift / K if source == "aifa" else 0.0
-    rows = []
-    totals = np.empty(0, dtype=np.int64)
-    births = np.empty(0, dtype=np.int64)
-    for n in range(1, N + 1):
-        p = (totals + shift) / (al - 1.0 + n + shift)
-        draws = (rng.random(totals.size) < p).astype(np.int64)
-        if source == "target":
-            fresh = int(rng.poisson(model.gamma * al / (al - 1.0 + n)))
-        else:
-            p0 = shift / (al - 1.0 + n + shift)
-            fresh = int(rng.binomial(K - totals.size, p0))
-        rows.append((draws, fresh))
-        totals = np.concatenate([totals + draws, np.ones(fresh, dtype=np.int64)])
-        births = np.concatenate([births, np.full(fresh, n - 1, dtype=np.int64)])
-    mat = np.zeros((N, totals.size), dtype=np.int64)
-    for i, (draws, fresh) in enumerate(rows):
-        mat[i, : draws.size] = draws
-        mat[i, draws.size: draws.size + fresh] = 1
-    return FeatureAllocation(mat)
+    if source == "aifa":
+        if K is None or K < 1:
+            raise ValueError("aifa source needs an approximation level K >= 1")
+        born = np.full(K, -1)  # "born" before round 1: every row is drawn
+        size = np.zeros(K, dtype=np.int64)
+        theta = _conjugate_weight(model, size, 0, model.mass_shift / K, rng)
+    else:
+        n = np.arange(1, N + 1)
+        born = np.repeat(n - 1, rng.poisson(total_new_atom_rate(model, n)))
+        size = _birth_sizes(model, born + 1, rng)
+        theta = _conjugate_weight(model, size, born + 1, 0.0, rng)
+    rows = np.arange(N)[:, None]
+    blocks = [np.zeros((N, 0), dtype=np.int64)]
+    for lo in range(0, theta.size, _ATOM_BLOCK):
+        block = slice(lo, lo + _ATOM_BLOCK)
+        b, counts = born[block], _draw_counts(model, theta[block], rng, N)
+        counts[rows <= b] = 0
+        live = np.flatnonzero(b >= 0)
+        counts[b[live], live] = size[block][live]
+        blocks.append(counts[:, counts.any(axis=0)])
+    mat = np.concatenate(blocks, axis=1)
+    # canonical order: first row, then descending count there; lexsort is
+    # stable, so ties keep draw order
+    first_row = (mat != 0).argmax(axis=0)
+    return FeatureAllocation(mat[:, np.lexsort((-mat[first_row, np.arange(mat.shape[1])],
+                                                first_row))])
 
 
 def allocation_log_probability(model: ExpFamilyModel, alloc: FeatureAllocation) -> float:
@@ -415,36 +383,27 @@ def allocation_log_probability(model: ExpFamilyModel, alloc: FeatureAllocation) 
             if first[j] < n - 1:
                 total = float(counts[: n - 1, j].sum())
                 logp += float(_predictive_logpmf(model, n, total, 0.0, counts[n - 1, j]))
+        logp -= float(total_new_atom_rate(model, n))  # exp(-M_{n,x}) over every size
         born = [j for j in range(n_cols) if first[j] == n - 1]
-        born_sizes = {int(counts[n - 1, j]) for j in born}
-        for x in born_sizes:
+        for x in {int(counts[n - 1, j]) for j in born}:
             group = [j for j in born if counts[n - 1, j] == x]
             rate = float(target_new_atom_rate(model, n, x))
+            if rate == 0.0:
+                return -math.inf  # a birth size the target never produces
             d = len(group)
-            logp += -rate + d * math.log(rate)  # Poisson pmf minus log d!,
-            seen: dict = {}                     # which cancels against the
-            for j in group:                     # d! arrangement factor
+            logp += d * math.log(rate)  # Poisson pmf minus log d!, which
+            seen: dict = {}             # cancels against the d!
+            for j in group:             # arrangement factor
                 key = tuple(counts[:, j])
                 seen[key] = seen.get(key, 0) + 1
             for m in seen.values():
                 logp -= special.gammaln(m + 1)
-        budget = float(total_new_atom_rate(model, n))
-        x = 1
-        while budget > _TAIL_TOL:  # Poisson zero terms of unborn sizes
-            rate = float(target_new_atom_rate(model, n, x))
-            budget -= rate
-            if x not in born_sizes:
-                logp += -rate
-            x += 1
     return logp
 
 
 # ---------------------------------------------------------------------------
 # urn schemes
 # ---------------------------------------------------------------------------
-
-FRESH = "fresh"
-
 
 def dp_urn_probs(counts, alpha):
     """(existing-label probabilities, fresh probability) of the DP urn."""
@@ -461,34 +420,6 @@ def fsd_urn_probs(counts, alpha, K):
         raise ValueError(f"FSD urn cannot hold more than K={K} distinct labels, got {j}")
     denom = counts.sum() + alpha
     return (counts + alpha / K) / denom, (K - j) * (alpha / K) / denom
-
-
-def _urn_step(history, probs_fn, rng):
-    labels, counts = [], []
-    for lab in history:
-        if lab in labels:
-            counts[labels.index(lab)] += 1
-        else:
-            labels.append(lab)
-            counts.append(1)
-    existing, _fresh = probs_fn(np.asarray(counts, dtype=float))
-    u = rng.random()
-    cum = 0.0
-    for lab, p in zip(labels, existing):
-        cum += p
-        if u <= cum:
-            return lab
-    return FRESH
-
-
-def dp_urn_step(history, alpha, rng):
-    """One Blackwell-MacQueen draw; returns an existing label or FRESH."""
-    return _urn_step(history, lambda c: dp_urn_probs(c, alpha), rng)
-
-
-def fsd_urn_step(history, alpha, K, rng):
-    """One FSD urn draw; the fresh probability vanishes once K labels exist."""
-    return _urn_step(history, lambda c: fsd_urn_probs(c, alpha, K), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,15 @@ def test_eppf_examples():
     assert float(eppf(FSDSource(2.0, 1), PartitionComposition((1, 1)))) == 0.0
 
 
+def test_urn_sources_reject_bad_parameters():
+    for make in (lambda: DPSource(-1.0), lambda: DPSource(0.0),
+                 lambda: DPSource(float("inf")), lambda: FSDSource(1.0, 0),
+                 lambda: FSDSource(-1.0, 3), lambda: FSDSource(float("nan"), 3),
+                 lambda: FSDSource(1.0, 2.5)):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_eppf_normalization_over_partition_lattice():
     for source in (DPSource(1.0), DPSource(0.4), FSDSource(1.0, 8), FSDSource(2.5, 3)):
         for N in range(1, 6):
@@ -249,9 +258,9 @@ def test_sequence_probability_insertion_order_invariant():
 
 
 def _dense_composition_frequencies(source, N, reps, rng):
-    """Reference for the FSD weight path: labels from the dense (reps, N, K)
+    """Reference for the weight path: labels from the dense (reps, N, K)
     comparison u > cdf."""
-    weights = sample_weights(fsd(source.gamma, source.K), rng, size=reps)
+    weights = sample_weights(source.dist, rng, size=reps)
     weights /= weights.sum(axis=1, keepdims=True)
     u = rng.random((reps, N))
     labels = (u[:, :, None] > np.cumsum(weights, axis=1)[:, None, :]).sum(axis=2)
@@ -264,8 +273,8 @@ def _dense_composition_frequencies(source, N, reps, rng):
 
 def test_monte_carlo_matches_exact():
     # every N = 3 composition within 4 Monte Carlo standard errors at 10^6
-    # replicates, for the DP urn and the FSD weight path; and the FSD path's
-    # labels equal the dense comparison at K = 1000
+    # replicates, for the DP and FSD copy-step urns; and the weight path's
+    # labels equal the dense comparison for normalized FSD weights at K = 1000
     from crmfinite.analysis import composition_frequencies
     reps = 1_000_000
     for stream, source in enumerate((DPSource(1.0), FSDSource(1.0, 8))):
@@ -277,7 +286,7 @@ def test_monte_carlo_matches_exact():
             est = p_hat / partition_count(comp)
             exact = float(eppf(source, comp))
             assert abs(est - exact) < 4 * se + 1e-9, (source, comp)
-    wide = FSDSource(0.5, 1000)
+    wide = NormalizedAifaSource(fsd(0.5, 1000))
     assert composition_frequencies(wide, 20, 500, derive_rng(77, 2)) == \
         _dense_composition_frequencies(wide, 20, 500, derive_rng(77, 2))
 

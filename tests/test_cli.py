@@ -148,6 +148,16 @@ def test_eppf_convergence_cli(tmp_path):
     assert lines[0] == "K,composition,p_K,p_target,abs_gap"
 
 
+def test_eppf_convergence_rejects_bad_alpha(tmp_path, capsys):
+    code, out = run(tmp_path, "eppf-convergence",
+                    {"alpha": -1, "N": 3, "K_set": [4, 16]}, name="negalpha")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
+    assert not (out / "eppf.csv").exists()
+
+
 def test_marginal_sim(tmp_path):
     config = {"model": {"kind": "beta_bernoulli", "gamma": 1.0, "alpha": 1.0},
               "N": 10, "source": "aifa", "K": 6}

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from crmfinite.analysis import DPSource, FSDSource, _urn_labels
 from crmfinite.marginals import (
-    FRESH,
     FeatureAllocation,
+    _conjugate_weight,
+    _draw_counts,
     allocation_log_probability,
     approx_fresh_mass,
     approx_predictive_pmf,
@@ -17,12 +19,9 @@ from crmfinite.marginals import (
     check_condition_1,
     condition_preset,
     dp_urn_probs,
-    dp_urn_step,
     fsd_urn_probs,
-    fsd_urn_step,
     gamma_poisson,
     generic_condition_bounds,
-    sample_predictive_count,
     simulate_allocation,
     target_new_atom_rate,
     target_predictive_pmf,
@@ -51,8 +50,6 @@ def test_target_pmf_sums_to_one():
 def test_target_all_zero_history_rejected():
     with pytest.raises(ValueError):
         target_predictive_pmf(BB, [0, 0], 1)
-    with pytest.raises(ValueError):
-        sample_predictive_count(GP, [0], derive_rng(0, 0))
 
 
 def test_gamma_poisson_negative_binomial_form():
@@ -134,8 +131,10 @@ def test_fresh_mass_closed_forms():
 # -- Monte Carlo / analytic agreement -----------------------------------------
 
 def test_sampled_counts_match_pmf():
-    # history lengths 1, 4, 19 put the comparison at n = 2, 5, 20; each of the
-    # 18 (model, history, K) cases is one chi-square goodness-of-fit test over
+    # conjugacy: a weight from the posterior at (sum(history), len(history),
+    # shift), then one count given it, has the predictive pmf.  History
+    # lengths 1, 4, 19 put the comparison at n = 2, 5, 20; each of the 18
+    # (model, history, K) cases is one chi-square goodness-of-fit test over
     # x = 0, 1, 2, >=3, Bonferroni-gated to a family-wise false-alarm rate 1e-3
     reps = 20_000
     cases = [(BB, [1]), (BB, [1, 0, 0, 1]), (BB, [1, 0] * 9 + [1]),
@@ -146,8 +145,10 @@ def test_sampled_counts_match_pmf():
         for K in (None, 10):
             key = f"{model.kind.value}/{hist}/{K}"
             rng = derive_rng(31, zlib.crc32(key.encode()))
-            draws = np.array([sample_predictive_count(model, hist, rng, K=K)
-                              for _ in range(reps)])
+            shift = 0.0 if K is None else model.mass_shift / K
+            theta = _conjugate_weight(model, np.full(reps, float(sum(hist))), len(hist),
+                                      shift, rng)
+            draws = _draw_counts(model, theta, rng, 1)[0]
             p = np.array([target_predictive_pmf(model, hist, x) if K is None
                           else approx_predictive_pmf(model, K, hist, x) for x in range(3)])
             p = np.append(p, max(1.0 - p.sum(), 0.0))
@@ -169,14 +170,6 @@ def test_allocation_validation():
     FeatureAllocation(np.zeros((3, 0), dtype=int))      # no columns is fine
 
 
-def test_allocation_csv_json_round_trip():
-    alloc = simulate_allocation(GP, 6, derive_rng(32, 0), source="target")
-    again = FeatureAllocation.from_csv(alloc.to_csv(), n_rows=6)
-    assert np.array_equal(alloc.counts, again.counts)
-    js = alloc.to_json()
-    assert js["rows"] == 6 and js["columns"] == alloc.n_columns
-
-
 def test_aifa_allocation_never_exceeds_K():
     for i in range(30):
         alloc = simulate_allocation(BB, 20, derive_rng(33, i), source="aifa", K=7)
@@ -187,14 +180,16 @@ def test_aifa_allocation_never_exceeds_K():
 
 
 def test_aifa_first_round_activation_count():
-    # N=1, K=10, BB(1,1): active columns ~ Binomial(10, 0.1/1.1)
-    reps = 6000
-    counts = np.array([simulate_allocation(BB, 1, derive_rng(35, i),
-                                           source="aifa", K=10).n_columns
-                       for i in range(reps)])
-    p = (0.1) / 1.1
-    se = math.sqrt(10 * p * (1 - p) / reps)
-    assert abs(counts.mean() - 10 * p) < 3 * se
+    # active columns ~ Binomial(K, P), P = 1 - prod_{n<=N} (1 - approx_fresh_mass(n)):
+    # N = 1 under BB(1,1) (P = 0.1/1.1), N = 3 under gamma-Poisson and beta-NB
+    reps, K = 6000, 10
+    for case, (model, N) in enumerate(((BB, 1), (GP, 3), (BNB, 3))):
+        counts = np.array([simulate_allocation(model, N, derive_rng(35, case, i),
+                                               source="aifa", K=K).n_columns
+                           for i in range(reps)])
+        p = 1.0 - np.prod([1.0 - approx_fresh_mass(model, K, n) for n in range(1, N + 1)])
+        se = math.sqrt(K * p * (1 - p) / reps)
+        assert abs(counts.mean() - K * p) < 3 * se, (model.kind, counts.mean(), K * p)
 
 
 def test_target_column_count_poisson():
@@ -249,6 +244,50 @@ def test_allocation_probability_normalizes_small_case():
             mat = np.ones((1, d), dtype=int)
         total += math.exp(allocation_log_probability(BB, FeatureAllocation(mat)))
     assert total == pytest.approx(1.0, abs=1e-12)
+    # a count the target never produces has probability 0, at birth or later
+    for mat in ([[2]], [[1], [2]]):
+        assert allocation_log_probability(BB, FeatureAllocation(np.array(mat))) == -math.inf
+
+
+def _class_key(counts):
+    """Columns of the canonical matrix of an allocation's class: columns born
+    in the same row with the same count are sorted by their full count
+    vector.  The simulator orders such ties by draw, while the exact pmf is
+    per class."""
+    first = (counts != 0).argmax(axis=0)
+    order = np.lexsort(np.vstack([counts[::-1], -counts[first, np.arange(counts.shape[1])],
+                                  first]))
+    return tuple(map(tuple, counts[:, order].T.tolist()))
+
+
+def test_target_allocation_matrix_law():
+    # 10^4 target allocations per case against exp(allocation_log_probability)
+    # of their class; one chi-square test over the sampled classes with
+    # expected count >= 5 plus a pooled remainder cell (an unsampled class
+    # with expected count >= 5 falls into the remainder), Bonferroni-gated to
+    # a family-wise false-alarm rate 1e-3
+    reps = 10_000
+    cases = [(BB, 3), (GP, 2), (BNB, 2)]
+    alpha = 1e-3 / len(cases)
+    for model, N in cases:
+        rng = derive_rng(41, zlib.crc32(f"{model.kind.value}/{N}".encode()))
+        freq = {}
+        for _ in range(reps):
+            key = _class_key(simulate_allocation(model, N, rng).counts)
+            freq[key] = freq.get(key, 0) + 1
+        cells = {}
+        for key in freq:
+            mat = np.array(key, dtype=np.int64).T.reshape(N, -1)
+            expected = reps * math.exp(allocation_log_probability(model, FeatureAllocation(mat)))
+            if expected >= 5:
+                cells[key] = expected
+        observed = [freq[k] for k in cells]
+        expected = list(cells.values())
+        observed.append(reps - sum(observed))
+        expected.append(reps - sum(expected))
+        observed, expected = np.array(observed), np.array(expected)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(chi2, len(cells)) > alpha, (model.kind, len(cells), chi2)
 
 
 # -- urns -----------------------------------------------------------------------
@@ -263,34 +302,26 @@ def test_urn_probability_examples():
 
 
 def test_dp_urn_empty_history_is_fresh():
-    rng = derive_rng(38, 0)
-    assert all(dp_urn_step([], 1.0, rng) is FRESH for _ in range(20))
+    # the DP kernel's fresh label for draw i is i itself
+    labels = _urn_labels(DPSource(1.0), 5, 200, derive_rng(38, 0))
+    assert np.all(labels[:, 0] == 0)
+    assert np.all(labels <= np.arange(5))
 
 
 def test_fsd_urn_full_never_fresh():
-    rng = derive_rng(39, 0)
     K = 3
-    history = ["a", "b", "c"]
     existing, fresh = fsd_urn_probs([1, 1, 1], 1.0, K)
     assert fresh == 0.0
     assert existing.sum() == pytest.approx(1.0)
-    for _ in range(50):
-        assert fsd_urn_step(history, 1.0, K, rng) in history
+    labels = _urn_labels(FSDSource(1.0, K), 50, 200, derive_rng(39, 0))
+    assert labels.min() >= 0 and labels.max() < K
 
 
 def test_fsd_urn_never_exceeds_K():
-    rng = derive_rng(40, 0)
     K = 4
-    for _ in range(20):
-        history = []
-        next_label = 0
-        for n in range(40):
-            lab = fsd_urn_step(history, 1.3, K, rng)
-            if lab is FRESH:
-                lab = next_label
-                next_label += 1
-            history.append(lab)
-        assert len(set(history)) <= K
+    labels = _urn_labels(FSDSource(1.3, K), 40, 20, derive_rng(40, 0))
+    assert labels.min() >= 0 and labels.max() < K
+    assert all(len(set(row)) <= K for row in labels.tolist())
 
 
 def test_fsd_urn_rejects_too_many_labels():
