@@ -1,9 +1,9 @@
 """Total-variation tooling, growth functions, bound evaluators, and EPPFs.
 
-Total variation between finite discrete distributions is computed exactly as
-half the L1 distance on the union support; explicitly truncated distributions
-carry their tail deficit, which is folded into the reported value (and the
-uncertainty interval) so results stay auditable.
+Total variation between pmfs listed as arrays on 0, 1, ... is computed
+exactly as half the L1 distance on the listed support; the mass a truncated
+pmf leaves unlisted is folded into the reported value, so results stay
+auditable.  The binomial-Poisson distance runs over an array of K at once.
 
 Partition probabilities (EPPFs) are evaluated two ways: an exact sequential
 chain through the urn predictive probabilities (Dirichlet process and finite
@@ -18,15 +18,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .approximations import WeightDistribution, sample_weights
 from .marginals import dp_urn_probs, fsd_urn_probs
 
 __all__ = [
-    "DiscreteDistribution",
     "tv_exact",
-    "tv_exact_interval",
     "growth_function",
     "bondesson_tfa_bound",
     "tsb_dp_bound",
@@ -39,7 +36,6 @@ __all__ = [
     "dp_fsd_two_sample_gap",
     "tv_binom_poisson",
     "truncated_poisson",
-    "binomial_distribution",
     "PartitionComposition",
     "partition_count",
     "all_compositions",
@@ -59,70 +55,38 @@ _TAIL_TOL = 1e-12
 # exact total variation on discrete supports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """A finite (possibly truncated) pmf over hashable outcomes.
-
-    ``deficit`` records mass lost to an explicit truncation; masses + deficit
-    must equal one to 1e-12.
-    """
-
-    outcomes: tuple
-    masses: tuple
-    deficit: float = 0.0
-
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.masses):
-            raise ValueError("outcomes and masses must have equal length")
-        m = np.asarray(self.masses, dtype=float)
-        if np.any(m < 0) or self.deficit < -1e-15:
-            raise ValueError("masses must be nonnegative")
-        if abs(m.sum() + self.deficit - 1.0) > 1e-12:
-            raise ValueError(f"masses + deficit must total 1, got {m.sum() + self.deficit!r}")
-
-    @classmethod
-    def from_pairs(cls, pairs, deficit=0.0):
-        outcomes, masses = zip(*pairs) if pairs else ((), ())
-        return cls(tuple(outcomes), tuple(float(p) for p in masses), float(deficit))
-
-    def as_dict(self):
-        return dict(zip(self.outcomes, self.masses))
-
-
-def truncated_poisson(lam, tol=_TAIL_TOL) -> DiscreteDistribution:
-    """Poisson(lam) truncated once the certified remaining mass drops below tol."""
+def truncated_poisson(lam, tol=_TAIL_TOL) -> np.ndarray:
+    """Poisson(lam) pmf on 0..X, X the first point where the remaining mass
+    1 - sum drops below tol; that mass is the pmf's unlisted mass."""
     if lam < 0:
         raise ValueError("Poisson mean must be nonnegative")
     probs = [math.exp(-lam)]
-    x = 0
-    while 1.0 - sum(probs) >= tol:
-        x += 1
-        probs.append(probs[-1] * lam / x)
-        if x > 10_000_000:
+    total = probs[0]
+    while 1.0 - total >= tol:
+        probs.append(probs[-1] * lam / len(probs))
+        total += probs[-1]
+        if len(probs) > 10_000_000:
             raise RuntimeError("Poisson truncation failed")
-    deficit = max(1.0 - sum(probs), 0.0)
-    return DiscreteDistribution(tuple(range(x + 1)), tuple(probs), deficit)
+    return np.array(probs)
 
 
-def binomial_distribution(n, p) -> DiscreteDistribution:
-    probs = stats.binom.pmf(np.arange(n + 1), n, p)
-    probs = probs / probs.sum()
-    return DiscreteDistribution(tuple(range(n + 1)), tuple(probs))
-
-
-def tv_exact_interval(p: DiscreteDistribution, q: DiscreteDistribution):
-    """(value, uncertainty): half L1 on the union support plus half the
-    truncation deficits, with the deficit half-sum as the +- radius."""
-    support = set(p.outcomes) | set(q.outcomes)
-    pd, qd = p.as_dict(), q.as_dict()
-    l1 = sum(abs(pd.get(o, 0.0) - qd.get(o, 0.0)) for o in support)
-    slop = 0.5 * (p.deficit + q.deficit)
-    return 0.5 * l1 + slop, slop
-
-
-def tv_exact(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Exact total variation up to the recorded truncation deficits."""
-    return tv_exact_interval(p, q)[0]
+def tv_exact(p, q):
+    """Total variation between two pmfs listed on 0, 1, ...: half the L1
+    distance on the listed support plus half of each pmf's unlisted mass
+    1 - sum (clipped at 0).  That is exact when only one pmf leaves mass
+    unlisted, and an upper bound otherwise.  Leading axes broadcast (one
+    distance per row); a float for 1-d inputs."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    width = max(p.shape[-1], q.shape[-1])
+    padded, unlisted = [], 0.0
+    for a in (p, q):
+        total = a.sum(axis=-1)
+        if np.any(a < 0) or np.any(total > 1.0 + 1e-12):
+            raise ValueError("a pmf needs nonnegative masses totalling at most 1")
+        unlisted = unlisted + np.clip(1.0 - total, 0.0, None)
+        padded.append(np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, width - a.shape[-1])]))
+    out = 0.5 * np.abs(padded[0] - padded[1]).sum(axis=-1) + 0.5 * unlisted
+    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +160,23 @@ def dp_fsd_two_sample_gap(alpha, K) -> float:
     return alpha / ((1.0 + alpha) * K)
 
 
-def tv_binom_poisson(K, gamma) -> float:
-    """Exact d_TV(Poisson(gamma), Binomial(K, q)) with q = (gamma/K)/(1 + gamma/K)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    q = (gamma / K) / (1.0 + gamma / K)
-    return tv_exact(truncated_poisson(gamma), binomial_distribution(K, q))
+def tv_binom_poisson(K, gamma):
+    """Exact d_TV(Poisson(gamma), Binomial(K, q)) with q = (gamma/K)/(1 + gamma/K),
+    for a scalar or an array of K.  The binomial pmf is listed on the Poisson
+    truncation support 0..X by the ratio recursion
+    p(x) = p(x-1) (K-x+1)/x q/(1-q), with q/(1-q) = gamma/K; its mass past X
+    is its unlisted mass."""
+    K = np.asarray(K)
+    if np.any(K < 1) or np.any(K != np.floor(K)):
+        raise ValueError("K must be an integer >= 1")
+    poisson = truncated_poisson(gamma)
+    k = K.reshape(-1, 1).astype(float)
+    x = np.arange(1, poisson.size, dtype=float)
+    ratio = np.maximum(k - x + 1, 0.0) / x * (gamma / k)  # zero past K
+    binom = np.exp(-k * np.log1p(gamma / k)) * np.cumprod(
+        np.concatenate([np.ones_like(k), ratio], axis=1), axis=1)
+    out = tv_exact(poisson, binom).reshape(K.shape)
+    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

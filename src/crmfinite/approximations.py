@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 from .measures import (
@@ -386,6 +386,7 @@ def _interval_masses(f, knots):
 
 
 def _ks_two_sample(a, b):
+    from scipy import stats  # imported here: it nearly doubles the import time of the CLI
     return stats.ks_2samp(np.log(a), np.log(b), method="asymp")
 
 

@@ -219,21 +219,24 @@ def cmd_check_conditions(config, out, seed, replicates):
 def cmd_bounds_table(config, out, seed, replicates):
     _require_keys(config, {"gamma", "K_max"}, {"K_min", "seed"}, "bounds-table config")
     gamma = float(config["gamma"])
-    k_lo, k_hi = int(config.get("K_min", 1)), int(config["K_max"])
-    rows = []
-    ok = True
+    k_lo, k_hi = config.get("K_min", 1), config["K_max"]
+    for name, value in (("K_min", k_lo), ("K_max", k_hi)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if k_lo > k_hi:
+        raise ConfigError(f"K_min must not exceed K_max, got {k_lo} > {k_hi}")
     const = binom_poisson_lower_constant(gamma)
-    rows.append(("binom_poisson_lower_constant", f"gamma={_fmt(gamma)}", const))
-    for K in range(k_lo, k_hi + 1):
-        q = (gamma / K) / (1.0 + gamma / K)
-        tv = tv_binom_poisson(K, gamma)
-        lower = const * K * q * q
-        upper = lecam_upper(K, q)
-        args = f"K={K};gamma={_fmt(gamma)}"
-        rows.append(("tv_binom_poisson", args, tv))
-        rows.append(("binom_poisson_lower", args, lower))
-        rows.append(("lecam_upper", args, upper))
-        ok = ok and (lower <= tv)
+    K = np.arange(k_lo, k_hi + 1)
+    q = (gamma / K) / (1.0 + gamma / K)
+    tv = tv_binom_poisson(K, gamma)
+    lower = const * K * q * q
+    upper = lecam_upper(K, q)
+    rows = [("binom_poisson_lower_constant", f"gamma={_fmt(gamma)}", const)]
+    for k, t, lo, up in zip(K, tv, lower, upper):
+        args = f"K={k};gamma={_fmt(gamma)}"
+        rows += [("tv_binom_poisson", args, t), ("binom_poisson_lower", args, lo),
+                 ("lecam_upper", args, up)]
+    ok = bool(np.all(lower <= tv))
     _write_csv(os.path.join(out, "bounds.csv"), ("name", "args", "value"), rows)
     return ok, {"gamma": gamma, "K_range": [k_lo, k_hi], "lower_bound_ok": ok}
 

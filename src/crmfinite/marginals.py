@@ -497,40 +497,44 @@ _SIGN_EPS = 1e-280
 _GUARD = 16
 
 
-def _certified_abs_sum(terms_a, terms_b, tail_a, tail_b):
-    """sum |a - b| over all x, where the columns cover x = 0..X and the exact
-    tails past X are supplied.  Requires the last _GUARD term differences to
-    be single-signed (the likelihood-ratio order guarantees a single crossing,
-    so past it |sum of tail differences| = |tail_a - tail_b| exactly).
-    Returns None when the guard fails and a larger X is needed."""
-    diff = terms_a - terms_b
-    guard = diff[:, -_GUARD:]
-    ok = (guard.min(axis=1) >= -_SIGN_EPS) | (guard.max(axis=1) <= _SIGN_EPS)
-    if not np.all(ok):
-        return None
-    return np.abs(diff).sum(axis=1) + np.abs(tail_a - tail_b)
+def _certified_l1(terms, first_x, what):
+    """sum_x |a - b| over x >= first_x, one value per row.  ``terms(x)`` gives
+    the (a, b, tail_a, tail_b) grids on x = first_x..X with the exact tails
+    past X; X doubles from 64 until the last _GUARD term differences of every
+    row are single-signed.  The likelihood-ratio order guarantees a single
+    crossing, so past it |sum of tail differences| = |tail_a - tail_b|."""
+    x_max = 64
+    while x_max <= 1 << 16:
+        a, b, tail_a, tail_b = terms(np.arange(first_x, x_max + 1, dtype=float))
+        diff = a - b
+        guard = diff[:, -_GUARD:]
+        if np.all((guard.min(axis=1) >= -_SIGN_EPS) | (guard.max(axis=1) <= _SIGN_EPS)):
+            return np.abs(diff).sum(axis=1) + np.abs(tail_a - tail_b)
+        x_max *= 2
+    raise RuntimeError(f"{what}: no certified truncation point found")
 
 
-def _l1_history(model, K, n_arr, S):
-    """Certified sum_x |h - h~| at history total S, vectorized over n."""
-    shift = model.mass_shift / K
+def _l1_history(model, K_set, n_arr, S):
+    """Certified sum_x |h - h~| at history total S for each K in K_set,
+    vectorized over n.  The target pmf h does not depend on K, so its grid is
+    built once per truncation point and shared."""
+    shifts = [model.mass_shift / K for K in K_set]
     if model.kind is ModelKind.BETA_BERNOULLI:
         al = model.alpha
         h1 = S / (al - 1.0 + n_arr)
-        g1 = (S + shift) / (al - 1.0 + n_arr + shift)
-        return 2.0 * np.abs(h1 - g1)
-    x_max = 64
-    while True:
-        x = np.arange(x_max + 1, dtype=float)
-        a = np.exp(_predictive_logpmf(model, n_arr[:, None], float(S), 0.0, x[None, :]))
-        b = np.exp(_predictive_logpmf(model, n_arr[:, None], float(S), shift, x[None, :]))
-        out = _certified_abs_sum(a, b, np.clip(1 - a.sum(axis=1), 0, None),
-                                 np.clip(1 - b.sum(axis=1), 0, None))
-        if out is not None:
-            return out
-        x_max *= 2
-        if x_max > 1 << 16:
-            raise RuntimeError("history L1 sum: no certified truncation point found")
+        return [2.0 * np.abs(h1 - (S + shift) / (al - 1.0 + n_arr + shift)) for shift in shifts]
+    target = {}
+
+    def pmf(x, shift):
+        return np.exp(_predictive_logpmf(model, n_arr[:, None], float(S), shift, x[None, :]))
+
+    def terms(x, shift):
+        if x.size not in target:
+            target[x.size] = pmf(x, 0.0)
+        a, b = target[x.size], pmf(x, shift)
+        return a, b, np.clip(1 - a.sum(axis=1), 0, None), np.clip(1 - b.sum(axis=1), 0, None)
+
+    return [_certified_l1(lambda x: terms(x, shift), 0, "history L1 sum") for shift in shifts]
 
 
 def _l4_mismatch(model, K, n_arr):
@@ -543,18 +547,14 @@ def _l4_mismatch(model, K, n_arr):
         return np.abs(m1 - kh)
     totals = np.asarray(total_new_atom_rate(model, n_arr), dtype=float)
     fresh = np.asarray(approx_fresh_mass(model, K, n_arr), dtype=float)
-    x_max = 64
-    while True:
-        x = np.arange(1, x_max + 1, dtype=float)
+
+    def terms(x):
         m = target_new_atom_rate(model, n_arr[:, None], x[None, :])
         h = K * np.exp(_predictive_logpmf(model, n_arr[:, None], 0.0, shift, x[None, :]))
-        out = _certified_abs_sum(m, h, np.clip(totals - m.sum(axis=1), 0, None),
-                                 np.clip(K * fresh - h.sum(axis=1), 0, None))
-        if out is not None:
-            return out
-        x_max *= 2
-        if x_max > 1 << 16:
-            raise RuntimeError("new-atom mismatch sum: no certified truncation point found")
+        return (m, h, np.clip(totals - m.sum(axis=1), 0, None),
+                np.clip(K * fresh - h.sum(axis=1), 0, None))
+
+    return _certified_l1(terms, 1, "new-atom mismatch sum")
 
 
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set,
@@ -565,12 +565,23 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     in conservatively).  Inequality 3 is maximized over instantiated histories
     with count totals in ``history_scan``; inequality 4 is evaluated only at
     (n, K) with K >= k_floor(n), as its statement requires.  Violations
-    produce failure entries in the report, never exceptions.
+    produce failure entries in the report, never exceptions; an n_max or
+    K_set out of range raises ValueError.
     """
+    def is_int(v, lo):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= lo
+
+    if not is_int(n_max, 2):
+        raise ValueError(f"n_max must be an integer >= 2 (inequality 3 needs n >= 2), "
+                         f"got {n_max!r}")
+    if not (isinstance(K_set, (list, tuple, np.ndarray)) and len(K_set)
+            and all(is_int(K, 1) for K in K_set)):
+        raise ValueError(f"K_set must be a non-empty list of integers >= 1, got {K_set!r}")
+    K_set = sorted(K_set)
     n_arr = np.arange(1, int(n_max) + 1, dtype=float)
     grace = 1e-12
     report = {"model": model.kind.value, "bounds": bounds.name, "n_max": int(n_max),
-              "K_set": sorted(int(k) for k in K_set),
+              "K_set": [int(K) for K in K_set],
               "history_scan": list(history_scan), "inequalities": []}
 
     def record(idx, slack_arr, n_of, K=None, extra=None):
@@ -587,25 +598,28 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     lhs1 = np.asarray(total_new_atom_rate(model, n_arr), dtype=float)
     record(1, bounds.rhs1(n_arr) - lhs1, n_arr)
 
-    for K in sorted(K_set):
+    # inequality 3 for every K, one history total at a time, so that each
+    # total builds its target grid once
+    n3 = n_arr[1:]  # instantiated histories need n >= 2
+    slack3 = np.full((len(K_set), n3.size), np.inf)
+    worst_s = np.zeros((len(K_set), n3.size), dtype=int)
+    for S in history_scan:
+        mask = ((n3 - 1) >= S) if model.kind is ModelKind.BETA_BERNOULLI \
+            else np.ones(n3.size, dtype=bool)
+        if not mask.any():
+            continue
+        idx = np.where(mask)[0]
+        for k, (K, l1) in enumerate(zip(K_set, _l1_history(model, K_set, n3[idx], S))):
+            cand = bounds.rhs3(n3[idx], K) - l1
+            tighter = cand < slack3[k, idx]
+            slack3[k, idx[tighter]] = cand[tighter]
+            worst_s[k, idx[tighter]] = S
+
+    for k, K in enumerate(K_set):
         lhs2 = np.asarray(approx_fresh_mass(model, K, n_arr), dtype=float)
         record(2, bounds.rhs2(n_arr, K) - lhs2, n_arr, K)
-
-        n3 = n_arr[1:]  # instantiated histories need n >= 2
-        slack3 = np.full(n3.size, np.inf)
-        worst_s = np.zeros(n3.size, dtype=int)
-        for S in history_scan:
-            mask = ((n3 - 1) >= S) if model.kind is ModelKind.BETA_BERNOULLI \
-                else np.ones(n3.size, dtype=bool)
-            if not mask.any():
-                continue
-            idx = np.where(mask)[0]
-            cand = bounds.rhs3(n3[idx], K) - _l1_history(model, K, n3[idx], S)
-            tighter = cand < slack3[idx]
-            slack3[idx[tighter]] = cand[tighter]
-            worst_s[idx[tighter]] = S
-        record(3, slack3, n3, K,
-               {"history_total_worst": int(worst_s[int(np.argmin(slack3))])})
+        record(3, slack3[k], n3, K,
+               {"history_total_worst": int(worst_s[k, int(np.argmin(slack3[k]))])})
 
         floor = np.asarray(bounds.k_floor(n_arr), dtype=float)
         dom = K >= floor

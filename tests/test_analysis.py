@@ -8,13 +8,11 @@ from scipy import stats
 
 from crmfinite.analysis import (
     DPSource,
-    DiscreteDistribution,
     FSDSource,
     NormalizedAifaSource,
     PartitionComposition,
     all_compositions,
     binom_poisson_lower_constant,
-    binomial_distribution,
     bondesson_tfa_bound,
     chernoff_lower,
     chernoff_upper,
@@ -31,7 +29,6 @@ from crmfinite.analysis import (
     tsb_dp_bound,
     tv_binom_poisson,
     tv_exact,
-    tv_exact_interval,
 )
 from crmfinite.approximations import (
     AifaConfig,
@@ -44,22 +41,20 @@ from crmfinite.measures import gamma_process
 from crmfinite.rng import derive_rng
 
 
-# -- discrete distributions and exact TV ---------------------------------------
+# -- exact TV on pmf arrays -------------------------------------------------------
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        DiscreteDistribution((0, 1), (0.5, 0.6))
+        tv_exact([0.5, 0.6], [1.0])
     with pytest.raises(ValueError):
-        DiscreteDistribution((0,), (-0.1,), 1.1)
-    DiscreteDistribution((0, 1), (0.5, 0.5))
+        tv_exact([1.0], [-0.1, 1.1])
+    assert tv_exact([0.5, 0.5], [0.5, 0.5]) == 0.0
 
 
 def test_tv_identical_and_disjoint():
     p = truncated_poisson(1.0, 1e-14)
     assert tv_exact(p, p) < 1e-12
-    a = DiscreteDistribution((0,), (1.0,))
-    b = DiscreteDistribution((1,), (1.0,))
-    assert tv_exact(a, b) == 1.0
+    assert tv_exact([1.0], [0.0, 1.0]) == 1.0
 
 
 def test_tv_poisson_pair_against_brute_force():
@@ -67,9 +62,9 @@ def test_tv_poisson_pair_against_brute_force():
     q = truncated_poisson(2.0, 1e-14)
     xs = np.arange(0, 200)
     brute = 0.5 * np.abs(stats.poisson.pmf(xs, 1.0) - stats.poisson.pmf(xs, 2.0)).sum()
-    val, slop = tv_exact_interval(p, q)
+    val = tv_exact(p, q)
     assert val == pytest.approx(brute, abs=1e-12)
-    assert slop < 1e-13
+    assert 0.5 * (max(1.0 - p.sum(), 0.0) + max(1.0 - q.sum(), 0.0)) < 1e-13
     assert val <= 1 - math.exp(-1.0)  # mean-difference bound for Poisson pairs
 
 
@@ -87,8 +82,42 @@ def test_tv_metric_properties(lams):
 
 def test_truncated_poisson_deficit_recorded():
     p = truncated_poisson(3.0, 1e-12)
-    assert 0 <= p.deficit < 1e-12
-    assert abs(sum(p.masses) + p.deficit - 1.0) < 1e-15
+    assert p[0] == math.exp(-3.0)
+    assert 0 <= 1.0 - p.sum() < 1e-12
+    assert 1.0 - p[:-1].sum() >= 1e-12  # the first point past the tolerance
+
+
+def _reference_tv_binom_poisson(K, gamma):
+    """The distance tv_binom_poisson computed before it became array code:
+    scipy's binomial pmf on 0..K, renormalized, against the truncated Poisson,
+    as half the L1 distance on the union of the two supports plus half the
+    Poisson's truncation deficit."""
+    q = (gamma / K) / (1.0 + gamma / K)
+    binom = stats.binom.pmf(np.arange(K + 1), K, q)
+    probs = [math.exp(-gamma)]
+    while 1.0 - sum(probs) >= 1e-12:
+        probs.append(probs[-1] * gamma / len(probs))
+    deficit = max(1.0 - sum(probs), 0.0)
+    pd, qd = dict(enumerate(probs)), dict(enumerate(binom / binom.sum()))
+    l1 = sum(abs(pd.get(o, 0.0) - qd.get(o, 0.0)) for o in set(pd) | set(qd))
+    return 0.5 * l1 + 0.5 * deficit
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 5.0])
+def test_tv_binom_poisson_matches_reference(gamma):
+    Ks = np.arange(1, 2001)
+    tv = tv_binom_poisson(Ks, gamma)
+    ref = np.array([_reference_tv_binom_poisson(int(K), gamma) for K in Ks])
+    assert np.abs(tv - ref).max() <= 1e-13
+    scalar = [tv_binom_poisson(int(K), gamma) for K in Ks]
+    assert all(isinstance(v, float) for v in scalar)
+    assert np.array_equal(tv, scalar)
+
+
+def test_tv_binom_poisson_rejects_bad_K():
+    for K in (0, -3, 2.5, [1, 0]):
+        with pytest.raises(ValueError):
+            tv_binom_poisson(K, 1.0)
 
 
 # -- growth function and evaluators ---------------------------------------------
@@ -161,7 +190,7 @@ def test_binom_poisson_K1_counterexample():
     assert tv == pytest.approx(1 - 2 * math.exp(-1), abs=1e-12)
     assert tv > 0.25
     # the Le Cam pair itself does satisfy the bound
-    same_mean = tv_exact(truncated_poisson(0.5), binomial_distribution(1, 0.5))
+    same_mean = tv_exact(truncated_poisson(0.5), [0.5, 0.5])
     assert same_mean <= 0.25
 
 

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crmfinite
 from crmfinite import cli
 from crmfinite.cli import main, read_data_csv
 
@@ -28,6 +31,13 @@ def run(tmp_path, command, config, seed=11, replicates=1, name="cfg", env=None, 
             else:
                 os.environ[k] = v
     return code, out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(crmfinite.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, crmfinite.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def test_sample_prior_fsd_symmetry(tmp_path):
@@ -136,6 +146,28 @@ def test_bounds_table(tmp_path):
     names = {l.split(",")[0] for l in lines[1:]}
     assert names == {"binom_poisson_lower_constant", "tv_binom_poisson",
                      "binom_poisson_lower", "lecam_upper"}
+
+
+_GP_MODEL = {"kind": "gamma_poisson", "gamma": 1.0, "lam": 1.0}
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("bounds-table", {"gamma": 1.0, "K_min": 0, "K_max": 5}, "K_min"),
+    ("bounds-table", {"gamma": 1.0, "K_max": 0}, "K_max"),
+    ("bounds-table", {"gamma": 1.0, "K_max": 3.7}, "K_max"),
+    ("bounds-table", {"gamma": 1.0, "K_min": 6, "K_max": 5}, "K_min"),
+    ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [0]}, "K_set"),
+    ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [2.5]}, "K_set"),
+    ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": []}, "K_set"),
+    ("check-conditions", {"model": _GP_MODEL, "n_max": 1, "K_set": [10]}, "n_max"),
+], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max",
+        "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1"])
+def test_table_configs_rejected_at_boundary(tmp_path, capsys, command, config, field):
+    code, out = run(tmp_path, command, config, name="range")
+    assert code == 2
+    detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["detail"]
+    assert field in detail
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
 
 
 def test_eppf_convergence_cli(tmp_path):

@@ -359,6 +359,71 @@ def test_generic_wrong_constant_fails():
     assert not report["pass"]
 
 
+# Reports of check_condition_1 before the checker shared its target grids
+# across K (n_max = 300, K_set [10, 100, 1000], presets): (inequality, K,
+# n_worst, slack, pass, history_total_worst, n_evaluated) per entry.
+_GOLDEN_REPORTS = {
+    "bb": [
+        (1, None, 1, 0.0, True, None, None),
+        (2, 10, 300, 1.1107408641561779e-07, True, None, None),
+        (3, 10, 300, 2.4436299011443502e-06, True, 1, None),
+        (4, 10, 300, 0.0003322225924691765, True, None, 300),
+        (2, 100, 300, 1.1110740753071777e-09, True, None, None),
+        (3, 100, 300, 2.2443696321260555e-07, True, 1, None),
+        (4, 100, 300, 3.322222592580243e-05, True, None, 300),
+        (2, 1000, 300, 1.1111074074055167e-11, True, None, None),
+        (3, 1000, 300, 2.2244370296824263e-08, True, 1, None),
+        (4, 1000, 1, 9.9900099914587e-07, True, None, 300),
+    ],
+    "gp": [
+        (1, None, 300, 5.543240658664218e-06, True, None, None),
+        (2, 10, 300, 6.096888587869549e-07, True, None, None),
+        (3, 10, 300, 3.430166053002958e-06, True, 1, None),
+        (4, 10, 300, 0.0012377701357468426, True, None, 300),
+        (2, 100, 300, 5.598610978964168e-08, True, None, None),
+        (3, 100, 300, 3.330841613199471e-07, True, 1, None),
+        (4, 100, 300, 0.00012377698599391027, True, None, 300),
+        (2, 1000, 300, 5.54877774597218e-09, True, None, None),
+        (3, 1000, 300, 3.32090807780191e-08, True, 1, None),
+        (4, 1000, 300, 1.2377698323550593e-05, True, None, 300),
+    ],
+    "bnb": [
+        (1, None, 300, 1.1055770835716704e-05, True, None, None),
+        (2, 10, 300, 0.0019982189933544277, True, None, None),
+        (3, 10, 300, 9.659787331507469e-06, True, 1, None),
+        (4, 10, None, None, True, None, 0),
+        (2, 100, 300, 0.00019978219410381393, True, None, None),
+        (3, 100, 300, 8.873531278474997e-07, True, 1, None),
+        (4, 100, 300, 0.007376458851892641, True, None, 300),
+        (2, 1000, 300, 1.9977822350169066e-05, True, None, None),
+        (3, 1000, 300, 8.794844439819655e-08, True, 1, None),
+        (4, 1000, 300, 0.0007376458720960239, True, None, 300),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["bb", "gp", "bnb"])
+def test_condition_report_matches_golden(name):
+    model = {"bb": BB, "gp": GP, "bnb": BNB}[name]
+    report = check_condition_1(model, condition_preset(model), 300, [10, 100, 1000])
+    got = [(e["inequality"], e["K"], e["n_worst"], e["slack"], e["pass"],
+            e.get("history_total_worst"), e.get("n_evaluated")) for e in report["inequalities"]]
+    want = _GOLDEN_REPORTS[name]
+    assert [g[:3] + g[4:] for g in got] == [w[:3] + w[4:] for w in want]
+    for g, w in zip(got, want):
+        assert (g[3] is None) == (w[3] is None)
+        if w[3] is not None:
+            assert abs(g[3] - w[3]) <= 1e-13, (g, w)
+    assert report["pass"]
+
+
+@pytest.mark.parametrize("n_max, K_set", [(1, [10]), (2.5, [10]), (True, [10]), (50, []),
+                                          (50, [0]), (50, [2.5]), (50, [True]), (50, 10)])
+def test_condition_checker_rejects_bad_ranges(n_max, K_set):
+    with pytest.raises(ValueError, match="n_max" if K_set == [10] else "K_set"):
+        check_condition_1(GP, condition_preset(GP), n_max, K_set)
+
+
 def test_condition_report_shape():
     report = check_condition_1(GP, condition_preset(GP), 50, [10])
     assert {e["inequality"] for e in report["inequalities"]} == {1, 2, 3, 4}
