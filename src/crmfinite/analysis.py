@@ -14,6 +14,7 @@ normalized finite approximation, cross-validated against the exact route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ __all__ = [
     "dp_fsd_two_sample_gap",
     "tv_binom_poisson",
     "truncated_poisson",
+    "POISSON_MEAN_MAX",
     "PartitionComposition",
     "partition_count",
     "all_compositions",
@@ -49,6 +51,9 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
+# the largest Poisson mean whose e^-lam is a normal double: the pmf recursions
+# start there, and past it the start loses precision (and is 0 past ~745)
+POISSON_MEAN_MAX = -math.log(sys.float_info.min)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +62,10 @@ _TAIL_TOL = 1e-12
 
 def truncated_poisson(lam, tol=_TAIL_TOL) -> np.ndarray:
     """Poisson(lam) pmf on 0..X, X the first point where the remaining mass
-    1 - sum drops below tol; that mass is the pmf's unlisted mass."""
-    if lam < 0:
-        raise ValueError("Poisson mean must be nonnegative")
+    1 - sum drops below tol; that mass is the pmf's unlisted mass.  lam must
+    lie in [0, POISSON_MEAN_MAX]."""
+    if not 0 <= lam <= POISSON_MEAN_MAX:
+        raise ValueError(f"Poisson mean must lie in [0, {POISSON_MEAN_MAX:.4f}], got {lam}")
     probs = [math.exp(-lam)]
     total = probs[0]
     while 1.0 - total >= tol:

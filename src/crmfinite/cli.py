@@ -29,6 +29,7 @@ from . import __version__
 from .analysis import (
     DPSource,
     FSDSource,
+    POISSON_MEAN_MAX,
     PartitionComposition,
     all_compositions,
     binom_poisson_lower_constant,
@@ -219,6 +220,9 @@ def cmd_check_conditions(config, out, seed, replicates):
 def cmd_bounds_table(config, out, seed, replicates):
     _require_keys(config, {"gamma", "K_max"}, {"K_min", "seed"}, "bounds-table config")
     gamma = float(config["gamma"])
+    if not 0 < gamma <= POISSON_MEAN_MAX:
+        raise ConfigError(f"gamma must lie in (0, {POISSON_MEAN_MAX:.4f}] (e^-gamma must be a "
+                          f"normal double), got {config['gamma']!r}")
     k_lo, k_hi = config.get("K_min", 1), config["K_max"]
     for name, value in (("K_min", k_lo), ("K_max", k_hi)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:

@@ -32,6 +32,15 @@ in closed form, and because the predictive families are likelihood-ratio
 ordered in the count total, past the single sign change of the term
 difference the neglected remainder is exactly |tail_a - tail_b|.
 
+The checker's pmf grids come from one kernel, ``_count_grid``, with x on
+axis 0 and n on axis 1, so each step of the recursion is one contiguous row.
+Its first row is the closed form (``_predictive_logpmf``, or the new-atom
+rate at count total 0); each later row is the row above times the family's
+ratio h(x)/h(x-1), a rational function of x, n and the total.  A grid thus
+carries its start row's relative error (up to ~2e-11 from ``betaln`` at
+n ~ 1e4) plus at most ~X eps of rounding over X steps.  Point queries keep
+the closed form.
+
 The module also houses the Dirichlet-process and finite-symmetric-Dirichlet
 urn probabilities and the numeric four-inequality growth/approximation
 condition checker with per-family presets.
@@ -497,64 +506,92 @@ _SIGN_EPS = 1e-280
 _GUARD = 16
 
 
-def _certified_l1(terms, first_x, what):
-    """sum_x |a - b| over x >= first_x, one value per row.  ``terms(x)`` gives
-    the (a, b, tail_a, tail_b) grids on x = first_x..X with the exact tails
-    past X; X doubles from 64 until the last _GUARD term differences of every
-    row are single-signed.  The likelihood-ratio order guarantees a single
-    crossing, so past it |sum of tail differences| = |tail_a - tail_b|."""
-    x_max = 64
-    while x_max <= 1 << 16:
-        a, b, tail_a, tail_b = terms(np.arange(first_x, x_max + 1, dtype=float))
+def _count_grid(model, n, total, x_lo, X):
+    """(X - x_lo + 1, len(n)) grid on x = x_lo..X (axis 0) by round n
+    (axis 1) at count total ``total`` = S + shift: the predictive pmf
+    h(x | n, total), or at total 0 (x_lo >= 1) the new-atom rate M_{n,x}.
+    Row x_lo is the closed form; each later row is the row above times the
+    family's ratio h(x)/h(x-1), which M shares at total 0 since
+    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Gamma-Poisson and beta-NB only:
+    beta-Bernoulli counts need no grid."""
+    n = np.asarray(n, dtype=float)
+    grid = np.empty((X - x_lo + 1, n.size))
+    grid[0] = (target_new_atom_rate(model, n, x_lo) if total == 0
+               else np.exp(_predictive_logpmf(model, n, total, 0.0, x_lo)))
+    x = np.arange(x_lo + 1, X + 1, dtype=float)
+    u = total + x - 1
+    if model.kind is ModelKind.GAMMA_POISSON:  # (t+x-1)/x * 1/(lambda+n)
+        num, lag, base = u / x, np.zeros_like(u), model.lam + n
+    else:  # (x+r-1)/x * (t+x-1)/(t+x-1+rn+alpha)
+        num, lag, base = (x + model.r - 1) / x * u, u, model.r * n + model.alpha
+    # row by row: a cumprod down axis 0 is ~3x slower at these shapes
+    for i in range(x.size):
+        row = grid[i + 1]
+        np.add(base, lag[i], out=row)
+        np.divide(num[i], row, out=row)
+        row *= grid[i]
+    return grid
+
+
+def _certified_l1(terms, what):
+    """sum_x |a - b|, one value per column, and the truncation point X it was
+    certified at.  ``terms(X)`` gives the (x, n) grids a and b up to x = X and
+    their exact tails past X; X doubles from 64 until the last _GUARD term
+    differences of every column are single-signed.  The likelihood-ratio
+    order guarantees a single crossing, so past it |sum of tail differences|
+    = |tail_a - tail_b|."""
+    X = 64
+    while X <= 1 << 16:
+        a, b, tail_a, tail_b = terms(X)
         diff = a - b
-        guard = diff[:, -_GUARD:]
-        if np.all((guard.min(axis=1) >= -_SIGN_EPS) | (guard.max(axis=1) <= _SIGN_EPS)):
-            return np.abs(diff).sum(axis=1) + np.abs(tail_a - tail_b)
-        x_max *= 2
+        guard = diff[-_GUARD:]
+        if np.all((guard.min(axis=0) >= -_SIGN_EPS) | (guard.max(axis=0) <= _SIGN_EPS)):
+            return np.abs(diff, out=diff).sum(axis=0) + np.abs(tail_a - tail_b), X
+        X *= 2
     raise RuntimeError(f"{what}: no certified truncation point found")
 
 
 def _l1_history(model, K_set, n_arr, S):
     """Certified sum_x |h - h~| at history total S for each K in K_set,
-    vectorized over n.  The target pmf h does not depend on K, so its grid is
-    built once per truncation point and shared."""
+    vectorized over n, as (sums, X) pairs.  The target pmf h does not depend
+    on K, so its grid is built once per truncation point and shared."""
     shifts = [model.mass_shift / K for K in K_set]
     if model.kind is ModelKind.BETA_BERNOULLI:
         al = model.alpha
         h1 = S / (al - 1.0 + n_arr)
-        return [2.0 * np.abs(h1 - (S + shift) / (al - 1.0 + n_arr + shift)) for shift in shifts]
+        return [(2.0 * np.abs(h1 - (S + shift) / (al - 1.0 + n_arr + shift)), 1)
+                for shift in shifts]
     target = {}
 
-    def pmf(x, shift):
-        return np.exp(_predictive_logpmf(model, n_arr[:, None], float(S), shift, x[None, :]))
+    def terms(X, shift):
+        if X not in target:
+            target[X] = _count_grid(model, n_arr, float(S), 0, X)
+        a, b = target[X], _count_grid(model, n_arr, float(S) + shift, 0, X)
+        return a, b, np.clip(1 - a.sum(axis=0), 0, None), np.clip(1 - b.sum(axis=0), 0, None)
 
-    def terms(x, shift):
-        if x.size not in target:
-            target[x.size] = pmf(x, 0.0)
-        a, b = target[x.size], pmf(x, shift)
-        return a, b, np.clip(1 - a.sum(axis=1), 0, None), np.clip(1 - b.sum(axis=1), 0, None)
-
-    return [_certified_l1(lambda x: terms(x, shift), 0, "history L1 sum") for shift in shifts]
+    return [_certified_l1(lambda X: terms(X, shift), "history L1 sum") for shift in shifts]
 
 
 def _l4_mismatch(model, K, n_arr):
-    """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over n."""
+    """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over n, and
+    its truncation point X."""
     shift = model.mass_shift / K
     if model.kind is ModelKind.BETA_BERNOULLI:
         al = model.alpha
         m1 = model.gamma * al / (al - 1.0 + n_arr)
         kh = K * shift / (al - 1.0 + n_arr + shift)
-        return np.abs(m1 - kh)
+        return np.abs(m1 - kh), 1
     totals = np.asarray(total_new_atom_rate(model, n_arr), dtype=float)
     fresh = np.asarray(approx_fresh_mass(model, K, n_arr), dtype=float)
 
-    def terms(x):
-        m = target_new_atom_rate(model, n_arr[:, None], x[None, :])
-        h = K * np.exp(_predictive_logpmf(model, n_arr[:, None], 0.0, shift, x[None, :]))
-        return (m, h, np.clip(totals - m.sum(axis=1), 0, None),
-                np.clip(K * fresh - h.sum(axis=1), 0, None))
+    def terms(X):
+        m = _count_grid(model, n_arr, 0.0, 1, X)
+        h = _count_grid(model, n_arr, shift, 1, X)
+        h *= K
+        return (m, h, np.clip(totals - m.sum(axis=0), 0, None),
+                np.clip(K * fresh - h.sum(axis=0), 0, None))
 
-    return _certified_l1(terms, 1, "new-atom mismatch sum")
+    return _certified_l1(terms, "new-atom mismatch sum")
 
 
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set,
@@ -603,13 +640,15 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     n3 = n_arr[1:]  # instantiated histories need n >= 2
     slack3 = np.full((len(K_set), n3.size), np.inf)
     worst_s = np.zeros((len(K_set), n3.size), dtype=int)
+    x_max3 = [0] * len(K_set)
     for S in history_scan:
         mask = ((n3 - 1) >= S) if model.kind is ModelKind.BETA_BERNOULLI \
             else np.ones(n3.size, dtype=bool)
         if not mask.any():
             continue
         idx = np.where(mask)[0]
-        for k, (K, l1) in enumerate(zip(K_set, _l1_history(model, K_set, n3[idx], S))):
+        for k, (K, (l1, X)) in enumerate(zip(K_set, _l1_history(model, K_set, n3[idx], S))):
+            x_max3[k] = max(x_max3[k], X)
             cand = bounds.rhs3(n3[idx], K) - l1
             tighter = cand < slack3[k, idx]
             slack3[k, idx[tighter]] = cand[tighter]
@@ -619,17 +658,19 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
         lhs2 = np.asarray(approx_fresh_mass(model, K, n_arr), dtype=float)
         record(2, bounds.rhs2(n_arr, K) - lhs2, n_arr, K)
         record(3, slack3[k], n3, K,
-               {"history_total_worst": int(worst_s[k, int(np.argmin(slack3[k]))])})
+               {"history_total_worst": int(worst_s[k, int(np.argmin(slack3[k]))]),
+                "x_max": x_max3[k]})
 
         floor = np.asarray(bounds.k_floor(n_arr), dtype=float)
         dom = K >= floor
         if dom.any():
-            lhs4 = _l4_mismatch(model, K, n_arr[dom])
+            lhs4, X = _l4_mismatch(model, K, n_arr[dom])
             record(4, bounds.rhs4(n_arr[dom], K) - lhs4, n_arr[dom], K,
-                   {"n_evaluated": int(dom.sum())})
+                   {"n_evaluated": int(dom.sum()), "x_max": X})
         else:
             report["inequalities"].append({"inequality": 4, "n_worst": None, "K": int(K),
-                                           "slack": None, "pass": True, "n_evaluated": 0})
+                                           "slack": None, "pass": True, "n_evaluated": 0,
+                                           "x_max": None})
 
     report["pass"] = all(e["pass"] for e in report["inequalities"])
     return report

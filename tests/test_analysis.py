@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from crmfinite.analysis import (
+    POISSON_MEAN_MAX,
     DPSource,
     FSDSource,
     NormalizedAifaSource,
@@ -85,6 +86,15 @@ def test_truncated_poisson_deficit_recorded():
     assert p[0] == math.exp(-3.0)
     assert 0 <= 1.0 - p.sum() < 1e-12
     assert 1.0 - p[:-1].sum() >= 1e-12  # the first point past the tolerance
+
+
+def test_truncated_poisson_rejects_means_past_the_limit():
+    # e^-lam is the recursion's start: subnormal past the limit, 0 past ~745
+    p = truncated_poisson(POISSON_MEAN_MAX)
+    assert p[0] > 0 and 0 <= 1.0 - p.sum() < 1e-12
+    for lam in (-1.0, 800.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            truncated_poisson(lam)
 
 
 def _reference_tv_binom_poisson(K, gamma):

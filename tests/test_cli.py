@@ -156,11 +156,14 @@ _GP_MODEL = {"kind": "gamma_poisson", "gamma": 1.0, "lam": 1.0}
     ("bounds-table", {"gamma": 1.0, "K_max": 0}, "K_max"),
     ("bounds-table", {"gamma": 1.0, "K_max": 3.7}, "K_max"),
     ("bounds-table", {"gamma": 1.0, "K_min": 6, "K_max": 5}, "K_min"),
+    ("bounds-table", {"gamma": 800.0, "K_max": 5}, "gamma"),
+    ("bounds-table", {"gamma": float("inf"), "K_max": 5}, "gamma"),
+    ("bounds-table", {"gamma": float("nan"), "K_max": 5}, "gamma"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [0]}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [2.5]}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": []}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 1, "K_set": [10]}, "n_max"),
-], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max",
+], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
         "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1"])
 def test_table_configs_rejected_at_boundary(tmp_path, capsys, command, config, field):
     code, out = run(tmp_path, command, config, name="range")

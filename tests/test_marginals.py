@@ -8,9 +8,12 @@ from scipy import special, stats
 
 from crmfinite.analysis import DPSource, FSDSource, _urn_labels
 from crmfinite.marginals import (
+    _HISTORY_SCAN,
     FeatureAllocation,
     _conjugate_weight,
+    _count_grid,
     _draw_counts,
+    _predictive_logpmf,
     allocation_log_probability,
     approx_fresh_mass,
     approx_predictive_pmf,
@@ -417,6 +420,76 @@ def test_condition_report_matches_golden(name):
     assert report["pass"]
 
 
+# Reports of check_condition_1 when its grids were closed-form gammaln/betaln
+# grids, at the benchmark's scale (n_max = 10^4, K_set [10, 100, 1000]): the
+# large-n region where the closed form and the ratio recursion differ most.
+# Same fields as above.
+_GOLDEN_REPORTS_10K = {
+    "gp": [
+        (1, None, 10000, 4.999666691665305e-09, True, None, None),
+        (2, 10, 10000, 5.499615029839458e-10, True, None, None),
+        (3, 10, 10000, 3.099613073099996e-09, True, 1, None),
+        (4, 10, 10000, 3.718131854289006e-05, True, None, 10000),
+        (2, 100, 10000, 5.0496616754549856e-11, True, None, None),
+        (3, 100, 10000, 3.009631669608036e-10, True, 1, None),
+        (4, 100, 10000, 3.718131853539146e-06, True, None, 10000),
+        (2, 1000, 10000, 5.004666191539074e-12, True, None, None),
+        (3, 1000, 10000, 3.000632840936722e-11, True, 1, None),
+        (4, 1000, 10000, 3.718131853468251e-07, True, None, 10000),
+    ],
+    "bnb": [
+        (1, None, 10000, 9.99849836540341e-09, True, None, None),
+        (2, 10, 10000, 5.999841982658096e-05, True, None, None),
+        (3, 10, 9998, 8.765122430362331e-09, True, 1, None),
+        (4, 10, None, None, True, None, 0),
+        (2, 100, 10000, 5.999805069333274e-06, True, None, None),
+        (3, 100, 9897, 7.575776484221574e-10, True, 1, None),
+        (4, 100, 10000, 0.000298617956718625, True, None, 10000),
+        (2, 1000, 10000, 5.999876029261656e-07, True, None, None),
+        (3, 1000, 9817, 5.063953201799842e-12, True, 1, None),
+        (4, 1000, 9996, 2.9844027909597557e-05, True, None, 10000),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["gp", "bnb"])
+def test_condition_report_matches_golden_at_benchmark_scale(name):
+    model = {"gp": GP, "bnb": BNB}[name]
+    report = check_condition_1(model, condition_preset(model), 10_000, [10, 100, 1000])
+    got = [(e["inequality"], e["K"], e["n_worst"], e["slack"], e["pass"],
+            e.get("history_total_worst"), e.get("n_evaluated")) for e in report["inequalities"]]
+    want = _GOLDEN_REPORTS_10K[name]
+    assert [g[:3] + g[4:] for g in got] == [w[:3] + w[4:] for w in want]
+    for g, w in zip(got, want):
+        assert (g[3] is None) == (w[3] is None)
+        if w[3] is not None:
+            assert abs(g[3] - w[3]) <= 1e-13, (g, w)
+    assert report["pass"]
+
+
+@pytest.mark.parametrize("model", [GP, BNB], ids=["gp", "bnb"])
+def test_count_grid_matches_closed_form(model):
+    # the ratio recursion against the closed forms it replaces in the checker:
+    # predictive grids from x = 0 (from x = 1 at total c/K, as inequality 4
+    # uses them) and the new-atom rate grid M_{n,x} at total 0
+    n = np.array([1, 2, 3, 10, 100, 1000, 10_000], dtype=float)
+    X = 1 << 12
+    c = model.mass_shift
+    for S in (0, *_HISTORY_SCAN):
+        for shift in (0.0, c / 10, c / 1000):
+            x_lo = 0 if S else 1
+            x = np.arange(x_lo, X + 1, dtype=float)[:, None]
+            grid = _count_grid(model, n, S + shift, x_lo, X)
+            if S + shift == 0:
+                want = target_new_atom_rate(model, n[None, :], x)
+            else:
+                want = np.exp(_predictive_logpmf(model, n[None, :], S, shift, x))
+            assert grid.shape == want.shape
+            big = want >= 1e-300
+            rel = np.abs(grid[big] / want[big] - 1)
+            assert rel.max() <= 1e-10, (S, shift, rel.max())
+
+
 @pytest.mark.parametrize("n_max, K_set", [(1, [10]), (2.5, [10]), (True, [10]), (50, []),
                                           (50, [0]), (50, [2.5]), (50, [True]), (50, 10)])
 def test_condition_checker_rejects_bad_ranges(n_max, K_set):
@@ -429,6 +502,12 @@ def test_condition_report_shape():
     assert {e["inequality"] for e in report["inequalities"]} == {1, 2, 3, 4}
     for e in report["inequalities"]:
         assert set(e) >= {"inequality", "n_worst", "K", "slack", "pass"}
+        # certified truncation points: the doubling loop starts at 64
+        assert ("x_max" in e) == (e["inequality"] in (3, 4))
+        if "x_max" in e:
+            assert e["x_max"] >= 64 and e["x_max"] & (e["x_max"] - 1) == 0
+    bb = check_condition_1(BB, condition_preset(BB), 50, [10])
+    assert [e["x_max"] for e in bb["inequalities"] if "x_max" in e] == [1, 1]
 
 
 def test_model_validation():
