@@ -112,13 +112,16 @@ class AifaConfig:
 
     # -- unnormalized log density -------------------------------------------
 
+    def _log_power(self, theta):
+        """(eps - 1 - d S_b(theta - a/K)) log theta: the power-law part of log f."""
+        expo = (self.eps - 1.0
+                - self.spec.discount * np.asarray(indicator_value(self.indicator, theta - self.a / self.K)))
+        return expo * np.log(theta)
+
     def _log_f(self, theta):
         theta = np.asarray(theta, dtype=float)
         spec = self.spec
-        expo = (self.eps - 1.0
-                - spec.discount * np.asarray(indicator_value(self.indicator, theta - self.a / self.K)))
-        out = expo * np.log(theta) + (self.eps - spec.discount) * log_g(spec, theta) + log_h(spec, theta)
-        return out
+        return self._log_power(theta) + (self.eps - spec.discount) * log_g(spec, theta) + log_h(spec, theta)
 
     def _f(self, theta):
         return np.exp(self._log_f(theta))
@@ -133,35 +136,18 @@ class AifaConfig:
     def _build(self):
         if self._tables is not None:
             return self._tables
-        spec, K, eps = self.spec, self.K, self.eps
+        spec, K = self.spec, self.K
         upper = spec.support_upper
         m1 = min(self.a / K, upper)
         m2 = min(m1 + self.b, upper)
 
-        # head (0, m1]: integrate theta^(eps-1) w(theta) with theta = m1*u^(1/eps)
-        head_mass = (m1**eps / eps) * gauss_legendre(
-            lambda u: self._head_weight(m1 * _pow_safe(u, 1.0 / eps)), 0.0, 1.0, _QUAD_TOL)
-        grid = m1 * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
-        head_sup = float(self._head_weight(grid).max()) * (1.0 + 1e-9)
-
-        # right edge for the beta family: (1 - delta, 1], singular like (1-theta)^(eta-1)
-        edge_mass = 0.0
+        # head (0, m1]: theta^(eps-1) w(theta); the beta family adds its right
+        # edge (1 - delta, 1], (1-theta)^(eta-1) times the power-law part of f
+        head = _EndPiece(m1, self.eps, self._head_weight)
         edge = None
         if spec.family is Family.BETA and m1 < 1.0:
             delta = min(1e-3, 0.5 * (1.0 - m1))
-            eta = spec.extra("eta")
-
-            def edge_weight(v):
-                th = 1.0 - np.asarray(v, dtype=float)
-                expo = (eps - 1.0
-                        - spec.discount * np.asarray(indicator_value(self.indicator, th - m1)))
-                return np.exp(expo * np.log(th))
-
-            edge_mass = (delta**eta / eta) * gauss_legendre(
-                lambda u: edge_weight(delta * _pow_safe(u, 1.0 / eta)), 0.0, 1.0, _QUAD_TOL)
-            vgrid = delta * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
-            edge_sup = float(edge_weight(vgrid).max()) * (1.0 + 1e-9)
-            edge = {"delta": delta, "eta": eta, "weight": edge_weight, "sup": edge_sup}
+            edge = _EndPiece(delta, spec.extra("eta"), lambda v: np.exp(self._log_power(1.0 - v)))
             body_hi = 1.0 - delta
         elif spec.family is Family.BETA:
             body_hi = m1  # head swallowed the whole support (K <= a)
@@ -170,27 +156,12 @@ class AifaConfig:
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
         # knot m2 inserted, beta additionally refined toward the right edge
-        body_mass = 0.0
-        table = None
-        knots = None
-        if body_hi > m1 * (1 + 1e-12):
-            knots = self._body_knots(m1, m2, body_hi)
-            masses = _interval_masses(self._f, knots)
-            body_mass = float(masses.sum())
-            cum = np.concatenate([[0.0], np.cumsum(masses)])
-            cum = np.maximum.accumulate(cum)
-            keep = np.concatenate([[True], np.diff(cum) > 0])
-            table = PchipInterpolator(cum[keep] / cum[-1], knots[keep], extrapolate=False)
-
-        total = head_mass + body_mass + edge_mass
-        self._tables = {
-            "m1": m1, "m2": m2,
-            "head_mass": head_mass, "head_sup": head_sup,
-            "body_mass": body_mass, "body_hi": body_hi, "inverse": table,
-            "edge_mass": edge_mass, "edge": edge,
-            "z": total, "log_z": math.log(total),
-            "knots": knots,
-        }
+        inverse = (_InverseCdf(self._f, self._body_knots(m1, m2, body_hi))
+                   if body_hi > m1 * (1 + 1e-12) else None)
+        edge_mass = 0.0 if edge is None else edge.mass
+        total = head.mass + (0.0 if inverse is None else inverse.mass) + edge_mass
+        self._tables = {"head": head, "edge": edge, "inverse": inverse, "log_z": math.log(total),
+                        "head_p": head.mass / total, "edge_p": edge_mass / total}
         return self._tables
 
     def _body_knots(self, m1, m2, body_hi):
@@ -242,38 +213,6 @@ class AifaConfig:
 
     # -- sampling --------------------------------------------------------------
 
-    def _sample_head(self, n, rng):
-        t = self._build()
-        m1, sup = t["m1"], t["head_sup"]
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = n - filled
-            theta = _pow_safe(rng.random(m), 1.0 / self.eps)
-            theta *= m1
-            np.maximum(theta, _WEIGHT_FLOOR, out=theta)
-            weight = self._head_weight(theta)
-            u = rng.random(m)
-            u *= sup
-            take = theta[u <= weight]
-            out[filled:filled + take.size] = take
-            filled += take.size
-        return out
-
-    def _sample_edge(self, n, rng):
-        e = self._build()["edge"]
-        delta, eta, weight, sup = e["delta"], e["eta"], e["weight"], e["sup"]
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = n - filled
-            v = delta * _pow_safe(rng.random(m), 1.0 / eta)
-            ok = rng.random(m) * sup <= weight(v)
-            take = 1.0 - v[ok]
-            out[filled:filled + take.size] = take
-            filled += take.size
-        return out
-
     def sample(self, n, rng):
         """n i.i.d. draws from nu_K (not yet grouped into K-vectors)."""
         if self._failure is not None:
@@ -302,33 +241,29 @@ class AifaConfig:
         uniforms q to atom sizes."""
         t = self._build()
         u = rng.random(n)
-        head_p = t["head_mass"] / t["z"]
-        edge_p = t["edge_mass"] / t["z"]
+        head_p, edge_p = t["head_p"], t["edge_p"]
         is_head = u < head_p
         is_edge = u >= 1.0 - edge_p if edge_p > 0 else np.zeros(n, dtype=bool)
         is_body = ~is_head & ~is_edge
-        if t["knots"] is None:
+        if t["inverse"] is None:
             # no body piece; stray u in the rounding crack goes to the head
             is_head |= is_body
             is_body[:] = False
         out = np.empty(n)
         if is_head.any():
-            out[is_head] = self._sample_head(int(is_head.sum()), rng)
+            out[is_head] = t["head"].sample(int(is_head.sum()), rng)
         if is_edge.any():
-            out[is_edge] = self._sample_edge(int(is_edge.sum()), rng)
+            out[is_edge] = 1.0 - t["edge"].sample(int(is_edge.sum()), rng)
         if is_body.any():
             q = np.clip((u[is_body] - head_p) / max(1.0 - head_p - edge_p, 1e-300), 0.0, 1.0)
             out[is_body] = body(q, rng)
         return out
 
     def _table_body(self, q, rng):
-        t = self._tables
-        theta = t["inverse"](q)
-        theta = np.where(np.isnan(theta), np.where(q > 0.5, t["body_hi"], t["m1"]), theta)
-        return np.clip(theta, t["m1"], t["body_hi"])
+        return self._tables["inverse"](q)
 
     def _rejection_body(self, q, rng):
-        knots = self._tables["knots"]
+        knots = self._tables["inverse"].knots
         fk = self._f(knots)
         env = 1.5 * np.maximum(fk[:-1], fk[1:])
         widths = np.diff(knots)
@@ -370,6 +305,63 @@ def _pow_safe(u, power):
         out = np.log(np.asarray(u, dtype=float))  # log 0 = -inf, so 0 maps to 0
         out *= power
         return np.exp(out, out=out)
+
+
+class _EndPiece:
+    """Density proportional to v^(power-1) weight(v) on (0, scale]: a
+    singular end of the support in local coordinate v (theta = v on the
+    head, theta = 1 - v on the beta right edge).  The mass comes from the
+    substitution u = (v/scale)^power, which removes the singularity, and
+    weight's sup from a 128-point log grid."""
+
+    def __init__(self, scale, power, weight):
+        self.scale, self.power, self.weight = scale, power, weight
+        self.mass = (scale**power / power) * gauss_legendre(
+            lambda u: weight(scale * _pow_safe(u, 1.0 / power)), 0.0, 1.0, _QUAD_TOL)
+        grid = scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
+        self.sup = float(weight(grid).max()) * (1.0 + 1e-9)
+
+    def sample(self, n, rng):
+        """n draws of v: exact power-law proposals v = scale U^(1/power),
+        clamped to _WEIGHT_FLOOR and accepted with probability weight(v)/sup."""
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            m = n - filled
+            v = _pow_safe(rng.random(m), 1.0 / self.power)
+            v *= self.scale
+            np.maximum(v, _WEIGHT_FLOOR, out=v)
+            u = rng.random(m)
+            u *= self.sup
+            take = v[u <= self.weight(v)]
+            out[filled:filled + take.size] = take
+            filled += take.size
+        return out
+
+
+class _InverseCdf:
+    """Monotone-cubic (PCHIP) inverse CDF of density f over a knot grid.
+
+    ``below`` and ``above`` are the masses below the first and above the
+    last knot (known analytically), which the table maps to its end knots;
+    a uniform that falls outside the table goes to the nearer end knot.
+    ``mass`` is f's mass over the knot intervals."""
+
+    def __init__(self, f, knots, below=0.0, above=0.0):
+        masses = _interval_masses(f, knots)
+        self.mass = float(masses.sum())
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        cum = np.maximum.accumulate(cum)
+        keep = np.concatenate([[True], np.diff(cum) > 0])
+        self._interp = PchipInterpolator((below + cum[keep]) / (below + cum[-1] + above),
+                                         knots[keep], extrapolate=False)
+        self.knots = knots
+        self.lo, self.hi = knots[0], knots[-1]
+
+    def __call__(self, q):
+        x = self._interp(q)
+        x = np.where(np.isnan(x), np.where(q > 0.5, self.hi, self.lo), x)
+        return np.clip(x, self.lo, self.hi)
 
 
 def _interval_masses(f, knots):
@@ -528,25 +520,12 @@ def _bfry_table(c, alpha):
     # density ~ amp * t * s^(-alpha) near 0 and ~ amp * s^(-alpha-1) at infinity
     s_lo = (1e-13 * (1.0 - alpha) / (amp * t)) ** (1.0 / (1.0 - alpha))
     s_hi = (amp / (alpha * 1e-13)) ** (1.0 / alpha)
-    knots = np.geomspace(s_lo, s_hi, _TABLE_KNOTS)
-    masses = _interval_masses(lambda s: np.exp(bfry_log_density(c, alpha, s)), knots)
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum = np.maximum.accumulate(cum)
-    head = amp * t * s_lo ** (1.0 - alpha) / (1.0 - alpha)  # analytic mass below the table
-    keep = np.concatenate([[True], np.diff(cum) > 0])
-    inverse = PchipInterpolator((head + cum[keep]) / (head + cum[-1] + amp * s_hi**-alpha / alpha),
-                                knots[keep], extrapolate=False)
-    table = {"inverse": inverse, "lo": s_lo, "hi": s_hi}
+    table = _InverseCdf(lambda s: np.exp(bfry_log_density(c, alpha, s)),
+                        np.geomspace(s_lo, s_hi, _TABLE_KNOTS),
+                        below=amp * t * s_lo ** (1.0 - alpha) / (1.0 - alpha),
+                        above=amp * s_hi**-alpha / alpha)
     _BFRY_TABLES[key] = table
     return table
-
-
-def _sample_bfry(c, alpha, n, rng):
-    table = _bfry_table(c, alpha)
-    u = rng.random(n)
-    s = table["inverse"](u)
-    s = np.where(np.isnan(s), np.where(u < 0.5, table["lo"], table["hi"]), s)
-    return np.clip(s, table["lo"], table["hi"])
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +586,7 @@ def _rows_fsd(p, K, R, rng):
 
 
 def _rows_bfry(p, K, R, rng):
-    s = _sample_bfry(p["gamma"] / K, p["d"], R * K, rng).reshape(R, K)
+    s = _bfry_table(p["gamma"] / K, p["d"])(rng.random(R * K)).reshape(R, K)
     return np.maximum(s / (s + 1.0), _WEIGHT_FLOOR)
 
 

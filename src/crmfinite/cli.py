@@ -34,7 +34,6 @@ from .analysis import (
     all_compositions,
     binom_poisson_lower_constant,
     eppf,
-    growth_function,
     lecam_upper,
     tv_binom_poisson,
 )
@@ -118,6 +117,14 @@ def _model_from_config(obj) -> ExpFamilyModel:
     return beta_negative_binomial(obj["gamma"], obj["alpha"], obj["r"])
 
 
+def _indicator_width(b, K):
+    """AIFA width b_K from a config value: a number, null (1/K) or a rule name."""
+    rules = {"1/K": 1.0 / K, "1/sqrt(K)": 1.0 / math.sqrt(K)}
+    if isinstance(b, str) and b not in rules:
+        raise ConfigError(f"unknown indicator width rule {b!r}; use a number, '1/K' or '1/sqrt(K)'")
+    return rules[b] if isinstance(b, str) else b
+
+
 def weight_distribution_from_config(obj) -> WeightDistribution:
     """Friendlier construction payload than the raw serialized form."""
     _require_keys(obj, {"kind", "K"},
@@ -126,10 +133,7 @@ def weight_distribution_from_config(obj) -> WeightDistribution:
     K = int(obj["K"])
     if kind is WeightKind.AIFA_NUMERIC:
         spec = RateMeasureSpec.from_json(obj["spec"])
-        b = obj.get("b")
-        if isinstance(b, str):
-            b = {"1/K": 1.0 / K, "1/sqrt(K)": 1.0 / math.sqrt(K)}[b]
-        cfg = AifaConfig(spec, K, a=obj.get("a", 1.0), b=b,
+        cfg = AifaConfig(spec, K, a=obj.get("a", 1.0), b=_indicator_width(obj.get("b"), K),
                          indicator_kind=IndicatorKind(obj.get("indicator", "smoothed")))
         return aifa_numeric(cfg)
     if kind is WeightKind.AIFA_CLOSED_FORM:
@@ -389,9 +393,7 @@ def cmd_compare_ifa(config, out, seed, replicates):
     stream = 0
     for a in a_grid:
         for b_name in b_grid:
-            b = {"1/K": 1.0 / K, "1/sqrt(K)": 1.0 / math.sqrt(K)}[b_name] \
-                if isinstance(b_name, str) else float(b_name)
-            cfg = AifaConfig(spec, K, a=float(a), b=b)
+            cfg = AifaConfig(spec, K, a=float(a), b=_indicator_width(b_name, K))
             val = mean_active(aifa_numeric(cfg), stream)
             rows.append(("aifa_mean_active", f"K={K};a={_fmt(float(a))};b={b_name}", val))
             results[f"aifa(a={a},b={b_name})"] = val

@@ -18,14 +18,16 @@ the regularized incomplete beta function at one uniform.
 
 The scan order is fixed (x, w, psi, precisions, tau) and every update draws
 through the caller's generator, so a chain is reproducible from its seed.
-The x, w and psi blocks share one residual E = y - reconstruction, computed
-once per sweep and kept current by one rank-one update per column.
+The x, w and psi blocks share one residual E = y - reconstruction, the
+loadings S = x * w and one factor kernel, which keeps both current by one
+rank-one update per column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -139,10 +141,11 @@ def sample_data(state: GibbsState, rng) -> np.ndarray:
 # tau conditionals
 # ---------------------------------------------------------------------------
 
-def aifa_tau_conditional(k, x_column_sum, N, model: LinearGaussianModel):
+def aifa_tau_conditional(x_column_sum, N, model: LinearGaussianModel):
     """Beta(gamma*alpha/K + sum_n x_{n,k}, alpha + N - sum_n x_{n,k}): the
-    exact complete conditional, independent across atoms."""
-    if not 0 <= x_column_sum <= N:
+    exact complete conditional, independent across atoms; the column sums
+    broadcast."""
+    if np.any(np.asarray(x_column_sum) < 0) or np.any(np.asarray(x_column_sum) > N):
         raise ValueError("column sum must lie in [0, N]")
     c = model.gamma * model.alpha / model.K
     return c + x_column_sum, model.alpha + N - x_column_sum
@@ -225,6 +228,7 @@ def _draw_x(state, k, proj, psi_sq, rng):
     p = special.expit(math.log(tau_k) - math.log1p(-tau_k)
                       + state.gamma_e * (wk * proj - 0.5 * wk**2 * psi_sq))
     state.x[:, k] = rng.random(p.size) < p
+    return state.x[:, k] * wk
 
 
 def _draw_w(state, k, proj, psi_sq, rng):
@@ -232,28 +236,32 @@ def _draw_w(state, k, proj, psi_sq, rng):
     lam = state.gamma_w + state.gamma_e * xk * psi_sq
     mean = state.gamma_e * xk * proj / lam
     state.w[:, k] = mean + rng.normal(size=xk.size) / np.sqrt(lam)
+    return state.x[:, k] * state.w[:, k]
 
 
-def _scan_columns(state, E, draw, rng):
-    """Redraw x[:, k] or w[:, k] for every k by draw(state, k, proj, psi_sq, rng),
-    proj = (y - reconstruction without column k) @ psi_k; keeps E = y - recon."""
-    for k in range(state.psi.shape[0]):
-        psi_k = state.psi[k]
-        psi_sq = psi_k @ psi_k
-        s_old = state.x[:, k] * state.w[:, k]
-        draw(state, k, E @ psi_k + s_old * psi_sq, psi_sq, rng)
-        E -= np.outer(state.x[:, k] * state.w[:, k] - s_old, psi_k)
+def _draw_psi(state, psi_scale, k, proj, s_sq, rng):
+    """Gaussian update of psi_k given the loadings s = x[:, k] w[:, k]."""
+    prec = 1.0 / psi_scale + state.gamma_e * s_sq
+    return state.gamma_e * proj / prec + rng.normal(size=proj.size) / math.sqrt(prec)
 
 
-def _update_psi(state, E, model, rng):
-    for k in range(model.K):
-        s = state.x[:, k] * state.w[:, k]
-        s_sq = float(s @ s)
-        prec = 1.0 / model.psi_scale + state.gamma_e * s_sq
-        mean = state.gamma_e * (s @ E + s_sq * state.psi[k]) / prec
-        new = mean + rng.normal(size=model.D) / math.sqrt(prec)
-        E -= np.outer(s, new - state.psi[k])
-        state.psi[k] = new
+def _loadings(state):
+    """S = x * w, column-major: a strided S[:, k] would round its dot products differently."""
+    return np.asfortranarray(state.x * state.w)
+
+
+def _scan_factors(E, left, right, draw, rng):
+    """Redraw each left[:, k] of the rank-one terms outer(left[:, k], right[k])
+    by draw(k, proj, r_sq, rng), where proj = (E + that term) @ right[k] and
+    r_sq = right[k] @ right[k], keeping E = y - left @ right.  x and w run
+    on (E, S, psi), their draws also setting x or w; psi on (E.T, psi.T, S.T)."""
+    for k in range(right.shape[0]):
+        r = right[k]
+        r_sq = r @ r
+        old = left[:, k]
+        new = draw(k, E @ r + old * r_sq, r_sq, rng)
+        E -= np.outer(new - old, r)
+        left[:, k] = new
 
 
 def _update_precisions(state, E, model, rng):
@@ -266,9 +274,7 @@ def _update_precisions(state, E, model, rng):
 def _update_tau(state, model, rng):
     n = state.x.shape[0]
     if state.prior == "aifa":
-        sums = state.x.sum(axis=0)
-        a = model.gamma * model.alpha / model.K + sums
-        b = model.alpha + n - sums
+        a, b = aifa_tau_conditional(state.x.sum(axis=0), n, model)
         state.tau = np.clip(rng.beta(a, b), 1e-300, 1.0 - 1e-16)
     else:
         for k in range(model.K):
@@ -310,9 +316,11 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
         return out
 
     E = y - state.reconstruction
-    guarded("x", lambda: _scan_columns(state, E, _draw_x, rng))
-    guarded("w", lambda: _scan_columns(state, E, _draw_w, rng))
-    guarded("psi", lambda: _update_psi(state, E, model, rng))
+    S = _loadings(state)
+    guarded("x", lambda: _scan_factors(E, S, state.psi, partial(_draw_x, state), rng))
+    guarded("w", lambda: _scan_factors(E, S, state.psi, partial(_draw_w, state), rng))
+    guarded("psi", lambda: _scan_factors(E.T, state.psi.T, S.T,
+                                         partial(_draw_psi, state, model.psi_scale), rng))
     guarded("precisions", lambda: _update_precisions(state, E, model, rng))
     guarded("tau", lambda: _update_tau(state, model, rng))
 
@@ -429,9 +437,11 @@ def impute_heldout_locals(state: GibbsState, y_heldout, model, rng, scans=5):
                             rng.normal(0.0, 1.0 / math.sqrt(state.gamma_w), size=(m, model.K)),
                             state.gamma_w, state.gamma_e, state.prior)
     E = y - eval_state.reconstruction
+    S = _loadings(eval_state)
+    draw_x, draw_w = partial(_draw_x, eval_state), partial(_draw_w, eval_state)
     for _ in range(scans):
-        _scan_columns(eval_state, E, _draw_x, rng)
-        _scan_columns(eval_state, E, _draw_w, rng)
+        _scan_factors(E, S, eval_state.psi, draw_x, rng)
+        _scan_factors(E, S, eval_state.psi, draw_w, rng)
     return eval_state
 
 
@@ -470,30 +480,25 @@ def data_informed_init(model, y, rng, prior="aifa"):
     return state
 
 
-def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, collect=None,
-              initial_state=None):
+def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, initial_state=None):
     """Run one chain and return (final state, list of kept samples, stats rows).
 
-    ``collect`` maps stat names to functions of the state; defaults to the
-    Geweke statistics plus the joint log density.
+    Each sweep adds one (sweep, name, value) row per stat: the Geweke
+    statistics sum_x, mean_tau and gamma_e, then gamma_w and the joint log
+    density.
     """
     y = np.asarray(y, dtype=float)
-    if collect is None:
-        collect = {
-            "sum_x": lambda st: float(st.x.sum()),
-            "mean_tau": lambda st: float(st.tau.mean()),
-            "gamma_e": lambda st: st.gamma_e,
-            "gamma_w": lambda st: st.gamma_w,
-            "joint_log_density": lambda st: joint_log_density(st, y, model),
-        }
     state = initial_state if initial_state is not None \
         else init_state(model, y.shape[0], rng, prior)
     samples = []
     rows = []
     for sweep in range(1, sweeps + 1):
         state = gibbs_sweep(state, y, model, rng)
-        for name, fn in collect.items():
-            rows.append((sweep, name, fn(state)))
+        rows += [(sweep, "sum_x", float(state.x.sum())),
+                 (sweep, "mean_tau", float(state.tau.mean())),
+                 (sweep, "gamma_e", state.gamma_e),
+                 (sweep, "gamma_w", state.gamma_w),
+                 (sweep, "joint_log_density", joint_log_density(state, y, model))]
         if sweep > burnin and (sweep - burnin) % thin == 0:
             samples.append(state.copy())
     return state, samples, rows

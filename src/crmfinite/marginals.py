@@ -34,12 +34,12 @@ difference the neglected remainder is exactly |tail_a - tail_b|.
 
 The checker's pmf grids come from one kernel, ``_count_grid``, with x on
 axis 0 and n on axis 1, so each step of the recursion is one contiguous row.
-Its first row is the closed form (``_predictive_logpmf``, or the new-atom
-rate at count total 0); each later row is the row above times the family's
-ratio h(x)/h(x-1), a rational function of x, n and the total.  A grid thus
-carries its start row's relative error (up to ~2e-11 from ``betaln`` at
-n ~ 1e4) plus at most ~X eps of rounding over X steps.  Point queries keep
-the closed form.
+Its first row is the closed form (``_predictive_logpmf``, the new-atom
+rate at count total 0, or for beta-NB at a positive total a Pochhammer ratio
+at x = 0); each later row is the row above times the family's ratio
+h(x)/h(x-1), a rational function of x, n and the total.  A grid thus
+carries its start row's relative error (near eps) plus at most ~X eps of
+rounding over X steps.  Point queries keep the closed form.
 
 The module also houses the Dirichlet-process and finite-symmetric-Dirichlet
 urn probabilities and the numeric four-inequality growth/approximation
@@ -512,13 +512,22 @@ def _count_grid(model, n, total, x_lo, X):
     h(x | n, total), or at total 0 (x_lo >= 1) the new-atom rate M_{n,x}.
     Row x_lo is the closed form; each later row is the row above times the
     family's ratio h(x)/h(x-1), which M shares at total 0 since
-    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Gamma-Poisson and beta-NB only:
-    beta-Bernoulli counts need no grid."""
+    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Beta-NB grids at a total t > 0
+    start at x = 0 from h(0) = (b)_r / (t + b)_r, b = r(n-1) + alpha (a
+    betaln difference loses up to 5e-11 at n ~ 1e4).  Gamma-Poisson and
+    beta-NB only: beta-Bernoulli counts need no grid."""
     n = np.asarray(n, dtype=float)
-    grid = np.empty((X - x_lo + 1, n.size))
-    grid[0] = (target_new_atom_rate(model, n, x_lo) if total == 0
-               else np.exp(_predictive_logpmf(model, n, total, 0.0, x_lo)))
-    x = np.arange(x_lo + 1, X + 1, dtype=float)
+    bnb = model.kind is ModelKind.BETA_NEG_BINOMIAL
+    x0 = 0 if bnb and total > 0 else x_lo
+    grid = np.empty((X - x0 + 1, n.size))
+    if total == 0:
+        grid[0] = target_new_atom_rate(model, n, x_lo)
+    elif bnb:
+        b = model.r * (n - 1) + model.alpha
+        grid[0] = special.poch(b, model.r) / special.poch(total + b, model.r)
+    else:
+        grid[0] = np.exp(_predictive_logpmf(model, n, total, 0.0, x_lo))
+    x = np.arange(x0 + 1, X + 1, dtype=float)
     u = total + x - 1
     if model.kind is ModelKind.GAMMA_POISSON:  # (t+x-1)/x * 1/(lambda+n)
         num, lag, base = u / x, np.zeros_like(u), model.lam + n
@@ -530,7 +539,7 @@ def _count_grid(model, n, total, x_lo, X):
         np.add(base, lag[i], out=row)
         np.divide(num[i], row, out=row)
         row *= grid[i]
-    return grid
+    return grid[x_lo - x0:]
 
 
 def _certified_l1(terms, what):
@@ -594,13 +603,12 @@ def _l4_mismatch(model, K, n_arr):
     return _certified_l1(terms, "new-atom mismatch sum")
 
 
-def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set,
-                      history_scan=_HISTORY_SCAN) -> dict:
+def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set) -> dict:
     """Evaluate the four inequalities numerically for all n <= n_max, K in K_set.
 
     Left-hand sides are exact up to certified remainders below 1e-12 (folded
     in conservatively).  Inequality 3 is maximized over instantiated histories
-    with count totals in ``history_scan``; inequality 4 is evaluated only at
+    with count totals in ``_HISTORY_SCAN``; inequality 4 is evaluated only at
     (n, K) with K >= k_floor(n), as its statement requires.  Violations
     produce failure entries in the report, never exceptions; an n_max or
     K_set out of range raises ValueError.
@@ -619,7 +627,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     grace = 1e-12
     report = {"model": model.kind.value, "bounds": bounds.name, "n_max": int(n_max),
               "K_set": [int(K) for K in K_set],
-              "history_scan": list(history_scan), "inequalities": []}
+              "history_scan": list(_HISTORY_SCAN), "inequalities": []}
 
     def record(idx, slack_arr, n_of, K=None, extra=None):
         worst = int(np.argmin(slack_arr))
@@ -641,7 +649,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     slack3 = np.full((len(K_set), n3.size), np.inf)
     worst_s = np.zeros((len(K_set), n3.size), dtype=int)
     x_max3 = [0] * len(K_set)
-    for S in history_scan:
+    for S in _HISTORY_SCAN:
         mask = ((n3 - 1) >= S) if model.kind is ModelKind.BETA_BERNOULLI \
             else np.ones(n3.size, dtype=bool)
         if not mask.any():

@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = ["gauss_legendre", "QuadratureError"]
 
+_MAX_PANELS = 4096
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
@@ -29,12 +30,12 @@ def _panel(f, a, b):
     return lo, hi
 
 
-def gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=4096):
+def gauss_legendre(f, a, b, abs_tol=1e-10):
     """Integrate vectorized ``f`` over [a, b] to absolute tolerance ``abs_tol``.
 
     Panels are kept in a worst-first heap; each split halves the offender.
-    Raises QuadratureError if the panel budget is exhausted before the summed
-    panel error estimates drop below ``abs_tol``.
+    Raises QuadratureError if the budget of _MAX_PANELS panels is exhausted
+    before the summed panel error estimates drop below ``abs_tol``.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("gauss_legendre needs finite endpoints; transform the integrand first")
@@ -48,7 +49,7 @@ def gauss_legendre(f, a, b, abs_tol=1e-10, max_panels=4096):
         err_total = sum(-e for e, *_ in heap)
         if err_total <= abs_tol:
             return float(sum(v for *_, v in heap))
-        if count >= max_panels:
+        if count >= _MAX_PANELS:
             raise QuadratureError(
                 f"no convergence after {count} panels: error estimate {err_total:.3e} "
                 f"> tolerance {abs_tol:.3e} on [{a!r}, {b!r}]"

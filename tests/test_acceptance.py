@@ -217,7 +217,7 @@ def test_criterion_08_conditional_conjugacy_exact():
         m = LinearGaussianModel(D=2, gamma=gamma, alpha=alpha, K=K)
         for N in range(0, 11):
             for s in range(0, N + 1):
-                a, b = aifa_tau_conditional(0, s, N, m)
+                a, b = aifa_tau_conditional(s, N, m)
                 ok = ok and a == float(Fraction(gamma * alpha, K) + s)
                 ok = ok and b == float(Fraction(alpha) + N - s)
     assert report(8, "tau conditional symbolic match (N <= 10)", ok, "", started)

@@ -192,6 +192,48 @@ def test_reproducibility_bit_identical():
         assert np.array_equal(rows1, rows2), dist.kind
 
 
+# First draws at fixed seeds, pinned when the end pieces and inverse-CDF
+# tables got their shared samplers: a change to which random numbers a seed
+# produces shows up here and has to be named.  rtol 1e-12 absorbs 1-ulp
+# differences between SIMD builds of numpy.
+_GOLDEN_DRAWS = {
+    "aifa_beta": [0.3182115985484275, 0.9710381306734175, 1.375277025824364e-05, 0.7969031236384609, 0.7181825419800231, 0.9991864353293906, 0.9983239817661844, 0.06813249976406205, 0.9999987192224414, 0.00714164440895037, 0.9999999976809613, 0.8293544909459007, 0.0002539534639858963, 0.009582595274623362, 0.9684579687246333, 0.9990316245323966],
+    "aifa_gamma": [7.020307181110836e-07, 0.09225839158354891, 0.0034767117944586264, 0.44861781776814363, 0.9338476830122033, 0.024788085282762037, 0.01646807819439432, 0.027638116166539786, 0.03041086721907416, 0.09745312123837081, 0.2992628558219372, 1.3343880158699402, 0.14490352386773891, 4.593660213763848e-05, 1.1242377063064406e-06, 0.002593436497151877],
+    "aifa_beta_reference": [0.95024101945354, 0.6152493087603682, 0.9990768058958321, 0.9285934941062307, 0.0030845495112475927, 0.04950700576852085, 0.02384593830683816, 0.8849453105354274, 0.9999983775582215, 0.9120225544090085, 0.6304928458370145, 0.007906960157933223, 0.014870498354391592, 0.21442310372605167, 0.009176224753580679, 0.43503810932613507],
+    "closed_form": [0.00013730499573684949, 7.751957755927106e-08, 0.058548186717323855, 0.019164860685131187, 0.007386720970819866, 1.1426002434737952e-17, 0.015868861238625163, 0.0007390570620158547],
+    "bondesson": [0.4086166263488245, 0.16450979399367635, 0.03141364548734996, 0.10552979442724084, 0.025129958789662853, 0.0003606866809132317, 0.008064054221685829, 0.007284452818042318],
+    "beta_stick_breaking": [0.769965448677367, 0.8961117891301296, 0.6718583858181887, 0.968770513642895, 0.48252045721886594, 0.1658667443047052, 0.09301451512330189],
+    "tsb": [0.2574209114171377, 0.03756792260927936, 0.3345774806858609, 0.34834778129092153, 0.005290213106263943, 0.00019951449143859148, 0.005385637127619207, 0.011210539271478658],
+    "fsd": [0.9395711433979314, 7.488879697004795e-09, 0.01722389404073547, 0.0024742739882602396, 3.725452877240663e-10, 5.873421756240187e-09, 8.009947140924518e-10, 0.0407306740372314],
+    "bfry": [0.1704827518003476, 0.008137921232821747, 0.0011871929268104141, 0.0782234803502105, 0.5955190023552779, 0.51789617387974, 0.040142606340076506, 0.9999041179001052, 0.26450405198486704, 0.8220080689528014, 0.002406188972163213, 0.13812631515944304, 0.6880310655881037, 0.3432864404563682, 0.12150774098088858, 0.008290643172601251],
+}
+
+
+def test_golden_draws_every_kind():
+    beta = AifaConfig(beta_process(3.0, 0.02, 0.2), 4)
+    draws = {
+        "aifa_beta": sample_weights(aifa_numeric(beta), derive_rng(91, 0), size=4),
+        "aifa_gamma": sample_weights(aifa_numeric(AifaConfig(gamma_process(2.0, 1.0, 0.5), 8)),
+                                     derive_rng(91, 100), size=2),
+        "aifa_beta_reference": beta._reference_sample(16, derive_rng(91, 101)),
+        "closed_form": sample_weights(aifa_closed_form(beta_process(1.0, 1.0, 0.0), 8),
+                                      derive_rng(91, 102)),
+        "bondesson": sample_weights(bondesson(1.0, 2.0, 8), derive_rng(91, 103)),
+        "beta_stick_breaking": sample_weights(beta_stick_breaking(1.0, 1.0, 4),
+                                              derive_rng(91, 104)),
+        "tsb": sample_weights(tsb(1.0, 8), derive_rng(91, 105)),
+        "fsd": sample_weights(fsd(1.0, 8), derive_rng(91, 106)),
+        "bfry": sample_weights(bfry(2.0, 0.6, 8), derive_rng(91, 107), size=2),
+    }
+    assert set(draws) == set(_GOLDEN_DRAWS)
+    for name, got in draws.items():
+        np.testing.assert_allclose(np.ravel(got), _GOLDEN_DRAWS[name], rtol=1e-12, atol=0,
+                                   err_msg=name)
+    # the beta draws cover all three pieces: head (0, a/K], body, edge (1 - 1e-3, 1]
+    w = _GOLDEN_DRAWS["aifa_beta"]
+    assert min(w) <= 0.25 and max(w) > 1 - 1e-3 and any(0.25 < v <= 1 - 1e-3 for v in w)
+
+
 def test_tsb_single_stick():
     assert np.array_equal(sample_weights(tsb(2.0, 1), derive_rng(0, 0)), [1.0])
 

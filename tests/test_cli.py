@@ -238,6 +238,19 @@ def test_non_finite_data_rejected(tmp_path, capsys):
     assert err["error"] == "ConfigError" and "non-finite" in err["detail"]
 
 
+@pytest.mark.parametrize("command", ["sample-prior", "compare-ifa"])
+def test_unknown_indicator_width_rule_exits_2(tmp_path, capsys, command):
+    spec = {"family": "beta", "gamma": 2.0, "discount": 0.6, "extras": {"eta": 0.6}}
+    config = ({"distribution": {"kind": "aifa_numeric", "K": 20, "spec": spec, "b": "1/K^2"}}
+              if command == "sample-prior"
+              else {"spec": spec, "K": 20, "draws": 100, "b_grid": ["1/K^2"]})
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "1/K^2" in err["detail"]
+
+
 def test_compare_ifa_cli(tmp_path):
     config = {"spec": {"family": "beta", "gamma": 2.0, "discount": 0.6,
                        "extras": {"eta": 0.6}},

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,12 +36,12 @@ MODEL = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=5,
 
 def test_aifa_tau_conditional_example():
     m = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=10)
-    assert aifa_tau_conditional(0, 2, 3, m) == (pytest.approx(2.1), pytest.approx(2.0))
+    assert aifa_tau_conditional(2, 3, m) == (pytest.approx(2.1), pytest.approx(2.0))
 
 
 def test_aifa_tau_conditional_no_data_recovers_prior():
     m = LinearGaussianModel(D=3, gamma=2.0, alpha=1.5, K=10)
-    a, b = aifa_tau_conditional(0, 0, 0, m)
+    a, b = aifa_tau_conditional(0, 0, m)
     assert a == pytest.approx(2.0 * 1.5 / 10) and b == pytest.approx(1.5)
 
 
@@ -51,7 +52,7 @@ def test_aifa_tau_conditional_symbolic_grid():
         m = LinearGaussianModel(D=2, gamma=gamma, alpha=alpha, K=K)
         for N in range(0, 11):
             for s in range(0, N + 1):
-                a, b = aifa_tau_conditional(0, s, N, m)
+                a, b = aifa_tau_conditional(s, N, m)
                 a_exact = Fraction(gamma * alpha, K) + s
                 b_exact = Fraction(alpha) + N - s
                 assert a == float(a_exact) and b == float(b_exact)
@@ -60,11 +61,11 @@ def test_aifa_tau_conditional_symbolic_grid():
 def test_aifa_tau_conditional_saturated_mean():
     m = LinearGaussianModel(D=2, gamma=1.0, alpha=1.0, K=10)
     for n in (5, 50, 500):
-        a, b = aifa_tau_conditional(0, n, n, m)
+        a, b = aifa_tau_conditional(n, n, m)
         assert b == pytest.approx(1.0)
         assert a / (a + b) > n / (n + 2)  # mean tends to 1 with saturated columns
     with pytest.raises(ValueError):
-        aifa_tau_conditional(0, 4, 3, m)
+        aifa_tau_conditional(4, 3, m)
 
 
 # -- truncated beta --------------------------------------------------------------
@@ -183,10 +184,11 @@ def test_zero_feature_state_reduces_to_priors():
     state = init_state(MODEL, 10, rng1)
     state.x[:] = 0
     y = sample_data(state, derive_rng(56, 1))
-    from crmfinite.inference import _draw_w, _scan_columns, _update_psi
+    from crmfinite.inference import _draw_psi, _draw_w, _loadings, _scan_factors
     probe = derive_rng(56, 2)
     st = state.copy()
-    _scan_columns(st, y - state.reconstruction, _draw_w, probe)
+    S = _loadings(st)
+    _scan_factors(y - state.reconstruction, S, st.psi, partial(_draw_w, st), probe)
     ref = derive_rng(56, 2)
     expected = np.column_stack(
         [0.0 + ref.normal(size=10) / np.sqrt(np.full(10, st.gamma_w))
@@ -194,7 +196,9 @@ def test_zero_feature_state_reduces_to_priors():
     np.testing.assert_array_equal(st.w, expected)
     probe2 = derive_rng(56, 3)
     st2 = state.copy()
-    _update_psi(st2, y - state.reconstruction, MODEL, probe2)
+    S2 = _loadings(st2)
+    _scan_factors((y - state.reconstruction).T, st2.psi.T, S2.T,
+                  partial(_draw_psi, st2, MODEL.psi_scale), probe2)
     ref2 = derive_rng(56, 3)
     expected_psi = np.stack(
         [0.0 + ref2.normal(size=MODEL.D) / math.sqrt(1.0 / MODEL.psi_scale)

@@ -364,7 +364,10 @@ def test_generic_wrong_constant_fails():
 
 # Reports of check_condition_1 before the checker shared its target grids
 # across K (n_max = 300, K_set [10, 100, 1000], presets): (inequality, K,
-# n_worst, slack, pass, history_total_worst, n_evaluated) per entry.
+# n_worst, slack, pass, history_total_worst, n_evaluated) per entry.  The
+# beta-NB inequality-3 slacks are those of the Pochhammer start row h(0),
+# each within 1e-16 of a 40-digit mpmath evaluation (the betaln start row
+# was 1.2-3.7e-13 off).
 _GOLDEN_REPORTS = {
     "bb": [
         (1, None, 1, 0.0, True, None, None),
@@ -393,13 +396,13 @@ _GOLDEN_REPORTS = {
     "bnb": [
         (1, None, 300, 1.1055770835716704e-05, True, None, None),
         (2, 10, 300, 0.0019982189933544277, True, None, None),
-        (3, 10, 300, 9.659787331507469e-06, True, 1, None),
+        (3, 10, 300, 9.659787215908966e-06, True, 1, None),
         (4, 10, None, None, True, None, 0),
         (2, 100, 300, 0.00019978219410381393, True, None, None),
-        (3, 100, 300, 8.873531278474997e-07, True, 1, None),
+        (3, 100, 300, 8.873534994764155e-07, True, 1, None),
         (4, 100, 300, 0.007376458851892641, True, None, 300),
         (2, 1000, 300, 1.9977822350169066e-05, True, None, None),
-        (3, 1000, 300, 8.794844439819655e-08, True, 1, None),
+        (3, 1000, 300, 8.794858226869736e-08, True, 1, None),
         (4, 1000, 300, 0.0007376458720960239, True, None, 300),
     ],
 }
@@ -423,7 +426,10 @@ def test_condition_report_matches_golden(name):
 # Reports of check_condition_1 when its grids were closed-form gammaln/betaln
 # grids, at the benchmark's scale (n_max = 10^4, K_set [10, 100, 1000]): the
 # large-n region where the closed form and the ratio recursion differ most.
-# Same fields as above.
+# Same fields as above.  The beta-NB inequality-3 entries are those of the
+# Pochhammer start row, each within 2e-16 of 40-digit mpmath, which also puts
+# the exact worst n at 10^4 (the betaln start row's rounding, up to 9e-11,
+# had set n_worst to 9998 / 9897 / 9817).
 _GOLDEN_REPORTS_10K = {
     "gp": [
         (1, None, 10000, 4.999666691665305e-09, True, None, None),
@@ -440,13 +446,13 @@ _GOLDEN_REPORTS_10K = {
     "bnb": [
         (1, None, 10000, 9.99849836540341e-09, True, None, None),
         (2, 10, 10000, 5.999841982658096e-05, True, None, None),
-        (3, 10, 9998, 8.765122430362331e-09, True, 1, None),
+        (3, 10, 10000, 8.796784726933e-09, True, 1, None),
         (4, 10, None, None, True, None, 0),
         (2, 100, 10000, 5.999805069333274e-06, True, None, None),
-        (3, 100, 9897, 7.575776484221574e-10, True, 1, None),
+        (3, 100, 10000, 8.077159508217884e-10, True, 1, None),
         (4, 100, 10000, 0.000298617956718625, True, None, 10000),
         (2, 1000, 10000, 5.999876029261656e-07, True, None, None),
-        (3, 1000, 9817, 5.063953201799842e-12, True, 1, None),
+        (3, 1000, 10000, 8.0051963655472e-11, True, 1, None),
         (4, 1000, 9996, 2.9844027909597557e-05, True, None, 10000),
     ],
 }
@@ -488,6 +494,37 @@ def test_count_grid_matches_closed_form(model):
             big = want >= 1e-300
             rel = np.abs(grid[big] / want[big] - 1)
             assert rel.max() <= 1e-10, (S, shift, rel.max())
+
+
+def test_bnb_grid_matches_mpmath():
+    # beta-NB grids at a positive total start from h(0) = (b)_r / (t + b)_r,
+    # b = r(n-1) + alpha; against 40-digit arithmetic the start row is within
+    # a few eps where the betaln difference was up to 5e-11 off (n ~ 1e4),
+    # and the ratio recursion adds about one eps per row
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    r, al, X = BNB.r, BNB.alpha, 64
+    n = np.array([1e3, 9004, 9817, 1e4])
+    worst_start = worst_grid = 0.0
+    for S in (0, *_HISTORY_SCAN):
+        for shift in (0.0, BNB.mass_shift / 10, BNB.mass_shift / 1000):
+            if S + shift == 0:
+                continue
+            grid = _count_grid(BNB, n, S + shift, 0, X)
+            for j, nj in enumerate(n):
+                t, b = mp.mpf(S) + shift, r * (mp.mpf(nj) - 1) + al
+                h = mp.beta(t, b + r) / mp.beta(t, b)
+                for x in range(X + 1):
+                    if x:
+                        h *= (x + r - 1) / mp.mpf(x) * (t + x - 1) / (t + x - 1 + b + r)
+                    if h < 1e-300:
+                        break
+                    err = abs(float(grid[x, j] / h - 1))
+                    worst_grid = max(worst_grid, err)
+                    if x == 0:
+                        worst_start = max(worst_start, err)
+    assert worst_start <= 4 * np.finfo(float).eps, worst_start
+    assert worst_grid <= 2 * X * np.finfo(float).eps, worst_grid
 
 
 @pytest.mark.parametrize("n_max, K_set", [(1, [10]), (2.5, [10]), (True, [10]), (50, []),
