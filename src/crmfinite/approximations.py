@@ -142,17 +142,19 @@ class AifaConfig:
         m2 = min(m1 + self.b, upper)
 
         # head (0, m1]: theta^(eps-1) w(theta); the beta family adds its right
-        # edge (1 - delta, 1], (1-theta)^(eta-1) times the power-law part of f
-        head = _EndPiece(m1, self.eps, self._head_weight)
+        # edge (1 - delta, 1], (1-theta)^(eta-1) times the power-law part of f,
+        # also when K <= a and eta < 1, where w would be unbounded at theta = 1
         edge = None
-        if spec.family is Family.BETA and m1 < 1.0:
-            delta = min(1e-3, 0.5 * (1.0 - m1))
+        if spec.family is Family.BETA and (m1 < 1.0 or spec.extra("eta") < 1.0):
+            delta = min(1e-3, 0.5 * (1.0 - m1)) if m1 < 1.0 else 1e-3
             edge = _EndPiece(delta, spec.extra("eta"), lambda v: np.exp(self._log_power(1.0 - v)))
+            m1 = min(m1, 1.0 - delta)
             body_hi = 1.0 - delta
         elif spec.family is Family.BETA:
             body_hi = m1  # head swallowed the whole support (K <= a)
         else:
             body_hi = self._unbounded_right_end(m1, m2)
+        head = _EndPiece(m1, self.eps, self._head_weight)
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
         # knot m2 inserted, beta additionally refined toward the right edge

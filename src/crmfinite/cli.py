@@ -51,6 +51,7 @@ from .approximations import (
     tsb,
 )
 from .inference import (
+    CHAIN_STATS,
     LinearGaussianModel,
     generate_synthetic,
     impute_heldout_locals,
@@ -84,26 +85,36 @@ def _require_keys(obj, required, optional=(), where="config"):
         raise ConfigError(f"missing fields in {where}: {sorted(missing)}")
 
 
-def _fmt(value):
-    """Full-precision decimal round trip for reals."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+def _integer(value, field, floor=1):
+    """A count from a config or flag: a JSON integer (not a bool) >= floor."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise ConfigError(f"{field} must be an integer >= {floor}, got {value!r}")
+    return value
 
 
-def _write_atomic(path, text):
+def _write_atomic(path, text, lines=()):
+    """Write ``text``, then stream the strings ``lines``, to a temp file renamed to ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write(text)
+        fh.writelines(lines)
     os.replace(tmp, path)
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _write_csv(path, header, *columns):
+    """Write equal-length 1-D columns as a CSV table, one line per row.
+
+    A cell is ``str`` of its column's ``tolist()`` value: the shortest repr
+    that round-trips for a float, the digits for an integer."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    _write_atomic(path, ",".join(header) + "\n", map(line.__mod__, rows))
+
+
+def _by_replicate(tables):
+    """One table from per-replicate tuples of columns, led by a replicate column."""
+    return (np.repeat(np.arange(len(tables)), [len(t[0]) for t in tables]),
+            *(np.concatenate(cols) for cols in zip(*tables)))
 
 
 def _model_from_config(obj) -> ExpFamilyModel:
@@ -130,7 +141,7 @@ def weight_distribution_from_config(obj) -> WeightDistribution:
     _require_keys(obj, {"kind", "K"},
                   {"gamma", "alpha", "d", "spec", "a", "b", "indicator"}, "distribution")
     kind = WeightKind(obj["kind"])
-    K = int(obj["K"])
+    K = _integer(obj["K"], "K")
     if kind is WeightKind.AIFA_NUMERIC:
         spec = RateMeasureSpec.from_json(obj["spec"])
         cfg = AifaConfig(spec, K, a=obj.get("a", 1.0), b=_indicator_width(obj.get("b"), K),
@@ -164,11 +175,8 @@ def cmd_sample_prior(config, out, seed, replicates):
         return weights, int(actives.sum())
 
     results = [one(rep) for rep in range(replicates)]
-    rows = []
-    for rep, (weights, _) in enumerate(results):
-        rows.extend((rep, i, float(w)) for i, w in enumerate(weights))
-    _write_csv(os.path.join(out, "weights.csv"),
-               ("replicate", "atom_index", "weight"), rows)
+    _write_csv(os.path.join(out, "weights.csv"), ("replicate", "atom_index", "weight"),
+               *_by_replicate([(np.arange(w.size), w) for w, _ in results]))
     totals = np.array([w.sum() for w, _ in results])
     active = np.array([a for _, a in results], dtype=float)
     summary = {
@@ -187,16 +195,14 @@ def cmd_sample_prior(config, out, seed, replicates):
 def cmd_marginal_sim(config, out, seed, replicates):
     _require_keys(config, {"model", "N", "source"}, {"K", "seed"}, "marginal-sim config")
     model = _model_from_config(config["model"])
-    N, source, K = int(config["N"]), config["source"], config.get("K")
+    N, source, K = _integer(config["N"], "N"), config["source"], config.get("K")
+    K = None if K is None else _integer(K, "K")
 
     allocs = [simulate_allocation(model, N, derive_rng(seed, rep), source=source, K=K)
               for rep in range(replicates)]
-    rows = []
-    for rep, alloc in enumerate(allocs):
-        for r, c in zip(*np.nonzero(alloc.counts)):
-            rows.append((rep, int(r), int(c), int(alloc.counts[r, c])))
-    _write_csv(os.path.join(out, "allocations.csv"),
-               ("replicate", "row", "col", "count"), rows)
+    cells = [(*np.nonzero(a.counts), a.counts[a.counts != 0]) for a in allocs]
+    _write_csv(os.path.join(out, "allocations.csv"), ("replicate", "row", "col", "count"),
+               *_by_replicate(cells))
     cols = np.array([a.n_columns for a in allocs], dtype=float)
     summary = {"model": model.kind.value, "N": N, "source": source, "K": K,
                "replicates": replicates,
@@ -227,10 +233,7 @@ def cmd_bounds_table(config, out, seed, replicates):
     if not 0 < gamma <= POISSON_MEAN_MAX:
         raise ConfigError(f"gamma must lie in (0, {POISSON_MEAN_MAX:.4f}] (e^-gamma must be a "
                           f"normal double), got {config['gamma']!r}")
-    k_lo, k_hi = config.get("K_min", 1), config["K_max"]
-    for name, value in (("K_min", k_lo), ("K_max", k_hi)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    k_lo, k_hi = _integer(config.get("K_min", 1), "K_min"), _integer(config["K_max"], "K_max")
     if k_lo > k_hi:
         raise ConfigError(f"K_min must not exceed K_max, got {k_lo} > {k_hi}")
     const = binom_poisson_lower_constant(gamma)
@@ -239,39 +242,35 @@ def cmd_bounds_table(config, out, seed, replicates):
     tv = tv_binom_poisson(K, gamma)
     lower = const * K * q * q
     upper = lecam_upper(K, q)
-    rows = [("binom_poisson_lower_constant", f"gamma={_fmt(gamma)}", const)]
-    for k, t, lo, up in zip(K, tv, lower, upper):
-        args = f"K={k};gamma={_fmt(gamma)}"
-        rows += [("tv_binom_poisson", args, t), ("binom_poisson_lower", args, lo),
-                 ("lecam_upper", args, up)]
+    names = ["binom_poisson_lower_constant",
+             *["tv_binom_poisson", "binom_poisson_lower", "lecam_upper"] * K.size]
+    args = [f"gamma={gamma!r}", *np.repeat([f"K={k};gamma={gamma!r}" for k in K.tolist()], 3)]
+    values = np.concatenate([[const], np.column_stack([tv, lower, upper]).ravel()])
     ok = bool(np.all(lower <= tv))
-    _write_csv(os.path.join(out, "bounds.csv"), ("name", "args", "value"), rows)
+    _write_csv(os.path.join(out, "bounds.csv"), ("name", "args", "value"), names, args, values)
     return ok, {"gamma": gamma, "K_range": [k_lo, k_hi], "lower_bound_ok": ok}
 
 
 def cmd_eppf_convergence(config, out, seed, replicates):
     _require_keys(config, {"alpha", "N", "K_set"}, {"seed"}, "eppf-convergence config")
-    alpha, N = float(config["alpha"]), int(config["N"])
-    K_set = sorted(int(k) for k in config["K_set"])
-    dp = DPSource(alpha)
-    rows = []
+    alpha, N = float(config["alpha"]), _integer(config["N"], "N")
+    K_set = sorted(_integer(k, "K_set entries") for k in config["K_set"])
+    dp, fsds = DPSource(alpha), [FSDSource(alpha, K) for K in K_set]
+    comps = all_compositions(N)
+    names = ["+".join(str(s) for s in comp.sizes) for comp in comps]
+    p_dp = np.array([float(eppf(dp, comp)) for comp in comps])
+    p_k = np.array([[float(eppf(fsd_k, comp)) for fsd_k in fsds] for comp in comps])
+    gaps = np.abs(p_k - p_dp[:, None])  # (composition, K)
     slopes = {}
     ok = True
-    for comp in all_compositions(N):
-        name = "+".join(str(s) for s in comp.sizes)
-        p_dp = float(eppf(dp, comp))
-        gaps = []
-        for K in K_set:
-            p_k = float(eppf(FSDSource(alpha, K), comp))
-            gap = abs(p_k - p_dp)
-            gaps.append(gap)
-            rows.append((K, name, p_k, p_dp, gap))
-        decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
-        slope = float(np.polyfit(np.log(K_set), np.log(gaps), 1)[0]) if min(gaps) > 0 else None
+    for name, row in zip(names, gaps):
+        decreasing = bool(np.all(row[:-1] > row[1:]))
+        slope = float(np.polyfit(np.log(K_set), np.log(row), 1)[0]) if row.min() > 0 else None
         slopes[name] = {"slope": slope, "decreasing": decreasing}
         ok = ok and decreasing and slope is not None and abs(slope + 1.0) <= 0.3
-    _write_csv(os.path.join(out, "eppf.csv"),
-               ("K", "composition", "p_K", "p_target", "abs_gap"), rows)
+    _write_csv(os.path.join(out, "eppf.csv"), ("K", "composition", "p_K", "p_target", "abs_gap"),
+               np.tile(K_set, len(comps)), np.repeat(names, len(K_set)), p_k.ravel(),
+               np.repeat(p_dp, len(K_set)), gaps.ravel())
     _write_atomic(os.path.join(out, "slopes.json"), json.dumps(slopes, indent=2))
     return ok, {"alpha": alpha, "N": N, "slopes": slopes}
 
@@ -282,31 +281,39 @@ def cmd_make_data(config, out, seed, replicates):
                   "make-data config")
     rng = derive_rng(seed, 0)
     y, truth = generate_synthetic(
-        int(config["N"]), int(config["D"]), int(config["n_features"]), rng,
+        _integer(config["N"], "N"), _integer(config["D"], "D"),
+        _integer(config["n_features"], "n_features", 0), rng,
         activation=config.get("activation", 0.3),
         feature_scale=config.get("feature_scale", 1.0),
         noise_prec=config.get("noise_prec", 4.0),
         weight_prec=config.get("weight_prec", 1.0))
-    rows = [(r, d, float(y[r, d])) for r in range(y.shape[0]) for d in range(y.shape[1])]
-    _write_csv(os.path.join(out, "data.csv"), ("row", "dim", "value"), rows)
-    summary = {"N": y.shape[0], "D": y.shape[1], "n_features": int(config["n_features"]),
+    n, d = y.shape
+    _write_csv(os.path.join(out, "data.csv"), ("row", "dim", "value"),
+               np.repeat(np.arange(n), d), np.tile(np.arange(d), n), y.ravel())
+    summary = {"N": n, "D": d, "n_features": config["n_features"],
                "true_active_per_row": float(truth["x"].sum(axis=1).mean())}
     _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2))
     return True, summary
 
 
 def read_data_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines()
-    triples = [line.split(",") for line in lines[1:]]
-    rows = [int(t[0]) for t in triples]
-    dims = [int(t[1]) for t in triples]
-    values = np.array([float(t[2]) for t in triples])
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{path}: {int((~np.isfinite(values)).sum())} non-finite values")
-    y = np.zeros((max(rows) + 1, max(dims) + 1))
-    y[rows, dims] = values
-    return y
+    """The (row, dim) grid of a row,dim,value CSV after a header line: finite values at
+    non-negative integer indices that name each cell of the grid exactly once."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if table.shape[0] == 0 or table.shape[1] != 3:
+        raise ConfigError(f"{path}: expected one or more row,dim,value lines after the header")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"{path}: {int((~np.isfinite(table)).sum())} non-finite values")
+    rows, dims, values = table.T
+    width = dims.max() + 1
+    # each cell appears once iff the n flat indices are 0..n-1 and n is whole rows
+    flat = rows * width + dims
+    order = np.argsort(flat)
+    if (np.any(table[:, :2] < 0) or np.any(table[:, :2] % 1) or flat.size % width
+            or np.any(flat[order] != np.arange(flat.size))):
+        raise ConfigError(f"{path}: row and dim must be non-negative integers that name each cell "
+                          f"of the (max row + 1) x (max dim + 1) grid exactly once")
+    return values[order].reshape(-1, int(width))
 
 
 def cmd_gibbs_run(config, out, seed, replicates):
@@ -316,34 +323,35 @@ def cmd_gibbs_run(config, out, seed, replicates):
     _require_keys(m, {"D", "gamma", "alpha", "K"},
                   {"prec_shape", "prec_rate", "psi_scale"}, "model")
     model = LinearGaussianModel(
-        D=int(m["D"]), gamma=m["gamma"], alpha=m["alpha"], K=int(m["K"]),
+        D=_integer(m["D"], "D"), gamma=m["gamma"], alpha=m["alpha"], K=_integer(m["K"], "K"),
         prec_shape=m.get("prec_shape", 1e-6), prec_rate=m.get("prec_rate", 1e-6),
         psi_scale=m.get("psi_scale"))
+    sweeps = _integer(config["sweeps"], "sweeps")
+    burnin = _integer(config["burnin"], "burnin", 0)
+    thin = _integer(config.get("thin", max(1, (sweeps - burnin) // 50)), "thin")
+    scans = _integer(config.get("heldout_scans", 5), "heldout_scans", 0)
     y = read_data_csv(config["data_path"])
     heldout = read_data_csv(config["heldout_path"]) if config.get("heldout_path") else None
-    sweeps, burnin = int(config["sweeps"]), int(config["burnin"])
-    thin = int(config.get("thin", max(1, (sweeps - burnin) // 50)))
 
     def one(rep):
         rng = derive_rng(seed, rep)
-        state, samples, rows = run_chain(model, y, sweeps, rng,
-                                         prior=config["prior_kind"], burnin=burnin, thin=thin)
+        state, samples, stats = run_chain(model, y, sweeps, rng,
+                                          prior=config["prior_kind"], burnin=burnin, thin=thin)
         pll = None
         if heldout is not None:
-            eval_samples = [impute_heldout_locals(s, heldout, model, rng,
-                                                  scans=int(config.get("heldout_scans", 5)))
+            eval_samples = [impute_heldout_locals(s, heldout, model, rng, scans=scans)
                             for s in samples]
             pll = predictive_log_likelihood(eval_samples, heldout)
-        return state, rows, pll
+        return state, stats, pll
 
     results = [one(rep) for rep in range(replicates)]
-    merged = []
-    for rep, (_, rows, _) in enumerate(results):
-        _write_csv(os.path.join(out, f"chain_{rep:04d}.csv"),
-                   ("sweep", "stat_name", "value"), rows)
-        merged.extend((rep, *row) for row in rows)
-    _write_csv(os.path.join(out, "chain.csv"),
-               ("replicate", "sweep", "stat_name", "value"), merged)
+    chains = [(np.repeat(np.arange(1, sweeps + 1), len(CHAIN_STATS)),
+               np.tile(CHAIN_STATS, sweeps), stats.ravel()) for _, stats, _ in results]
+    for rep, chain in enumerate(chains):
+        _write_csv(os.path.join(out, f"chain_{rep:04d}.csv"), ("sweep", "stat_name", "value"),
+                   *chain)
+    _write_csv(os.path.join(out, "chain.csv"), ("replicate", "sweep", "stat_name", "value"),
+               *_by_replicate(chains))
     for rep, (state, _, _) in enumerate(results):
         checkpoint = {
             "tau": state.tau.tolist(), "psi": state.psi.tolist(),
@@ -365,44 +373,29 @@ def cmd_compare_ifa(config, out, seed, replicates):
     _require_keys(config, {"spec", "K", "draws"}, {"a_grid", "b_grid", "seed"},
                   "compare-ifa config")
     spec = RateMeasureSpec.from_json(config["spec"])
-    K, draws = int(config["K"]), int(config["draws"])
+    K, draws = _integer(config["K"], "K"), _integer(config["draws"], "draws")
     if draws < K:
         raise ConfigError(f"draws must cover at least one K-vector (K={K})")
-    a_grid = config.get("a_grid", [1.0])
-    b_grid = config.get("b_grid", ["1/K"])
-    rows = []
-    results = {}
+    grid = [(a, b) for a in config.get("a_grid", [1.0]) for b in config.get("b_grid", ["1/K"])]
 
     def mean_active(dist, stream):
-        rng = derive_rng(seed, stream)
-        total, n_vec = 0.0, 0
-        left = draws
-        while left > 0:
-            # 50k draws per call: bigger batches leave the heap fragmented
-            # and raise peak RSS over repeated runs, without being faster
-            take = min(left, 50_000)
-            vecs = take // K
-            if vecs == 0:
-                break
-            w = np.minimum(sample_weights(dist, rng, size=vecs), 1.0)
+        # 50k draws per call: bigger batches leave the heap fragmented and
+        # raise peak RSS over repeated runs, without being faster
+        rng, n_vec, per_call = derive_rng(seed, stream), draws // K, max(1, 50_000 // K)
+        total = 0.0
+        for start in range(0, n_vec, per_call):
+            w = np.minimum(sample_weights(dist, rng, size=min(per_call, n_vec - start)), 1.0)
             total += (rng.random(w.shape) < w).sum()
-            n_vec += vecs
-            left -= vecs * K
         return total / n_vec
 
-    stream = 0
-    for a in a_grid:
-        for b_name in b_grid:
-            cfg = AifaConfig(spec, K, a=float(a), b=_indicator_width(b_name, K))
-            val = mean_active(aifa_numeric(cfg), stream)
-            rows.append(("aifa_mean_active", f"K={K};a={_fmt(float(a))};b={b_name}", val))
-            results[f"aifa(a={a},b={b_name})"] = val
-            stream += 1
-    bf = bfry(spec.gamma, spec.discount, K)
-    val = mean_active(bf, stream)
-    rows.append(("bfry_mean_active", f"K={K}", val))
-    results["bfry"] = val
-    _write_csv(os.path.join(out, "compare.csv"), ("name", "args", "value"), rows)
+    # one stream per construction: the AIFA (a, b) grid in order, then BFRY
+    dists = [aifa_numeric(AifaConfig(spec, K, a=float(a), b=_indicator_width(b, K)))
+             for a, b in grid] + [bfry(spec.gamma, spec.discount, K)]
+    values = [mean_active(dist, stream) for stream, dist in enumerate(dists)]
+    _write_csv(os.path.join(out, "compare.csv"), ("name", "args", "value"),
+               ["aifa_mean_active"] * len(grid) + ["bfry_mean_active"],
+               [f"K={K};a={float(a)!r};b={b}" for a, b in grid] + [f"K={K}"], values)
+    results = dict(zip([f"aifa(a={a},b={b})" for a, b in grid] + ["bfry"], values))
     _write_atomic(os.path.join(out, "summary.json"), json.dumps(results, indent=2))
     return True, results
 
@@ -446,7 +439,8 @@ def main(argv=None) -> int:
         if seed is None:
             raise ConfigError("no seed: set BNP_SEED, --seed, or config.seed")
         seed = int(seed) & (2**64 - 1)
-        ok, summary = _COMMANDS[args.command](config, args.out, seed, max(1, args.replicates))
+        replicates = _integer(args.replicates, "--replicates")
+        ok, summary = _COMMANDS[args.command](config, args.out, seed, replicates)
         status, code, message = ("ok", 0, None) if ok else ("check_failed", 1, {"failures": summary})
     except (ValueError, KeyError, FileNotFoundError) as exc:
         status, code, message = "config_error", 2, {"error": type(exc).__name__, "detail": str(exc)}
@@ -459,7 +453,7 @@ def main(argv=None) -> int:
         "config_sha256": None if config is None else hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": seed,
-        "replicates": max(1, args.replicates),
+        "replicates": args.replicates,
         "library_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "pass": status == "ok",

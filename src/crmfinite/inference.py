@@ -51,9 +51,11 @@ __all__ = [
     "predictive_log_likelihood",
     "data_informed_init",
     "run_chain",
+    "CHAIN_STATS",
 ]
 
 _DEGENERATE_WIDTH = 1e-14
+CHAIN_STATS = ("sum_x", "mean_tau", "gamma_e", "gamma_w", "joint_log_density")
 
 
 @dataclass(frozen=True)
@@ -481,24 +483,21 @@ def data_informed_init(model, y, rng, prior="aifa"):
 
 
 def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, initial_state=None):
-    """Run one chain and return (final state, list of kept samples, stats rows).
+    """Run one chain and return (final state, list of kept samples, stats).
 
-    Each sweep adds one (sweep, name, value) row per stat: the Geweke
-    statistics sum_x, mean_tau and gamma_e, then gamma_w and the joint log
-    density.
+    ``stats`` is a (sweeps, len(CHAIN_STATS)) array; row s - 1 holds sweep
+    s's Geweke statistics sum_x, mean_tau and gamma_e, then gamma_w and the
+    joint log density, named by CHAIN_STATS.
     """
     y = np.asarray(y, dtype=float)
     state = initial_state if initial_state is not None \
         else init_state(model, y.shape[0], rng, prior)
     samples = []
-    rows = []
+    stats = np.empty((sweeps, len(CHAIN_STATS)))
     for sweep in range(1, sweeps + 1):
         state = gibbs_sweep(state, y, model, rng)
-        rows += [(sweep, "sum_x", float(state.x.sum())),
-                 (sweep, "mean_tau", float(state.tau.mean())),
-                 (sweep, "gamma_e", state.gamma_e),
-                 (sweep, "gamma_w", state.gamma_w),
-                 (sweep, "joint_log_density", joint_log_density(state, y, model))]
+        stats[sweep - 1] = (state.x.sum(), state.tau.mean(), state.gamma_e, state.gamma_w,
+                            joint_log_density(state, y, model))
         if sweep > burnin and (sweep - burnin) % thin == 0:
             samples.append(state.copy())
-    return state, samples, rows
+    return state, samples, stats

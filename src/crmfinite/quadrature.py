@@ -42,19 +42,23 @@ def gauss_legendre(f, a, b, abs_tol=1e-10):
     if a == b:
         return 0.0
     lo, hi = _panel(f, a, b)
-    # heap entries: (-error, tiebreak, a, b, value)
+    # heap entries: (-error, tiebreak, a, b, value).  ``small`` sums the errors
+    # <= abs_tol, to within 1e-8 abs_tol; the heap is re-summed for the stopping
+    # test only once every error is <= abs_tol and ``small`` <= 2 abs_tol
     heap = [(-abs(hi - lo), 0, a, b, hi)]
+    small = abs(hi - lo) if abs(hi - lo) <= abs_tol else 0.0
     count = 1
     while True:
-        err_total = sum(-e for e, *_ in heap)
-        if err_total <= abs_tol:
-            return float(sum(v for *_, v in heap))
+        if not (-heap[0][0] > abs_tol or small > 2.0 * abs_tol):
+            if sum(-e for e, *_ in heap) <= abs_tol:
+                return float(sum(v for *_, v in heap))
         if count >= _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence after {count} panels: error estimate {err_total:.3e} "
-                f"> tolerance {abs_tol:.3e} on [{a!r}, {b!r}]"
+                f"no convergence after {count} panels: error estimate "
+                f"{sum(-e for e, *_ in heap):.3e} > tolerance {abs_tol:.3e} on [{a!r}, {b!r}]"
             )
         neg_err, _, pa, pb, pv = heapq.heappop(heap)
+        small += neg_err if -neg_err <= abs_tol else 0.0
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:
             # interval at floating-point resolution: accept its high estimate
@@ -64,4 +68,5 @@ def gauss_legendre(f, a, b, abs_tol=1e-10):
         for qa, qb in ((pa, pm), (pm, pb)):
             lo, hi = _panel(f, qa, qb)
             heapq.heappush(heap, (-abs(hi - lo), count, qa, qb, hi))
+            small += abs(hi - lo) if abs(hi - lo) <= abs_tol else 0.0
             count += 1

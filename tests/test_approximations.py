@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import crmfinite
 from crmfinite.approximations import (
     AifaConfig,
     aifa_closed_form,
@@ -207,6 +211,28 @@ _GOLDEN_DRAWS = {
     "fsd": [0.9395711433979314, 7.488879697004795e-09, 0.01722389404073547, 0.0024742739882602396, 3.725452877240663e-10, 5.873421756240187e-09, 8.009947140924518e-10, 0.0407306740372314],
     "bfry": [0.1704827518003476, 0.008137921232821747, 0.0011871929268104141, 0.0782234803502105, 0.5955190023552779, 0.51789617387974, 0.040142606340076506, 0.9999041179001052, 0.26450405198486704, 0.8220080689528014, 0.002406188972163213, 0.13812631515944304, 0.6880310655881037, 0.3432864404563682, 0.12150774098088858, 0.008290643172601251],
 }
+
+
+@pytest.mark.parametrize("spec", [beta_process(2.0, 0.0, 0.6), beta_process(3.0, 0.02, 0.2)],
+                         ids=["BP(2,0,0.6)", "BP(3,0.02,0.2)"])
+def test_head_reaching_theta_one_samples(spec):
+    # K = 1 <= a: the head would cover the whole support, where
+    # (1 - theta)^(eta - 1) is unbounded for eta < 1; this once looped forever
+    # (or failed its quadrature), so it runs in a child with a time limit
+    n = 20_000
+    probe = ("from crmfinite.approximations import AifaConfig; "
+             "from crmfinite.measures import RateMeasureSpec; "
+             "from crmfinite.rng import derive_rng; "
+             f"x = AifaConfig(RateMeasureSpec.from_json({spec.to_json()!r}), 1)"
+             f".sample({n}, derive_rng(7, 0)); print(x.mean(), x.std(), x.min(), x.max())")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crmfinite.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    mean, sd, lo, hi = map(float, done.stdout.split())
+    cfg = AifaConfig(spec, 1)
+    exact, _ = integrate.quad(lambda t: t * math.exp(cfg.log_density(t)), 0.0, 1.0)
+    assert 0.0 < lo and hi <= 1.0
+    assert abs(mean - exact) < 4.5 * sd / math.sqrt(n)
 
 
 def test_golden_draws_every_kind():

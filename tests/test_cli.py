@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -149,6 +150,9 @@ def test_bounds_table(tmp_path):
 
 
 _GP_MODEL = {"kind": "gamma_poisson", "gamma": 1.0, "lam": 1.0}
+_SPEC_BP = {"family": "beta", "gamma": 2.0, "discount": 0.6, "extras": {"eta": 0.6}}
+_GIBBS = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3}, "prior_kind": "aifa",
+          "sweeps": 4, "burnin": 2, "data_path": "data.csv"}
 
 
 @pytest.mark.parametrize("command, config, field", [
@@ -163,14 +167,46 @@ _GP_MODEL = {"kind": "gamma_poisson", "gamma": 1.0, "lam": 1.0}
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [2.5]}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": []}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 1, "K_set": [10]}, "n_max"),
+    # every count field must be a JSON integer (not a bool) at or above its floor
+    ("sample-prior", {"distribution": {"kind": "fsd", "K": 2.5, "gamma": 1.0}}, "K"),
+    ("sample-prior", {"distribution": {"kind": "fsd", "K": True, "gamma": 1.0}}, "K"),
+    ("marginal-sim", {"model": _GP_MODEL, "N": 10, "source": "aifa", "K": 7.5}, "K"),
+    ("marginal-sim", {"model": _GP_MODEL, "N": 2.5, "source": "target"}, "N"),
+    ("eppf-convergence", {"alpha": 1.0, "N": 3.5, "K_set": [4, 16]}, "N"),
+    ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [4, 16.5]}, "K_set"),
+    ("make-data", {"N": "10", "D": 2, "n_features": 1}, "N"),
+    ("make-data", {"N": 10, "D": 2.0, "n_features": 1}, "D"),
+    ("make-data", {"N": 10, "D": 2, "n_features": -1}, "n_features"),
+    ("compare-ifa", {"spec": _SPEC_BP, "K": 5.5, "draws": 100}, "K"),
+    ("compare-ifa", {"spec": _SPEC_BP, "K": 5, "draws": 1e5}, "draws"),
+    ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], K=3.5)), "K"),
+    ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], D=2.0)), "D"),
+    ("gibbs-run", dict(_GIBBS, sweeps=10.5), "sweeps"),
+    ("gibbs-run", dict(_GIBBS, burnin=-1), "burnin"),
+    ("gibbs-run", dict(_GIBBS, thin=0), "thin"),
+    ("gibbs-run", dict(_GIBBS, heldout_scans=2.5), "heldout_scans"),
 ], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
-        "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1"])
+        "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1",
+        "prior-K=2.5", "prior-K=true", "marginal-K=7.5", "marginal-N=2.5", "eppf-N=3.5",
+        "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
+        "compare-K=5.5", "compare-draws=1e5", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
+        "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5"])
 def test_table_configs_rejected_at_boundary(tmp_path, capsys, command, config, field):
     code, out = run(tmp_path, command, config, name="range")
     assert code == 2
     detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["detail"]
     assert field in detail
     assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
+
+
+@pytest.mark.parametrize("replicates", [-5, 0])
+def test_replicates_must_be_a_positive_integer(tmp_path, capsys, replicates):
+    config = {"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}}
+    code, out = run(tmp_path, "sample-prior", config, replicates=replicates)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "--replicates" in err["detail"]
+    assert not (out / "weights.csv").exists()
 
 
 def test_eppf_convergence_cli(tmp_path):
@@ -230,12 +266,38 @@ def test_gibbs_pipeline(tmp_path):
 def test_non_finite_data_rejected(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("row,dim,value\n0,0,1.5\n0,1,nan\n1,0,0.5\n1,1,2.0\n")
-    config = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3},
-              "prior_kind": "aifa", "sweeps": 4, "burnin": 2, "data_path": str(data)}
-    code, _ = run(tmp_path, "gibbs-run", config, name="nan")
+    code, _ = run(tmp_path, "gibbs-run", dict(_GIBBS, data_path=str(data)), name="nan")
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError" and "non-finite" in err["detail"]
+
+
+@pytest.mark.parametrize("lines, detail", [
+    (["0,0,1.5", "0,1,2.0", "1,0,0.5"], "exactly once"),
+    (["0,0,1.5", "0,1,2.0", "0,1,3.0", "1,0,0.5", "1,1,2.0"], "exactly once"),
+    (["0,0,1.5", "0,1,2.0", "1,0,0.5", "1,1,2.0", "1,1,4.0", "1,0,1.0"], "exactly once"),
+    (["0,0,1.5", "0,1,2.0", "-1,0,0.5", "-1,1,2.0"], "non-negative integers"),
+    (["0,0,1.5", "0,1,2.0", "0.5,0,0.5", "0.5,1,2.0"], "non-negative integers"),
+    (["0,0,1.5", "0,inf,2.0"], "non-finite"),
+    pytest.param([], "row,dim,value lines",
+                 marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+    (["0,0", "0,1"], "row,dim,value lines"),
+], ids=["missing", "duplicate", "duplicates-fill-grid", "negative", "fractional", "inf-index",
+        "no-rows", "two-columns"])
+def test_bad_data_grid_rejected(tmp_path, capsys, lines, detail):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["row,dim,value", *lines]) + "\n")
+    code, out = run(tmp_path, "gibbs-run", dict(_GIBBS, data_path=str(data)), name="grid")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and detail in err["detail"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
+
+
+def test_data_grid_read_in_any_line_order(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("row,dim,value\n1,1,4.0\n0,1,2.0\n1,0,3.0\n0,0,1.0\n")
+    np.testing.assert_array_equal(read_data_csv(str(data)), [[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize("command", ["sample-prior", "compare-ifa"])
@@ -259,3 +321,105 @@ def test_compare_ifa_cli(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert "bfry" in summary and any(k.startswith("aifa") for k in summary)
+
+
+# (run name, command, config, replicates); gibbs-run reads make-data's output
+_GOLDEN_RUNS = [
+    ("prior_aifa", "sample-prior",
+     {"distribution": {"kind": "aifa_numeric", "K": 5, "spec": _SPEC_BP}}, 2),
+    ("prior_stick", "sample-prior",
+     {"distribution": {"kind": "beta_stick_breaking", "K": 4, "gamma": 2.0, "alpha": 1.0}}, 2),
+    ("marg_gp", "marginal-sim",
+     {"model": {"kind": "gamma_poisson", "gamma": 2.0, "lam": 1.0}, "N": 10, "source": "aifa",
+      "K": 8}, 2),
+    ("marg_bb", "marginal-sim",
+     {"model": {"kind": "beta_bernoulli", "gamma": 2.0, "alpha": 1.0}, "N": 10,
+      "source": "target"}, 2),
+    ("conditions", "check-conditions",
+     {"model": _GP_MODEL, "n_max": 50, "K_set": [10, 100]}, 1),
+    ("bounds", "bounds-table", {"gamma": 1.5, "K_min": 2, "K_max": 6}, 1),
+    ("eppf", "eppf-convergence", {"alpha": 1.5, "N": 4, "K_set": [4, 16, 64]}, 1),
+    ("data", "make-data", {"N": 12, "D": 3, "n_features": 2}, 1),
+    ("gibbs", "gibbs-run",
+     {"model": {"D": 3, "gamma": 1.0, "alpha": 1.0, "K": 4, "prec_shape": 1.0, "prec_rate": 1.0},
+      "prior_kind": "aifa", "sweeps": 8, "burnin": 4, "data_path": "data.csv",
+      "heldout_path": "data.csv"}, 2),
+    ("compare", "compare-ifa",
+     {"spec": _SPEC_BP, "K": 5, "draws": 200, "a_grid": [1.0], "b_grid": ["1/K", 0.25]}, 1),
+]
+
+
+def _golden_digests(tmp_path):
+    """{run name: {file: sha256}} of every output file but manifest.json."""
+    digests = {}
+    for name, command, config, replicates in _GOLDEN_RUNS:
+        if command == "gibbs-run":
+            data = str(tmp_path / "out_data_11_1" / "data.csv")
+            config = dict(config, data_path=data, heldout_path=data)
+        _, out = run(tmp_path, command, config, replicates=replicates, name=name)
+        digests[name] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                         for f in sorted(os.listdir(out)) if f != "manifest.json"}
+    return digests
+
+
+# sha256 of each output, pinned when every table was still written row by row:
+# the bytes of every subcommand's CSV and JSON files must not move
+_GOLDEN_DIGESTS = {
+    "prior_aifa": {
+        "summary.json": "cd060051c7634aaa2159a9a066d75e1190a3459c20e3c2bd644cfd9180a697ce",
+        "weights.csv": "0584c5727ad7534709fa7ca4b04590c59fd9c4f950da8a02e842194e8856ed5e",
+    },
+    "prior_stick": {
+        "summary.json": "e538a61dea72b686e8cfb9b57718e1355810b97566c8d48fcb42737cbf27eac3",
+        "weights.csv": "3dd7fda4b60da0777501e9dfde609ae674c84fd7e14579b26ea85086b08aa43d",
+    },
+    "marg_gp": {
+        "allocations.csv": "e3d1bbbd72b259bd14de9185e2d0c217a52b373f6993dd6c17dc70fb657d258b",
+        "summary.json": "980d195d9c2719ad4e80621af0fa12a260c286f79984d55f8784b196ec5edfc7",
+    },
+    "marg_bb": {
+        "allocations.csv": "8305d6044909c15d2d08106b6cc24c62f39bd22a4134a2e5c57364956a4752ec",
+        "summary.json": "2439ecb4a2763de61a1fc608348791ce67c0bdf4ee2cbf489ac72fff17d8859f",
+    },
+    "conditions": {
+        "report.json": "c5003e72ff0398729f7d39dc6932dfb0d3e4342538878d8d3d80cb7ded98fb47",
+    },
+    "bounds": {
+        "bounds.csv": "69ec91045a4438818e1e64c9d902fcff5c4a435c391cc5cced0c8484466c5d71",
+    },
+    "eppf": {
+        "eppf.csv": "f600ef43acb3dcdc5451ed94ec7904fbb70ae0750ee298f21eadfcd73fe40872",
+        "slopes.json": "6385109bd5f6260dc900b1573582dc620e41cc913fb96419eeff12ae654e5d91",
+    },
+    "data": {
+        "data.csv": "b718326c657e99779deb137bfa8e1e1b498ca135adb6c40d09b6454ae2738f05",
+        "summary.json": "4beacce229f0052320d356cab27e8345bd4c69a1aecded79f1b7224ffdb20f8e",
+    },
+    "gibbs": {
+        "chain.csv": "77ad8641c1500e3eb95aa28a0cd9717353055ec9b4a7d2201af38a20e77de90c",
+        "chain_0000.csv": "e9adac55122cf88e8e2ac2de0e7670f4906619804c2c36cddc6773262a203abb",
+        "chain_0001.csv": "e1475b4aeec3ecfadeb4d9b5d10b64e9037b192f3b9a2e518434ac30a24de955",
+        "state_0000.json": "9d956c448d72879791f7dfa891b519d997669afc26b1aff3b685ef80c91ab35a",
+        "state_0001.json": "fa44af89468a152659000a24c3c2d6fab6a29d362bd0bc8523181c3d82fd2e8a",
+        "summary.json": "b6d0079d542c4976f91c45a46fae78cbcfdf3523b47c089e6010160931d5c927",
+    },
+    "compare": {
+        "compare.csv": "42d6cf6ca9eb02593d22c20fb3013e997452c7e467b2923a08800a4866bb5512",
+        "summary.json": "2ac387d2a6d9d5407f483107470a2502a53a43e36bbfb0570d5664650a8cde4b",
+    },
+}
+
+
+def test_outputs_match_golden_digests(tmp_path, capsys):
+    assert _golden_digests(tmp_path) == _GOLDEN_DIGESTS
+    capsys.readouterr()
+
+
+def test_compare_ifa_samples_k_above_one_batch(tmp_path):
+    # K above the 50k draws of one sampling call still draws one K-vector per call
+    config = {"spec": _SPEC_BP, "K": 60_000, "draws": 120_000}
+    code, out = run(tmp_path, "compare-ifa", config)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"aifa(a=1.0,b=1/K)", "bfry"}
+    assert all(np.isfinite(v) and v > 0 for v in summary.values())

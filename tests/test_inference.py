@@ -327,9 +327,9 @@ def test_ordering_invariant_across_sweeps():
 def test_chain_reproducibility():
     y, _ = generate_synthetic(30, 3, 2, derive_rng(62, 0))
     m = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=4, prec_shape=1.0, prec_rate=1.0)
-    _, _, rows1 = run_chain(m, y, 20, derive_rng(62, 1))
-    _, _, rows2 = run_chain(m, y, 20, derive_rng(62, 1))
-    assert rows1 == rows2
+    _, _, stats1 = run_chain(m, y, 20, derive_rng(62, 1))
+    _, _, stats2 = run_chain(m, y, 20, derive_rng(62, 1))
+    assert stats1.shape == (20, 5) and np.array_equal(stats1, stats2)
 
 
 # -- synthetic recovery ------------------------------------------------------------
