@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .approximations import WeightDistribution, sample_weights
+from .checks import integer, positive
 from .marginals import dp_urn_probs, fsd_urn_probs
 
 __all__ = [
@@ -245,17 +246,12 @@ def all_compositions(N):
     return [PartitionComposition(sizes) for sizes in rec(int(N), int(N))]
 
 
-def _check_concentration(value, name):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DPSource:
     alpha: float
 
     def __post_init__(self):
-        _check_concentration(self.alpha, "DP concentration alpha")
+        positive(self.alpha, "DP concentration alpha")
 
 
 @dataclass(frozen=True)
@@ -264,9 +260,8 @@ class FSDSource:
     K: int
 
     def __post_init__(self):
-        _check_concentration(self.gamma, "FSD concentration gamma")
-        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)) or self.K < 1:
-            raise ValueError(f"FSD dimension K must be an integer >= 1, got {self.K!r}")
+        positive(self.gamma, "FSD concentration gamma")
+        integer(self.K, "FSD dimension K")
 
 
 @dataclass(frozen=True)

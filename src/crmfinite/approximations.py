@@ -36,6 +36,7 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
+from .checks import integer, positive, real
 from .measures import (
     ApproxIndicator,
     Family,
@@ -78,31 +79,28 @@ _KS_RETEST_P = 1e-6
 # numeric AIFA configuration
 # ---------------------------------------------------------------------------
 
-def _default_b(K):
-    return 1.0 / K
+_WIDTH_RULES = {"1/K": lambda K: 1.0 / K, "1/sqrt(K)": lambda K: 1.0 / math.sqrt(K)}
 
 
 class AifaConfig:
     """Approximation level K of spec, with shift a and indicator width b_K.
 
-    Defaults are a = 1, b_K = 1/K, smoothed indicator.  ``b`` may be a number
-    or a rule K -> width.  The normalizer, piece masses and inverse-CDF table
-    are built on first use and cached; treat instances as immutable.
+    Defaults are a = 1, b_K = 1/K, smoothed indicator.  ``b`` may be a number,
+    a rule K -> width, or the name of one: "1/K" or "1/sqrt(K)".  The
+    normalizer, piece masses and inverse-CDF table are built on first use and
+    cached; treat instances as immutable.
     """
 
     def __init__(self, spec: RateMeasureSpec, K: int, a: float = 1.0, b=None,
                  indicator_kind: IndicatorKind = IndicatorKind.SMOOTHED):
-        if K < 1:
-            raise ValueError(f"approximation level K must be >= 1, got {K}")
-        if not a > 0:
-            raise ValueError(f"shift a must be positive, got {a}")
         self.spec = spec
-        self.K = int(K)
-        self.a = float(a)
-        rule = _default_b if b is None else b
-        self.b = float(rule(K)) if callable(rule) else float(rule)
-        if not self.b > 0:
-            raise ValueError(f"indicator width b_K must be positive, got {self.b}")
+        self.K = _check_level(K)
+        self.a = positive(a, "shift a")
+        rule = "1/K" if b is None else b
+        rule = _WIDTH_RULES.get(rule, rule) if isinstance(rule, str) else rule
+        if isinstance(rule, str):
+            raise ValueError(f"indicator width b must be a number, '1/K' or '1/sqrt(K)', got {b!r}")
+        self.b = positive(rule(self.K) if callable(rule) else rule, "indicator width b_K")
         self.indicator = ApproxIndicator(IndicatorKind(indicator_kind), self.b)
         self.c = small_weight_coefficient(spec)
         self.eps = self.c / self.K  # exponent c/K near zero
@@ -457,35 +455,34 @@ def closed_form_log_density(dist: WeightDistribution, theta):
 
 
 def _check_level(K):
-    if int(K) < 1:
-        raise ValueError(f"approximation level K must be >= 1, got {K}")
-    return int(K)
+    return integer(K, "approximation level K")
 
 
 def bondesson(gamma, alpha, K) -> WeightDistribution:
-    if alpha < 1:
+    if positive(alpha, "alpha") < 1:
         raise ValueError(f"the Bondesson construction requires alpha >= 1, got {alpha}")
     return WeightDistribution(WeightKind.BONDESSON, _check_level(K),
-                              {"gamma": float(gamma), "alpha": float(alpha)})
+                              {"gamma": positive(gamma, "gamma"), "alpha": float(alpha)})
 
 
 def beta_stick_breaking(gamma, alpha, K) -> WeightDistribution:
-    return WeightDistribution(WeightKind.BETA_STICK_BREAKING, _check_level(K),
-                              {"gamma": float(gamma), "alpha": float(alpha)})
+    params = {"gamma": positive(gamma, "gamma"), "alpha": positive(alpha, "alpha")}
+    return WeightDistribution(WeightKind.BETA_STICK_BREAKING, _check_level(K), params)
 
 
 def tsb(alpha, K) -> WeightDistribution:
-    return WeightDistribution(WeightKind.TSB, _check_level(K), {"alpha": float(alpha)})
+    return WeightDistribution(WeightKind.TSB, _check_level(K), {"alpha": positive(alpha, "alpha")})
 
 
 def fsd(gamma, K) -> WeightDistribution:
-    return WeightDistribution(WeightKind.FSD, _check_level(K), {"gamma": float(gamma)})
+    return WeightDistribution(WeightKind.FSD, _check_level(K), {"gamma": positive(gamma, "gamma")})
 
 
 def bfry(gamma, d, K) -> WeightDistribution:
-    if not 0 < d < 1:
+    if not 0 < real(d, "BFRY discount d") < 1:
         raise ValueError(f"BFRY discount must lie in (0, 1), got {d}")
-    return WeightDistribution(WeightKind.BFRY, _check_level(K), {"gamma": float(gamma), "d": float(d)})
+    return WeightDistribution(WeightKind.BFRY, _check_level(K),
+                              {"gamma": positive(gamma, "gamma"), "d": float(d)})
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@
 Every subcommand reads a JSON config, derives all randomness from a single
 64-bit master seed (env BNP_SEED > --seed flag > config "seed"), writes its
 outputs plus a manifest.json into --out, and exits 0 only if every requested
-check passed (1: a check failed, 2: bad config or data, 3: the run crashed).
+check passed (1: a check failed).  A run first parses: it builds every model,
+distribution, count and data grid it needs before it draws or writes.  A
+config object's fields are the parameters of the constructor that builds it
+(required where it has no default), numbers are finite and seeds integers;
+bad input raises ConfigError, the one exception that exits 2, with the
+manifest as the only output.  Anything raised after parsing exits 3.
 Replicates run on independent Philox streams derived as
 split(master, replicate); files are written atomically (tmp + rename) and
 merged in replicate order, so outputs are byte-identical for identical
@@ -15,7 +20,9 @@ status: ok, check_failed, config_error or crashed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -30,7 +37,6 @@ from .analysis import (
     DPSource,
     FSDSource,
     POISSON_MEAN_MAX,
-    PartitionComposition,
     all_compositions,
     binom_poisson_lower_constant,
     eppf,
@@ -39,8 +45,6 @@ from .analysis import (
 )
 from .approximations import (
     AifaConfig,
-    WeightDistribution,
-    WeightKind,
     aifa_closed_form,
     aifa_numeric,
     beta_stick_breaking,
@@ -50,30 +54,42 @@ from .approximations import (
     sample_weights,
     tsb,
 )
+from .checks import integer, real
 from .inference import (
     CHAIN_STATS,
     LinearGaussianModel,
+    check_prior,
     generate_synthetic,
     impute_heldout_locals,
     predictive_log_likelihood,
     run_chain,
 )
 from .marginals import (
-    ExpFamilyModel,
-    ModelKind,
+    beta_bernoulli,
+    beta_negative_binomial,
     check_condition_1,
     condition_preset,
+    gamma_poisson,
     generic_condition_bounds,
     simulate_allocation,
 )
-from .measures import IndicatorKind, RateMeasureSpec
+from .measures import RateMeasureSpec
 from .rng import derive_rng
 
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(Exception):
+    """Bad input, found while parsing and before any work: the run exits 2."""
+
+
+@contextlib.contextmanager
+def _rejecting(where=None):
+    """Re-raise a ValueError, TypeError, KeyError or OSError as a ConfigError naming where."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def _require_keys(obj, required, optional=(), where="config"):
@@ -85,11 +101,65 @@ def _require_keys(obj, required, optional=(), where="config"):
         raise ConfigError(f"missing fields in {where}: {sorted(missing)}")
 
 
+def _build(fn, obj, where, **given):
+    """``fn(**obj, **given)`` for a JSON object whose fields are fn's other parameters,
+    required where fn gives no default; a ValueError, TypeError or KeyError from fn
+    becomes a ConfigError naming ``where``.  ``fn`` may be a {kind: constructor}
+    table, from which obj's "kind" field picks the constructor."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    if isinstance(fn, dict):
+        obj = dict(obj)
+        kind = obj.pop("kind", None)
+        if kind not in list(fn):
+            raise ConfigError(f"{where} kind must be one of {sorted(fn)}, got {kind!r}")
+        fn = fn[kind]
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in given]
+    _require_keys(obj, {p.name for p in params if p.default is p.empty},
+                  {p.name for p in params if p.default is not p.empty}, where)
+    with _rejecting(where):
+        return fn(**obj, **given)
+
+
 def _integer(value, field, floor=1):
-    """A count from a config or flag: a JSON integer (not a bool) >= floor."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
-        raise ConfigError(f"{field} must be an integer >= {floor}, got {value!r}")
-    return value
+    """A count from a config or flag: an integer (not a bool) >= floor."""
+    with _rejecting():
+        return integer(value, field, floor)
+
+
+def _counts(value, field, distinct=1):
+    """A list of integers >= 1 holding at least ``distinct`` different values."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list, got {value!r}")
+    counts = [_integer(v, f"{field} entries") for v in value]
+    if len(set(counts)) < distinct:
+        raise ConfigError(f"{field} must hold at least {distinct} different integers, "
+                          f"got {value!r}")
+    return counts
+
+
+def _check_finite(value, path=""):
+    """Reject NaN and +-Infinity anywhere in a parsed JSON value, naming its path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value}")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_finite(item, f"{path}[{key}]" if isinstance(key, int)
+                          else f"{path}.{key}" if path else key)
+
+
+def _master_seed(config, flag):
+    """BNP_SEED, else --seed, else the config's seed, masked to 64 bits.  Each
+    one given must be an integer, even where another overrides it."""
+    with _rejecting("BNP_SEED"):
+        env = int(os.environ["BNP_SEED"]) if os.environ.get("BNP_SEED") else None
+    own = config.get("seed")
+    if own is not None and (isinstance(own, bool) or not isinstance(own, int)):
+        raise ConfigError(f"config seed must be an integer, got {own!r}")
+    seed = next((s for s in (env, flag, own) if s is not None), None)
+    if seed is None:
+        raise ConfigError("no seed: set BNP_SEED, --seed, or config.seed")
+    return seed & (2**64 - 1)
 
 
 def _write_atomic(path, text, lines=()):
@@ -117,47 +187,25 @@ def _by_replicate(tables):
             *(np.concatenate(cols) for cols in zip(*tables)))
 
 
-def _model_from_config(obj) -> ExpFamilyModel:
-    _require_keys(obj, {"kind"}, {"gamma", "alpha", "lam", "r"}, "model")
-    kind = ModelKind(obj["kind"])
-    from .marginals import beta_bernoulli, beta_negative_binomial, gamma_poisson
-    if kind is ModelKind.BETA_BERNOULLI:
-        return beta_bernoulli(obj["gamma"], obj["alpha"])
-    if kind is ModelKind.GAMMA_POISSON:
-        return gamma_poisson(obj["gamma"], obj["lam"])
-    return beta_negative_binomial(obj["gamma"], obj["alpha"], obj["r"])
+def _spec(family, gamma, discount, extras):
+    """A RateMeasureSpec from its JSON form."""
+    return RateMeasureSpec(family, gamma, discount, **extras)
 
 
-def _indicator_width(b, K):
-    """AIFA width b_K from a config value: a number, null (1/K) or a rule name."""
-    rules = {"1/K": 1.0 / K, "1/sqrt(K)": 1.0 / math.sqrt(K)}
-    if isinstance(b, str) and b not in rules:
-        raise ConfigError(f"unknown indicator width rule {b!r}; use a number, '1/K' or '1/sqrt(K)'")
-    return rules[b] if isinstance(b, str) else b
+def _aifa_numeric(spec, K, a=1.0, b=None, indicator="smoothed"):
+    return aifa_numeric(AifaConfig(_build(_spec, spec, "spec"), K, a, b, indicator))
 
 
-def weight_distribution_from_config(obj) -> WeightDistribution:
-    """Friendlier construction payload than the raw serialized form."""
-    _require_keys(obj, {"kind", "K"},
-                  {"gamma", "alpha", "d", "spec", "a", "b", "indicator"}, "distribution")
-    kind = WeightKind(obj["kind"])
-    K = _integer(obj["K"], "K")
-    if kind is WeightKind.AIFA_NUMERIC:
-        spec = RateMeasureSpec.from_json(obj["spec"])
-        cfg = AifaConfig(spec, K, a=obj.get("a", 1.0), b=_indicator_width(obj.get("b"), K),
-                         indicator_kind=IndicatorKind(obj.get("indicator", "smoothed")))
-        return aifa_numeric(cfg)
-    if kind is WeightKind.AIFA_CLOSED_FORM:
-        return aifa_closed_form(RateMeasureSpec.from_json(obj["spec"]), K)
-    if kind is WeightKind.BONDESSON:
-        return bondesson(obj["gamma"], obj["alpha"], K)
-    if kind is WeightKind.BETA_STICK_BREAKING:
-        return beta_stick_breaking(obj["gamma"], obj["alpha"], K)
-    if kind is WeightKind.TSB:
-        return tsb(obj["alpha"], K)
-    if kind is WeightKind.FSD:
-        return fsd(obj["gamma"], K)
-    return bfry(obj["gamma"], obj["d"], K)
+def _aifa_closed_form(spec, K):
+    return aifa_closed_form(_build(_spec, spec, "spec"), K)
+
+
+# the fields of each kind are the parameters of its constructor
+_WEIGHT_KINDS = {"aifa_numeric": _aifa_numeric, "aifa_closed_form": _aifa_closed_form,
+                 "bondesson": bondesson, "beta_stick_breaking": beta_stick_breaking,
+                 "tsb": tsb, "fsd": fsd, "bfry": bfry}
+_MODEL_KINDS = {"beta_bernoulli": beta_bernoulli, "gamma_poisson": gamma_poisson,
+                "beta_neg_binomial": beta_negative_binomial}
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +214,7 @@ def weight_distribution_from_config(obj) -> WeightDistribution:
 
 def cmd_sample_prior(config, out, seed, replicates):
     _require_keys(config, {"distribution"}, {"seed"}, "sample-prior config")
-    dist = weight_distribution_from_config(config["distribution"])
+    dist = _build(_WEIGHT_KINDS, config["distribution"], "distribution")
 
     def one(rep):
         rng = derive_rng(seed, rep)
@@ -194,9 +242,13 @@ def cmd_sample_prior(config, out, seed, replicates):
 
 def cmd_marginal_sim(config, out, seed, replicates):
     _require_keys(config, {"model", "N", "source"}, {"K", "seed"}, "marginal-sim config")
-    model = _model_from_config(config["model"])
+    model = _build(_MODEL_KINDS, config["model"], "model")
     N, source, K = _integer(config["N"], "N"), config["source"], config.get("K")
     K = None if K is None else _integer(K, "K")
+    if source not in ("target", "aifa"):
+        raise ConfigError(f"source must be 'target' or 'aifa', got {source!r}")
+    if source == "aifa" and K is None:
+        raise ConfigError("source 'aifa' needs an approximation level K")
 
     allocs = [simulate_allocation(model, N, derive_rng(seed, rep), source=source, K=K)
               for rep in range(replicates)]
@@ -214,22 +266,19 @@ def cmd_marginal_sim(config, out, seed, replicates):
 def cmd_check_conditions(config, out, seed, replicates):
     _require_keys(config, {"model", "n_max", "K_set"}, {"constants", "seed"},
                   "check-conditions config")
-    model = _model_from_config(config["model"])
-    if "constants" in config:
-        c = config["constants"]
-        _require_keys(c, {"C1"}, {"C2", "C3", "C4", "C5"}, "constants")
-        bounds = generic_condition_bounds(c["C1"], c.get("C2", 0.0), c.get("C3", 0.0),
-                                          c.get("C4", 0.0), c.get("C5", 0.0))
-    else:
-        bounds = condition_preset(model)
-    report = check_condition_1(model, bounds, config["n_max"], config["K_set"])
+    model = _build(_MODEL_KINDS, config["model"], "model")
+    bounds = (_build(generic_condition_bounds, config["constants"], "constants")
+              if "constants" in config else condition_preset(model))
+    n_max, K_set = _integer(config["n_max"], "n_max", 2), _counts(config["K_set"], "K_set")
+    report = check_condition_1(model, bounds, n_max, K_set)
     _write_atomic(os.path.join(out, "report.json"), json.dumps(report, indent=2))
     return bool(report["pass"]), {"pass": report["pass"], "bounds": bounds.name}
 
 
 def cmd_bounds_table(config, out, seed, replicates):
     _require_keys(config, {"gamma", "K_max"}, {"K_min", "seed"}, "bounds-table config")
-    gamma = float(config["gamma"])
+    with _rejecting():
+        gamma = real(config["gamma"], "gamma")
     if not 0 < gamma <= POISSON_MEAN_MAX:
         raise ConfigError(f"gamma must lie in (0, {POISSON_MEAN_MAX:.4f}] (e^-gamma must be a "
                           f"normal double), got {config['gamma']!r}")
@@ -253,9 +302,11 @@ def cmd_bounds_table(config, out, seed, replicates):
 
 def cmd_eppf_convergence(config, out, seed, replicates):
     _require_keys(config, {"alpha", "N", "K_set"}, {"seed"}, "eppf-convergence config")
-    alpha, N = float(config["alpha"]), _integer(config["N"], "N")
-    K_set = sorted(_integer(k, "K_set entries") for k in config["K_set"])
-    dp, fsds = DPSource(alpha), [FSDSource(alpha, K) for K in K_set]
+    # a slope needs two K
+    N, K_set = _integer(config["N"], "N"), sorted(_counts(config["K_set"], "K_set", 2))
+    with _rejecting():
+        alpha = real(config["alpha"], "alpha")
+        dp, fsds = DPSource(alpha), [FSDSource(alpha, K) for K in K_set]
     comps = all_compositions(N)
     names = ["+".join(str(s) for s in comp.sizes) for comp in comps]
     p_dp = np.array([float(eppf(dp, comp)) for comp in comps])
@@ -276,17 +327,9 @@ def cmd_eppf_convergence(config, out, seed, replicates):
 
 
 def cmd_make_data(config, out, seed, replicates):
-    _require_keys(config, {"N", "D", "n_features"},
-                  {"activation", "feature_scale", "noise_prec", "weight_prec", "seed"},
-                  "make-data config")
-    rng = derive_rng(seed, 0)
-    y, truth = generate_synthetic(
-        _integer(config["N"], "N"), _integer(config["D"], "D"),
-        _integer(config["n_features"], "n_features", 0), rng,
-        activation=config.get("activation", 0.3),
-        feature_scale=config.get("feature_scale", 1.0),
-        noise_prec=config.get("noise_prec", 4.0),
-        weight_prec=config.get("weight_prec", 1.0))
+    # generate_synthetic checks every parameter before its first draw
+    fields = {k: v for k, v in config.items() if k != "seed"}
+    y, truth = _build(generate_synthetic, fields, "make-data config", rng=derive_rng(seed, 0))
     n, d = y.shape
     _write_csv(os.path.join(out, "data.csv"), ("row", "dim", "value"),
                np.repeat(np.arange(n), d), np.tile(np.arange(d), n), y.ravel())
@@ -298,12 +341,12 @@ def cmd_make_data(config, out, seed, replicates):
 
 def read_data_csv(path) -> np.ndarray:
     """The (row, dim) grid of a row,dim,value CSV after a header line: finite values at
-    non-negative integer indices that name each cell of the grid exactly once."""
+    non-negative integer indices that name each cell of the grid exactly once; else ValueError."""
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if table.shape[0] == 0 or table.shape[1] != 3:
-        raise ConfigError(f"{path}: expected one or more row,dim,value lines after the header")
+        raise ValueError(f"{path}: expected one or more row,dim,value lines after the header")
     if not np.all(np.isfinite(table)):
-        raise ConfigError(f"{path}: {int((~np.isfinite(table)).sum())} non-finite values")
+        raise ValueError(f"{path}: {int((~np.isfinite(table)).sum())} non-finite values")
     rows, dims, values = table.T
     width = dims.max() + 1
     # each cell appears once iff the n flat indices are 0..n-1 and n is whole rows
@@ -311,32 +354,44 @@ def read_data_csv(path) -> np.ndarray:
     order = np.argsort(flat)
     if (np.any(table[:, :2] < 0) or np.any(table[:, :2] % 1) or flat.size % width
             or np.any(flat[order] != np.arange(flat.size))):
-        raise ConfigError(f"{path}: row and dim must be non-negative integers that name each cell "
+        raise ValueError(f"{path}: row and dim must be non-negative integers that name each cell "
                           f"of the (max row + 1) x (max dim + 1) grid exactly once")
     return values[order].reshape(-1, int(width))
+
+
+def _data_grid(path, field, D):
+    """The data grid at the path in a config field, checked to have D columns."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{field} must be a file path, got {path!r}")
+    with _rejecting(field):
+        y = read_data_csv(path)
+    if y.shape[1] != D:
+        raise ConfigError(f"{field}: {path} holds {y.shape[1]}-dim rows, but model D is {D}")
+    return y
 
 
 def cmd_gibbs_run(config, out, seed, replicates):
     _require_keys(config, {"model", "prior_kind", "sweeps", "burnin", "data_path"},
                   {"thin", "heldout_path", "heldout_scans", "seed"}, "gibbs-run config")
-    m = config["model"]
-    _require_keys(m, {"D", "gamma", "alpha", "K"},
-                  {"prec_shape", "prec_rate", "psi_scale"}, "model")
-    model = LinearGaussianModel(
-        D=_integer(m["D"], "D"), gamma=m["gamma"], alpha=m["alpha"], K=_integer(m["K"], "K"),
-        prec_shape=m.get("prec_shape", 1e-6), prec_rate=m.get("prec_rate", 1e-6),
-        psi_scale=m.get("psi_scale"))
+    model = _build(LinearGaussianModel, config["model"], "model")
+    prior = config["prior_kind"]
+    with _rejecting("prior_kind"):
+        check_prior(model, prior)
     sweeps = _integer(config["sweeps"], "sweeps")
     burnin = _integer(config["burnin"], "burnin", 0)
     thin = _integer(config.get("thin", max(1, (sweeps - burnin) // 50)), "thin")
     scans = _integer(config.get("heldout_scans", 5), "heldout_scans", 0)
-    y = read_data_csv(config["data_path"])
-    heldout = read_data_csv(config["heldout_path"]) if config.get("heldout_path") else None
+    heldout_path = config.get("heldout_path")
+    if heldout_path and max(0, sweeps - burnin) // thin == 0:
+        raise ConfigError(f"a heldout_path needs a kept sample, and sweeps={sweeps}, "
+                          f"burnin={burnin}, thin={thin} keep none")
+    y = _data_grid(config["data_path"], "data_path", model.D)
+    heldout = _data_grid(heldout_path, "heldout_path", model.D) if heldout_path else None
 
     def one(rep):
         rng = derive_rng(seed, rep)
         state, samples, stats = run_chain(model, y, sweeps, rng,
-                                          prior=config["prior_kind"], burnin=burnin, thin=thin)
+                                          prior=prior, burnin=burnin, thin=thin)
         pll = None
         if heldout is not None:
             eval_samples = [impute_heldout_locals(s, heldout, model, rng, scans=scans)
@@ -361,7 +416,7 @@ def cmd_gibbs_run(config, out, seed, replicates):
         }
         _write_atomic(os.path.join(out, f"state_{rep:04d}.json"), json.dumps(checkpoint))
     plls = [pll for *_, pll in results if pll is not None]
-    summary = {"prior_kind": config["prior_kind"], "sweeps": sweeps, "burnin": burnin,
+    summary = {"prior_kind": prior, "sweeps": sweeps, "burnin": burnin,
                "thin": thin, "replicates": replicates,
                "predictive_log_likelihood": plls or None,
                "degenerate_draws": [state.degenerate_draws for state, *_ in results]}
@@ -372,11 +427,16 @@ def cmd_gibbs_run(config, out, seed, replicates):
 def cmd_compare_ifa(config, out, seed, replicates):
     _require_keys(config, {"spec", "K", "draws"}, {"a_grid", "b_grid", "seed"},
                   "compare-ifa config")
-    spec = RateMeasureSpec.from_json(config["spec"])
+    spec = _build(_spec, config["spec"], "spec")
     K, draws = _integer(config["K"], "K"), _integer(config["draws"], "draws")
     if draws < K:
         raise ConfigError(f"draws must cover at least one K-vector (K={K})")
-    grid = [(a, b) for a in config.get("a_grid", [1.0]) for b in config.get("b_grid", ["1/K"])]
+    # one stream per construction: the AIFA (a, b) grid in order, then BFRY
+    with _rejecting("a_grid and b_grid"):
+        grid = [(a, b) for a in config.get("a_grid", [1.0]) for b in config.get("b_grid", ["1/K"])]
+        dists = [aifa_numeric(AifaConfig(spec, K, a=a, b=b)) for a, b in grid]
+    with _rejecting("spec"):
+        dists.append(bfry(spec.gamma, spec.discount, K))
 
     def mean_active(dist, stream):
         # 50k draws per call: bigger batches leave the heap fragmented and
@@ -388,9 +448,6 @@ def cmd_compare_ifa(config, out, seed, replicates):
             total += (rng.random(w.shape) < w).sum()
         return total / n_vec
 
-    # one stream per construction: the AIFA (a, b) grid in order, then BFRY
-    dists = [aifa_numeric(AifaConfig(spec, K, a=float(a), b=_indicator_width(b, K)))
-             for a, b in grid] + [bfry(spec.gamma, spec.discount, K)]
     values = [mean_active(dist, stream) for stream, dist in enumerate(dists)]
     _write_csv(os.path.join(out, "compare.csv"), ("name", "args", "value"),
                ["aifa_mean_active"] * len(grid) + ["bfry_mean_active"],
@@ -427,22 +484,16 @@ def main(argv=None) -> int:
     config = seed = None
     try:
         os.makedirs(args.out, exist_ok=True)
-        with open(args.config) as fh:
+        with _rejecting("--config"), open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        seed = config.get("seed")
-        if args.seed is not None:
-            seed = args.seed
-        if os.environ.get("BNP_SEED"):
-            seed = int(os.environ["BNP_SEED"])
-        if seed is None:
-            raise ConfigError("no seed: set BNP_SEED, --seed, or config.seed")
-        seed = int(seed) & (2**64 - 1)
+        _check_finite(config)
+        seed = _master_seed(config, args.seed)
         replicates = _integer(args.replicates, "--replicates")
         ok, summary = _COMMANDS[args.command](config, args.out, seed, replicates)
         status, code, message = ("ok", 0, None) if ok else ("check_failed", 1, {"failures": summary})
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         status, code, message = "config_error", 2, {"error": type(exc).__name__, "detail": str(exc)}
     except Exception as exc:  # a crash: the traceback, then the one-line JSON error
         traceback.print_exc()

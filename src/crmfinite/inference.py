@@ -32,9 +32,12 @@ from functools import partial
 import numpy as np
 from scipy import special
 
+from .checks import integer, positive, real
+
 __all__ = [
     "LinearGaussianModel",
     "GibbsState",
+    "check_prior",
     "init_state",
     "aifa_tau_conditional",
     "sample_truncated_beta",
@@ -71,13 +74,13 @@ class LinearGaussianModel:
     psi_scale: float = None    # ground-measure variance; default 1/D
 
     def __post_init__(self):
-        for name in ("D", "gamma", "alpha", "K", "prec_shape", "prec_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        integer(self.D, "D")
+        integer(self.K, "K")
+        for name in ("gamma", "alpha", "prec_shape", "prec_rate"):
+            positive(getattr(self, name), name)
         if self.psi_scale is None:
             object.__setattr__(self, "psi_scale", 1.0 / self.D)
-        if not self.psi_scale > 0:
-            raise ValueError("psi_scale must be positive")
+        positive(self.psi_scale, "psi_scale")
 
 
 @dataclass
@@ -103,16 +106,21 @@ class GibbsState:
         return (self.x * self.w) @ self.psi
 
 
+def check_prior(model: LinearGaussianModel, prior):
+    """Raise ValueError unless ``prior`` names a Gibbs path for ``model``."""
+    if prior not in ("aifa", "bondesson_tfa"):
+        raise ValueError(f"unknown prior {prior!r}; use 'aifa' or 'bondesson_tfa'")
+    if prior == "bondesson_tfa" and model.alpha != 1.0:
+        raise ValueError("the truncation prior has a Gibbs path only for alpha = 1")
+
+
 def _sample_prior_tau(model, prior, rng):
+    check_prior(model, prior)
     K = model.K
     if prior == "aifa":
         tau = rng.beta(model.gamma * model.alpha / K, model.alpha, size=K)
-    elif prior == "bondesson_tfa":
-        if model.alpha != 1.0:
-            raise ValueError("the truncation prior has a Gibbs path only for alpha = 1")
-        tau = np.cumprod(rng.beta(model.gamma, 1.0, size=K))
     else:
-        raise ValueError(f"unknown prior {prior!r}")
+        tau = np.cumprod(rng.beta(model.gamma, 1.0, size=K))
     return np.clip(tau, 1e-300, 1.0 - 1e-16)
 
 
@@ -388,7 +396,17 @@ def generate_synthetic(N, D, n_features, rng, activation=0.3, feature_scale=1.0,
 
     Returns (y, truth) where truth holds the generating psi, x, w and
     precisions; the generator doubles as the oracle in recovery tests.
+    Every parameter is checked before the first draw.
     """
+    integer(N, "N")
+    integer(D, "D")
+    integer(n_features, "n_features", 0)
+    if not 0 <= real(activation, "activation") <= 1:
+        raise ValueError(f"activation must lie in [0, 1], got {activation!r}")
+    if real(feature_scale, "feature_scale") < 0:
+        raise ValueError(f"feature_scale must be >= 0, got {feature_scale!r}")
+    positive(noise_prec, "noise_prec")
+    positive(weight_prec, "weight_prec")
     psi = rng.normal(0.0, feature_scale, size=(n_features, D))
     x = (rng.random((N, n_features)) < activation).astype(np.int8)
     w = rng.normal(0.0, 1.0 / math.sqrt(weight_prec), size=(N, n_features))

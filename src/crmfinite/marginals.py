@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .checks import integer, positive, real
 from .measures import Family, RateMeasureSpec
 
 __all__ = [
@@ -455,7 +456,10 @@ class Condition1Bounds:
 
 
 def generic_condition_bounds(C1, C2=0.0, C3=0.0, C4=0.0, C5=0.0) -> Condition1Bounds:
-    """The literal five-constant parametrization of the condition."""
+    """The literal five-constant parametrization of the condition: finite, C1 > 0."""
+    positive(C1, "C1")
+    for name, value in zip(("C2", "C3", "C4", "C5"), (C2, C3, C4, C5)):
+        real(value, name)
     return Condition1Bounds(
         name=f"generic(C1={C1},C2={C2},C3={C3},C4={C4},C5={C5})",
         rhs1=lambda n: C1 / (n - 1 + C1),
@@ -613,21 +617,14 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     produce failure entries in the report, never exceptions; an n_max or
     K_set out of range raises ValueError.
     """
-    def is_int(v, lo):
-        return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= lo
-
-    if not is_int(n_max, 2):
-        raise ValueError(f"n_max must be an integer >= 2 (inequality 3 needs n >= 2), "
-                         f"got {n_max!r}")
-    if not (isinstance(K_set, (list, tuple, np.ndarray)) and len(K_set)
-            and all(is_int(K, 1) for K in K_set)):
+    n_max = integer(n_max, "n_max (inequality 3 needs n >= 2)", 2)
+    if not (isinstance(K_set, (list, tuple, np.ndarray)) and len(K_set)):
         raise ValueError(f"K_set must be a non-empty list of integers >= 1, got {K_set!r}")
-    K_set = sorted(K_set)
-    n_arr = np.arange(1, int(n_max) + 1, dtype=float)
+    K_set = sorted(integer(K, "K_set entries") for K in K_set)
+    n_arr = np.arange(1, n_max + 1, dtype=float)
     grace = 1e-12
-    report = {"model": model.kind.value, "bounds": bounds.name, "n_max": int(n_max),
-              "K_set": [int(K) for K in K_set],
-              "history_scan": list(_HISTORY_SCAN), "inequalities": []}
+    report = {"model": model.kind.value, "bounds": bounds.name, "n_max": n_max,
+              "K_set": K_set, "history_scan": list(_HISTORY_SCAN), "inequalities": []}
 
     def record(idx, slack_arr, n_of, K=None, extra=None):
         worst = int(np.argmin(slack_arr))

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .checks import positive, real
+
 __all__ = [
     "Family",
     "RateMeasureSpec",
@@ -75,19 +77,15 @@ class RateMeasureSpec:
 
     def __init__(self, family, gamma, discount, **extras):
         object.__setattr__(self, "family", Family(family))
-        object.__setattr__(self, "gamma", float(gamma))
-        object.__setattr__(self, "discount", float(discount))
+        object.__setattr__(self, "gamma", positive(gamma, "mass gamma"))
+        object.__setattr__(self, "discount", real(discount, "discount"))
         keys = _EXTRA_KEYS[self.family]
         if set(extras) != set(keys):
             raise ValueError(f"{self.family.value} spec needs extras {keys}, got {tuple(extras)}")
-        object.__setattr__(self, "extras", tuple((k, float(extras[k])) for k in keys))
-        if not self.gamma > 0:
-            raise ValueError(f"mass gamma must be positive, got {self.gamma}")
+        object.__setattr__(self, "extras", tuple(
+            (k, positive(extras[k], f"{self.family.value} extra {k}")) for k in keys))
         if not 0 <= self.discount < 1:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
-        for name, value in self.extras:
-            if not value > 0:
-                raise ValueError(f"{self.family.value} extra {name} must be positive, got {value}")
 
     def extra(self, name: str) -> float:
         return dict(self.extras)[name]

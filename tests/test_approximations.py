@@ -287,6 +287,29 @@ def test_bondesson_requires_alpha_geq_one():
         bondesson(1.0, 0.5, 10)
 
 
+@pytest.mark.parametrize("K", [2.5, True, "3", None])
+def test_level_must_be_an_integer(K):
+    for build in (lambda: bondesson(1.0, 1.0, K), lambda: fsd(1.0, K),
+                  lambda: AifaConfig(beta_process(1.0, 1.0), K)):
+        with pytest.raises(ValueError, match="approximation level K"):
+            build()
+    assert fsd(1.0, np.int64(3)).K == 3  # numpy integers stay accepted
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: bondesson(v, 1.5, 3), "gamma"), (lambda v: bondesson(1.0, v, 3), "alpha"),
+    (lambda v: beta_stick_breaking(v, 1.0, 3), "gamma"),
+    (lambda v: beta_stick_breaking(1.0, v, 3), "alpha"),
+    (lambda v: tsb(v, 3), "alpha"), (lambda v: fsd(v, 2), "gamma"),
+    (lambda v: bfry(v, 0.5, 3), "gamma"),
+], ids=["bondesson-gamma", "bondesson-alpha", "stick-gamma", "stick-alpha", "tsb-alpha",
+        "fsd-gamma", "bfry-gamma"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan, True, "1.0"])
+def test_weight_laws_reject_bad_mass_and_concentration(build, name, value):
+    with pytest.raises(ValueError, match=name):
+        build(value)
+
+
 def test_bondesson_expectation_ratio():
     # E[theta_{k+1}]/E[theta_k] = gamma*alpha/(1 + gamma*alpha) exactly
     gamma, alpha, K, reps = 1.0, 2.0, 6, 60_000

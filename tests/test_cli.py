@@ -1,11 +1,16 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crmfinite
 from crmfinite import cli
@@ -185,18 +190,83 @@ _GIBBS = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3}, "prior_kind": "
     ("gibbs-run", dict(_GIBBS, burnin=-1), "burnin"),
     ("gibbs-run", dict(_GIBBS, thin=0), "thin"),
     ("gibbs-run", dict(_GIBBS, heldout_scans=2.5), "heldout_scans"),
+    # a kind's fields are its constructor's parameters; numbers are finite
+    ("sample-prior", {"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0, "alpha": 5}},
+     "alpha"),
+    ("marginal-sim", {"model": dict(_GP_MODEL, alpha=1.0), "N": 10, "source": "target"},
+     "alpha"),
+    ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [10],
+                          "constants": {"C1": "x"}}, "C1"),
+    ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], prec_shape=float("inf"))),
+     "model.prec_shape"),
+    # checks that would otherwise fire only after the run has started
+    ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], D=3)), "D"),
+    ("gibbs-run", dict(_GIBBS, prior_kind="bogus"), "prior_kind"),
+    ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [4]}, "K_set"),
+    ("gibbs-run", dict(_GIBBS, burnin=4, heldout_path="data.csv"), "sweeps=4, burnin=4"),
 ], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
         "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1",
         "prior-K=2.5", "prior-K=true", "marginal-K=7.5", "marginal-N=2.5", "eppf-N=3.5",
         "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
         "compare-K=5.5", "compare-draws=1e5", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
-        "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5"])
-def test_table_configs_rejected_at_boundary(tmp_path, capsys, command, config, field):
+        "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5",
+        "fsd-alpha", "gamma_poisson-alpha", "constants-C1='x'", "gibbs-prec_shape=inf",
+        "gibbs-D=3-vs-2-dim-data", "gibbs-prior_kind=bogus", "eppf-K_set=[4]",
+        "gibbs-burnin=sweeps-heldout"])
+def test_table_configs_rejected_at_boundary(tmp_path, capsys, monkeypatch, command, config,
+                                            field):
+    # the _GIBBS paths name a 2 x 2 grid in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("row,dim,value\n0,0,1.5\n0,1,2.0\n1,0,0.5\n1,1,2.0\n")
     code, out = run(tmp_path, command, config, name="range")
     assert code == 2
     detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["detail"]
     assert field in detail
     assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
+
+
+@pytest.mark.parametrize("seed", [2.7, True])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0},
+                               "seed": seed}))
+    assert main(["sample-prior", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "config seed" in err["detail"]
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_env_seed_must_be_an_integer(tmp_path, capsys):
+    config = {"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}}
+    code, out = run(tmp_path, "sample-prior", config, env={"BNP_SEED": "abc"})
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "BNP_SEED" in err["detail"]
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["bounds-table", "--config", str(tmp_path / "absent.json"), "--seed", "1",
+                 "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "--config" in err["detail"]
+    assert os.listdir(out) == ["manifest.json"]
+
+
+def test_value_error_while_running_exits_3(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("walk failed")
+
+    monkeypatch.setattr(cli, "simulate_allocation", boom)
+    code, out = run(tmp_path, "marginal-sim", {"model": _GP_MODEL, "N": 10, "source": "target"})
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": "ValueError",
+                                                         "detail": "walk failed"}
+    assert json.loads((out / "manifest.json").read_text())["status"] == "crashed"
 
 
 @pytest.mark.parametrize("replicates", [-5, 0])
@@ -224,7 +294,7 @@ def test_eppf_convergence_rejects_bad_alpha(tmp_path, capsys):
                     {"alpha": -1, "N": 3, "K_set": [4, 16]}, name="negalpha")
     assert code == 2
     err = capsys.readouterr().err
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
     assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
     assert not (out / "eppf.csv").exists()
 
@@ -423,3 +493,62 @@ def test_compare_ifa_samples_k_above_one_batch(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary) == {"aifa(a=1.0,b=1/K)", "bfry"}
     assert all(np.isfinite(v) and v > 0 for v in summary.values())
+
+
+# Values a mutation may set.  No value here makes a count or size larger than
+# in the golden configs, so no mutant can allocate or run without bound.
+_MUTANTS = ("x", None, True, 0, -1, 2.5, math.nan, math.inf, [])
+
+
+def _paths(node, path=()):
+    """The path of every dict field and list entry below a JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.fixture(scope="module")
+def golden_data(tmp_path_factory):
+    config = next(config for name, _, config, _ in _GOLDEN_RUNS if name == "data")
+    code, out = run(tmp_path_factory.mktemp("data"), "make-data", config)
+    assert code == 0
+    return str(out / "data.csv")
+
+
+# about 740 distinct mutants: the search stops once it has run every one
+# (about 6 s on a 2-core box)
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_golden_configs_are_run_or_rejected_by_name(tmp_path_factory, golden_data, data):
+    _, command, config, replicates = data.draw(st.sampled_from(_GOLDEN_RUNS), label="run")
+    if command == "gibbs-run":
+        config = dict(config, data_path=golden_data, heldout_path=golden_data)
+    config, paths = copy.deepcopy(config), list(_paths(config))
+    op = data.draw(st.sampled_from(["delete", "set", "add"]), label="op")
+    if op == "add":
+        holders = [()] + [p for p in paths if isinstance(_at(config, p), dict)]
+        path = data.draw(st.sampled_from(holders), label="holder") + ("unknown_field",)
+        _at(config, path[:-1])["unknown_field"] = 1
+    else:
+        path = data.draw(st.sampled_from(paths), label="path")
+        if op == "delete":
+            del _at(config, path[:-1])[path[-1]]
+        else:
+            _at(config, path[:-1])[path[-1]] = data.draw(st.sampled_from(_MUTANTS), label="value")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(tmp_path_factory.mktemp("mutant"), command, config, replicates=replicates)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        detail = json.loads(err.getvalue().strip().splitlines()[-1])["detail"]
+        names = [key for key in path if isinstance(key, str)]
+        assert any(name in detail for name in names[-2:]), (path, detail)  # field or holder
+        assert os.listdir(out) == ["manifest.json"]

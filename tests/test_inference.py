@@ -415,3 +415,23 @@ def test_model_validation():
         LinearGaussianModel(D=2, gamma=-1, alpha=1, K=2)
     with pytest.raises(ValueError):
         init_state(MODEL, 5, derive_rng(0, 0), "bogus")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("D", 2.0), ("K", 2.5), ("K", True), ("gamma", math.inf), ("alpha", math.inf),
+    ("prec_shape", math.inf), ("prec_rate", True), ("psi_scale", math.inf)])
+def test_model_fields_must_be_integers_or_finite_positive(field, value):
+    fields = {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3, field: value}
+    with pytest.raises(ValueError, match=field):
+        LinearGaussianModel(**fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("activation", 1.5), ("activation", -0.1), ("feature_scale", -1.0), ("noise_prec", -1.0),
+    ("noise_prec", math.inf), ("weight_prec", 0.0), ("N", 2.5), ("n_features", -1)])
+def test_synthetic_data_parameters_checked_before_drawing(field, value):
+    args = {"N": 5, "D": 2, "n_features": 1, field: value}
+    rng = derive_rng(3, 0)
+    with pytest.raises(ValueError, match=field):
+        generate_synthetic(args.pop("N"), args.pop("D"), args.pop("n_features"), rng, **args)
+    assert rng.random() == derive_rng(3, 0).random()  # nothing drawn
