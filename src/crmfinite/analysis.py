@@ -5,10 +5,11 @@ exactly as half the L1 distance on the listed support; the mass a truncated
 pmf leaves unlisted is folded into the reported value, so results stay
 auditable.  The binomial-Poisson distance runs over an array of K at once.
 
-Partition probabilities (EPPFs) are evaluated two ways: an exact sequential
-chain through the urn predictive probabilities (Dirichlet process and finite
-symmetric Dirichlet), and Monte Carlo over sampled weight vectors for any
-normalized finite approximation, cross-validated against the exact route.
+Partition probabilities (EPPFs) have one exact function, ``eppf``, which
+chains the urn predictive probabilities of the Dirichlet process or the
+finite symmetric Dirichlet, and one Monte Carlo function,
+``composition_frequencies``, which tabulates the compositions of copy-step
+urn draws, or of labels drawn from any weight law's normalized weights.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .approximations import WeightDistribution, sample_weights
+from .approximations import sample_weights
 from .checks import integer, positive
-from .marginals import dp_urn_probs, fsd_urn_probs
 
 __all__ = [
     "tv_exact",
@@ -44,11 +43,8 @@ __all__ = [
     "all_compositions",
     "DPSource",
     "FSDSource",
-    "NormalizedAifaSource",
-    "EppfEstimate",
     "eppf",
     "composition_frequencies",
-    "sequence_log_probability",
 ]
 
 _TAIL_TOL = 1e-12
@@ -102,8 +98,7 @@ def tv_exact(p, q):
 
 def growth_function(N, alpha) -> float:
     """C(N, alpha) = sum_{n=1..N} alpha / (n - 1 + alpha)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    integer(N, "N")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     n = np.arange(1, int(N) + 1, dtype=float)
@@ -112,6 +107,8 @@ def growth_function(N, alpha) -> float:
 
 def bondesson_tfa_bound(N, K, gamma, alpha) -> float:
     """N gamma (gamma alpha / (1 + gamma alpha))^K, valid for alpha >= 1."""
+    integer(N, "N")
+    integer(K, "K")
     if alpha < 1:
         raise ValueError("the Bondesson bound requires alpha >= 1")
     return N * gamma * (gamma * alpha / (1.0 + gamma * alpha)) ** K
@@ -119,6 +116,8 @@ def bondesson_tfa_bound(N, K, gamma, alpha) -> float:
 
 def tsb_dp_bound(N, K, alpha) -> float:
     """2 N exp(-(K-1)/alpha) for the truncated stick-breaking approximation."""
+    integer(N, "N")
+    integer(K, "K")
     return 2.0 * N * math.exp(-(K - 1) / alpha)
 
 
@@ -174,7 +173,7 @@ def tv_binom_poisson(K, gamma):
     p(x) = p(x-1) (K-x+1)/x q/(1-q), with q/(1-q) = gamma/K; its mass past X
     is its unlisted mass."""
     K = np.asarray(K)
-    if np.any(K < 1) or np.any(K != np.floor(K)):
+    if K.dtype == bool or np.any(K < 1) or np.any(K != np.floor(K)):
         raise ValueError("K must be an integer >= 1")
     poisson = truncated_poisson(gamma)
     k = K.reshape(-1, 1).astype(float)
@@ -211,14 +210,6 @@ class PartitionComposition:
     @property
     def blocks(self):
         return len(self.sizes)
-
-    def canonical_sequence(self):
-        """Block labels in canonical order: open blocks 1..b, then append
-        block i's remaining n_i - 1 members in block order."""
-        seq = list(range(self.blocks))
-        for i, s in enumerate(self.sizes):
-            seq.extend([i] * (s - 1))
-        return seq
 
 
 def partition_count(comp: PartitionComposition) -> int:
@@ -264,78 +255,31 @@ class FSDSource:
         integer(self.K, "FSD dimension K")
 
 
-@dataclass(frozen=True)
-class NormalizedAifaSource:
-    """Weights from any WeightDistribution, normalized to a random pmf."""
-    dist: WeightDistribution
-
-    @property
-    def K(self):
-        return self.dist.K
-
-
-def _urn_probs(source, counts):
+def eppf(source, comp: PartitionComposition) -> float:
+    """Probability that an N-sample from a DP or FSD source induces one
+    specific set partition with the given block sizes: the urn's predictive
+    probabilities chained in canonical order (open blocks 1..b, then add
+    block i's other n_i - 1 members in block order; exchangeability makes
+    the order irrelevant).  At most K blocks can form under the FSD."""
     if isinstance(source, DPSource):
-        return dp_urn_probs(counts, source.alpha)
-    if isinstance(source, FSDSource):
-        return fsd_urn_probs(counts, source.gamma, source.K)
-    raise ValueError(f"no urn representation for {type(source).__name__}")
-
-
-def sequence_log_probability(source, labels) -> float:
-    """log probability that sequential sampling produces the given block-label
-    sequence (labels are indices 0, 1, ... in order of first appearance)."""
-    counts: list = []
-    logp = 0.0
-    for lab in labels:
-        existing, fresh = _urn_probs(source, np.asarray(counts, dtype=float))
-        if lab == len(counts):
-            if fresh <= 0:
-                return -math.inf
-            logp += math.log(fresh)
-            counts.append(1)
-        elif 0 <= lab < len(counts):
-            logp += math.log(existing[lab])
-            counts[lab] += 1
-        else:
-            raise ValueError("labels must appear in order of first appearance")
-    return logp
-
-
-class EppfEstimate(NamedTuple):
-    value: float
-    stderr: float | None = None
-    wide: bool = False  # Monte Carlo interval too wide to resolve the value
-
-    def __float__(self):
-        return float(self.value)
-
-
-def eppf(source, comp: PartitionComposition, method="exact", reps=None, rng=None):
-    """Probability that an N-sample from the source induces one specific set
-    partition with the given block sizes.
-
-    method="exact": chain the urn predictive probabilities along the canonical
-    sequence (DP and FSD only; exchangeability makes the order irrelevant).
-    method="monte_carlo": sample weight vectors, normalize, draw N labels and
-    divide the induced-composition frequency by the number of partitions with
-    those block sizes; requires ``reps`` and ``rng``.
-    """
-    if method == "exact":
-        if isinstance(source, (FSDSource, NormalizedAifaSource)) and comp.blocks > source.K:
-            return EppfEstimate(0.0, 0.0)  # at most K blocks can ever form
-        return EppfEstimate(math.exp(sequence_log_probability(source, comp.canonical_sequence())))
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
-    if reps is None or rng is None:
-        raise ValueError("monte_carlo needs reps and rng")
-    hits = _composition_frequency(source, comp, int(reps), rng)
-    n_partitions = partition_count(comp)
-    p_comp = hits / reps
-    se_comp = math.sqrt(max(p_comp * (1 - p_comp), 1.0 / reps)) / math.sqrt(reps)
-    value = p_comp / n_partitions
-    stderr = se_comp / n_partitions
-    return EppfEstimate(value, stderr, wide=hits < 100)
+        mass, share = source.alpha, 0.0
+        opening = [mass] * comp.blocks
+    elif isinstance(source, FSDSource):
+        mass, share = source.gamma, source.gamma / source.K
+        opening = [(source.K - j) * share for j in range(comp.blocks)]
+    else:
+        raise ValueError(f"no urn representation for {type(source).__name__}")
+    log_p = 0.0
+    for t, num in enumerate(opening):
+        if num == 0:
+            return 0.0
+        log_p += math.log(num / (t + mass))
+    t = comp.blocks
+    for size in comp.sizes:
+        for c in range(1, size):
+            log_p += math.log((c + share) / (t + mass))
+            t += 1
+    return math.exp(log_p)
 
 
 def _urn_labels(source, N, reps, rng):
@@ -380,11 +324,12 @@ def _tabulate_compositions(labels) -> dict:
 
 def composition_frequencies(source, N, reps, rng) -> dict:
     """One Monte Carlo pass: {composition sizes: hit count} over ``reps``
-    size-N samples from the source (copy-step urn draws for DP and FSD,
-    normalized weight vectors otherwise)."""
+    size-N samples from the source: copy-step urn draws for a DPSource or
+    FSDSource, labels drawn from normalized weight vectors for a
+    WeightDistribution."""
     if isinstance(source, (DPSource, FSDSource)):
         return _tabulate_compositions(_urn_labels(source, N, reps, rng))
-    weights = sample_weights(source.dist, rng, size=reps)
+    weights = sample_weights(source, rng, size=reps)
     totals = weights.sum(axis=1, keepdims=True)
     if not np.all(totals > 0):
         raise ValueError("a sampled weight vector has no atoms to normalize")
@@ -394,6 +339,3 @@ def composition_frequencies(source, N, reps, rng) -> dict:
     # label of a draw = number of cdf entries below its uniform
     return _tabulate_compositions(np.stack([np.searchsorted(c, x) for c, x in zip(cdf, u)]))
 
-
-def _composition_frequency(source, comp, reps, rng):
-    return composition_frequencies(source, comp.N, reps, rng).get(comp.sizes, 0)

@@ -249,6 +249,8 @@ def cmd_marginal_sim(config, out, seed, replicates):
         raise ConfigError(f"source must be 'target' or 'aifa', got {source!r}")
     if source == "aifa" and K is None:
         raise ConfigError("source 'aifa' needs an approximation level K")
+    if source == "target" and K is not None:
+        raise ConfigError(f"source 'target' takes no approximation level K, got {K}")
 
     allocs = [simulate_allocation(model, N, derive_rng(seed, rep), source=source, K=K)
               for rep in range(replicates)]

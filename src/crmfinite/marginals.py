@@ -198,8 +198,7 @@ def target_predictive_pmf(model: ExpFamilyModel, history, x) -> float:
 def approx_predictive_pmf(model: ExpFamilyModel, K, history, x) -> float:
     """Same predictive under the level-K approximation; all-zero histories are
     allowed and govern the dormant atoms."""
-    if K < 1:
-        raise ValueError(f"approximation level K must be >= 1, got {K}")
+    integer(K, "approximation level K")
     history = _check_history(model, history)
     n = history.size + 1
     return float(np.exp(_predictive_logpmf(model, n, history.sum(), model.mass_shift / K, x)))
@@ -344,13 +343,13 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) 
     M_{n,x}; an atom's counts after its birth round are i.i.d. given its
     posterior weight after that round.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    integer(N, "N")
     if source not in ("target", "aifa"):
         raise ValueError(f"unknown source {source!r}")
+    if source == "target" and K is not None:
+        raise ValueError(f"target source takes no approximation level K, got {K!r}")
     if source == "aifa":
-        if K is None or K < 1:
-            raise ValueError("aifa source needs an approximation level K >= 1")
+        integer(K, "aifa source's approximation level K")
         born = np.full(K, -1)  # "born" before round 1: every row is drawn
         size = np.zeros(K, dtype=np.int64)
         theta = _conjugate_weight(model, size, 0, model.mass_shift / K, rng)

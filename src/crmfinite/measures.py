@@ -221,44 +221,31 @@ class ApproxIndicator:
 
 
 def indicator_value(ind: ApproxIndicator, theta):
-    theta = np.asarray(theta, dtype=float)
-    if ind.kind is IndicatorKind.HARD:
-        out = (theta > 0).astype(float)
-        return out if out.shape else float(out)
-    b = ind.width
-    out = np.where(theta > 0, 1.0, 0.0)
-    inside = (theta > 0) & (theta < b)
-    if np.any(inside):
-        t = theta[inside] if theta.shape else np.array([float(theta)])
-        u = 1.0 - (t - b) ** 2 / b**2
-        with np.errstate(divide="ignore", under="ignore", over="ignore"):
-            # u -> 0+ at the left knot: limit 0; there rounding can leave u <= 0
-            val = np.where(u > 0, np.exp(-1.0 / u + 1.0), 0.0)
-        if theta.shape:
-            out[inside] = val
-        else:
-            out = val[0]
-    return out if np.asarray(out).shape else float(out)
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = (t > 0).astype(float)
+    if ind.kind is IndicatorKind.SMOOTHED:
+        b = ind.width
+        inside = (t > 0) & (t < b)
+        if np.any(inside):
+            u = 1.0 - (t[inside] - b) ** 2 / b**2
+            with np.errstate(divide="ignore", under="ignore", over="ignore"):
+                # u -> 0+ at the left knot: limit 0; there rounding can leave u <= 0
+                out[inside] = np.where(u > 0, np.exp(-1.0 / u + 1.0), 0.0)
+    return float(out[0]) if np.ndim(theta) == 0 else out.reshape(np.shape(theta))
 
 
 def indicator_derivative(ind: ApproxIndicator, theta):
     """dS_b/dtheta; zero outside (0, b), and zero in the limit at 0 and b."""
-    theta = np.asarray(theta, dtype=float)
-    if ind.kind is IndicatorKind.HARD:
-        out = np.zeros_like(theta)
-        return out if out.shape else float(out)
-    b = ind.width
-    out = np.zeros_like(theta)
-    inside = (theta > 0) & (theta < b)
-    if np.any(inside):
-        t = theta[inside] if theta.shape else np.array([float(theta)])
-        u = 1.0 - (t - b) ** 2 / b**2
-        with np.errstate(divide="ignore", under="ignore"):
-            s = np.exp(-1.0 / u + 1.0)
-            val = s * (-1.0 / u**2) * (2.0 * (t - b) / b**2)
-            val = np.where(np.isfinite(val), val, 0.0)  # exp decay beats 1/u^2
-        if theta.shape:
-            out[inside] = val
-        else:
-            out = val[0]
-    return out if np.asarray(out).shape else float(out)
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = np.zeros_like(t)
+    if ind.kind is IndicatorKind.SMOOTHED:
+        b = ind.width
+        inside = (t > 0) & (t < b)
+        if np.any(inside):
+            ti = t[inside]
+            u = 1.0 - (ti - b) ** 2 / b**2
+            with np.errstate(divide="ignore", under="ignore"):
+                s = np.exp(-1.0 / u + 1.0)
+                val = s * (-1.0 / u**2) * (2.0 * (ti - b) / b**2)
+                out[inside] = np.where(np.isfinite(val), val, 0.0)  # exp decay beats 1/u^2
+    return float(out[0]) if np.ndim(theta) == 0 else out.reshape(np.shape(theta))

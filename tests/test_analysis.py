@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from crmfinite.analysis import (
     POISSON_MEAN_MAX,
     DPSource,
     FSDSource,
-    NormalizedAifaSource,
     PartitionComposition,
     all_compositions,
     binom_poisson_lower_constant,
@@ -25,7 +25,6 @@ from crmfinite.analysis import (
     partition_count,
     poisson_tail_lower,
     poisson_tail_upper,
-    sequence_log_probability,
     truncated_poisson,
     tsb_dp_bound,
     tv_binom_poisson,
@@ -38,6 +37,7 @@ from crmfinite.approximations import (
     fsd,
     sample_weights,
 )
+from crmfinite.marginals import dp_urn_probs, fsd_urn_probs
 from crmfinite.measures import gamma_process
 from crmfinite.rng import derive_rng
 
@@ -219,7 +219,6 @@ def test_composition_validation():
         PartitionComposition(())
     comp = PartitionComposition((3, 1, 1))
     assert comp.N == 5 and comp.blocks == 3
-    assert comp.canonical_sequence() == [0, 1, 2, 0, 0]
 
 
 def brute_partition_count(comp):
@@ -249,9 +248,51 @@ def test_partition_count_against_enumeration():
 
 
 def test_eppf_examples():
-    assert float(eppf(DPSource(0.7), PartitionComposition((1,)))) == 1.0
-    assert float(eppf(FSDSource(1.0, 2), PartitionComposition((1, 1)))) == pytest.approx(0.25)
-    assert float(eppf(FSDSource(2.0, 1), PartitionComposition((1, 1)))) == 0.0
+    assert eppf(DPSource(0.7), PartitionComposition((1,))) == 1.0
+    assert eppf(FSDSource(1.0, 2), PartitionComposition((1, 1))) == pytest.approx(0.25)
+    assert eppf(FSDSource(2.0, 1), PartitionComposition((1, 1))) == 0.0
+
+
+def _rising(x, n):
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+def _exact_eppf(alpha, K, sizes):
+    """The closed-form EPPF in rationals: alpha^b prod (n_i - 1)! / (alpha)_N
+    for the DP (K None), K!/(K-b)! prod (alpha/K)_{n_i} / (alpha)_N for the
+    FSD; (x)_n is the rising factorial."""
+    num = Fraction(1)
+    for j, n in enumerate(sizes):
+        num *= alpha * math.factorial(n - 1) if K is None else (K - j) * _rising(alpha / K, n)
+    return num / _rising(alpha, sum(sizes))
+
+
+def test_eppf_matches_exact_rationals():
+    # every composition of N <= 8, FSD ones with more blocks than K included
+    cases = [(DPSource(1.5), Fraction(3, 2), None), (DPSource(0.4), Fraction(2, 5), None),
+             *[(FSDSource(1.5, K), Fraction(3, 2), K) for K in (4, 16, 64)],
+             (FSDSource(2.5, 3), Fraction(5, 2), 3)]
+    zeros = 0
+    for source, alpha, K in cases:
+        for N in range(1, 9):
+            for comp in all_compositions(N):
+                exact = _exact_eppf(alpha, K, comp.sizes)
+                value = eppf(source, comp)
+                assert type(value) is float
+                if exact == 0:
+                    zeros += 1
+                    assert value == 0.0, (source, comp)
+                else:
+                    assert abs(value - float(exact)) <= 1e-14 * float(exact), (source, comp)
+    assert zeros > 0
+
+
+def test_eppf_rejects_weight_laws():
+    with pytest.raises(ValueError, match="WeightDistribution"):
+        eppf(fsd(1.0, 8), PartitionComposition((2, 1)))
 
 
 def test_urn_sources_reject_bad_parameters():
@@ -266,8 +307,7 @@ def test_urn_sources_reject_bad_parameters():
 def test_eppf_normalization_over_partition_lattice():
     for source in (DPSource(1.0), DPSource(0.4), FSDSource(1.0, 8), FSDSource(2.5, 3)):
         for N in range(1, 6):
-            total = sum(partition_count(c) * float(eppf(source, c))
-                        for c in all_compositions(N))
+            total = sum(partition_count(c) * eppf(source, c) for c in all_compositions(N))
             assert total == pytest.approx(1.0, abs=1e-10), (source, N)
 
 
@@ -275,31 +315,49 @@ def test_eppf_gap_slope():
     dp = DPSource(1.0)
     ks = (4, 16, 64, 256)
     for comp in all_compositions(4):
-        p_dp = float(eppf(dp, comp))
-        gaps = [abs(float(eppf(FSDSource(1.0, K), comp)) - p_dp) for K in ks]
+        p_dp = eppf(dp, comp)
+        gaps = [abs(eppf(FSDSource(1.0, K), comp) - p_dp) for K in ks]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         slope = np.polyfit(np.log(ks), np.log(gaps), 1)[0]
         assert -1.3 <= slope <= -0.7
 
 
+def _restricted_growth_sequences(n):
+    """Every label sequence of length n whose labels first appear in order
+    0, 1, 2, ...: one per set partition of [n]."""
+    seqs = [[0]]
+    for _ in range(n - 1):
+        seqs = [s + [lab] for s in seqs for lab in range(max(s) + 2)]
+    return seqs
+
+
 def test_sequence_probability_insertion_order_invariant():
-    # exchangeability: any insertion order of the members gives the same value
-    for source in (DPSource(1.3), FSDSource(0.8, 6)):
-        comp = PartitionComposition((3, 2))
-        sequences = [
-            [0, 1, 0, 0, 1],
-            [0, 0, 0, 1, 1],
-            [0, 0, 1, 0, 1],
-            [0, 1, 1, 0, 0],
-        ]
-        vals = [sequence_log_probability(source, seq) for seq in sequences]
-        assert max(vals) - min(vals) < 1e-12
+    # exchangeability: the urn's probability of a label sequence, chained
+    # step by step through the urn predictives, is eppf of its composition
+    seqs = _restricted_growth_sequences(5)
+    assert len(seqs) == 52  # the Bell number B_5
+    for source in (DPSource(1.3), FSDSource(0.8, 6), FSDSource(2.0, 2)):
+        for seq in seqs:
+            counts, prob = [], 1.0
+            for lab in seq:
+                if isinstance(source, DPSource):
+                    existing, fresh = dp_urn_probs(counts, source.alpha)
+                else:
+                    existing, fresh = fsd_urn_probs(counts, source.gamma, source.K)
+                prob *= fresh if lab == len(counts) else existing[lab]
+                if prob == 0:
+                    break  # a third block under FSD(2, 2)
+                if lab == len(counts):
+                    counts.append(0)
+                counts[lab] += 1
+            comp = PartitionComposition(sorted(np.bincount(seq), reverse=True))
+            assert prob == pytest.approx(eppf(source, comp), rel=1e-12, abs=0), (source, seq)
 
 
-def _dense_composition_frequencies(source, N, reps, rng):
+def _dense_composition_frequencies(dist, N, reps, rng):
     """Reference for the weight path: labels from the dense (reps, N, K)
     comparison u > cdf."""
-    weights = sample_weights(source.dist, rng, size=reps)
+    weights = sample_weights(dist, rng, size=reps)
     weights /= weights.sum(axis=1, keepdims=True)
     u = rng.random((reps, N))
     labels = (u[:, :, None] > np.cumsum(weights, axis=1)[:, None, :]).sum(axis=2)
@@ -314,7 +372,6 @@ def test_monte_carlo_matches_exact():
     # every N = 3 composition within 4 Monte Carlo standard errors at 10^6
     # replicates, for the DP and FSD copy-step urns; and the weight path's
     # labels equal the dense comparison for normalized FSD weights at K = 1000
-    from crmfinite.analysis import composition_frequencies
     reps = 1_000_000
     for stream, source in enumerate((DPSource(1.0), FSDSource(1.0, 8))):
         freq = composition_frequencies(source, 3, reps, derive_rng(77, stream))
@@ -323,49 +380,32 @@ def test_monte_carlo_matches_exact():
             p_hat = hits / reps
             se = math.sqrt(p_hat * (1 - p_hat) / reps) / partition_count(comp)
             est = p_hat / partition_count(comp)
-            exact = float(eppf(source, comp))
-            assert abs(est - exact) < 4 * se + 1e-9, (source, comp)
-    wide = NormalizedAifaSource(fsd(0.5, 1000))
+            assert abs(est - eppf(source, comp)) < 4 * se + 1e-9, (source, comp)
+    wide = fsd(0.5, 1000)
     assert composition_frequencies(wide, 20, 500, derive_rng(77, 2)) == \
         _dense_composition_frequencies(wide, 20, 500, derive_rng(77, 2))
 
 
 def test_monte_carlo_normalized_aifa_matches_fsd():
-    # the normalized gamma(c/K, c... ) AIFA *is* the FSD, so the weight-path
+    # the normalized gamma-process AIFA *is* the FSD, so the weight-path
     # Monte Carlo must agree with the FSD exact route
-    gamma = 1.0
-    K = 8
+    gamma, K, reps = 1.0, 8, 4000
     dist = aifa_numeric(AifaConfig(gamma_process(gamma, 1.0, 0.0), K))
-    src = NormalizedAifaSource(dist)
-    rng = derive_rng(78, 0)
     comp = PartitionComposition((2, 1))
-    est = eppf(src, comp, method="monte_carlo", reps=4000, rng=rng)
-    exact = float(eppf(FSDSource(gamma, K), comp))
-    assert abs(est.value - exact) < 4 * est.stderr
+    p_comp = composition_frequencies(dist, comp.N, reps, derive_rng(78, 0)).get(comp.sizes, 0) / reps
+    se = math.sqrt(max(p_comp * (1 - p_comp), 1.0 / reps) / reps)
+    exact = eppf(FSDSource(gamma, K), comp)
+    assert abs(p_comp - partition_count(comp) * exact) < 4 * se
 
 
 def test_normalized_aifa_more_blocks_than_atoms_is_zero():
-    from crmfinite.approximations import aifa_numeric
-    src = NormalizedAifaSource(aifa_numeric(AifaConfig(gamma_process(1.0, 1.0, 0.0), 2)))
-    assert float(eppf(src, PartitionComposition((1, 1, 1)))) == 0.0
+    # K = 2 normalized weights label every draw 0 or 1: never three blocks
+    dist = aifa_numeric(AifaConfig(gamma_process(1.0, 1.0, 0.0), 2))
+    freq = composition_frequencies(dist, 3, 2000, derive_rng(81, 0))
+    assert sum(freq.values()) == 2000 and (1, 1, 1) not in freq
 
 
 def test_monte_carlo_rejects_vectors_without_atoms():
     # beta stick-breaking with gamma * K = 0.6 leaves about half the rows empty
-    src = NormalizedAifaSource(beta_stick_breaking(0.3, 1.0, 2))
     with pytest.raises(ValueError, match="no atoms"):
-        composition_frequencies(src, 3, 100, derive_rng(80, 0))
-
-
-def test_monte_carlo_wide_warning():
-    rng = derive_rng(79, 0)
-    est = eppf(DPSource(1.0), PartitionComposition((5, 1)), method="monte_carlo",
-               reps=30, rng=rng)
-    assert est.wide
-
-
-def test_eppf_requires_reps_and_rng():
-    with pytest.raises(ValueError):
-        eppf(DPSource(1.0), PartitionComposition((1,)), method="monte_carlo")
-    with pytest.raises(ValueError):
-        eppf(DPSource(1.0), PartitionComposition((1,)), method="bogus")
+        composition_frequencies(beta_stick_breaking(0.3, 1.0, 2), 3, 100, derive_rng(80, 0))

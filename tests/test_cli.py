@@ -177,6 +177,7 @@ _GIBBS = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3}, "prior_kind": "
     ("sample-prior", {"distribution": {"kind": "fsd", "K": True, "gamma": 1.0}}, "K"),
     ("marginal-sim", {"model": _GP_MODEL, "N": 10, "source": "aifa", "K": 7.5}, "K"),
     ("marginal-sim", {"model": _GP_MODEL, "N": 2.5, "source": "target"}, "N"),
+    ("marginal-sim", {"model": _GP_MODEL, "N": 5, "source": "target", "K": 3}, "K"),
     ("eppf-convergence", {"alpha": 1.0, "N": 3.5, "K_set": [4, 16]}, "N"),
     ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [4, 16.5]}, "K_set"),
     ("make-data", {"N": "10", "D": 2, "n_features": 1}, "N"),
@@ -206,8 +207,8 @@ _GIBBS = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3}, "prior_kind": "
     ("gibbs-run", dict(_GIBBS, burnin=4, heldout_path="data.csv"), "sweeps=4, burnin=4"),
 ], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
         "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1",
-        "prior-K=2.5", "prior-K=true", "marginal-K=7.5", "marginal-N=2.5", "eppf-N=3.5",
-        "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
+        "prior-K=2.5", "prior-K=true", "marginal-K=7.5", "marginal-N=2.5", "marginal-target-K=3",
+        "eppf-N=3.5", "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
         "compare-K=5.5", "compare-draws=1e5", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
         "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5",
         "fsd-alpha", "gamma_poisson-alpha", "constants-C1='x'", "gibbs-prec_shape=inf",

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from crmfinite.analysis import DPSource, FSDSource, _urn_labels
+from crmfinite.analysis import (
+    DPSource,
+    FSDSource,
+    _urn_labels,
+    bondesson_tfa_bound,
+    growth_function,
+    tsb_dp_bound,
+    tv_binom_poisson,
+)
 from crmfinite.marginals import (
     _HISTORY_SCAN,
     FeatureAllocation,
@@ -205,6 +213,37 @@ def test_target_column_count_poisson():
     mean = growth_function(N, 1.0)
     assert abs(cols.mean() - mean) < 3 * math.sqrt(mean / reps)
     assert 0.85 < cols.var() / cols.mean() < 1.15
+
+
+def test_target_allocation_rejects_K():
+    # the target process has no approximation level: a K is a mistake
+    rng = derive_rng(38, 0)
+    with pytest.raises(ValueError, match="approximation level K"):
+        simulate_allocation(GP, 5, rng, source="target", K=3)
+    assert rng.random() == derive_rng(38, 0).random()  # nothing drawn
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda rng: simulate_allocation(GP, 2.5, rng), "N"),
+    (lambda rng: simulate_allocation(GP, 5, rng, source="aifa", K=2.5), "K"),
+    (lambda rng: simulate_allocation(GP, 5, rng, source="aifa", K=True), "K"),
+    (lambda rng: approx_predictive_pmf(GP, 2.5, [1], 1), "K"),
+    (lambda rng: growth_function(2.5, 1.0), "N"),
+    (lambda rng: bondesson_tfa_bound(2.5, 4, 1, 1), "N"),
+    (lambda rng: bondesson_tfa_bound(2, 3.5, 1, 1), "K"),
+    (lambda rng: tsb_dp_bound(2.5, 4, 1), "N"),
+    (lambda rng: tsb_dp_bound(2, 3.5, 1), "K"),
+    (lambda rng: tv_binom_poisson(True, 1.0), "K"),
+    (lambda rng: tv_binom_poisson(np.array([True, True]), 1.0), "K"),
+], ids=["sim-N=2.5", "sim-aifa-K=2.5", "sim-aifa-K=true", "approx_pmf-K=2.5",
+        "growth-N=2.5", "bondesson-N=2.5", "bondesson-K=3.5", "tsb-N=2.5", "tsb-K=3.5",
+        "tv_binom_poisson-K=true", "tv_binom_poisson-K=[true,true]"])
+def test_library_counts_must_be_integers(call, name):
+    # a ValueError naming the count, raised before any random number is drawn
+    rng = derive_rng(39, 0)
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+        call(rng)
+    assert rng.random() == derive_rng(39, 0).random()
 
 
 def test_gp_allocation_general_path():
