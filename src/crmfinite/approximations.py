@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .checks import integer, positive, real
+from .checks import instance, integer, positive, real
 from .measures import (
     ApproxIndicator,
     Family,
@@ -610,5 +610,6 @@ def sample_weights(dist: WeightDistribution, rng, size=None) -> np.ndarray:
     Draws are i.i.d. for the AIFA, FSD and BFRY kinds and sequentially
     coupled for the rest.
     """
-    rows = _SAMPLERS[dist.kind](dist.params, dist.K, 1 if size is None else int(size), rng)
+    instance(dist, WeightDistribution, "dist")
+    rows = _SAMPLERS[dist.kind](dist.params, dist.K, 1 if size is None else integer(size, "size", 0), rng)
     return rows[0] if size is None else rows

@@ -28,3 +28,9 @@ def positive(value, name):
     if real(value, name) <= 0:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
+
+
+def instance(value, kind, name):
+    """Raise unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")

@@ -394,11 +394,8 @@ def cmd_gibbs_run(config, out, seed, replicates):
         rng = derive_rng(seed, rep)
         state, samples, stats = run_chain(model, y, sweeps, rng,
                                           prior=prior, burnin=burnin, thin=thin)
-        pll = None
-        if heldout is not None:
-            eval_samples = [impute_heldout_locals(s, heldout, model, rng, scans=scans)
-                            for s in samples]
-            pll = predictive_log_likelihood(eval_samples, heldout)
+        pll = None if heldout is None else predictive_log_likelihood(
+            impute_heldout_locals(samples, heldout, model, rng, scans=scans), heldout)
         return state, stats, pll
 
     results = [one(rep) for rep in range(replicates)]

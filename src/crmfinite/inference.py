@@ -20,7 +20,8 @@ The scan order is fixed (x, w, psi, precisions, tau) and every update draws
 through the caller's generator, so a chain is reproducible from its seed.
 The x, w and psi blocks share one residual E = y - reconstruction, the
 loadings S = x * w and one factor kernel, which keeps both current by one
-rank-one update per column.
+rank-one update per column.  The kernel takes optional leading sample axes: a
+sweep has none, and held-out scoring runs all kept samples (SampleBatch) at once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .checks import integer, positive, real
 __all__ = [
     "LinearGaussianModel",
     "GibbsState",
+    "SampleBatch",
     "check_prior",
     "init_state",
     "aifa_tau_conditional",
@@ -96,14 +98,27 @@ class GibbsState:
     prior: str           # "aifa" | "bondesson_tfa"
     degenerate_draws: int = 0  # truncated-beta intervals below resolution
 
-    def copy(self):
-        return GibbsState(self.tau.copy(), self.psi.copy(), self.x.copy(),
-                          self.w.copy(), self.gamma_w, self.gamma_e, self.prior,
-                          self.degenerate_draws)
-
     @property
     def reconstruction(self):
         return (self.x * self.w) @ self.psi
+
+
+@dataclass
+class SampleBatch:
+    """Globals of S samples: tau (S, K), psi (S, K, D), gamma_w and gamma_e (S, 1) columns
+    that broadcast over rows as a GibbsState's floats do; imputation adds x, w (S, m, K)."""
+
+    tau: np.ndarray
+    psi: np.ndarray
+    gamma_w: np.ndarray
+    gamma_e: np.ndarray
+    x: np.ndarray = None
+    w: np.ndarray = None
+
+    reconstruction = GibbsState.reconstruction  # (S, m, D) by batched matmul
+
+    def __len__(self):
+        return self.tau.shape[0]
 
 
 def check_prior(model: LinearGaussianModel, prior):
@@ -231,47 +246,50 @@ def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel,
 # the sweep
 # ---------------------------------------------------------------------------
 
-def _draw_x(state, k, proj, psi_sq, rng):
-    """Uncollapsed Bernoulli update of x[:, k] given tau_k, rows vectorized."""
-    tau_k = state.tau[k]
-    wk = state.w[:, k]
-    p = special.expit(math.log(tau_k) - math.log1p(-tau_k)
-                      + state.gamma_e * (wk * proj - 0.5 * wk**2 * psi_sq))
-    state.x[:, k] = rng.random(p.size) < p
-    return state.x[:, k] * wk
+def _logit(tau):
+    """log(tau / (1 - tau)) by math.log: numpy's vector log can differ in the last bit."""
+    return np.reshape([math.log(t) - math.log1p(-t) for t in tau.ravel().tolist()], tau.shape)
+
+
+def _draw_x(state, logit, k, proj, psi_sq, rng):
+    """Uncollapsed Bernoulli update of x[..., k] given tau_k, rows vectorized."""
+    wk = state.w[..., k]
+    p = special.expit(logit[..., k, None] + state.gamma_e * (wk * proj - 0.5 * wk**2 * psi_sq))
+    state.x[..., k] = rng.random(p.shape) < p
+    return state.x[..., k] * wk
 
 
 def _draw_w(state, k, proj, psi_sq, rng):
-    xk = state.x[:, k].astype(float)
+    xk = state.x[..., k].astype(float)
     lam = state.gamma_w + state.gamma_e * xk * psi_sq
     mean = state.gamma_e * xk * proj / lam
-    state.w[:, k] = mean + rng.normal(size=xk.size) / np.sqrt(lam)
-    return state.x[:, k] * state.w[:, k]
+    state.w[..., k] = mean + rng.normal(size=xk.shape) / np.sqrt(lam)
+    return state.x[..., k] * state.w[..., k]
 
 
 def _draw_psi(state, psi_scale, k, proj, s_sq, rng):
-    """Gaussian update of psi_k given the loadings s = x[:, k] w[:, k]."""
-    prec = 1.0 / psi_scale + state.gamma_e * s_sq
+    """Gaussian update of psi_k given the loadings s = x[:, k] w[:, k]; sweep only."""
+    prec = 1.0 / psi_scale + state.gamma_e * s_sq.item()
     return state.gamma_e * proj / prec + rng.normal(size=proj.size) / math.sqrt(prec)
 
 
-def _loadings(state):
-    """S = x * w, column-major: a strided S[:, k] would round its dot products differently."""
-    return np.asfortranarray(state.x * state.w)
+def _by_column(a):
+    """``a`` with contiguous columns a[..., k]; a strided S[..., k] rounds dots differently."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _scan_factors(E, left, right, draw, rng):
-    """Redraw each left[:, k] of the rank-one terms outer(left[:, k], right[k])
-    by draw(k, proj, r_sq, rng), where proj = (E + that term) @ right[k] and
-    r_sq = right[k] @ right[k], keeping E = y - left @ right.  x and w run
-    on (E, S, psi), their draws also setting x or w; psi on (E.T, psi.T, S.T)."""
-    for k in range(right.shape[0]):
-        r = right[k]
-        r_sq = r @ r
-        old = left[:, k]
-        new = draw(k, E @ r + old * r_sq, r_sq, rng)
-        E -= np.outer(new - old, r)
-        left[:, k] = new
+    """Redraw each left[..., k] of the rank-one terms outer(left[..., k], r = right[..., k, :])
+    by draw(k, proj, r_sq, rng), proj = (E + that term) @ r, r_sq = r @ r, keeping
+    E = y - left @ right.  x and w run on (E, S, psi), psi on (E.T, psi.T, S.T).  Leading
+    axes index samples (a GibbsState has none); matmul gives each the 2-D BLAS call."""
+    for k in range(right.shape[-2]):
+        row, col = right[..., k, None, :], right[..., k, :, None]
+        r_sq = (row @ col)[..., 0]
+        old = left[..., k]
+        new = draw(k, (E @ col)[..., 0] + old * r_sq, r_sq, rng)
+        E -= np.multiply((new - old)[..., None], row, out=np.empty_like(E))  # in E's layout
+        left[..., k] = new
 
 
 def _update_precisions(state, E, model, rng):
@@ -326,8 +344,9 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
         return out
 
     E = y - state.reconstruction
-    S = _loadings(state)
-    guarded("x", lambda: _scan_factors(E, S, state.psi, partial(_draw_x, state), rng))
+    S = _by_column(state.x * state.w)
+    guarded("x", lambda: _scan_factors(E, S, state.psi,
+                                       partial(_draw_x, state, _logit(state.tau)), rng))
     guarded("w", lambda: _scan_factors(E, S, state.psi, partial(_draw_w, state), rng))
     guarded("psi", lambda: _scan_factors(E.T, state.psi.T, S.T,
                                          partial(_draw_psi, state, model.psi_scale), rng))
@@ -445,41 +464,31 @@ def geweke_successive_conditional(model, N, draws, rng, prior="aifa", thin=1):
 # held-out evaluation
 # ---------------------------------------------------------------------------
 
-def impute_heldout_locals(state: GibbsState, y_heldout, model, rng, scans=5):
-    """Posterior draw of held-out rows' (x, w) given this state's globals.
-
-    Returns a new state whose x, w have the held-out shape; globals are
-    shared with the source state."""
+def impute_heldout_locals(samples: SampleBatch, y_heldout, model, rng, scans=5) -> SampleBatch:
+    """The samples' globals with a posterior draw of the held-out rows' x, w (S, m, K);
+    every column step redraws column k of all S samples in one call."""
     y = np.asarray(y_heldout, dtype=float)
-    m = y.shape[0]
-    eval_state = GibbsState(state.tau.copy(), state.psi.copy(),
-                            (rng.random((m, model.K)) < state.tau).astype(np.int8),
-                            rng.normal(0.0, 1.0 / math.sqrt(state.gamma_w), size=(m, model.K)),
-                            state.gamma_w, state.gamma_e, state.prior)
-    E = y - eval_state.reconstruction
-    S = _loadings(eval_state)
-    draw_x, draw_w = partial(_draw_x, eval_state), partial(_draw_w, eval_state)
+    shape = (len(samples), y.shape[0], model.K)
+    out = SampleBatch(samples.tau, samples.psi, samples.gamma_w, samples.gamma_e,
+                      _by_column((rng.random(shape) < samples.tau[:, None, :]).astype(np.int8)),
+                      _by_column(rng.normal(0.0, 1.0 / np.sqrt(samples.gamma_w)[..., None], size=shape)))
+    E = _by_column(y - out.reconstruction)
+    S = _by_column(out.x * out.w)
     for _ in range(scans):
-        _scan_factors(E, S, eval_state.psi, draw_x, rng)
-        _scan_factors(E, S, eval_state.psi, draw_w, rng)
-    return eval_state
+        _scan_factors(E, S, out.psi, partial(_draw_x, out, _logit(out.tau)), rng)
+        _scan_factors(E, S, out.psi, partial(_draw_w, out), rng)
+    return out
 
 
-def predictive_log_likelihood(samples, y_heldout) -> float:
+def predictive_log_likelihood(samples: SampleBatch, y_heldout) -> float:
     """Mean over held-out rows of log( (1/S) sum_s N(y | recon_s, I/gamma_e^s) ).
 
-    Each sample must carry x, w, psi, gamma_e for the held-out rows (see
-    impute_heldout_locals); invariant to sample order."""
-    samples = list(samples)
-    if not samples:
+    The batch carries held-out x, w (impute_heldout_locals); invariant to sample order."""
+    if len(samples) == 0:
         raise ValueError("need at least one posterior sample")
     y = np.asarray(y_heldout, dtype=float)
-    m, d = y.shape
-    log_terms = np.empty((len(samples), m))
-    for s, st in enumerate(samples):
-        resid = y - st.reconstruction
-        log_terms[s] = (-0.5 * st.gamma_e * (resid**2).sum(axis=1)
-                        + 0.5 * d * (math.log(st.gamma_e) - math.log(2 * math.pi)))
+    log_terms = (-0.5 * samples.gamma_e * ((y - samples.reconstruction)**2).sum(axis=-1)
+                 + 0.5 * y.shape[1] * (np.log(samples.gamma_e) - math.log(2 * math.pi)))
     return float(np.mean(special.logsumexp(log_terms, axis=0) - math.log(len(samples))))
 
 
@@ -501,7 +510,7 @@ def data_informed_init(model, y, rng, prior="aifa"):
 
 
 def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, initial_state=None):
-    """Run one chain and return (final state, list of kept samples, stats).
+    """Run one chain and return (final state, SampleBatch of kept globals, stats).
 
     ``stats`` is a (sweeps, len(CHAIN_STATS)) array; row s - 1 holds sweep
     s's Geweke statistics sum_x, mean_tau and gamma_e, then gamma_w and the
@@ -510,12 +519,14 @@ def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, initial_sta
     y = np.asarray(y, dtype=float)
     state = initial_state if initial_state is not None \
         else init_state(model, y.shape[0], rng, prior)
-    samples = []
+    n, K = max(0, sweeps - burnin) // thin, model.K
+    samples = SampleBatch(np.empty((n, K)), np.empty((n, K, model.D)), *np.empty((2, n, 1)))
     stats = np.empty((sweeps, len(CHAIN_STATS)))
     for sweep in range(1, sweeps + 1):
         state = gibbs_sweep(state, y, model, rng)
         stats[sweep - 1] = (state.x.sum(), state.tau.mean(), state.gamma_e, state.gamma_w,
                             joint_log_density(state, y, model))
         if sweep > burnin and (sweep - burnin) % thin == 0:
-            samples.append(state.copy())
+            for name in ("tau", "psi", "gamma_w", "gamma_e"):
+                getattr(samples, name)[(sweep - burnin) // thin - 1] = getattr(state, name)
     return state, samples, stats

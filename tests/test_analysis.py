@@ -405,6 +405,12 @@ def test_normalized_aifa_more_blocks_than_atoms_is_zero():
     assert sum(freq.values()) == 2000 and (1, 1, 1) not in freq
 
 
+@pytest.mark.parametrize("source", [0.5, None])
+def test_monte_carlo_rejects_a_source_that_is_no_weight_law(source):
+    with pytest.raises(ValueError, match="dist"):
+        composition_frequencies(source, 3, 10, derive_rng(82, 0))
+
+
 def test_monte_carlo_rejects_vectors_without_atoms():
     # beta stick-breaking with gamma * K = 0.6 leaves about half the rows empty
     with pytest.raises(ValueError, match="no atoms"):

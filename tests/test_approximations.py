@@ -296,6 +296,19 @@ def test_level_must_be_an_integer(K):
     assert fsd(1.0, np.int64(3)).K == 3  # numpy integers stay accepted
 
 
+@pytest.mark.parametrize("dist, size, name", [
+    (0.5, None, "dist"), (None, None, "dist"), ("fsd", 2, "dist"),
+    (fsd(1.0, 3), 2.5, "size"), (fsd(1.0, 3), True, "size"), (fsd(1.0, 3), -1, "size"),
+    (fsd(1.0, 3), "2", "size"),
+])
+def test_sample_weights_rejects_bad_dist_and_size(dist, size, name):
+    # 2.5 drew 2 rows, True drew 1, and a non-distribution raised AttributeError
+    with pytest.raises(ValueError, match=name):
+        sample_weights(dist, derive_rng(92, 0), size=size)
+    assert sample_weights(fsd(1.0, 3), derive_rng(92, 0), size=np.int64(2)).shape == (2, 3)
+    assert sample_weights(fsd(1.0, 3), derive_rng(92, 0), size=0).shape == (0, 3)
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda v: bondesson(v, 1.5, 3), "gamma"), (lambda v: bondesson(1.0, v, 3), "alpha"),
     (lambda v: beta_stick_breaking(v, 1.0, 3), "gamma"),

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 from fractions import Fraction
 from functools import partial
@@ -8,8 +10,10 @@ from scipy import integrate, special
 
 from crmfinite import inference
 from crmfinite.inference import (
+    CHAIN_STATS,
     GibbsState,
     LinearGaussianModel,
+    SampleBatch,
     aifa_tau_conditional,
     generate_synthetic,
     geweke_marginal_conditional,
@@ -184,20 +188,19 @@ def test_zero_feature_state_reduces_to_priors():
     state = init_state(MODEL, 10, rng1)
     state.x[:] = 0
     y = sample_data(state, derive_rng(56, 1))
-    from crmfinite.inference import _draw_psi, _draw_w, _loadings, _scan_factors
+    from crmfinite.inference import _by_column, _draw_psi, _draw_w, _scan_factors
     probe = derive_rng(56, 2)
-    st = state.copy()
-    S = _loadings(st)
-    _scan_factors(y - state.reconstruction, S, st.psi, partial(_draw_w, st), probe)
+    st = copy.deepcopy(state)
+    _scan_factors(y - state.reconstruction, _by_column(st.x * st.w), st.psi,
+                  partial(_draw_w, st), probe)
     ref = derive_rng(56, 2)
     expected = np.column_stack(
         [0.0 + ref.normal(size=10) / np.sqrt(np.full(10, st.gamma_w))
          for _ in range(MODEL.K)])
     np.testing.assert_array_equal(st.w, expected)
     probe2 = derive_rng(56, 3)
-    st2 = state.copy()
-    S2 = _loadings(st2)
-    _scan_factors((y - state.reconstruction).T, st2.psi.T, S2.T,
+    st2 = copy.deepcopy(state)
+    _scan_factors((y - state.reconstruction).T, st2.psi.T, _by_column(st2.x * st2.w).T,
                   partial(_draw_psi, st2, MODEL.psi_scale), probe2)
     ref2 = derive_rng(56, 3)
     expected_psi = np.stack(
@@ -253,7 +256,7 @@ def test_residual_kernel_matches_reference_sweep(prior, monkeypatch):
     # floating-point rounding (tolerance fixed from float64, not from a run)
     state = init_state(MODEL, 40, derive_rng(69, 0), prior)
     y = sample_data(state, derive_rng(69, 1))
-    new, ref = state.copy(), state.copy()
+    new, ref = copy.deepcopy(state), copy.deepcopy(state)
     rng = derive_rng(69, 2)
     for _ in range(20):
         gibbs_sweep(new, y, MODEL, rng)
@@ -295,7 +298,7 @@ def test_label_permutation_invariance():
     base = joint_log_density(state, y, MODEL)
     for _ in range(5):
         perm = rng.permutation(MODEL.K)
-        other = state.copy()
+        other = copy.deepcopy(state)
         other.tau = state.tau[perm]
         other.psi = state.psi[perm]
         other.x = state.x[:, perm]
@@ -309,7 +312,7 @@ def test_tfa_joint_density_order_indicator():
     y = sample_data(state, rng)
     terms = joint_log_density_terms(state, y, MODEL)
     assert np.isfinite(terms["lp_tau"])
-    disordered = state.copy()
+    disordered = copy.deepcopy(state)
     disordered.tau = state.tau[::-1].copy()
     assert joint_log_density_terms(disordered, y, MODEL)["lp_tau"] == -math.inf
 
@@ -342,8 +345,9 @@ def test_synthetic_recovery_active_count():
     true_active = truth["x"].sum(axis=1).mean()
     m = LinearGaussianModel(D=5, gamma=1.0, alpha=1.0, K=10,
                             prec_shape=1.0, prec_rate=1.0)
-    _, samples, _ = run_chain(m, y, 2000, derive_rng(63, 1), burnin=1000, thin=20)
-    post = np.mean([s.x.sum(axis=1).mean() for s in samples])
+    _, _, stats = run_chain(m, y, 2000, derive_rng(63, 1), burnin=1000, thin=20)
+    # sum_x / N at the kept sweeps 1020, 1040, ..., 2000
+    post = stats[1019::20, CHAIN_STATS.index("sum_x")].mean() / y.shape[0]
     assert abs(post - true_active) / true_active < 0.25
 
 
@@ -378,10 +382,23 @@ def test_geweke_moments_match():
 
 # -- held-out evaluation ---------------------------------------------------------
 
+_FIELDS = ("tau", "psi", "gamma_w", "gamma_e", "x", "w")
+
+
+def _stack(states):
+    """The states' globals and locals as one SampleBatch; precisions become (S, 1)."""
+    return SampleBatch(*(np.stack([np.atleast_1d(getattr(st, f)) for st in states])
+                         for f in _FIELDS))
+
+
+def _take(batch, index):
+    return SampleBatch(*(getattr(batch, f)[index] for f in _FIELDS))
+
+
 def test_predictive_trivial_exact_reconstruction():
     state = init_state(MODEL, 6, derive_rng(65, 0))
     y = state.reconstruction
-    val = predictive_log_likelihood([state], y)
+    val = predictive_log_likelihood(_stack([state]), y)
     expected = -0.5 * MODEL.D * math.log(2 * math.pi) + 0.5 * MODEL.D * math.log(state.gamma_e)
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -390,22 +407,144 @@ def test_predictive_invariant_to_sample_order():
     rng = derive_rng(66, 0)
     states = [init_state(MODEL, 6, rng) for _ in range(4)]
     y = sample_data(states[0], rng)
-    a = predictive_log_likelihood(states, y)
-    b = predictive_log_likelihood(states[::-1], y)
+    batch = _stack(states)
+    a = predictive_log_likelihood(batch, y)
+    b = predictive_log_likelihood(_take(batch, slice(None, None, -1)), y)
     assert a == pytest.approx(b, rel=1e-14)
     with pytest.raises(ValueError):
-        predictive_log_likelihood([], y)
+        predictive_log_likelihood(_take(batch, slice(0)), y)
 
 
 def test_impute_heldout_locals_shapes_and_reproducibility():
     rng = derive_rng(67, 0)
-    state = init_state(MODEL, 25, rng)
+    samples = _stack([init_state(MODEL, 25, rng) for _ in range(3)])
     y_new = sample_data(init_state(MODEL, 7, rng), rng)
-    ev1 = impute_heldout_locals(state, y_new, MODEL, derive_rng(67, 1))
-    ev2 = impute_heldout_locals(state, y_new, MODEL, derive_rng(67, 1))
-    assert ev1.x.shape == (7, MODEL.K) and ev1.w.shape == (7, MODEL.K)
+    ev1 = impute_heldout_locals(samples, y_new, MODEL, derive_rng(67, 1))
+    ev2 = impute_heldout_locals(samples, y_new, MODEL, derive_rng(67, 1))
+    assert ev1.x.shape == (3, 7, MODEL.K) and ev1.w.shape == (3, 7, MODEL.K)
     assert np.array_equal(ev1.x, ev2.x) and np.array_equal(ev1.w, ev2.w)
-    assert ev1.gamma_e == state.gamma_e
+    assert np.array_equal(ev1.gamma_e, samples.gamma_e)
+
+
+def test_run_chain_keeps_globals_of_kept_sweeps():
+    y, _ = generate_synthetic(15, 3, 2, derive_rng(71, 0))
+    final, samples, stats = run_chain(MODEL, y, 20, derive_rng(71, 1), burnin=5, thin=3)
+    kept = np.arange(8, 21, 3) - 1  # rows of sweeps 8, 11, 14, 17, 20
+    assert len(samples) == 5 and samples.x is None and samples.w is None
+    assert samples.gamma_e.shape == samples.gamma_w.shape == (5, 1)
+    for name, values in (("gamma_e", samples.gamma_e[:, 0]), ("gamma_w", samples.gamma_w[:, 0]),
+                         ("mean_tau", samples.tau.mean(axis=1))):
+        np.testing.assert_array_equal(values, stats[kept, CHAIN_STATS.index(name)])
+    assert np.array_equal(samples.tau[-1], final.tau) and np.array_equal(samples.psi[-1], final.psi)
+    assert len(run_chain(MODEL, y, 4, derive_rng(71, 1), burnin=4)[1]) == 0
+
+
+class _Recorder:
+    """A generator that keeps every uniform and standard normal array it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, size):
+        self.draws.append(self.rng.random(size))
+        return self.draws[-1].copy()
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        self.draws.append(self.rng.standard_normal(size))
+        return loc + scale * self.draws[-1]
+
+
+class _Replay:
+    """Hands out sample s's slice of each recorded array, in recorded order."""
+
+    def __init__(self, draws, s):
+        self.draws, self.s = iter(draws), s
+
+    def random(self, size):
+        out = next(self.draws)[self.s].copy()
+        assert out.shape == np.shape(np.empty(size))
+        return out
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.random(size)
+
+
+def _impute_reference(tau, psi, gamma_w, gamma_e, y, rng, scans):
+    """Held-out imputation for one sample with scalar globals: the x and w
+    column steps on 2-D arrays, as a loop over kept samples ran them."""
+    m, K = y.shape[0], tau.size
+    x = (rng.random((m, K)) < tau).astype(np.int8)
+    w = rng.normal(0.0, 1.0 / math.sqrt(gamma_w), size=(m, K))
+    E = y - (x * w) @ psi
+    S = np.asfortranarray(x * w)
+    for _ in range(scans):
+        for block in ("x", "w"):
+            for k in range(K):
+                r = psi[k]
+                r_sq = r @ r
+                old = S[:, k]
+                proj = E @ r + old * r_sq
+                if block == "x":
+                    p = special.expit(math.log(tau[k]) - math.log1p(-tau[k])
+                                      + gamma_e * (w[:, k] * proj - 0.5 * w[:, k]**2 * r_sq))
+                    x[:, k] = rng.random(m) < p
+                else:
+                    xk = x[:, k].astype(float)
+                    lam = gamma_w + gamma_e * xk * r_sq
+                    w[:, k] = gamma_e * xk * proj / lam + rng.normal(size=m) / np.sqrt(lam)
+                new = x[:, k] * w[:, k]
+                E -= np.outer(new - old, r)
+                S[:, k] = new
+    return x, w
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_batched_imputation_matches_per_sample_loop(n_samples):
+    # the batch draws each column's noise for all samples in one call; fed
+    # each sample's slice of that noise, the per-sample loop gives the same x
+    # exactly and the same w up to rounding
+    rng = derive_rng(70, n_samples)
+    states = [init_state(MODEL, 4, rng) for _ in range(n_samples)]
+    for st in states:
+        st.tau = rng.uniform(0.2, 0.8, MODEL.K)  # most prior taus are near 0
+    y_new = sample_data(init_state(MODEL, 9, rng), rng)
+    recorder = _Recorder(derive_rng(70, 10))
+    batch = impute_heldout_locals(_stack(states), y_new, MODEL, recorder, scans=4)
+    assert len(recorder.draws) == 2 + 4 * 2 * MODEL.K
+    for s, st in enumerate(states):
+        replay = _Replay(recorder.draws, s)
+        x, w = _impute_reference(st.tau, st.psi, st.gamma_w, st.gamma_e, y_new, replay, 4)
+        assert next(replay.draws, None) is None
+        np.testing.assert_array_equal(batch.x[s], x)
+        np.testing.assert_allclose(batch.w[s], w, rtol=1e-12, atol=0)
+
+
+def test_imputation_matches_exact_activation_posterior():
+    # one held-out row, K = 3, D = 2, fixed globals.  With w integrated out,
+    # y | x ~ N(0, I/gamma_e + sum_k x_k psi_k psi_k^T / gamma_w), which gives
+    # the exact posterior of the 8 activation patterns.  20000 independent
+    # imputations (one batch of copies) after 50 scans are compared with it
+    # by a chi-square test with 7 degrees of freedom at p = 1e-3: an exact
+    # sampler fails it with probability 1e-3 over seeds, and this seed is fixed
+    from scipy import stats
+    K, D, n = 3, 2, 20000
+    model = LinearGaussianModel(D=D, gamma=1.0, alpha=1.0, K=K)
+    tau = np.array([0.3, 0.5, 0.7])
+    psi = np.array([[1.0, 0.0], [0.6, 0.8], [-0.5, 1.0]])
+    gamma_w, gamma_e = 1.0, 4.0
+    y = np.array([[0.8, 0.9]])
+    patterns = np.array(list(itertools.product((0, 1), repeat=K)))
+    log_post = [np.sum(x * np.log(tau) + (1 - x) * np.log1p(-tau))
+                + stats.multivariate_normal.logpdf(
+                    y[0], np.zeros(D), np.eye(D) / gamma_e + (psi.T * x) @ psi / gamma_w)
+                for x in patterns]
+    exact = special.softmax(log_post)
+    batch = SampleBatch(np.tile(tau, (n, 1)), np.tile(psi, (n, 1, 1)),
+                        np.full((n, 1), gamma_w), np.full((n, 1), gamma_e))
+    out = impute_heldout_locals(batch, y, model, derive_rng(72, 0), scans=50)
+    counts = np.bincount(out.x[:, 0, :] @ (2 ** np.arange(K)[::-1]), minlength=2**K)
+    chi2 = float(((counts - n * exact) ** 2 / (n * exact)).sum())
+    assert stats.chi2.sf(chi2, 2**K - 1) > 1e-3, (counts, n * exact)
 
 
 def test_model_validation():
