@@ -327,6 +327,7 @@ def composition_frequencies(source, N, reps, rng) -> dict:
     size-N samples from the source: copy-step urn draws for a DPSource or
     FSDSource, labels drawn from normalized weight vectors for a
     WeightDistribution."""
+    N, reps = integer(N, "N"), integer(reps, "reps")
     if isinstance(source, (DPSource, FSDSource)):
         return _tabulate_compositions(_urn_labels(source, N, reps, rng))
     weights = sample_weights(source, rng, size=reps)

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .checks import instance, integer, positive, real
 from .measures import (
@@ -73,6 +72,9 @@ _KS_LIMIT = 0.02
 _KS_DRAWS = 10_000
 _KS_RETEST_DRAWS = 200_000
 _KS_RETEST_P = 1e-6
+_GUIDE_CELLS = 1 << 16  # inverse-CDF guide-table cells over [0, 1]
+_GUIDE_MIN = 256  # fewer uniforms than this search the knots directly, at less overhead
+_EVAL_CHUNK = 1 << 15  # uniforms per inverse-CDF evaluation pass, sized to stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +289,15 @@ class AifaConfig:
         still flags any table error above about 0.009 in CDF distance.
         """
         rng = np.random.Generator(np.random.Philox(12345))
-        ks = _ks_two_sample(self.sample(_KS_DRAWS, rng), self._reference_sample(_KS_DRAWS, rng))
-        if ks.statistic < _KS_LIMIT:
+        ks, _ = _ks_two_sample(self.sample(_KS_DRAWS, rng), self._reference_sample(_KS_DRAWS, rng))
+        if ks < _KS_LIMIT:
             return
-        retest = _ks_two_sample(self.sample(_KS_RETEST_DRAWS, rng),
-                                self._reference_sample(_KS_RETEST_DRAWS, rng))
-        if retest.pvalue < _KS_RETEST_P:
+        _, p = _ks_two_sample(self.sample(_KS_RETEST_DRAWS, rng),
+                              self._reference_sample(_KS_RETEST_DRAWS, rng))
+        if p < _KS_RETEST_P:
             raise RuntimeError(
                 "inverse-CDF table failed its rejection-sampler cross-check: "
-                f"KS={ks.statistic:.4f} at {_KS_DRAWS} draws, "
-                f"p={retest.pvalue:.2g} at {_KS_RETEST_DRAWS} draws")
+                f"KS={ks:.4f} at {_KS_DRAWS} draws, p={p:.2g} at {_KS_RETEST_DRAWS} draws")
 
 
 def _pow_safe(u, power):
@@ -345,7 +346,8 @@ class _InverseCdf:
     ``below`` and ``above`` are the masses below the first and above the
     last knot (known analytically), which the table maps to its end knots;
     a uniform that falls outside the table goes to the nearer end knot.
-    ``mass`` is f's mass over the knot intervals."""
+    ``mass`` is f's mass over the knot intervals.  Values are bit-identical
+    to scipy's ``PchipInterpolator`` on the same table."""
 
     def __init__(self, f, knots, below=0.0, above=0.0):
         masses = _interval_masses(f, knots)
@@ -353,15 +355,80 @@ class _InverseCdf:
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         cum = np.maximum.accumulate(cum)
         keep = np.concatenate([[True], np.diff(cum) > 0])
-        self._interp = PchipInterpolator((below + cum[keep]) / (below + cum[-1] + above),
-                                         knots[keep], extrapolate=False)
+        x = (below + cum[keep]) / (below + cum[-1] + above)
+        self._coef = _pchip_coefficients(x, knots[keep])
+        self._x = x
+        # guide table over [0, 1]: cell j holds the interval of every q in
+        # [j, j + 1] / cells, or -1 where a knot splits the cell
+        ends = self._interval(np.arange(_GUIDE_CELLS + 2) / _GUIDE_CELLS)
+        self._guide = np.where(ends[:-1] == ends[1:], ends[:-1], -1)
         self.knots = knots
         self.lo, self.hi = knots[0], knots[-1]
 
+    def _interval(self, q):
+        """i with x[i] <= q < x[i+1], clipped to the table: the count of
+        inner knots <= q (q = x[-1] falls in the last interval, as in PPoly)."""
+        return np.searchsorted(self._x[1:-1], q, side="right")
+
     def __call__(self, q):
-        x = self._interp(q)
-        x = np.where(np.isnan(x), np.where(q > 0.5, self.hi, self.lo), x)
-        return np.clip(x, self.lo, self.hi)
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        out = np.empty(flat.size)
+        for k in range(0, flat.size, _EVAL_CHUNK):
+            out[k:k + _EVAL_CHUNK] = self._eval(flat[k:k + _EVAL_CHUNK])
+        return out.reshape(q.shape)
+
+    def _eval(self, q):
+        x, q_lo, q_hi = self._x, q.min(), q.max()
+        if q.size >= _GUIDE_MIN and 0.0 <= q_lo and q_hi <= 1.0:
+            # q * cells is exact (a power of 2), so its floor is q's guide cell
+            i = self._guide.take((q * _GUIDE_CELLS).astype(np.intp))
+            split = np.flatnonzero(i < 0)
+            i[split] = self._interval(q[split])
+        else:
+            i = self._interval(q)
+        s = q - x.take(i)
+        c0, c1, c2, c3 = self._coef.take(i, axis=1)
+        # ((c3 + c2 s) + c1 s^2) + c0 s^3, the order in which PPoly sums it
+        out = c2 * s
+        out += c3
+        s2 = s * s
+        s *= s2
+        s2 *= c1
+        out += s2
+        s *= c0
+        out += s
+        if not (x[0] <= q_lo and q_hi <= x[-1]):  # a NaN q lands here too
+            off = ~((q >= x[0]) & (q <= x[-1]))
+            out[off] = np.where(q[off] > 0.5, self.hi, self.lo)
+        np.maximum(out, self.lo, out=out)
+        return np.minimum(out, self.hi, out=out)
+
+
+def _pchip_coefficients(x, y):
+    """(4, n - 1) coefficients of the monotone cubic (PCHIP) spline through
+    (x, y): column i is the cubic in s = q - x[i], highest power first.
+    The arithmetic is scipy's PchipInterpolator (slopes as in its
+    _find_derivatives and _edge_case, coefficients as in CubicHermiteSpline),
+    so the values are bit-identical to it."""
+    h = np.diff(x)
+    if x.size < 2 or not np.all(np.isfinite(x)) or not np.all(h > 0):
+        raise ValueError("a PCHIP table needs at least 2 finite, strictly increasing x")
+    m = np.diff(y) / h
+    d = np.full(x.size, m[0])  # two knots: the line through them
+    if x.size > 2:
+        # interior: weighted harmonic mean of the secants, 0 where they change
+        # sign or vanish; ends: a one-sided three-point estimate, kept shape-preserving
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        wild = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(wild, 3.0 * m0, e))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
 
 def _interval_masses(f, knots):
@@ -378,8 +445,15 @@ def _interval_masses(f, knots):
 
 
 def _ks_two_sample(a, b):
-    from scipy import stats  # imported here: it nearly doubles the import time of the CLI
-    return stats.ks_2samp(np.log(a), np.log(b), method="asymp")
+    """(statistic, asymptotic p-value) of the two-sample KS test of log a
+    against log b; the p-value is Kolmogorov's limit law at the scaled
+    statistic sqrt(n_a n_b / (n_a + n_b)) D."""
+    a, b = np.sort(np.log(a)), np.sort(np.log(b))
+    pooled = np.concatenate([a, b])
+    gap = np.searchsorted(a, pooled, side="right") / a.size
+    gap -= np.searchsorted(b, pooled, side="right") / b.size
+    stat = float(np.abs(gap).max())
+    return stat, float(special.kolmogorov(math.sqrt(a.size * b.size / (a.size + b.size)) * stat))
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,8 @@ def predictive_log_likelihood(samples: SampleBatch, y_heldout) -> float:
     The batch carries held-out x, w (impute_heldout_locals); invariant to sample order."""
     if len(samples) == 0:
         raise ValueError("need at least one posterior sample")
+    if samples.x is None or samples.w is None:
+        raise ValueError("the batch needs held-out locals x, w from impute_heldout_locals")
     y = np.asarray(y_heldout, dtype=float)
     log_terms = (-0.5 * samples.gamma_e * ((y - samples.reconstruction)**2).sum(axis=-1)
                  + 0.5 * y.shape[1] * (np.log(samples.gamma_e) - math.log(2 * math.pi)))

@@ -411,6 +411,15 @@ def test_monte_carlo_rejects_a_source_that_is_no_weight_law(source):
         composition_frequencies(source, 3, 10, derive_rng(82, 0))
 
 
+@pytest.mark.parametrize("source", [FSDSource(1.0, 10), fsd(1.0, 10)])
+@pytest.mark.parametrize("N, reps", [(0, 10), (2.5, 10), (True, 10), (3, 0), (3, 2.5), (3, True)])
+def test_monte_carlo_rejects_bad_sizes_before_drawing(source, N, reps):
+    rng = derive_rng(83, 0)
+    with pytest.raises(ValueError, match="N must|reps must"):
+        composition_frequencies(source, N, reps, rng)
+    assert rng.random() == derive_rng(83, 0).random()  # nothing drawn
+
+
 def test_monte_carlo_rejects_vectors_without_atoms():
     # beta stick-breaking with gamma * K = 0.6 leaves about half the rows empty
     with pytest.raises(ValueError, match="no atoms"):

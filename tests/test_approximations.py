@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
+from scipy.interpolate import PchipInterpolator
 
 import crmfinite
+from crmfinite import approximations
 from crmfinite.approximations import (
     AifaConfig,
     aifa_closed_form,
@@ -396,6 +398,88 @@ def test_valid_config_passes_validation():
     # misses the 10k-draw KS screen (KS = 0.0214) and passes the 200k retest
     cfg = AifaConfig(beta_process(5.0, 1.0, 0.0), 5)
     assert cfg.sample(100, derive_rng(17, 0)).shape == (100,)
+
+
+def _scipy_inverse(f, knots, below=0.0, above=0.0):
+    """The inverse-CDF table as scipy's PchipInterpolator builds it, with a
+    uniform outside the table sent to the nearer end knot."""
+    cum = np.concatenate([[0.0], np.cumsum(approximations._interval_masses(f, knots))])
+    cum = np.maximum.accumulate(cum)
+    keep = np.concatenate([[True], np.diff(cum) > 0])
+    interp = PchipInterpolator((below + cum[keep]) / (below + cum[-1] + above), knots[keep],
+                               extrapolate=False)
+    lo, hi = knots[0], knots[-1]
+
+    def inverse(q):
+        x = interp(q)
+        return np.clip(np.where(np.isnan(x), np.where(q > 0.5, hi, lo), x), lo, hi)
+    return inverse
+
+
+@pytest.mark.parametrize("table", [("aifa", 10), ("aifa", 100), ("aifa", 1000),
+                                   ("bfry", (0.02, 0.6)), ("bfry", (0.2, 0.3))])
+def test_inverse_cdf_matches_scipy_pchip_bitwise(table, monkeypatch):
+    built = []
+
+    class Recorded(approximations._InverseCdf):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self, args, kwargs))
+
+    monkeypatch.setattr(approximations, "_InverseCdf", Recorded)
+    monkeypatch.setattr(approximations, "_BFRY_TABLES", {})
+    kind, arg = table
+    if kind == "aifa":
+        AifaConfig(beta_process(2.0, 0.0, 0.6), arg)._build()
+    else:
+        approximations._bfry_table(*arg)
+    (inverse, args, kwargs), = built
+    q = np.concatenate([derive_rng(40, 0).random(100_000), inverse._x, [0.0, 1.0]])
+    want = _scipy_inverse(*args, **kwargs)(q).view(np.int64)
+    assert np.array_equal(inverse(q).view(np.int64), want)  # guide-table path
+    small = np.concatenate([inverse(part) for part in np.array_split(q, q.size // 100)])
+    assert np.array_equal(small.view(np.int64), want)  # direct search of short calls
+
+
+@pytest.mark.parametrize("y", [
+    [0.0, 1.0],                                    # two knots: a line
+    [0.0, 2.0, 1.0, 1.0, 3.0, -1.0, 4.0, 4.5],     # sign changes and a flat secant
+    [0.0, 0.1, 5.0, 5.1, 5.2, 9.0],                # end estimate of the wrong sign
+    [1.0, 0.0, 4.0, 3.9, 3.8],                     # end estimate beyond 3 secants
+])
+def test_pchip_coefficients_match_scipy_bitwise(y):
+    y = np.array(y)
+    x = np.cumsum(derive_rng(42, 0).random(y.size) + 0.1)
+    got = approximations._pchip_coefficients(x, y)
+    assert np.array_equal(got, PchipInterpolator(x, y).c)
+
+
+def test_pchip_coefficients_reject_unordered_knots():
+    for x in ([0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 2.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            approximations._pchip_coefficients(np.array(x), np.zeros(len(x)))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_ks_statistic_matches_scipy(ties):
+    rng = derive_rng(41, 0)
+    if ties:
+        a, b = rng.integers(1, 30, 700).astype(float), rng.integers(2, 31, 900).astype(float)
+    else:
+        a, b = rng.gamma(2.0, size=700), rng.gamma(2.1, size=900)
+    statistic, _ = approximations._ks_two_sample(a, b)
+    assert statistic == stats.ks_2samp(np.log(a), np.log(b), method="asymp").statistic
+
+
+def test_ks_retest_pvalue_near_scipy():
+    # the 200k-draw retest of test_valid_config_passes_validation, replayed
+    cfg = AifaConfig(beta_process(5.0, 1.0, 0.0), 5)
+    rng = np.random.Generator(np.random.Philox(12345))
+    for n in (10_000, 200_000):
+        a, b = cfg.sample(n, rng), cfg._reference_sample(n, rng)
+    _, pvalue = approximations._ks_two_sample(a, b)
+    assert pvalue == pytest.approx(stats.ks_2samp(np.log(a), np.log(b), method="asymp").pvalue,
+                                   rel=0.01)
 
 
 def test_bfry_log_density_normalizes():

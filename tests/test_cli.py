@@ -39,11 +39,25 @@ def run(tmp_path, command, config, seed=11, replicates=1, name="cfg", env=None, 
     return code, out
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_aifa_sample_prior_imports_only_scipy_special(tmp_path):
+    # one cold AIFA run builds the inverse-CDF table and runs its KS check
     src = os.path.dirname(os.path.dirname(crmfinite.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, crmfinite.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    cfg = tmp_path / "aifa.json"
+    cfg.write_text(json.dumps({"distribution": {
+        "kind": "aifa_numeric", "K": 5,
+        "spec": {"family": "beta", "gamma": 2.0, "discount": 0.6, "extras": {"eta": 0.6}}}}))
+    probe = (
+        "import sys, crmfinite.cli as cli\n"
+        "code = cli.main(['sample-prior', *sys.argv[1:]])\n"
+        "bad = [m for m in ('scipy.interpolate', 'scipy.stats', 'scipy.optimize')"
+        " if m in sys.modules]\n"
+        "sys.exit(f'exit {code}, imported {bad}' if code or bad else 0)\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "3"]
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "weights.csv").exists()
 
 
 def test_sample_prior_fsd_symmetry(tmp_path):

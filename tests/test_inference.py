@@ -415,6 +415,13 @@ def test_predictive_invariant_to_sample_order():
         predictive_log_likelihood(_take(batch, slice(0)), y)
 
 
+def test_predictive_rejects_a_batch_without_heldout_locals():
+    y, _ = generate_synthetic(15, 3, 2, derive_rng(73, 0))
+    _, samples, _ = run_chain(MODEL, y, 5, derive_rng(73, 1))
+    with pytest.raises(ValueError, match="impute_heldout_locals"):
+        predictive_log_likelihood(samples, y[:4])
+
+
 def test_impute_heldout_locals_shapes_and_reproducibility():
     rng = derive_rng(67, 0)
     samples = _stack([init_state(MODEL, 25, rng) for _ in range(3)])
