@@ -27,6 +27,15 @@ round's births as one Poisson, their sizes by inverse CDF over
 M_{n,x} / sum_x M_{n,x}, and every later count from the posterior weight
 after the birth round.
 
+Both sources draw those counts sparsely, since each atom's counts depend
+only on its own weight theta.  An atom with F free rows (all N for the
+level-K source, the rows after its birth for the target) fires in
+M ~ Binomial(F, q) of them, where q = P(count > 0 | theta) is theta,
+1 - exp(-theta) or 1 - (1 - theta)^r.  Only the atoms with M > 0 draw a
+uniform M-subset of their free rows and one zero-truncated count per chosen
+cell, so a level-K allocation costs O(K + firing atoms * N), not O(N K):
+at K = 1000 and N = 500 only about 23 beta-Bernoulli atoms fire.
+
 Infinite sums over x are truncated with certified remainders: totals are known
 in closed form, and because the predictive families are likelihood-ratio
 ordered in the count total, past the single sign change of the term
@@ -81,7 +90,8 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
-_ATOM_BLOCK = 512  # AIFA atoms per count draw: memory stays O(N * block)
+_ATOM_BLOCK = 512  # firing atoms per subset draw: memory stays O(N * block)
+_EPS = np.finfo(float).eps
 _SIZE_GRID_MAX = 1 << 23
 
 
@@ -211,17 +221,20 @@ def target_new_atom_rate(model: ExpFamilyModel, n, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 1) or np.any(x_arr != np.floor(x_arr)):
         raise ValueError("new-atom sizes x must be integers >= 1")
-    n = np.asarray(n, dtype=float)
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        out = np.where(x_arr == 1, model.gamma * model.alpha / (model.alpha - 1.0 + n), 0.0)
-    elif model.kind is ModelKind.GAMMA_POISSON:
-        with np.errstate(under="ignore"):
-            out = model.gamma * model.lam * np.exp(-np.log(x_arr) - x_arr * np.log(model.lam + n))
-    else:
-        r, al = model.r, model.alpha
-        out = model.gamma * al * np.exp(special.gammaln(x_arr + r) - special.gammaln(x_arr + 1)
-                                        - special.gammaln(r) + special.betaln(x_arr, r * n + al))
+    out = _new_atom_rate(model, np.asarray(n, dtype=float), x_arr)
     return out if np.asarray(out).shape else float(out)
+
+
+def _new_atom_rate(model, n, x):
+    """M_{n,x} at float arrays of rounds n >= 1 and integer sizes x >= 1."""
+    if model.kind is ModelKind.BETA_BERNOULLI:
+        return np.where(x == 1, model.gamma * model.alpha / (model.alpha - 1.0 + n), 0.0)
+    if model.kind is ModelKind.GAMMA_POISSON:
+        with np.errstate(under="ignore"):
+            return model.gamma * model.lam * np.exp(-np.log(x) - x * np.log(model.lam + n))
+    r, al = model.r, model.alpha
+    return model.gamma * al * np.exp(special.gammaln(x + r) - special.gammaln(x + 1)
+                                     - special.gammaln(r) + special.betaln(x, r * n + al))
 
 
 def total_new_atom_rate(model: ExpFamilyModel, n):
@@ -264,15 +277,77 @@ def _conjugate_weight(model, S, n_seen, shift, rng):
     return rng.beta(S + shift, model.alpha + model.r * n_seen)
 
 
-def _draw_counts(model, theta, rng, n_rows):
-    """(n_rows, len(theta)) counts, i.i.d. down each column given its weight."""
-    size = (n_rows, theta.size)
+def _fire_probability(model, theta):
+    """q = P(count > 0 | theta) of one Bernoulli, Poisson or negative-binomial
+    count; for the last, a weight that rounds to 1 would leave no success
+    mass, so 1 - theta is clamped at eps."""
     if model.kind is ModelKind.BETA_BERNOULLI:
-        return (rng.random(size) < theta).astype(np.int64)
+        return theta
     if model.kind is ModelKind.GAMMA_POISSON:
-        return rng.poisson(theta, size)
-    # a weight that rounds to 1 would leave the negative binomial no success mass
-    return rng.negative_binomial(model.r, np.maximum(1.0 - theta, np.finfo(float).eps), size)
+        return -np.expm1(-theta)
+    return -np.expm1(model.r * np.log1p(-np.minimum(theta, 1.0 - _EPS)))
+
+
+def _positive_counts(model, theta, q, rng):
+    """One count per cell given its weight, conditioned on > 0 (q = P(> 0)).
+
+    gamma-Poisson: the first arrival of a rate-theta process on [0, 1] given
+    one, t = -log1p(-u q) / theta, then Poisson(theta (1 - t)) later ones,
+    with theta (1 - t) = theta + log1p(-u q).
+    beta-NB: inversion by the ratio p(x+1)/p(x) = theta (x + r)/(x + 1) where
+    q <= 1/2 and theta <= 1/2 (mean count below 3), elsewhere rejection of
+    zeros from ``rng.negative_binomial``, which accepts with probability q."""
+    if model.kind is ModelKind.BETA_BERNOULLI:
+        return np.ones(theta.size, dtype=np.int64)
+    if model.kind is ModelKind.GAMMA_POISSON:
+        return 1 + rng.poisson(np.maximum(theta + np.log1p(-rng.random(theta.size) * q), 0.0))
+    r = model.r
+    out = np.ones(theta.size, dtype=np.int64)
+    invert = theta <= min(0.5, -math.expm1(-math.log(2.0) / r))  # q <= 1/2 and theta <= 1/2
+    walk, q, u = theta[invert], q[invert], rng.random(np.count_nonzero(invert))
+    pmf = r * walk * (1.0 - q) / q  # p(1 | > 0)
+    cdf, x, count = pmf.copy(), 1, np.ones(walk.size, dtype=np.int64)
+    more = u > cdf
+    while more.any():  # the cdf only grows: a cell that stops stays stopped
+        count += more
+        pmf *= walk * ((x + r) / (x + 1))
+        cdf += pmf
+        x += 1
+        more = (u > cdf) & (pmf > 0.0)  # past the rounded cdf, stop at underflow
+    out[invert] = count
+    todo = np.flatnonzero(~invert)
+    while todo.size:  # the first nonzero of four draws per cell, each nonzero w.p. q
+        draw = rng.negative_binomial(r, np.maximum(1.0 - theta[todo], _EPS), (4, todo.size))
+        out[todo] = draw[(draw > 0).argmax(axis=0), np.arange(todo.size)]
+        todo = todo[out[todo] == 0]
+    return out
+
+
+def _sparse_counts(model, theta, first, N, rng):
+    """Nonzero counts of atoms whose counts in rows first[j]..N-1 are i.i.d.
+    given weight theta[j]: (live, rows, cols, counts), the atoms that fire
+    and, per cell, its row and its atom's position in ``live``.
+
+    Atom j fires in M_j ~ Binomial(N - first[j], q_j) rows.  Only atoms with
+    M_j > 0 go on: each gets a uniform M_j-subset of its free rows (the
+    smallest M_j of one uniform key per row, for blocks of atoms so memory
+    stays O(N * block)), and each chosen cell one zero-truncated count."""
+    q = _fire_probability(model, theta)
+    fired = rng.binomial(N - first, q)
+    live = np.flatnonzero(fired)
+    if not live.size:
+        return live, live, live, live
+    fired = fired[live]
+    rows = []
+    for lo in range(0, live.size, _ATOM_BLOCK):
+        j, m = live[lo:lo + _ATOM_BLOCK], fired[lo:lo + _ATOM_BLOCK]
+        top = m.max()
+        # one uniform key per row; rows before an atom's first free row sort last
+        keys = rng.random((j.size, N)) + (np.arange(N) < first[j, None])
+        rows.append(np.argsort(keys, axis=1)[:, :top][np.arange(top) < m[:, None]])
+    cols = np.repeat(np.arange(live.size), fired)
+    atoms = live[cols]
+    return live, np.concatenate(rows), cols, _positive_counts(model, theta[atoms], q[atoms], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +365,10 @@ class FeatureAllocation:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.ndim != 2:
             raise ValueError("counts must be a 2-d array")
-        if self.counts.shape[1] and np.any(self.counts.sum(axis=0) == 0):
+        if not (self.counts != 0).any(axis=0).all():
             raise ValueError("every column must contain at least one nonzero count")
-        if np.any(np.diff(self.first_rows()) < 0):
+        first = self.first_rows()
+        if (first[1:] < first[:-1]).any():
             raise ValueError("columns must appear in order of first appearance")
 
     def first_rows(self):
@@ -309,12 +385,11 @@ class FeatureAllocation:
         return self.counts.shape[1]
 
 
-def _birth_sizes(model, rounds, rng):
+def _birth_sizes(model, rounds, totals, rng):
     """Sizes of atoms born in the given (1-based) rounds, by inverse CDF over
-    M_{n,x} / sum_x M_{n,x}.  The x grid doubles, only for the atoms whose
-    uniform it does not cover yet; sizes stop where the remaining rate is
-    below 1e-12."""
-    totals = np.asarray(total_new_atom_rate(model, rounds), dtype=float)
+    M_{n,x} / sum_x M_{n,x} (``totals`` holds each atom's sum_x M_{n,x}).
+    The x grid doubles, only for the atoms whose uniform it does not cover
+    yet; sizes stop where the remaining rate is below 1e-12."""
     target = np.minimum(rng.random(rounds.size) * totals, totals - _TAIL_TOL)
     sizes = np.zeros(rounds.size, dtype=np.int64)
     todo = np.arange(rounds.size)
@@ -323,7 +398,7 @@ def _birth_sizes(model, rounds, rng):
         if x_max > _SIZE_GRID_MAX:
             raise RuntimeError("birth-size walk failed to terminate")
         x = np.arange(1, x_max + 1, dtype=float)
-        rates = target_new_atom_rate(model, rounds[todo, None], x[None, :])
+        rates = _new_atom_rate(model, rounds[todo, None].astype(float), x[None, :])
         # the pairwise sum decides coverage: a cumsum over millions of terms
         # drifts past the 1e-12 tail
         done = rates.sum(axis=1) >= target[todo]
@@ -342,6 +417,11 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) 
     source="target": each round's births are one Poisson draw with sizes from
     M_{n,x}; an atom's counts after its birth round are i.i.d. given its
     posterior weight after that round.
+
+    Counts are drawn sparsely (``_sparse_counts``): each atom draws how many
+    of its free rows fire, M ~ Binomial(free rows, P(count > 0 | weight)),
+    and only the atoms with M > 0 draw which rows and their zero-truncated
+    counts, so the cost grows with the atoms that fire, not with N * K.
     """
     integer(N, "N")
     if source not in ("target", "aifa"):
@@ -350,24 +430,21 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) 
         raise ValueError(f"target source takes no approximation level K, got {K!r}")
     if source == "aifa":
         integer(K, "aifa source's approximation level K")
-        born = np.full(K, -1)  # "born" before round 1: every row is drawn
-        size = np.zeros(K, dtype=np.int64)
-        theta = _conjugate_weight(model, size, 0, model.mass_shift / K, rng)
+        first = np.zeros(K, dtype=np.int64)  # every row is free
+        theta = _conjugate_weight(model, first, 0, model.mass_shift / K, rng)
+        live, rows, cols, counts = _sparse_counts(model, theta, first, N, rng)
+        mat = np.zeros((N, live.size), dtype=np.int64)  # atoms that never fire go
     else:
         n = np.arange(1, N + 1)
-        born = np.repeat(n - 1, rng.poisson(total_new_atom_rate(model, n)))
-        size = _birth_sizes(model, born + 1, rng)
-        theta = _conjugate_weight(model, size, born + 1, 0.0, rng)
-    rows = np.arange(N)[:, None]
-    blocks = [np.zeros((N, 0), dtype=np.int64)]
-    for lo in range(0, theta.size, _ATOM_BLOCK):
-        block = slice(lo, lo + _ATOM_BLOCK)
-        b, counts = born[block], _draw_counts(model, theta[block], rng, N)
-        counts[rows <= b] = 0
-        live = np.flatnonzero(b >= 0)
-        counts[b[live], live] = size[block][live]
-        blocks.append(counts[:, counts.any(axis=0)])
-    mat = np.concatenate(blocks, axis=1)
+        totals = total_new_atom_rate(model, n)
+        first = np.repeat(n, rng.poisson(totals))  # birth round = first free row
+        size = _birth_sizes(model, first, totals[first - 1], rng)
+        theta = _conjugate_weight(model, size, first, 0.0, rng)
+        live, rows, cols, counts = _sparse_counts(model, theta, first, N, rng)
+        cols = live[cols]
+        mat = np.zeros((N, first.size), dtype=np.int64)
+        mat[first - 1, np.arange(first.size)] = size
+    mat[rows, cols] = counts
     # canonical order: first row, then descending count there; lexsort is
     # stable, so ties keep draw order
     first_row = (mat != 0).argmax(axis=0)

@@ -450,7 +450,9 @@ def _golden_digests(tmp_path):
 # sha256 of each output, pinned when every table was still written row by row:
 # the bytes of every subcommand's CSV and JSON files must not move.  The gibbs
 # summary.json was re-pinned when held-out scoring became one batch over the
-# kept samples, which draws the held-out noise per column across all samples
+# kept samples, which draws the held-out noise per column across all samples;
+# the marginal-sim outputs were re-pinned when allocation counts became one
+# sparse draw (a binomial number of firing rows per atom, then which rows)
 _GOLDEN_DIGESTS = {
     "prior_aifa": {
         "summary.json": "cd060051c7634aaa2159a9a066d75e1190a3459c20e3c2bd644cfd9180a697ce",
@@ -461,11 +463,11 @@ _GOLDEN_DIGESTS = {
         "weights.csv": "3dd7fda4b60da0777501e9dfde609ae674c84fd7e14579b26ea85086b08aa43d",
     },
     "marg_gp": {
-        "allocations.csv": "e3d1bbbd72b259bd14de9185e2d0c217a52b373f6993dd6c17dc70fb657d258b",
-        "summary.json": "980d195d9c2719ad4e80621af0fa12a260c286f79984d55f8784b196ec5edfc7",
+        "allocations.csv": "a06ce75c4a12e43b42a32e03b01b9e166f69af5ec6eaf8d74d0bfa9fbab90364",
+        "summary.json": "fbe73db9c9acbe54b0166e23076d313398ebab90b3096f86f6a4835990f1b5b6",
     },
     "marg_bb": {
-        "allocations.csv": "8305d6044909c15d2d08106b6cc24c62f39bd22a4134a2e5c57364956a4752ec",
+        "allocations.csv": "d1f3e98a4377c8e00c1f59454c923a9a8aa622a118a4580a50533d655fb2896c",
         "summary.json": "2439ecb4a2763de61a1fc608348791ce67c0bdf4ee2cbf489ac72fff17d8859f",
     },
     "conditions": {

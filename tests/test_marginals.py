@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import crmfinite
 from crmfinite.analysis import (
     DPSource,
     FSDSource,
@@ -20,8 +24,8 @@ from crmfinite.marginals import (
     FeatureAllocation,
     _conjugate_weight,
     _count_grid,
-    _draw_counts,
     _predictive_logpmf,
+    _sparse_counts,
     allocation_log_probability,
     approx_fresh_mass,
     approx_predictive_pmf,
@@ -43,6 +47,7 @@ from crmfinite.rng import derive_rng
 BB = beta_bernoulli(1.0, 1.0)
 GP = gamma_poisson(1.0, 1.0)
 BNB = beta_negative_binomial(1.0, 2.0, 1.0)
+BNB_R5 = beta_negative_binomial(1.0, 2.0, 5.0)
 
 
 # -- predictive pmfs ----------------------------------------------------------
@@ -143,14 +148,20 @@ def test_fresh_mass_closed_forms():
 
 def test_sampled_counts_match_pmf():
     # conjugacy: a weight from the posterior at (sum(history), len(history),
-    # shift), then one count given it, has the predictive pmf.  History
-    # lengths 1, 4, 19 put the comparison at n = 2, 5, 20; each of the 18
-    # (model, history, K) cases is one chi-square goodness-of-fit test over
-    # x = 0, 1, 2, >=3, Bonferroni-gated to a family-wise false-alarm rate 1e-3
+    # shift), then one count given it, has the predictive pmf.  The count is
+    # the sparse draw's: one free row per atom.  History lengths 1, 4, 19
+    # put the comparison at n = 2, 5, 20; each of the 22 (model, history, K)
+    # cases is one chi-square goodness-of-fit test over x = 0, 1, 2, >=3,
+    # Bonferroni-gated to a family-wise false-alarm rate 1e-3.  The last two
+    # histories reach the other branches of the zero-truncated count:
+    # gamma-Poisson weights mostly >= 1, and beta-NB(r = 5) weights mostly
+    # above 1 - 2^(-1/5), where q > 1/2 and the draw rejects zeros
     reps = 20_000
     cases = [(BB, [1]), (BB, [1, 0, 0, 1]), (BB, [1, 0] * 9 + [1]),
              (GP, [2]), (GP, [2, 0, 1, 0]), (GP, [1, 0] * 9 + [2]),
-             (BNB, [1]), (BNB, [1, 2, 0, 0]), (BNB, [0, 1] * 9 + [3])]
+             (BNB, [1]), (BNB, [1, 2, 0, 0]), (BNB, [0, 1] * 9 + [3]),
+             (GP, [6]), (BNB_R5, [2])]
+    branch = {(GP, (6,)): 1.0, (BNB_R5, (2,)): 1.0 - 0.5 ** (1 / 5)}
     alpha = 1e-3 / (2 * len(cases))
     for model, hist in cases:
         for K in (None, 10):
@@ -159,7 +170,12 @@ def test_sampled_counts_match_pmf():
             shift = 0.0 if K is None else model.mass_shift / K
             theta = _conjugate_weight(model, np.full(reps, float(sum(hist))), len(hist),
                                       shift, rng)
-            draws = _draw_counts(model, theta, rng, 1)[0]
+            if (model, tuple(hist)) in branch:
+                assert np.mean(theta >= branch[model, tuple(hist)]) > 0.5, key
+            live, _, cols, counts = _sparse_counts(model, theta, np.zeros(reps, dtype=np.int64),
+                                                   1, rng)
+            draws = np.zeros(reps, dtype=np.int64)
+            draws[live[cols]] = counts
             p = np.array([target_predictive_pmf(model, hist, x) if K is None
                           else approx_predictive_pmf(model, K, hist, x) for x in range(3)])
             p = np.append(p, max(1.0 - p.sum(), 0.0))
@@ -169,6 +185,18 @@ def test_sampled_counts_match_pmf():
             expected = reps * p[live] / p[live].sum()
             chi2 = float(((observed[live] - expected) ** 2 / expected).sum())
             assert stats.chi2.sf(chi2, live.sum() - 1) > alpha, (key, chi2)
+
+
+def test_zero_weight_never_fires():
+    # theta = 0 exactly (a level-K weight that underflowed) has no count
+    # mass: it never fires, and its draw raises no floating-point warning
+    theta = np.tile([0.0, 0.5, 0.0, 1.0], 50)
+    first = np.zeros(theta.size, dtype=np.int64)
+    for model in (BB, GP, BNB, BNB_R5):
+        with np.errstate(all="raise"):
+            live, rows, _, counts = _sparse_counts(model, theta, first, 20, derive_rng(32, 0))
+        assert live.size and np.all(theta[live] > 0), model
+        assert np.all(counts >= 1) and np.all((rows >= 0) & (rows < 20)), model
 
 
 # -- allocations ---------------------------------------------------------------
@@ -203,6 +231,23 @@ def test_aifa_first_round_activation_count():
         assert abs(counts.mean() - K * p) < 3 * se, (model.kind, counts.mean(), K * p)
 
 
+def test_aifa_large_K_draws_only_firing_atoms():
+    # at K = 10^6 most Gamma(c/K) weights underflow to 0, and an O(N K)
+    # count draw would make 5e8 draws, so it runs in a child with a time
+    # limit and with every warning an error
+    model, N, K = gamma_poisson(2.0, 1.0), 500, 10**6
+    probe = ("from crmfinite.marginals import gamma_poisson, simulate_allocation; "
+             "from crmfinite.rng import derive_rng; "
+             f"print(simulate_allocation(gamma_poisson(2.0, 1.0), {N}, derive_rng(44, 0), "
+             f"source='aifa', K={K}).n_columns)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crmfinite.__file__)))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stderr == ""
+    p = 1.0 - np.prod([1.0 - approx_fresh_mass(model, K, n) for n in range(1, N + 1)])
+    assert abs(int(done.stdout) - K * p) < 4 * math.sqrt(K * p * (1 - p)), (done.stdout, K * p)
+
+
 def test_target_column_count_poisson():
     # reduced-size version of the feature-count law (the acceptance suite
     # runs the full 10^4-replicate criterion)
@@ -213,6 +258,51 @@ def test_target_column_count_poisson():
     mean = growth_function(N, 1.0)
     assert abs(cols.mean() - mean) < 3 * math.sqrt(mean / reps)
     assert 0.85 < cols.var() / cols.mean() < 1.15
+
+
+def _pooled_chi2_sf(observed, expected, total):
+    """p-value of one chi-square test over the cells of ``expected`` with
+    expected count >= 5 plus a pooled remainder cell (every other outcome)."""
+    cells = [k for k, e in expected.items() if e >= 5]
+    obs = [observed.get(k, 0) for k in cells]
+    exp = [expected[k] for k in cells]
+    if total - sum(exp) > 1e-9 * total:
+        obs.append(total - sum(obs))
+        exp.append(total - sum(exp))
+    obs, exp = np.array(obs, dtype=float), np.array(exp)
+    return float(stats.chi2.sf(((obs - exp) ** 2 / exp).sum(), len(obs) - 1))
+
+
+def test_aifa_allocation_column_law():
+    # level-K atoms are i.i.d., so the nonzero columns pooled over many AIFA
+    # allocations are i.i.d. with the exact column law
+    # prod_n approx_predictive_pmf(c[:n-1], c[n-1]) conditioned on c != 0,
+    # and each allocation has Binomial(K, 1 - P_K(0)) columns.  Per family one
+    # chi-square test of each, Bonferroni-gated to a family-wise false-alarm
+    # rate 1e-3
+    reps = 2000
+    cases = [(BB, 4, 6), (GP, 3, 4), (BNB, 3, 5)]
+    alpha = 1e-3 / (2 * len(cases))
+    for model, N, K in cases:
+        rng = derive_rng(43, zlib.crc32(f"{model.kind.value}/{N}/{K}".encode()))
+        columns, n_cols = {}, np.zeros(K + 1, dtype=int)
+        for _ in range(reps):
+            counts = simulate_allocation(model, N, rng, source="aifa", K=K).counts
+            n_cols[counts.shape[1]] += 1
+            for col in map(tuple, counts.T.tolist()):
+                columns[col] = columns.get(col, 0) + 1
+
+        def law(col):
+            return math.prod(approx_predictive_pmf(model, K, col[:n - 1], col[n - 1])
+                             for n in range(1, N + 1))
+
+        fire = 1.0 - law((0,) * N)
+        pooled = sum(columns.values())
+        expected = {col: pooled * law(col) / fire for col in columns}
+        assert _pooled_chi2_sf(columns, expected, pooled) > alpha, (model.kind, "columns")
+        expected = dict(enumerate(reps * stats.binom.pmf(np.arange(K + 1), K, fire)))
+        assert _pooled_chi2_sf(dict(enumerate(n_cols)), expected, reps) > alpha, (
+            model.kind, "column count", n_cols)
 
 
 def test_target_allocation_rejects_K():
