@@ -18,10 +18,11 @@ the regularized incomplete beta function at one uniform.
 
 The scan order is fixed (x, w, psi, precisions, tau) and every update draws
 through the caller's generator, so a chain is reproducible from its seed.
-The x, w and psi blocks share one residual E = y - reconstruction, the
-loadings S = x * w and one factor kernel, which keeps both current by one
-rank-one update per column.  The kernel takes optional leading sample axes: a
-sweep has none, and held-out scoring runs all kept samples (SampleBatch) at once.
+The x, w and psi blocks share the loadings S = x * w and one factor kernel that
+reads each column's residual projection from a cross product and a Gram matrix
+fixed during the block (y psi^T, psi psi^T for x and w; y^T S, S^T S for psi), so
+no residual is updated per column.  The kernel takes optional leading sample axes:
+a sweep has none, and held-out scoring runs all kept samples (SampleBatch) at once.
 """
 
 from __future__ import annotations
@@ -274,22 +275,19 @@ def _draw_psi(state, psi_scale, k, proj, s_sq, rng):
 
 
 def _by_column(a):
-    """``a`` with contiguous columns a[..., k]; a strided S[..., k] rounds dots differently."""
+    """``a`` with contiguous columns a[..., k]; the layout of S decides how left @ gram rounds."""
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _scan_factors(E, left, right, draw, rng):
-    """Redraw each left[..., k] of the rank-one terms outer(left[..., k], r = right[..., k, :])
-    by draw(k, proj, r_sq, rng), proj = (E + that term) @ r, r_sq = r @ r, keeping
-    E = y - left @ right.  x and w run on (E, S, psi), psi on (E.T, psi.T, S.T).  Leading
-    axes index samples (a GibbsState has none); matmul gives each the 2-D BLAS call."""
-    for k in range(right.shape[-2]):
-        row, col = right[..., k, None, :], right[..., k, :, None]
-        r_sq = (row @ col)[..., 0]
-        old = left[..., k]
-        new = draw(k, (E @ col)[..., 0] + old * r_sq, r_sq, rng)
-        E -= np.multiply((new - old)[..., None], row, out=np.empty_like(E))  # in E's layout
-        left[..., k] = new
+def _scan_factors(P, left, gram, draw, rng):
+    """Redraw each left[..., k] by draw(k, proj, gram[..., k, k], rng) with proj = P[..., k] -
+    sum_{j != k} left[..., j] gram[..., j, k] on the current left: for P = y r^T and gram =
+    r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  x and w run on
+    (y psi^T, S, psi psi^T), psi on (y^T S, psi^T, S^T S).  Leading axes index samples."""
+    cross = gram * (1.0 - np.eye(gram.shape[-1]))
+    for k in range(gram.shape[-1]):
+        proj = P[..., k] - (left @ cross[..., :, k, None])[..., 0]
+        left[..., k] = draw(k, proj, gram[..., k, k, None], rng)
 
 
 def _update_precisions(state, E, model, rng):
@@ -343,14 +341,13 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
                     f"{name} update changed {term}: {before[term]!r} -> {after[term]!r}")
         return out
 
-    E = y - state.reconstruction
     S = _by_column(state.x * state.w)
-    guarded("x", lambda: _scan_factors(E, S, state.psi,
-                                       partial(_draw_x, state, _logit(state.tau)), rng))
-    guarded("w", lambda: _scan_factors(E, S, state.psi, partial(_draw_w, state), rng))
-    guarded("psi", lambda: _scan_factors(E.T, state.psi.T, S.T,
+    P, G = (state.psi @ y.T).T, state.psi @ state.psi.T  # psi is fixed through x and w
+    guarded("x", lambda: _scan_factors(P, S, G, partial(_draw_x, state, _logit(state.tau)), rng))
+    guarded("w", lambda: _scan_factors(P, S, G, partial(_draw_w, state), rng))
+    guarded("psi", lambda: _scan_factors((S.T @ y).T, state.psi.T, S.T @ S,
                                          partial(_draw_psi, state, model.psi_scale), rng))
-    guarded("precisions", lambda: _update_precisions(state, E, model, rng))
+    guarded("precisions", lambda: _update_precisions(state, y - S @ state.psi, model, rng))
     guarded("tau", lambda: _update_tau(state, model, rng))
 
     for name, value in (("tau", state.tau), ("psi", state.psi), ("w", state.w),
@@ -472,11 +469,12 @@ def impute_heldout_locals(samples: SampleBatch, y_heldout, model, rng, scans=5) 
     out = SampleBatch(samples.tau, samples.psi, samples.gamma_w, samples.gamma_e,
                       _by_column((rng.random(shape) < samples.tau[:, None, :]).astype(np.int8)),
                       _by_column(rng.normal(0.0, 1.0 / np.sqrt(samples.gamma_w)[..., None], size=shape)))
-    E = _by_column(y - out.reconstruction)
     S = _by_column(out.x * out.w)
+    P = (out.psi @ y.T).swapaxes(-1, -2)  # (S, m, K) with contiguous columns, no copy
+    G = out.psi @ out.psi.swapaxes(-1, -2)
     for _ in range(scans):
-        _scan_factors(E, S, out.psi, partial(_draw_x, out, _logit(out.tau)), rng)
-        _scan_factors(E, S, out.psi, partial(_draw_w, out), rng)
+        _scan_factors(P, S, G, partial(_draw_x, out, _logit(out.tau)), rng)
+        _scan_factors(P, S, G, partial(_draw_w, out), rng)
     return out
 
 

@@ -191,7 +191,7 @@ def test_zero_feature_state_reduces_to_priors():
     from crmfinite.inference import _by_column, _draw_psi, _draw_w, _scan_factors
     probe = derive_rng(56, 2)
     st = copy.deepcopy(state)
-    _scan_factors(y - state.reconstruction, _by_column(st.x * st.w), st.psi,
+    _scan_factors((st.psi @ y.T).T, _by_column(st.x * st.w), st.psi @ st.psi.T,
                   partial(_draw_w, st), probe)
     ref = derive_rng(56, 2)
     expected = np.column_stack(
@@ -200,7 +200,8 @@ def test_zero_feature_state_reduces_to_priors():
     np.testing.assert_array_equal(st.w, expected)
     probe2 = derive_rng(56, 3)
     st2 = copy.deepcopy(state)
-    _scan_factors((y - state.reconstruction).T, st2.psi.T, _by_column(st2.x * st2.w).T,
+    S = _by_column(st2.x * st2.w)
+    _scan_factors((S.T @ y).T, st2.psi.T, S.T @ S,
                   partial(_draw_psi, st2, MODEL.psi_scale), probe2)
     ref2 = derive_rng(56, 3)
     expected_psi = np.stack(
@@ -268,6 +269,60 @@ def test_residual_kernel_matches_reference_sweep(prior, monkeypatch):
     for name in ("w", "psi", "tau", "gamma_w", "gamma_e"):
         np.testing.assert_allclose(getattr(new, name), getattr(ref, name),
                                    rtol=1e-8, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("prior", ["aifa", "bondesson_tfa"])
+def test_sweep_draws_the_reference_random_stream(prior):
+    # the sweep and the reference call the generator the same number of times
+    # with the same sizes: after 20 sweeps from one seed both stand at one state
+    state = init_state(MODEL, 40, derive_rng(73, 0), prior)
+    y = sample_data(state, derive_rng(73, 1))
+    new, ref = derive_rng(73, 2), derive_rng(73, 2)
+    a, b = copy.deepcopy(state), copy.deepcopy(state)
+    for _ in range(20):
+        gibbs_sweep(a, y, MODEL, new)
+        _reference_sweep(b, y, MODEL, ref)
+    np.testing.assert_equal(new.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("noise", [1.0, 1e-6])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_factor_kernel_projection_matches_direct_residual(batch, noise):
+    # a recording draw compares, at every k, the kernel's proj = P_k - left @ G_k
+    # (off the diagonal) with the direct projection (y - sum_{j != k} left_j psi_j^T) psi_k
+    # of the current left, then moves column k by noise * N(0, 1).  noise = 1e-6 is a
+    # near-exact fit, ||y - left psi|| / ||y|| ~ 1e-6, where P_k and left @ G_k cancel
+    # to about six digits.  Either form rounds each dot product within (D + K) eps of
+    # the sum of its terms' magnitudes (first order, fixed from float64, not from a
+    # run), so the two differ by at most 2 (D + K) eps (||y_n|| + sum_j |left_nj|
+    # ||psi_j||) ||psi_k||; for these loadings that scale is a few ||y_n|| ||psi_k||.
+    from crmfinite.inference import _by_column, _scan_factors
+    K, m, D = 6, 30, 4
+    rng = derive_rng(74, len(batch))
+    psi = rng.normal(size=batch + (K, D))
+    left = _by_column(rng.normal(size=batch + (m, K)) * (rng.random(batch + (m, K)) < 0.5))
+    y = left @ psi + noise * rng.normal(size=batch + (m, D))
+    assert np.linalg.norm(y - left @ psi) <= 10 * noise * np.linalg.norm(y)
+    psi_norm = np.linalg.norm(psi, axis=-1)
+    errors, scales = [], []
+
+    def draw(k, proj, psi_sq, rng):
+        others = left.copy()
+        others[..., k] = 0.0
+        direct = ((y - others @ psi) @ psi[..., k, :, None])[..., 0]
+        np.testing.assert_allclose(psi_sq[..., 0], psi_norm[..., k]**2,
+                                   rtol=D * np.finfo(float).eps)
+        errors.append(np.abs(proj - direct))
+        scales.append((np.linalg.norm(y, axis=-1) + (np.abs(others) @ psi_norm[..., None])[..., 0])
+                      * psi_norm[..., k, None])
+        return left[..., k] + noise * rng.normal(size=proj.shape)
+
+    _scan_factors((psi @ y.swapaxes(-1, -2)).swapaxes(-1, -2), left,
+                  psi @ psi.swapaxes(-1, -2), draw, derive_rng(74, 9))
+    assert len(errors) == K
+    bound = 2 * (D + K) * np.finfo(float).eps
+    for err, scale in zip(errors, scales):
+        assert np.all(err <= bound * scale), (err / scale).max()
 
 
 def test_debug_sweep_blanket_assertions():
