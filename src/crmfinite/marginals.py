@@ -41,14 +41,21 @@ in closed form, and because the predictive families are likelihood-ratio
 ordered in the count total, past the single sign change of the term
 difference the neglected remainder is exactly |tail_a - tail_b|.
 
-The checker's pmf grids come from one kernel, ``_count_grid``, with x on
-axis 0 and n on axis 1, so each step of the recursion is one contiguous row.
-Its first row is the closed form (``_predictive_logpmf``, the new-atom
-rate at count total 0, or for beta-NB at a positive total a Pochhammer ratio
-at x = 0); each later row is the row above times the family's ratio
-h(x)/h(x-1), a rational function of x, n and the total.  A grid thus
-carries its start row's relative error (near eps) plus at most ~X eps of
-rounding over X steps.  Point queries keep the closed form.
+The checker's pmf terms come from one row stepper, ``_count_rows``: a (T, n)
+block, one row per count total (the target's and each level-K shifted total
+for inequality 3; M at total 0 and the shift c/K for inequality 4), advanced
+one x at a time.  A row starts from its closed form (``_predictive_logpmf``,
+the new-atom rate at total 0, or for beta-NB at a positive total a
+Pochhammer ratio at x = 0); each step multiplies it by the family's ratio
+h(x)/h(x-1), a rational function of x, n and the total, so a row carries its
+start's relative error (near eps) plus at most ~X eps of rounding over X
+steps.  ``_certified_l1`` adds each row into running sums of |a - b|, a and
+b as it comes, in x order, which is the order numpy's axis-0 sum adds the
+rows of an (x, n) grid with two or more columns: the sums equal those of the
+dense grids bit for bit (one column numpy sums pairwise, so there the last
+bits may differ).  No (x, n) grid is built, so the checker's memory is
+O(T n) whatever truncation point X it certifies.  Point queries keep the
+closed form.
 
 The module also houses the Dirichlet-process and finite-symmetric-Dirichlet
 urn probabilities and the numeric four-inequality growth/approximation
@@ -58,6 +65,7 @@ condition checker with per-family presets.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -586,101 +594,115 @@ _SIGN_EPS = 1e-280
 _GUARD = 16
 
 
-def _count_grid(model, n, total, x_lo, X):
-    """(X - x_lo + 1, len(n)) grid on x = x_lo..X (axis 0) by round n
-    (axis 1) at count total ``total`` = S + shift: the predictive pmf
-    h(x | n, total), or at total 0 (x_lo >= 1) the new-atom rate M_{n,x}.
-    Row x_lo is the closed form; each later row is the row above times the
-    family's ratio h(x)/h(x-1), which M shares at total 0 since
-    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Beta-NB grids at a total t > 0
-    start at x = 0 from h(0) = (b)_r / (t + b)_r, b = r(n-1) + alpha (a
-    betaln difference loses up to 5e-11 at n ~ 1e4).  Gamma-Poisson and
-    beta-NB only: beta-Bernoulli counts need no grid."""
+def _count_rows(model, n, totals, x_lo):
+    """Step a (T, len(n)) block through x = x_lo, x_lo + 1, ...: yields
+    (x, block), the same array updated in place, whose row t is the
+    predictive pmf h(x | n, totals[t]), or at total 0 (x_lo >= 1) the
+    new-atom rate M_{n,x}.  Each row starts from its closed form at x_lo;
+    each step multiplies it by the family's ratio h(x)/h(x-1), which M
+    shares at total 0 since M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Beta-NB
+    rows at a total t > 0 start at x = 0 from h(0) = (b)_r / (t + b)_r,
+    b = r(n-1) + alpha (a betaln difference loses up to 5e-11 at n ~ 1e4),
+    and step alone up to x_lo.  Gamma-Poisson and beta-NB only:
+    beta-Bernoulli counts need no rows."""
     n = np.asarray(n, dtype=float)
+    totals = np.asarray(totals, dtype=float)
     bnb = model.kind is ModelKind.BETA_NEG_BINOMIAL
-    x0 = 0 if bnb and total > 0 else x_lo
-    grid = np.empty((X - x0 + 1, n.size))
-    if total == 0:
-        grid[0] = target_new_atom_rate(model, n, x_lo)
-    elif bnb:
-        b = model.r * (n - 1) + model.alpha
-        grid[0] = special.poch(b, model.r) / special.poch(total + b, model.r)
-    else:
-        grid[0] = np.exp(_predictive_logpmf(model, n, total, 0.0, x_lo))
-    x = np.arange(x0 + 1, X + 1, dtype=float)
-    u = total + x - 1
-    if model.kind is ModelKind.GAMMA_POISSON:  # (t+x-1)/x * 1/(lambda+n)
-        num, lag, base = u / x, np.zeros_like(u), model.lam + n
-    else:  # (x+r-1)/x * (t+x-1)/(t+x-1+rn+alpha)
-        num, lag, base = (x + model.r - 1) / x * u, u, model.r * n + model.alpha
-    # row by row: a cumprod down axis 0 is ~3x slower at these shapes
-    for i in range(x.size):
-        row = grid[i + 1]
-        np.add(base, lag[i], out=row)
-        np.divide(num[i], row, out=row)
-        row *= grid[i]
-    return grid[x_lo - x0:]
+    base = model.r * n + model.alpha if bnb else model.lam + n
+    block, ratio = np.empty((2, totals.size, n.size))
+
+    def step(rows, t, x):
+        """rows at x - 1 -> x: gamma-Poisson (t+x-1)/x * 1/(lambda+n), beta-NB
+        (x+r-1)/x * (t+x-1)/(t+x-1+rn+alpha)."""
+        u, out = t + x - 1, ratio[:t.size]
+        if bnb:
+            np.add(base, u[:, None], out=out)
+            np.divide(((x + model.r - 1) / x * u)[:, None], out, out=out)
+        else:
+            np.divide((u / x)[:, None], base, out=out)
+        rows *= out
+
+    for t in range(totals.size):
+        if totals[t] == 0:
+            block[t] = target_new_atom_rate(model, n, x_lo)
+        elif bnb:
+            b = model.r * (n - 1) + model.alpha
+            block[t] = special.poch(b, model.r) / special.poch(totals[t] + b, model.r)
+            for x in range(1, x_lo + 1):
+                step(block[t:t + 1], totals[t:t + 1], x)
+        else:
+            block[t] = np.exp(_predictive_logpmf(model, n, totals[t], 0.0, x_lo))
+    yield x_lo, block
+    for x in itertools.count(x_lo + 1):
+        step(block, totals, x)
+        yield x, block
 
 
-def _certified_l1(terms, what):
-    """sum_x |a - b|, one value per column, and the truncation point X it was
-    certified at.  ``terms(X)`` gives the (x, n) grids a and b up to x = X and
-    their exact tails past X; X doubles from 64 until the last _GUARD term
-    differences of every column are single-signed.  The likelihood-ratio
-    order guarantees a single crossing, so past it |sum of tail differences|
-    = |tail_a - tail_b|."""
-    X = 64
-    while X <= 1 << 16:
-        a, b, tail_a, tail_b = terms(X)
-        diff = a - b
-        guard = diff[-_GUARD:]
-        if np.all((guard.min(axis=0) >= -_SIGN_EPS) | (guard.max(axis=0) <= _SIGN_EPS)):
-            return np.abs(diff, out=diff).sum(axis=0) + np.abs(tail_a - tail_b), X
+def _certified_l1(rows, mass, what):
+    """sum_x |a - b| for row 0 of the ``rows`` blocks (a) against each later
+    row (b), one value per column, and the truncation point X each pair was
+    certified at.  ``mass`` (T, n) is each row's exact sum over all x, so a
+    row's tail past X is mass - its sum to X.  At X = 64, 128, ... a pair is
+    certified once its last _GUARD term differences are single-signed in
+    every column; the likelihood-ratio order guarantees a single crossing,
+    so past it |sum of tail differences| = |tail_a - tail_b|.
+
+    The sums add the rows as they come, in x order, as numpy's axis-0 sum
+    adds the rows of an (x, n) grid with n >= 2 columns (one column it sums
+    pairwise).  The guard test needs only the min and max of the differences
+    over the guard rows X - _GUARD + 1 .. X, kept as running values there,
+    so memory is a few (T, n) arrays whatever X turns out to be."""
+    T, n = mass.shape
+    sums, l1 = np.zeros((T, n)), np.zeros((T - 1, n))
+    diff, lo, hi = np.empty((3, T - 1, n))
+    done, X = {}, 64
+    for x, block in rows:
+        np.subtract(block[0], block[1:], out=diff)
+        if x == X - _GUARD + 1:  # the guard rows X - _GUARD + 1 .. X
+            lo[:] = hi[:] = diff
+        elif x > X - _GUARD:
+            np.minimum(lo, diff, out=lo)
+            np.maximum(hi, diff, out=hi)
+        sums += block
+        l1 += np.abs(diff, out=diff)
+        if x < X:
+            continue
+        single = ((lo >= -_SIGN_EPS) | (hi <= _SIGN_EPS)).all(axis=1)
+        tails = np.clip(mass - sums, 0, None)
+        for p in np.flatnonzero(single):
+            done.setdefault(p, (l1[p] + np.abs(tails[0] - tails[p + 1]), X))
+        if len(done) == T - 1:
+            return [done[p] for p in range(T - 1)]
+        if X == 1 << 16:
+            raise RuntimeError(f"{what}: no certified truncation point found")
         X *= 2
-    raise RuntimeError(f"{what}: no certified truncation point found")
 
 
 def _l1_history(model, K_set, n_arr, S):
     """Certified sum_x |h - h~| at history total S for each K in K_set,
     vectorized over n, as (sums, X) pairs.  The target pmf h does not depend
-    on K, so its grid is built once per truncation point and shared."""
+    on K, so one block steps it alongside every K's shifted total."""
     shifts = [model.mass_shift / K for K in K_set]
     if model.kind is ModelKind.BETA_BERNOULLI:
         al = model.alpha
         h1 = S / (al - 1.0 + n_arr)
         return [(2.0 * np.abs(h1 - (S + shift) / (al - 1.0 + n_arr + shift)), 1)
                 for shift in shifts]
-    target = {}
-
-    def terms(X, shift):
-        if X not in target:
-            target[X] = _count_grid(model, n_arr, float(S), 0, X)
-        a, b = target[X], _count_grid(model, n_arr, float(S) + shift, 0, X)
-        return a, b, np.clip(1 - a.sum(axis=0), 0, None), np.clip(1 - b.sum(axis=0), 0, None)
-
-    return [_certified_l1(lambda X: terms(X, shift), "history L1 sum") for shift in shifts]
+    totals = [float(S)] + [float(S) + shift for shift in shifts]
+    return _certified_l1(_count_rows(model, n_arr, totals, 0),
+                         np.ones((len(totals), n_arr.size)), "history L1 sum")
 
 
-def _l4_mismatch(model, K, n_arr):
+def _l4_mismatch(model, K, n_arr, totals, fresh):
     """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over n, and
-    its truncation point X."""
+    its truncation point X; ``totals`` and ``fresh`` are sum_x M_{n,x} and
+    sum_{x>=1} h~(x|0) at n_arr."""
     shift = model.mass_shift / K
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        al = model.alpha
-        m1 = model.gamma * al / (al - 1.0 + n_arr)
-        kh = K * shift / (al - 1.0 + n_arr + shift)
-        return np.abs(m1 - kh), 1
-    totals = np.asarray(total_new_atom_rate(model, n_arr), dtype=float)
-    fresh = np.asarray(approx_fresh_mass(model, K, n_arr), dtype=float)
-
-    def terms(X):
-        m = _count_grid(model, n_arr, 0.0, 1, X)
-        h = _count_grid(model, n_arr, shift, 1, X)
-        h *= K
-        return (m, h, np.clip(totals - m.sum(axis=0), 0, None),
-                np.clip(K * fresh - h.sum(axis=0), 0, None))
-
-    return _certified_l1(terms, "new-atom mismatch sum")
+    if model.kind is ModelKind.BETA_BERNOULLI:  # totals = gamma alpha / (alpha - 1 + n)
+        return np.abs(totals - K * shift / (model.alpha - 1.0 + n_arr + shift)), 1
+    scale = np.array([[1.0], [K]])
+    rows = ((x, block * scale) for x, block in _count_rows(model, n_arr, [0.0, shift], 1))
+    return _certified_l1(rows, np.stack([totals, K * fresh]), "new-atom mismatch sum")[0]
 
 
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set) -> dict:
@@ -745,7 +767,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
         floor = np.asarray(bounds.k_floor(n_arr), dtype=float)
         dom = K >= floor
         if dom.any():
-            lhs4, X = _l4_mismatch(model, K, n_arr[dom])
+            lhs4, X = _l4_mismatch(model, K, n_arr[dom], lhs1[dom], lhs2[dom])
             record(4, bounds.rhs4(n_arr[dom], K) - lhs4, n_arr[dom], K,
                    {"n_evaluated": int(dom.sum()), "x_max": X})
         else:

@@ -22,8 +22,11 @@ from crmfinite.analysis import (
 from crmfinite.marginals import (
     _HISTORY_SCAN,
     FeatureAllocation,
+    ModelKind,
     _conjugate_weight,
-    _count_grid,
+    _count_rows,
+    _l1_history,
+    _l4_mismatch,
     _predictive_logpmf,
     _sparse_counts,
     allocation_log_probability,
@@ -602,19 +605,28 @@ def test_condition_report_matches_golden_at_benchmark_scale(name):
     assert report["pass"]
 
 
+def _stacked_rows(model, n, totals, x_lo, X):
+    """The stepper's rows for x = x_lo..X stacked as an (x, T, n) array."""
+    return np.array([block.copy() for _, block
+                     in itertools.islice(_count_rows(model, n, totals, x_lo), X - x_lo + 1)])
+
+
 @pytest.mark.parametrize("model", [GP, BNB], ids=["gp", "bnb"])
 def test_count_grid_matches_closed_form(model):
     # the ratio recursion against the closed forms it replaces in the checker:
-    # predictive grids from x = 0 (from x = 1 at total c/K, as inequality 4
-    # uses them) and the new-atom rate grid M_{n,x} at total 0
+    # predictive rows from x = 0 (from x = 1 at total c/K, as inequality 4
+    # uses them) and the new-atom rate rows M_{n,x} at total 0, each total's
+    # rows stacked to x = 4096 from one block per history total S
     n = np.array([1, 2, 3, 10, 100, 1000, 10_000], dtype=float)
     X = 1 << 12
     c = model.mass_shift
     for S in (0, *_HISTORY_SCAN):
-        for shift in (0.0, c / 10, c / 1000):
-            x_lo = 0 if S else 1
-            x = np.arange(x_lo, X + 1, dtype=float)[:, None]
-            grid = _count_grid(model, n, S + shift, x_lo, X)
+        shifts = (0.0, c / 10, c / 1000)
+        x_lo = 0 if S else 1
+        x = np.arange(x_lo, X + 1, dtype=float)[:, None]
+        grids = _stacked_rows(model, n, [S + shift for shift in shifts], x_lo, X)
+        for t, shift in enumerate(shifts):
+            grid = grids[:, t]
             if S + shift == 0:
                 want = target_new_atom_rate(model, n[None, :], x)
             else:
@@ -626,7 +638,7 @@ def test_count_grid_matches_closed_form(model):
 
 
 def test_bnb_grid_matches_mpmath():
-    # beta-NB grids at a positive total start from h(0) = (b)_r / (t + b)_r,
+    # beta-NB rows at a positive total start from h(0) = (b)_r / (t + b)_r,
     # b = r(n-1) + alpha; against 40-digit arithmetic the start row is within
     # a few eps where the betaln difference was up to 5e-11 off (n ~ 1e4),
     # and the ratio recursion adds about one eps per row
@@ -639,7 +651,7 @@ def test_bnb_grid_matches_mpmath():
         for shift in (0.0, BNB.mass_shift / 10, BNB.mass_shift / 1000):
             if S + shift == 0:
                 continue
-            grid = _count_grid(BNB, n, S + shift, 0, X)
+            grid = _stacked_rows(BNB, n, [S + shift], 0, X)[:, 0]
             for j, nj in enumerate(n):
                 t, b = mp.mpf(S) + shift, r * (mp.mpf(nj) - 1) + al
                 h = mp.beta(t, b + r) / mp.beta(t, b)
@@ -654,6 +666,126 @@ def test_bnb_grid_matches_mpmath():
                         worst_start = max(worst_start, err)
     assert worst_start <= 4 * np.finfo(float).eps, worst_start
     assert worst_grid <= 2 * X * np.finfo(float).eps, worst_grid
+
+
+# The dense checker the streamed sums replace: each pmf an (x, n) grid built
+# row by row with the same ratio arithmetic, summed over axis 0, its
+# truncation point doubled from 64 until the last 16 term differences of
+# every column are single-signed.
+
+def _dense_count_grid(model, n, total, x_lo, X):
+    n = np.asarray(n, dtype=float)
+    bnb = model.kind is ModelKind.BETA_NEG_BINOMIAL
+    x0 = 0 if bnb and total > 0 else x_lo
+    grid = np.empty((X - x0 + 1, n.size))
+    if total == 0:
+        grid[0] = target_new_atom_rate(model, n, x_lo)
+    elif bnb:
+        b = model.r * (n - 1) + model.alpha
+        grid[0] = special.poch(b, model.r) / special.poch(total + b, model.r)
+    else:
+        grid[0] = np.exp(_predictive_logpmf(model, n, total, 0.0, x_lo))
+    x = np.arange(x0 + 1, X + 1, dtype=float)
+    u = total + x - 1
+    if not bnb:
+        num, lag, base = u / x, np.zeros_like(u), model.lam + n
+    else:
+        num, lag, base = (x + model.r - 1) / x * u, u, model.r * n + model.alpha
+    for i in range(x.size):
+        row = grid[i + 1]
+        np.add(base, lag[i], out=row)
+        np.divide(num[i], row, out=row)
+        row *= grid[i]
+    return grid[x_lo - x0:]
+
+
+def _dense_certified_l1(terms):
+    X = 64
+    while X <= 1 << 16:
+        a, b, tail_a, tail_b = terms(X)
+        diff = a - b
+        guard = diff[-16:]
+        if np.all((guard.min(axis=0) >= -1e-280) | (guard.max(axis=0) <= 1e-280)):
+            return np.abs(diff, out=diff).sum(axis=0) + np.abs(tail_a - tail_b), X
+        X *= 2
+    raise RuntimeError("no certified truncation point found")
+
+
+def _dense_l1_history(model, K, n, S):
+    def terms(X):
+        a = _dense_count_grid(model, n, float(S), 0, X)
+        b = _dense_count_grid(model, n, float(S) + model.mass_shift / K, 0, X)
+        return a, b, np.clip(1 - a.sum(axis=0), 0, None), np.clip(1 - b.sum(axis=0), 0, None)
+    return _dense_certified_l1(terms)
+
+
+def _dense_l4_mismatch(model, K, n):
+    totals, fresh = total_new_atom_rate(model, n), approx_fresh_mass(model, K, n)
+
+    def terms(X):
+        m = _dense_count_grid(model, n, 0.0, 1, X)
+        h = _dense_count_grid(model, n, model.mass_shift / K, 1, X)
+        h *= K
+        return (m, h, np.clip(totals - m.sum(axis=0), 0, None),
+                np.clip(K * fresh - h.sum(axis=0), 0, None))
+    return _dense_certified_l1(terms)
+
+
+def _streamed_matches_dense(model, K_set, n, scan):
+    """Compare the streamed and dense sums; returns their truncation points."""
+    xs = []
+    for S in scan:
+        for K, (l1, X) in zip(K_set, _l1_history(model, K_set, n, S)):
+            want, want_X = _dense_l1_history(model, K, n, S)
+            assert X == want_X and np.array_equal(l1, want), (S, K, X, want_X)
+            xs.append(X)
+    for K in K_set:
+        l4, X = _l4_mismatch(model, K, n, total_new_atom_rate(model, n),
+                             approx_fresh_mass(model, K, n))
+        want, want_X = _dense_l4_mismatch(model, K, n)
+        assert X == want_X and np.array_equal(l4, want), (K, X, want_X)
+        xs.append(X)
+    return xs
+
+
+@pytest.mark.parametrize("model, K_set, n, scan, want_X", [
+    # the benchmark's check-conditions config, every scanned history total
+    (BNB, [10, 100, 1000], np.arange(1, 10_001.0), _HISTORY_SCAN, {64}),
+    # certified at X = 128 for inequality 4 and large history totals: the
+    # sums carry on past 64
+    (gamma_poisson(1.0, 0.01), [10, 1000], np.arange(1, 2001.0), _HISTORY_SCAN, {64, 128}),
+    # pairs of one block certified at different X (K = 1 at 128, the rest at 64)
+    (gamma_poisson(100.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {64, 128}),
+    (gamma_poisson(300.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {64, 128}),
+    (GP, [1, 7, 100], np.arange(1, 301.0), _HISTORY_SCAN, {64, 128}),
+    (BNB_R5, [2, 10], np.array([1.0, 4.0, 9.0, 5000.0]), _HISTORY_SCAN, {64, 128}),
+    (beta_negative_binomial(0.5, 1.5, 0.5), [1, 1000], np.arange(1, 51.0), [1, 13, 50], {64}),
+], ids=["bnb-bench", "gp-128", "gp-mixed", "gp-mixed2", "gp", "bnb-r5", "bnb-r0.5"])
+def test_streamed_sums_match_dense_reference(model, K_set, n, scan, want_X):
+    # the running sums add rows in the order numpy's axis-0 sum adds the
+    # rows of the dense grid, so with two or more columns they are equal
+    assert set(_streamed_matches_dense(model, K_set, n, scan)) == want_X
+
+
+def test_single_column_sums_within_ulps_of_dense():
+    # one column: numpy summed the (X, 1) grid pairwise, the stream adds in
+    # order.  The named case: beta-NB(2, 3, 2), generic bounds, K = 1, where
+    # inequality 4 is evaluated at n = 1 only; its slack was
+    # -2.115950715950717 with the dense sums and moves 5 ulp
+    model = beta_negative_binomial(2.0, 3.0, 2.0)
+    report = check_condition_1(model, generic_condition_bounds(1.0, 1.0, 1.0, 0.0, 1.0), 50, [1])
+    (e4,) = [e for e in report["inequalities"] if e["inequality"] == 4]
+    assert (e4["n_evaluated"], e4["n_worst"], e4["x_max"], e4["pass"]) == (1, 1, 64, False)
+    ulp = np.spacing(2.115950715950717)
+    assert abs(e4["slack"] - -2.115950715950717) <= 8 * ulp, e4["slack"]
+    for n in (np.array([1.0]), np.array([2.0])):
+        l4, X = _l4_mismatch(model, 1, n, total_new_atom_rate(model, n),
+                             approx_fresh_mass(model, 1, n))
+        want, want_X = _dense_l4_mismatch(model, 1, n)
+        assert X == want_X and abs(l4[0] - want[0]) <= 8 * np.spacing(want[0])
+        ((l1, X),) = _l1_history(model, [1], n + 1, 3)
+        want, want_X = _dense_l1_history(model, 1, n + 1, 3)
+        assert X == want_X and abs(l1[0] - want[0]) <= 8 * np.spacing(want[0])
 
 
 @pytest.mark.parametrize("n_max, K_set", [(1, [10]), (2.5, [10]), (True, [10]), (50, []),
