@@ -30,10 +30,6 @@ __all__ = [
     "tsb_dp_bound",
     "binom_poisson_lower_constant",
     "lecam_upper",
-    "poisson_tail_upper",
-    "poisson_tail_lower",
-    "chernoff_upper",
-    "chernoff_lower",
     "dp_fsd_two_sample_gap",
     "tv_binom_poisson",
     "truncated_poisson",
@@ -131,34 +127,6 @@ def binom_poisson_lower_constant(gamma) -> float:
 def lecam_upper(n, p_sum) -> float:
     """n (sum p_i)^2: multinomial-Poissonization coupling bound."""
     return n * p_sum * p_sum
-
-
-def poisson_tail_upper(lam, x) -> float:
-    """Bound on P(X >= lam + x) for X ~ Poisson(lam), x > 0."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    return math.exp(-x * x / (2.0 * (lam + x)))
-
-
-def poisson_tail_lower(lam, x) -> float:
-    """Bound on P(X <= lam - x) for X ~ Poisson(lam), 0 < x < lam."""
-    if not 0 < x < lam:
-        raise ValueError("need 0 < x < lam")
-    return math.exp(-x * x / (2.0 * lam))
-
-
-def chernoff_upper(mu, delta) -> float:
-    """Bound on P(X >= (1+delta) mu) for a sum of independent indicators."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return math.exp(-delta * delta * mu / (2.0 + delta))
-
-
-def chernoff_lower(mu, delta) -> float:
-    """Bound on P(X <= (1-delta) mu), 0 < delta < 1."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return math.exp(-mu * delta * delta / 2.0)
 
 
 def dp_fsd_two_sample_gap(alpha, K) -> float:

@@ -16,6 +16,12 @@ the target process arrive as independent Poissons with means M_{n,x}; their
 per-round totals have closed forms (the beta-negative-binomial one is a
 digamma difference, cross-checked against brute-force summation in the tests).
 
+Each family is one subclass of ``ExpFamilyModel`` that holds all of the
+family's formulas below as methods; the module functions check their
+arguments and call them.  The level-K fresh mass has one default,
+1 - h~(0 | all-zero history); beta-Bernoulli keeps closed forms for it and
+for the checker's sums.
+
 Each predictive is the marginal of a conjugate latent weight: after n rounds
 with count total S an atom's weight is Beta(S + shift, alpha + n - S),
 Gamma(S + shift, rate lambda + n) or Beta(S + shift, alpha + r n), and its
@@ -68,6 +74,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -111,95 +118,297 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ExpFamilyModel:
-    """A d = 0 exponential-family CRM paired with its count likelihood."""
+    """A d = 0 exponential-family CRM paired with its count likelihood: one
+    subclass per family, built by ``beta_bernoulli``, ``gamma_poisson`` or
+    ``beta_negative_binomial``, whose methods take float arrays that the
+    module functions calling them have checked."""
 
-    kind: ModelKind
     spec: RateMeasureSpec
-    r: float = 0.0  # negative-binomial stopping parameter, BETA_NEG_BINOMIAL only
+    kind: ClassVar[ModelKind]
+    family: ClassVar[Family]  # the rate-measure family the CRM must have
+    max_count: ClassVar[float] = math.inf  # the largest count the likelihood gives
 
     def __post_init__(self):
         if self.spec.discount != 0.0:
             raise ValueError("marginal processes require discount d = 0")
-        if self.kind in (ModelKind.BETA_BERNOULLI, ModelKind.BETA_NEG_BINOMIAL):
-            if self.spec.family is not Family.BETA:
-                raise ValueError(f"{self.kind.value} needs a beta-family rate measure")
-        else:
-            if self.spec.family is not Family.GAMMA:
-                raise ValueError("gamma_poisson needs a gamma-family rate measure")
-        if self.kind is ModelKind.BETA_NEG_BINOMIAL:
-            if not self.r > 0:
-                raise ValueError(f"negative-binomial r must be positive, got {self.r}")
-            if not self.alpha > 1:
-                raise ValueError(f"beta-neg-binomial requires alpha > 1, got {self.alpha}")
+        if self.spec.family is not self.family:
+            raise ValueError(f"{self.kind.value} needs a {self.family.value}-family rate measure")
 
     @property
     def gamma(self):
         return self.spec.gamma
 
     @property
+    def mass_shift(self):
+        """c = gamma*alpha or gamma*lambda; level K adds c/K to every count total."""
+        ((_, hyper),) = self.spec.extras  # eta = alpha at d = 0, or the rate lambda
+        return self.gamma * hyper
+
+    def fresh_mass(self, shift, n):
+        """1 - h~(0 | all-zero history), whose count total is the shift alone."""
+        return -np.expm1(self.logpmf(n, shift, shift, 0.0))
+
+    def l1_history(self, K_set, n, S):
+        # one block steps the target pmf alongside every K's shifted total
+        totals = [float(S)] + [float(S) + self.mass_shift / K for K in K_set]
+        return _certified_l1(_count_rows(self, n, totals, 0),
+                             np.ones((len(totals), n.size)), "history L1 sum")
+
+    def l4_mismatch(self, K, n, totals, fresh):
+        scale = np.array([[1.0], [K]])
+        rows = ((x, block * scale)
+                for x, block in _count_rows(self, n, [0.0, self.mass_shift / K], 1))
+        return _certified_l1(rows, np.stack([totals, K * fresh]), "new-atom mismatch sum")[0]
+
+
+class _BetaBernoulli(ExpFamilyModel):
+    """Beta process with Bernoulli counts."""
+
+    kind = ModelKind.BETA_BERNOULLI
+    family = Family.BETA
+    max_count = 1
+
+    @property
     def alpha(self):
         return self.spec.extra("eta")  # d = 0, so eta is the concentration
+
+    def logpmf(self, n, total, shift, x):
+        # the shift augments the count total but not the number of trials
+        p1 = total / (self.alpha - 1.0 + n + shift)
+        with np.errstate(divide="ignore"):
+            return np.where(x == 1, np.log(p1), np.where(x == 0, np.log1p(-p1), -np.inf))
+
+    def new_atom_rate(self, n, x):
+        return np.where(x == 1, self.total_rate(n), 0.0)
+
+    def total_rate(self, n):
+        return self.gamma * self.alpha / (self.alpha - 1.0 + n)
+
+    def fresh_mass(self, shift, n):
+        return shift / (self.alpha - 1.0 + n + shift)
+
+    def posterior_weight(self, S, n_seen, shift, rng):
+        return rng.beta(S + shift, self.alpha + n_seen - S)
+
+    def fire_probability(self, theta):
+        return theta
+
+    def positive_counts(self, theta, q, rng):
+        return np.ones(theta.size, dtype=np.int64)
+
+    def l1_history(self, K_set, n, S):
+        # h(1) alone fixes a Bernoulli pmf, so the sums are exact at X = 1
+        h1 = S / (self.alpha - 1.0 + n)
+        return [(2.0 * np.abs(h1 - (S + shift) / (self.alpha - 1.0 + n + shift)), 1)
+                for shift in (self.mass_shift / K for K in K_set)]
+
+    def l4_mismatch(self, K, n, totals, fresh):
+        shift = self.mass_shift / K  # totals = gamma alpha / (alpha - 1 + n)
+        return np.abs(totals - K * shift / (self.alpha - 1.0 + n + shift)), 1
+
+    def preset(self):
+        g, al = self.gamma, self.alpha
+        return Condition1Bounds(
+            name="beta_bernoulli",
+            rhs1=lambda n: g * al / (n - 1 + al),
+            rhs2=lambda n, K: g * al / (K * (n - 1 + al)),
+            rhs3=lambda n, K: 2 * g * al / (K * (n - 1 + al)),
+            rhs4=lambda n, K: g * g * al / (K * (n - 1 + al)),
+        )
+
+
+class _GammaPoisson(ExpFamilyModel):
+    """Gamma process with Poisson counts."""
+
+    kind = ModelKind.GAMMA_POISSON
+    family = Family.GAMMA
 
     @property
     def lam(self):
         return self.spec.extra("rate")
 
+    def logpmf(self, n, total, shift, x):
+        p = 1.0 / (self.lam + n)
+        return (special.gammaln(total + x) - special.gammaln(total) - special.gammaln(x + 1)
+                + x * np.log(p) + total * np.log1p(-p))
+
+    def new_atom_rate(self, n, x):
+        with np.errstate(under="ignore"):
+            return self.gamma * self.lam * np.exp(-np.log(x) - x * np.log(self.lam + n))
+
+    def total_rate(self, n):
+        return -self.gamma * self.lam * np.log1p(-1.0 / (self.lam + n))
+
+    def posterior_weight(self, S, n_seen, shift, rng):
+        return rng.gamma(S + shift, 1.0 / (self.lam + n_seen))
+
+    def fire_probability(self, theta):
+        return -np.expm1(-theta)
+
+    def positive_counts(self, theta, q, rng):
+        """The first arrival of a rate-theta process on [0, 1] given one,
+        t = -log1p(-u q) / theta, then Poisson(theta (1 - t)) later ones,
+        with theta (1 - t) = theta + log1p(-u q)."""
+        return 1 + rng.poisson(np.maximum(theta + np.log1p(-rng.random(theta.size) * q), 0.0))
+
+    def stepper(self, n):
+        """ratio(t, x, out): h(x)/h(x-1) = (t+x-1)/x * 1/(lambda+n) at totals t."""
+        base = self.lam + n
+        return lambda t, x, out: np.divide(((t + x - 1) / x)[:, None], base, out=out)
+
+    def start_row(self, n, total, x_lo):
+        return np.exp(_predictive_logpmf(self, n, total, 0.0, x_lo))
+
+    def preset(self):
+        g, lam = self.gamma, self.lam
+        return Condition1Bounds(
+            name="gamma_poisson",
+            rhs1=lambda n: g * lam / (n - 1 + lam),
+            rhs2=lambda n, K: g * lam / (K * (n - 1 + lam)),
+            rhs3=lambda n, K: 2 * g * lam / (K * (n - 1 + lam)),
+            rhs4=lambda n, K: (g * g * lam + math.e * g * g * lam * lam) / (K * (n - 1 + lam)),
+            k_floor=lambda n: g * lam * np.ones_like(np.asarray(n, dtype=float)),
+        )
+
+
+@dataclass(frozen=True)
+class _BetaNegBinomial(ExpFamilyModel):
+    """Beta process with negative-binomial counts of stopping parameter r."""
+
+    kind = ModelKind.BETA_NEG_BINOMIAL
+    family = Family.BETA
+    r: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.r > 0:
+            raise ValueError(f"negative-binomial r must be positive, got {self.r}")
+        if not self.alpha > 1:
+            raise ValueError(f"beta-neg-binomial requires alpha > 1, got {self.alpha}")
+
     @property
-    def mass_shift(self):
-        """c = gamma*alpha (beta families) or gamma*lambda; the approximate
-        model adds c/K to every count total."""
-        if self.kind is ModelKind.GAMMA_POISSON:
-            return self.gamma * self.lam
-        return self.gamma * self.alpha
+    def alpha(self):
+        return self.spec.extra("eta")  # d = 0, so eta is the concentration
+
+    def logpmf(self, n, total, shift, x):
+        r, al = self.r, self.alpha
+        return (special.gammaln(x + r) - special.gammaln(x + 1) - special.gammaln(r)
+                + special.betaln(total + x, r * n + al) - special.betaln(total, r * (n - 1) + al))
+
+    def new_atom_rate(self, n, x):
+        r, al = self.r, self.alpha
+        return self.gamma * al * np.exp(special.gammaln(x + r) - special.gammaln(x + 1)
+                                        - special.gammaln(r) + special.betaln(x, r * n + al))
+
+    def total_rate(self, n):
+        r, al = self.r, self.alpha
+        return self.gamma * al * (special.digamma(r * n + al) - special.digamma(r * (n - 1) + al))
+
+    def posterior_weight(self, S, n_seen, shift, rng):
+        return rng.beta(S + shift, self.alpha + self.r * n_seen)
+
+    def fire_probability(self, theta):
+        # a weight that rounds to 1 would leave no success mass, so 1 - theta
+        # is clamped at eps
+        return -np.expm1(self.r * np.log1p(-np.minimum(theta, 1.0 - _EPS)))
+
+    def positive_counts(self, theta, q, rng):
+        """Inversion by the ratio p(x+1)/p(x) = theta (x + r)/(x + 1) where
+        q <= 1/2 and theta <= 1/2 (mean count below 3), elsewhere rejection of
+        zeros from ``rng.negative_binomial``, which accepts with probability q."""
+        r = self.r
+        out = np.ones(theta.size, dtype=np.int64)
+        invert = theta <= min(0.5, -math.expm1(-math.log(2.0) / r))  # q <= 1/2 and theta <= 1/2
+        walk, q, u = theta[invert], q[invert], rng.random(np.count_nonzero(invert))
+        pmf = r * walk * (1.0 - q) / q  # p(1 | > 0)
+        cdf, x, count = pmf.copy(), 1, np.ones(walk.size, dtype=np.int64)
+        more = u > cdf
+        while more.any():  # the cdf only grows: a cell that stops stays stopped
+            count += more
+            pmf *= walk * ((x + r) / (x + 1))
+            cdf += pmf
+            x += 1
+            more = (u > cdf) & (pmf > 0.0)  # past the rounded cdf, stop at underflow
+        out[invert] = count
+        todo = np.flatnonzero(~invert)
+        while todo.size:  # the first nonzero of four draws per cell, each nonzero w.p. q
+            draw = rng.negative_binomial(r, np.maximum(1.0 - theta[todo], _EPS), (4, todo.size))
+            out[todo] = draw[(draw > 0).argmax(axis=0), np.arange(todo.size)]
+            todo = todo[out[todo] == 0]
+        return out
+
+    def stepper(self, n):
+        """ratio(t, x, out): h(x)/h(x-1) = (x+r-1)/x * (t+x-1)/(t+x-1+rn+alpha)
+        at totals t."""
+        base = self.r * n + self.alpha
+
+        def ratio(t, x, out):
+            u = t + x - 1
+            np.add(base, u[:, None], out=out)
+            return np.divide(((x + self.r - 1) / x * u)[:, None], out, out=out)
+        return ratio
+
+    def start_row(self, n, total, x_lo):
+        """From h(0) = (b)_r / (t + b)_r, b = r(n-1) + alpha (a betaln
+        difference loses up to 5e-11 at n ~ 1e4), stepped up to x_lo."""
+        b = self.r * (n - 1) + self.alpha
+        row = (special.poch(b, self.r) / special.poch(total + b, self.r))[None, :]
+        ratio, t = self.stepper(n), np.array([total])
+        for x in range(1, x_lo + 1):
+            row *= ratio(t, x, np.empty_like(row))
+        return row[0]
+
+    def preset(self):
+        g, al, r = self.gamma, self.alpha, self.r
+        return Condition1Bounds(
+            name="beta_neg_binomial",
+            rhs1=lambda n: g * al / (n - 1 + (al - 0.5) / r),
+            rhs2=lambda n, K: 4 * g * al / (K * (n - 1 + (al - 0.5) / r)),
+            rhs3=lambda n, K: 2 * g * al / (K * (n - 1 + al / r)),
+            rhs4=lambda n, K: (g * al / K)
+            * ((4 * g * al + 3) * np.log(r * n + al + 1) + (10 + 2 * r) * g * al + 24)
+            / (n - 1 + (al - 0.5) / r),
+            k_floor=lambda n: g * al * (3 * np.log(r * (np.asarray(n, dtype=float) - 1) + al) + 8),
+        )
 
 
 def beta_bernoulli(gamma, alpha) -> ExpFamilyModel:
-    return ExpFamilyModel(ModelKind.BETA_BERNOULLI,
-                          RateMeasureSpec(Family.BETA, gamma, 0.0, eta=alpha))
+    return _BetaBernoulli(RateMeasureSpec(Family.BETA, gamma, 0.0, eta=alpha))
 
 
 def gamma_poisson(gamma, lam) -> ExpFamilyModel:
-    return ExpFamilyModel(ModelKind.GAMMA_POISSON,
-                          RateMeasureSpec(Family.GAMMA, gamma, 0.0, rate=lam))
+    return _GammaPoisson(RateMeasureSpec(Family.GAMMA, gamma, 0.0, rate=lam))
 
 
 def beta_negative_binomial(gamma, alpha, r) -> ExpFamilyModel:
-    return ExpFamilyModel(ModelKind.BETA_NEG_BINOMIAL,
-                          RateMeasureSpec(Family.BETA, gamma, 0.0, eta=alpha), r=float(r))
+    return _BetaNegBinomial(RateMeasureSpec(Family.BETA, gamma, 0.0, eta=alpha), float(r))
 
 
 # ---------------------------------------------------------------------------
 # predictive pmfs
 # ---------------------------------------------------------------------------
 
+def _integers(values, floor, what):
+    """``values`` as a float array, once every entry is an integer >= floor."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= floor) & (values == np.floor(values))):
+        raise ValueError(f"{what} must be integers >= {floor}")
+    return values
+
+
 def _predictive_logpmf(model, n, S, shift, x):
     """log pmf of the next count at an atom whose history of n-1 observations
     sums to S; ``shift`` is the approximation's pseudo-count c/K (0 for the
-    target).  Fully broadcastable.  The shift augments the count total but not
-    the number of trials, which for Bernoulli counts moves the denominator to
-    alpha - 1 + n + c/K."""
+    target).  Fully broadcastable."""
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
-    total = np.asarray(S, dtype=float) + shift
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        p1 = total / (model.alpha - 1.0 + n + shift)
-        with np.errstate(divide="ignore"):
-            return np.where(x == 1, np.log(p1), np.where(x == 0, np.log1p(-p1), -np.inf))
-    if model.kind is ModelKind.GAMMA_POISSON:
-        p = 1.0 / (model.lam + n)
-        return (special.gammaln(total + x) - special.gammaln(total) - special.gammaln(x + 1)
-                + x * np.log(p) + total * np.log1p(-p))
-    r, al = model.r, model.alpha
-    return (special.gammaln(x + r) - special.gammaln(x + 1) - special.gammaln(r)
-            + special.betaln(total + x, r * n + al) - special.betaln(total, r * (n - 1) + al))
+    return model.logpmf(n, np.asarray(S, dtype=float) + shift, shift, x)
 
 
 def _check_history(model, history):
-    history = np.asarray(history, dtype=float)
-    if history.size and (np.any(history < 0) or np.any(history != np.floor(history))):
-        raise ValueError("history entries must be nonnegative integer counts")
-    if model.kind is ModelKind.BETA_BERNOULLI and np.any(history > 1):
-        raise ValueError("beta-Bernoulli counts are binary")
+    history = _integers(history, 0, "history entries")
+    if np.any(history > model.max_count):
+        raise ValueError(f"{model.kind.value} counts are at most {model.max_count}")
     return history
 
 
@@ -224,111 +433,22 @@ def approx_predictive_pmf(model: ExpFamilyModel, K, history, x) -> float:
 
 def target_new_atom_rate(model: ExpFamilyModel, n, x):
     """Poisson mean M_{n,x} of brand-new atoms of size x in round n."""
-    if np.any(np.asarray(n) < 1):
-        raise ValueError("round index n must be >= 1")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 1) or np.any(x_arr != np.floor(x_arr)):
-        raise ValueError("new-atom sizes x must be integers >= 1")
-    out = _new_atom_rate(model, np.asarray(n, dtype=float), x_arr)
+    out = model.new_atom_rate(_integers(n, 1, "round indices n"),
+                              _integers(x, 1, "new-atom sizes x"))
     return out if np.asarray(out).shape else float(out)
-
-
-def _new_atom_rate(model, n, x):
-    """M_{n,x} at float arrays of rounds n >= 1 and integer sizes x >= 1."""
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        return np.where(x == 1, model.gamma * model.alpha / (model.alpha - 1.0 + n), 0.0)
-    if model.kind is ModelKind.GAMMA_POISSON:
-        with np.errstate(under="ignore"):
-            return model.gamma * model.lam * np.exp(-np.log(x) - x * np.log(model.lam + n))
-    r, al = model.r, model.alpha
-    return model.gamma * al * np.exp(special.gammaln(x + r) - special.gammaln(x + 1)
-                                     - special.gammaln(r) + special.betaln(x, r * n + al))
 
 
 def total_new_atom_rate(model: ExpFamilyModel, n):
     """sum_x M_{n,x}, in closed form per family."""
-    n = np.asarray(n, dtype=float)
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        out = model.gamma * model.alpha / (model.alpha - 1.0 + n)
-    elif model.kind is ModelKind.GAMMA_POISSON:
-        out = -model.gamma * model.lam * np.log1p(-1.0 / (model.lam + n))
-    else:
-        r, al = model.r, model.alpha
-        out = model.gamma * al * (special.digamma(r * n + al) - special.digamma(r * (n - 1) + al))
+    out = model.total_rate(_integers(n, 1, "round indices n"))
     return out if out.shape else float(out)
 
 
 def approx_fresh_mass(model: ExpFamilyModel, K, n):
     """sum_{x>=1} h~(x | all-zero history) = P(a dormant atom activates in round n)."""
-    n = np.asarray(n, dtype=float)
-    c_over_k = model.mass_shift / K
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        out = c_over_k / (model.alpha - 1.0 + n + c_over_k)
-    elif model.kind is ModelKind.GAMMA_POISSON:
-        out = -np.expm1(c_over_k * np.log1p(-1.0 / (model.lam + n)))
-    else:
-        r, al = model.r, model.alpha
-        out = -np.expm1(special.betaln(c_over_k, r * n + al)
-                        - special.betaln(c_over_k, r * (n - 1) + al))
+    out = model.fresh_mass(model.mass_shift / integer(K, "approximation level K"),
+                           _integers(n, 1, "round indices n"))
     return out if out.shape else float(out)
-
-
-def _conjugate_weight(model, S, n_seen, shift, rng):
-    """Latent weight of an atom whose first ``n_seen`` counts total S, drawn
-    from its conjugate posterior; ``shift`` is the level-K pseudo-count c/K
-    (0 for the target).  S and n_seen broadcast."""
-    S, n_seen = np.asarray(S, dtype=float), np.asarray(n_seen, dtype=float)
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        return rng.beta(S + shift, model.alpha + n_seen - S)
-    if model.kind is ModelKind.GAMMA_POISSON:
-        return rng.gamma(S + shift, 1.0 / (model.lam + n_seen))
-    return rng.beta(S + shift, model.alpha + model.r * n_seen)
-
-
-def _fire_probability(model, theta):
-    """q = P(count > 0 | theta) of one Bernoulli, Poisson or negative-binomial
-    count; for the last, a weight that rounds to 1 would leave no success
-    mass, so 1 - theta is clamped at eps."""
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        return theta
-    if model.kind is ModelKind.GAMMA_POISSON:
-        return -np.expm1(-theta)
-    return -np.expm1(model.r * np.log1p(-np.minimum(theta, 1.0 - _EPS)))
-
-
-def _positive_counts(model, theta, q, rng):
-    """One count per cell given its weight, conditioned on > 0 (q = P(> 0)).
-
-    gamma-Poisson: the first arrival of a rate-theta process on [0, 1] given
-    one, t = -log1p(-u q) / theta, then Poisson(theta (1 - t)) later ones,
-    with theta (1 - t) = theta + log1p(-u q).
-    beta-NB: inversion by the ratio p(x+1)/p(x) = theta (x + r)/(x + 1) where
-    q <= 1/2 and theta <= 1/2 (mean count below 3), elsewhere rejection of
-    zeros from ``rng.negative_binomial``, which accepts with probability q."""
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        return np.ones(theta.size, dtype=np.int64)
-    if model.kind is ModelKind.GAMMA_POISSON:
-        return 1 + rng.poisson(np.maximum(theta + np.log1p(-rng.random(theta.size) * q), 0.0))
-    r = model.r
-    out = np.ones(theta.size, dtype=np.int64)
-    invert = theta <= min(0.5, -math.expm1(-math.log(2.0) / r))  # q <= 1/2 and theta <= 1/2
-    walk, q, u = theta[invert], q[invert], rng.random(np.count_nonzero(invert))
-    pmf = r * walk * (1.0 - q) / q  # p(1 | > 0)
-    cdf, x, count = pmf.copy(), 1, np.ones(walk.size, dtype=np.int64)
-    more = u > cdf
-    while more.any():  # the cdf only grows: a cell that stops stays stopped
-        count += more
-        pmf *= walk * ((x + r) / (x + 1))
-        cdf += pmf
-        x += 1
-        more = (u > cdf) & (pmf > 0.0)  # past the rounded cdf, stop at underflow
-    out[invert] = count
-    todo = np.flatnonzero(~invert)
-    while todo.size:  # the first nonzero of four draws per cell, each nonzero w.p. q
-        draw = rng.negative_binomial(r, np.maximum(1.0 - theta[todo], _EPS), (4, todo.size))
-        out[todo] = draw[(draw > 0).argmax(axis=0), np.arange(todo.size)]
-        todo = todo[out[todo] == 0]
-    return out
 
 
 def _sparse_counts(model, theta, first, N, rng):
@@ -340,7 +460,7 @@ def _sparse_counts(model, theta, first, N, rng):
     M_j > 0 go on: each gets a uniform M_j-subset of its free rows (the
     smallest M_j of one uniform key per row, for blocks of atoms so memory
     stays O(N * block)), and each chosen cell one zero-truncated count."""
-    q = _fire_probability(model, theta)
+    q = model.fire_probability(theta)
     fired = rng.binomial(N - first, q)
     live = np.flatnonzero(fired)
     if not live.size:
@@ -355,7 +475,7 @@ def _sparse_counts(model, theta, first, N, rng):
         rows.append(np.argsort(keys, axis=1)[:, :top][np.arange(top) < m[:, None]])
     cols = np.repeat(np.arange(live.size), fired)
     atoms = live[cols]
-    return live, np.concatenate(rows), cols, _positive_counts(model, theta[atoms], q[atoms], rng)
+    return live, np.concatenate(rows), cols, model.positive_counts(theta[atoms], q[atoms], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +526,7 @@ def _birth_sizes(model, rounds, totals, rng):
         if x_max > _SIZE_GRID_MAX:
             raise RuntimeError("birth-size walk failed to terminate")
         x = np.arange(1, x_max + 1, dtype=float)
-        rates = _new_atom_rate(model, rounds[todo, None].astype(float), x[None, :])
+        rates = model.new_atom_rate(rounds[todo, None].astype(float), x[None, :])
         # the pairwise sum decides coverage: a cumsum over millions of terms
         # drifts past the 1e-12 tail
         done = rates.sum(axis=1) >= target[todo]
@@ -439,7 +559,7 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) 
     if source == "aifa":
         integer(K, "aifa source's approximation level K")
         first = np.zeros(K, dtype=np.int64)  # every row is free
-        theta = _conjugate_weight(model, first, 0, model.mass_shift / K, rng)
+        theta = model.posterior_weight(first, 0, model.mass_shift / K, rng)
         live, rows, cols, counts = _sparse_counts(model, theta, first, N, rng)
         mat = np.zeros((N, live.size), dtype=np.int64)  # atoms that never fire go
     else:
@@ -447,7 +567,7 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) 
         totals = total_new_atom_rate(model, n)
         first = np.repeat(n, rng.poisson(totals))  # birth round = first free row
         size = _birth_sizes(model, first, totals[first - 1], rng)
-        theta = _conjugate_weight(model, size, first, 0.0, rng)
+        theta = model.posterior_weight(size, first, 0.0, rng)
         live, rows, cols, counts = _sparse_counts(model, theta, first, N, rng)
         cols = live[cols]
         mat = np.zeros((N, first.size), dtype=np.int64)
@@ -556,37 +676,7 @@ def generic_condition_bounds(C1, C2=0.0, C3=0.0, C4=0.0, C5=0.0) -> Condition1Bo
 
 def condition_preset(model: ExpFamilyModel) -> Condition1Bounds:
     """The per-family verified bounds, shipped as named presets."""
-    g = model.gamma
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        al = model.alpha
-        return Condition1Bounds(
-            name="beta_bernoulli",
-            rhs1=lambda n: g * al / (n - 1 + al),
-            rhs2=lambda n, K: g * al / (K * (n - 1 + al)),
-            rhs3=lambda n, K: 2 * g * al / (K * (n - 1 + al)),
-            rhs4=lambda n, K: g * g * al / (K * (n - 1 + al)),
-        )
-    if model.kind is ModelKind.GAMMA_POISSON:
-        lam = model.lam
-        return Condition1Bounds(
-            name="gamma_poisson",
-            rhs1=lambda n: g * lam / (n - 1 + lam),
-            rhs2=lambda n, K: g * lam / (K * (n - 1 + lam)),
-            rhs3=lambda n, K: 2 * g * lam / (K * (n - 1 + lam)),
-            rhs4=lambda n, K: (g * g * lam + math.e * g * g * lam * lam) / (K * (n - 1 + lam)),
-            k_floor=lambda n: g * lam * np.ones_like(np.asarray(n, dtype=float)),
-        )
-    al, r = model.alpha, model.r
-    return Condition1Bounds(
-        name="beta_neg_binomial",
-        rhs1=lambda n: g * al / (n - 1 + (al - 0.5) / r),
-        rhs2=lambda n, K: 4 * g * al / (K * (n - 1 + (al - 0.5) / r)),
-        rhs3=lambda n, K: 2 * g * al / (K * (n - 1 + al / r)),
-        rhs4=lambda n, K: (g * al / K)
-        * ((4 * g * al + 3) * np.log(r * n + al + 1) + (10 + 2 * r) * g * al + 24)
-        / (n - 1 + (al - 0.5) / r),
-        k_floor=lambda n: g * al * (3 * np.log(r * (np.asarray(n, dtype=float) - 1) + al) + 8),
-    )
+    return model.preset()
 
 
 _HISTORY_SCAN = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 32, 50)
@@ -598,43 +688,21 @@ def _count_rows(model, n, totals, x_lo):
     """Step a (T, len(n)) block through x = x_lo, x_lo + 1, ...: yields
     (x, block), the same array updated in place, whose row t is the
     predictive pmf h(x | n, totals[t]), or at total 0 (x_lo >= 1) the
-    new-atom rate M_{n,x}.  Each row starts from its closed form at x_lo;
-    each step multiplies it by the family's ratio h(x)/h(x-1), which M
-    shares at total 0 since M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Beta-NB
-    rows at a total t > 0 start at x = 0 from h(0) = (b)_r / (t + b)_r,
-    b = r(n-1) + alpha (a betaln difference loses up to 5e-11 at n ~ 1e4),
-    and step alone up to x_lo.  Gamma-Poisson and beta-NB only:
+    new-atom rate M_{n,x}.  Each row starts at x_lo from the family's
+    ``start_row`` (M from its closed form); each step multiplies it by the
+    family's ratio h(x)/h(x-1), which M shares at total 0 since
+    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Gamma-Poisson and beta-NB only:
     beta-Bernoulli counts need no rows."""
     n = np.asarray(n, dtype=float)
     totals = np.asarray(totals, dtype=float)
-    bnb = model.kind is ModelKind.BETA_NEG_BINOMIAL
-    base = model.r * n + model.alpha if bnb else model.lam + n
-    block, ratio = np.empty((2, totals.size, n.size))
-
-    def step(rows, t, x):
-        """rows at x - 1 -> x: gamma-Poisson (t+x-1)/x * 1/(lambda+n), beta-NB
-        (x+r-1)/x * (t+x-1)/(t+x-1+rn+alpha)."""
-        u, out = t + x - 1, ratio[:t.size]
-        if bnb:
-            np.add(base, u[:, None], out=out)
-            np.divide(((x + model.r - 1) / x * u)[:, None], out, out=out)
-        else:
-            np.divide((u / x)[:, None], base, out=out)
-        rows *= out
-
+    ratio, out = model.stepper(n), np.empty((totals.size, n.size))
+    block = np.empty_like(out)
     for t in range(totals.size):
-        if totals[t] == 0:
-            block[t] = target_new_atom_rate(model, n, x_lo)
-        elif bnb:
-            b = model.r * (n - 1) + model.alpha
-            block[t] = special.poch(b, model.r) / special.poch(totals[t] + b, model.r)
-            for x in range(1, x_lo + 1):
-                step(block[t:t + 1], totals[t:t + 1], x)
-        else:
-            block[t] = np.exp(_predictive_logpmf(model, n, totals[t], 0.0, x_lo))
+        block[t] = (target_new_atom_rate(model, n, x_lo) if totals[t] == 0
+                    else model.start_row(n, totals[t], x_lo))
     yield x_lo, block
     for x in itertools.count(x_lo + 1):
-        step(block, totals, x)
+        block *= ratio(totals, x, out)
         yield x, block
 
 
@@ -680,29 +748,15 @@ def _certified_l1(rows, mass, what):
 
 def _l1_history(model, K_set, n_arr, S):
     """Certified sum_x |h - h~| at history total S for each K in K_set,
-    vectorized over n, as (sums, X) pairs.  The target pmf h does not depend
-    on K, so one block steps it alongside every K's shifted total."""
-    shifts = [model.mass_shift / K for K in K_set]
-    if model.kind is ModelKind.BETA_BERNOULLI:
-        al = model.alpha
-        h1 = S / (al - 1.0 + n_arr)
-        return [(2.0 * np.abs(h1 - (S + shift) / (al - 1.0 + n_arr + shift)), 1)
-                for shift in shifts]
-    totals = [float(S)] + [float(S) + shift for shift in shifts]
-    return _certified_l1(_count_rows(model, n_arr, totals, 0),
-                         np.ones((len(totals), n_arr.size)), "history L1 sum")
+    vectorized over n, as (sums, X) pairs."""
+    return model.l1_history(K_set, np.asarray(n_arr, dtype=float), S)
 
 
 def _l4_mismatch(model, K, n_arr, totals, fresh):
     """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over n, and
     its truncation point X; ``totals`` and ``fresh`` are sum_x M_{n,x} and
     sum_{x>=1} h~(x|0) at n_arr."""
-    shift = model.mass_shift / K
-    if model.kind is ModelKind.BETA_BERNOULLI:  # totals = gamma alpha / (alpha - 1 + n)
-        return np.abs(totals - K * shift / (model.alpha - 1.0 + n_arr + shift)), 1
-    scale = np.array([[1.0], [K]])
-    rows = ((x, block * scale) for x, block in _count_rows(model, n_arr, [0.0, shift], 1))
-    return _certified_l1(rows, np.stack([totals, K * fresh]), "new-atom mismatch sum")[0]
+    return model.l4_mismatch(K, np.asarray(n_arr, dtype=float), totals, fresh)
 
 
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set) -> dict:
@@ -745,8 +799,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     worst_s = np.zeros((len(K_set), n3.size), dtype=int)
     x_max3 = [0] * len(K_set)
     for S in _HISTORY_SCAN:
-        mask = ((n3 - 1) >= S) if model.kind is ModelKind.BETA_BERNOULLI \
-            else np.ones(n3.size, dtype=bool)
+        mask = (n3 - 1) * model.max_count >= S  # a history of n - 1 counts reaches S
         if not mask.any():
             continue
         idx = np.where(mask)[0]

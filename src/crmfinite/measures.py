@@ -35,12 +35,10 @@ __all__ = [
     "beta_process",
     "gamma_process",
     "log_rate_density",
-    "rate_density",
     "log_normalizer",
     "normalizer",
     "small_weight_coefficient",
     "indicator_value",
-    "indicator_derivative",
 ]
 
 
@@ -191,10 +189,6 @@ def log_rate_density(spec: RateMeasureSpec, theta):
     return out if out.shape else float(out)
 
 
-def rate_density(spec: RateMeasureSpec, theta):
-    return np.exp(log_rate_density(spec, theta))
-
-
 # -- approximate indicators ---------------------------------------------------
 
 class IndicatorKind(enum.Enum):
@@ -231,21 +225,4 @@ def indicator_value(ind: ApproxIndicator, theta):
             with np.errstate(divide="ignore", under="ignore", over="ignore"):
                 # u -> 0+ at the left knot: limit 0; there rounding can leave u <= 0
                 out[inside] = np.where(u > 0, np.exp(-1.0 / u + 1.0), 0.0)
-    return float(out[0]) if np.ndim(theta) == 0 else out.reshape(np.shape(theta))
-
-
-def indicator_derivative(ind: ApproxIndicator, theta):
-    """dS_b/dtheta; zero outside (0, b), and zero in the limit at 0 and b."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.zeros_like(t)
-    if ind.kind is IndicatorKind.SMOOTHED:
-        b = ind.width
-        inside = (t > 0) & (t < b)
-        if np.any(inside):
-            ti = t[inside]
-            u = 1.0 - (ti - b) ** 2 / b**2
-            with np.errstate(divide="ignore", under="ignore"):
-                s = np.exp(-1.0 / u + 1.0)
-                val = s * (-1.0 / u**2) * (2.0 * (ti - b) / b**2)
-                out[inside] = np.where(np.isfinite(val), val, 0.0)  # exp decay beats 1/u^2
     return float(out[0]) if np.ndim(theta) == 0 else out.reshape(np.shape(theta))

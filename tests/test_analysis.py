@@ -15,16 +15,12 @@ from crmfinite.analysis import (
     all_compositions,
     binom_poisson_lower_constant,
     bondesson_tfa_bound,
-    chernoff_lower,
-    chernoff_upper,
     composition_frequencies,
     dp_fsd_two_sample_gap,
     eppf,
     growth_function,
     lecam_upper,
     partition_count,
-    poisson_tail_lower,
-    poisson_tail_upper,
     truncated_poisson,
     tsb_dp_bound,
     tv_binom_poisson,
@@ -151,29 +147,12 @@ def test_bound_evaluator_spot_values():
     assert binom_poisson_lower_constant(1.0) == pytest.approx(
         0.125 / (1 + 96 / math.e), rel=1e-14)
     assert lecam_upper(5, 0.2) == pytest.approx(0.2, rel=1e-14)
-    assert poisson_tail_upper(2.0, 1.0) == pytest.approx(math.exp(-1 / 6), rel=1e-14)
-    assert poisson_tail_lower(2.0, 1.0) == pytest.approx(math.exp(-0.25), rel=1e-14)
-    assert chernoff_upper(3.0, 0.5) == pytest.approx(math.exp(-0.25 * 3 / 2.5), rel=1e-14)
-    assert chernoff_lower(3.0, 0.5) == pytest.approx(math.exp(-3 * 0.125), rel=1e-14)
     assert dp_fsd_two_sample_gap(1.0, 10) == pytest.approx(0.05, rel=1e-14)
 
 
 def test_evaluator_domains():
     with pytest.raises(ValueError):
         bondesson_tfa_bound(1, 5, 1, 0.5)
-    with pytest.raises(ValueError):
-        poisson_tail_lower(1.0, 2.0)
-    with pytest.raises(ValueError):
-        chernoff_lower(1.0, 1.5)
-
-
-def test_poisson_tail_bounds_actually_bound():
-    lam = 4.0
-    for x in (1.0, 2.5, 3.9):
-        upper_true = 1 - stats.poisson.cdf(math.ceil(lam + x) - 1, lam)
-        assert upper_true <= poisson_tail_upper(lam, x) + 1e-12
-        lower_true = stats.poisson.cdf(math.floor(lam - x), lam)
-        assert lower_true <= poisson_tail_lower(lam, x) + 1e-12
 
 
 # -- binomial-Poisson sandwich ----------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -19,11 +21,12 @@ from crmfinite.analysis import (
     tsb_dp_bound,
     tv_binom_poisson,
 )
+from crmfinite.cli import _MODEL_KINDS
 from crmfinite.marginals import (
     _HISTORY_SCAN,
+    ExpFamilyModel,
     FeatureAllocation,
     ModelKind,
-    _conjugate_weight,
     _count_rows,
     _l1_history,
     _l4_mismatch,
@@ -45,6 +48,7 @@ from crmfinite.marginals import (
     target_predictive_pmf,
     total_new_atom_rate,
 )
+from crmfinite.measures import Family, beta_process, gamma_process
 from crmfinite.rng import derive_rng
 
 BB = beta_bernoulli(1.0, 1.0)
@@ -147,6 +151,57 @@ def test_fresh_mass_closed_forms():
                     float(np.exp(_predictive_logpmf(model, n, 0.0, shift, 1))), rel=1e-12)
 
 
+@pytest.mark.parametrize("model", [GP, gamma_poisson(2.5, 0.3), BNB,
+                                   beta_negative_binomial(1.3, 2.5, 2.0)],
+                         ids=["gp", "gp-2.5-0.3", "bnb", "bnb-1.3-2.5-2"])
+def test_fresh_mass_default_matches_closed_forms(model):
+    # the one default, -expm1(log h~(0 | all-zero history)), against the
+    # gamma-Poisson and beta-NB closed forms it replaced, bit for bit
+    n = np.arange(1, 20_001, dtype=float)
+    for K in (1, 2, 7, 10, 100, 1000, 10**6):
+        if model.kind is ModelKind.GAMMA_POISSON:
+            c = model.gamma * model.lam / K
+            want = -np.expm1(c * np.log1p(-1.0 / (model.lam + n)))
+        else:
+            r, al, c = model.r, model.alpha, model.gamma * model.alpha / K
+            want = -np.expm1(special.betaln(c, r * n + al) - special.betaln(c, r * (n - 1) + al))
+        assert np.array_equal(approx_fresh_mass(model, K, n), want), K
+
+
+@pytest.mark.parametrize("fn, args, what", [
+    (total_new_atom_rate, (BB, 0), "round indices n"),
+    (total_new_atom_rate, (GP, [1, 2.5]), "round indices n"),
+    (target_new_atom_rate, (BNB, 0, 1), "round indices n"),
+    (approx_fresh_mass, (GP, 10, 0), "round indices n"),
+    (approx_fresh_mass, (BB, 0, 1), "approximation level K"),
+    (approx_fresh_mass, (BB, 2.5, 1), "approximation level K"),
+], ids=["total-n0", "total-n2.5", "rate-n0", "fresh-n0", "fresh-K0", "fresh-K2.5"])
+def test_bad_rounds_and_levels_rejected(fn, args, what):
+    # before any arithmetic: n = 0 gave inf with a warning, K = 0 a
+    # ZeroDivisionError, and K = 2.5 a number
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=what):
+        fn(*args)
+
+
+# -- model families -------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+def test_model_families_conform(kind):
+    # every CLI model kind builds a model of that kind; its class rejects a
+    # rate measure of the other family by naming the one it needs, and only
+    # beta-NB has a field besides the rate measure
+    build = _MODEL_KINDS[kind]
+    model = build(**dict.fromkeys(inspect.signature(build).parameters, 2.0))
+    assert model.kind.value == kind
+    assert [f.name for f in dataclasses.fields(model)] == (
+        ["spec", "r"] if model.kind is ModelKind.BETA_NEG_BINOMIAL else ["spec"])
+    wrong = gamma_process(1.0, 2.0) if model.family is Family.BETA else beta_process(1.0, 2.0)
+    with pytest.raises(ValueError, match=f"{model.family.value}-family"):
+        dataclasses.replace(model, spec=wrong)
+    with pytest.raises(TypeError):  # no kind or r beside the rate measure
+        ExpFamilyModel(model.kind, model.spec, r=5.0)
+
+
 # -- Monte Carlo / analytic agreement -----------------------------------------
 
 def test_sampled_counts_match_pmf():
@@ -171,8 +226,8 @@ def test_sampled_counts_match_pmf():
             key = f"{model.kind.value}/{hist}/{K}"
             rng = derive_rng(31, zlib.crc32(key.encode()))
             shift = 0.0 if K is None else model.mass_shift / K
-            theta = _conjugate_weight(model, np.full(reps, float(sum(hist))), len(hist),
-                                      shift, rng)
+            theta = model.posterior_weight(np.full(reps, float(sum(hist))), len(hist),
+                                           shift, rng)
             if (model, tuple(hist)) in branch:
                 assert np.mean(theta >= branch[model, tuple(hist)]) > 0.5, key
             live, _, cols, counts = _sparse_counts(model, theta, np.zeros(reps, dtype=np.int64),
@@ -809,9 +864,11 @@ def test_condition_report_shape():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        beta_negative_binomial(1.0, 0.9, 1.0)   # alpha must exceed 1
-    with pytest.raises(ValueError):
-        beta_negative_binomial(1.0, 2.0, -1.0)
+    for alpha in (0.9, 1.0):  # alpha must exceed 1
+        with pytest.raises(ValueError, match="alpha > 1"):
+            beta_negative_binomial(1.0, alpha, 1.0)
+    for r in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="r must be positive"):
+            beta_negative_binomial(1.0, 2.0, r)
     with pytest.raises(ValueError):
         gamma_poisson(-1.0, 1.0)

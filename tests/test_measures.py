@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from crmfinite.measures import (
     ApproxIndicator,
@@ -12,12 +12,10 @@ from crmfinite.measures import (
     RateMeasureSpec,
     beta_process,
     gamma_process,
-    indicator_derivative,
     indicator_value,
     log_normalizer,
     log_rate_density,
     normalizer,
-    rate_density,
     small_weight_coefficient,
 )
 
@@ -33,22 +31,22 @@ ALL_SPECS = [
 
 def test_beta_density_value():
     spec = beta_process(1.0, 1.0, 0.0)
-    assert rate_density(spec, 0.5) == pytest.approx(2.0, rel=1e-12)
+    assert np.exp(log_rate_density(spec, 0.5)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_gamma_density_value():
     spec = gamma_process(1.0, 1.0, 0.0)
-    assert rate_density(spec, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert np.exp(log_rate_density(spec, 1.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_beta_density_outside_support():
     spec = beta_process(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        rate_density(spec, 1.5)
+        log_rate_density(spec, 1.5)
     with pytest.raises(ValueError):
-        rate_density(spec, 0.0)
+        log_rate_density(spec, 0.0)
     with pytest.raises(ValueError):
-        rate_density(spec, -0.1)
+        log_rate_density(spec, -0.1)
 
 
 def test_spec_validation_eager():
@@ -88,12 +86,27 @@ def test_serialization_round_trip():
         assert again == spec
 
 
+def _linear_density(spec, theta):
+    """gamma theta^(-1-d) g^(-d) h / Z(1-d, eta), term by term on the linear scale."""
+    d, xi, e = spec.discount, 1.0 - spec.discount, dict(spec.extras)
+    head = spec.gamma * theta ** (-1.0 - d)
+    if spec.family is Family.BETA:
+        return head * (1.0 - theta) ** (e["eta"] - 1.0) / special.beta(xi, e["eta"])
+    if spec.family is Family.BETA_PRIME:
+        return head * (1.0 + theta) ** (d - e["eta"]) / special.beta(xi, e["eta"])
+    if spec.family is Family.GAMMA:
+        return head * math.exp(-e["rate"] * theta) / (special.gamma(xi) * e["rate"] ** -xi)
+    eta1, eta2 = e["eta1"], e["eta2"]
+    return (head * math.exp(-((eta1 * theta) ** eta2))
+            / (special.gamma(xi / eta2) * (eta1 * eta2) ** -xi))
+
+
 def test_log_vs_linear_agreement():
     for spec in ALL_SPECS:
         hi = 0.99 if spec.family is Family.BETA else 5.0
         for theta in np.geomspace(1e-3, hi, 40):
             log_val = log_rate_density(spec, theta)
-            lin = rate_density(spec, theta)
+            lin = _linear_density(spec, theta)
             if np.isfinite(log_val) and 0 < lin < 1e300:
                 assert math.log(lin) == pytest.approx(log_val, rel=1e-12, abs=1e-12)
 
@@ -102,7 +115,7 @@ def test_levy_integrability():
     # quadrature of min(1, theta)*nu is finite over the whole support
     for spec in ALL_SPECS:
         hi = 1.0 if spec.family is Family.BETA else np.inf
-        val, err = integrate.quad(lambda t: min(1.0, t) * rate_density(spec, t),
+        val, err = integrate.quad(lambda t: min(1.0, t) * np.exp(log_rate_density(spec, t)),
                                   0, hi, limit=300)
         assert np.isfinite(val) and val > 0 and err < 1e-6 * max(1.0, val)
 
@@ -114,7 +127,7 @@ def test_rate_mass_diverges_near_zero():
         partials = []
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             val, _ = integrate.quad(
-                lambda t: rate_density(spec, math.exp(t)) * math.exp(t),
+                lambda t: np.exp(log_rate_density(spec, math.exp(t))) * math.exp(t),
                 math.log(eps), 0.0, limit=400)
             partials.append(val)
         assert all(b > a for a, b in zip(partials, partials[1:]))
@@ -158,21 +171,6 @@ def test_indicator_continuity_at_knots():
     ind = ApproxIndicator("smoothed", 0.7)
     assert indicator_value(ind, 1e-12) == pytest.approx(0.0, abs=1e-9)
     assert indicator_value(ind, 0.7 - 1e-9) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_indicator_derivative_matches_finite_differences():
-    b = 0.37
-    ind = ApproxIndicator("smoothed", b)
-    h = 1e-7 * b
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        theta = frac * b
-        fd = (indicator_value(ind, theta + h) - indicator_value(ind, theta - h)) / (2 * h)
-        analytic = indicator_derivative(ind, theta)
-        if frac in (0.0, 1.0):
-            assert analytic == 0.0
-            assert fd == pytest.approx(0.0, abs=1e-6)
-        else:
-            assert fd == pytest.approx(analytic, rel=1e-6)
 
 
 def test_indicator_width_validation():
