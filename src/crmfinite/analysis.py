@@ -236,7 +236,8 @@ def eppf(source, comp: PartitionComposition) -> float:
         mass, share = source.gamma, source.gamma / source.K
         opening = [(source.K - j) * share for j in range(comp.blocks)]
     else:
-        raise ValueError(f"no urn representation for {type(source).__name__}")
+        raise ValueError(f"no urn representation for {type(source).__name__}: eppf takes a "
+                         "DPSource or FSDSource; a WeightDistribution goes to composition_frequencies")
     log_p = 0.0
     for t, num in enumerate(opening):
         if num == 0:

@@ -22,15 +22,17 @@ head (and, for the beta family, the right edge) with a monotone-cubic
 inverse-CDF table on 4096 log-spaced knots for the body; the table is
 validated once per configuration against an envelope rejection sampler.
 
-``sample_weights(dist, rng, size=R)`` is the one sampling entry point: a
-table maps each kind to a sampler that draws all R rows in one call.
+Each kind is one frozen class built by its constructor (``bondesson``, ...),
+whose ``rows(R, rng)`` draws all R rows in one call for ``sample_weights(dist,
+rng, size=R)``, the one sampling entry point.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -38,13 +40,11 @@ from scipy import special
 from .checks import instance, integer, positive, real
 from .measures import (
     ApproxIndicator,
-    Family,
     IndicatorKind,
     RateMeasureSpec,
     indicator_value,
     log_g,
     log_h,
-    log_normalizer,
     small_weight_coefficient,
 )
 from .quadrature import gauss_legendre
@@ -141,23 +141,24 @@ class AifaConfig:
         m1 = min(self.a / K, upper)
         m2 = min(m1 + self.b, upper)
 
-        # head (0, m1]: theta^(eps-1) w(theta); the beta family adds its right
-        # edge (1 - delta, 1], (1-theta)^(eta-1) times the power-law part of f,
-        # also when K <= a and eta < 1, where w would be unbounded at theta = 1
+        # head (0, m1]: theta^(eps-1) w(theta); a support bounded at 1 (the
+        # beta family) adds its right edge (1 - delta, 1], (1-theta)^(p-1) times
+        # the power-law part of f, also when K <= a and p < 1, where w would be
+        # unbounded at theta = 1
         edge = None
-        if spec.family is Family.BETA and (m1 < 1.0 or spec.extra("eta") < 1.0):
+        if upper < math.inf and (m1 < 1.0 or spec.edge_power < 1.0):
             delta = min(1e-3, 0.5 * (1.0 - m1)) if m1 < 1.0 else 1e-3
-            edge = _EndPiece(delta, spec.extra("eta"), lambda v: np.exp(self._log_power(1.0 - v)))
+            edge = _EndPiece(delta, spec.edge_power, lambda v: np.exp(self._log_power(1.0 - v)))
             m1 = min(m1, 1.0 - delta)
             body_hi = 1.0 - delta
-        elif spec.family is Family.BETA:
+        elif upper < math.inf:
             body_hi = m1  # head swallowed the whole support (K <= a)
         else:
             body_hi = self._unbounded_right_end(m1, m2)
         head = _EndPiece(m1, self.eps, self._head_weight)
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
-        # knot m2 inserted, beta additionally refined toward the right edge
+        # knot m2 inserted, a bounded support refined toward its right edge
         inverse = (_InverseCdf(self._f, self._body_knots(m1, m2, body_hi))
                    if body_hi > m1 * (1 + 1e-12) else None)
         edge_mass = 0.0 if edge is None else edge.mass
@@ -168,7 +169,7 @@ class AifaConfig:
 
     def _body_knots(self, m1, m2, body_hi):
         n = _TABLE_KNOTS
-        if self.spec.family is Family.BETA:
+        if self.spec.support_upper < math.inf:
             split = min(max(0.5, m2 * 1.5), 0.5 * (m1 + body_hi))
             if split <= m1 or split >= body_hi:
                 knots = np.geomspace(m1, body_hi, n)
@@ -470,17 +471,122 @@ class WeightKind(enum.Enum):
     BFRY = "bfry"
 
 
-@dataclass(frozen=True)
 class WeightDistribution:
-    """One finite-approximation atom-size law at level K."""
+    """One finite-approximation atom-size law at level K: one frozen
+    dataclass per kind, whose fields are its constructor's parameters and
+    whose ``rows(R, rng)`` draws R rows of atom sizes in one call."""
 
-    kind: WeightKind
+    kind: ClassVar[WeightKind]
+
+
+@dataclass(frozen=True)
+class _AifaNumeric(WeightDistribution):
+    """i.i.d. draws from the numeric AIFA density of ``config`` (compared by identity)."""
+
+    config: AifaConfig
+    kind = WeightKind.AIFA_NUMERIC
+
+    @property
+    def K(self):
+        return self.config.K
+
+    def rows(self, R, rng):
+        return np.maximum(self.config.sample(R * self.K, rng).reshape(R, self.K), _WEIGHT_FLOOR)
+
+
+@dataclass(frozen=True)
+class _AifaClosedForm(WeightDistribution):
+    """The spec family's named law at shape c/K (d = 0)."""
+
+    spec: RateMeasureSpec
     K: int
-    params: dict = field(compare=False)
+    kind = WeightKind.AIFA_CLOSED_FORM
+
+    @property
+    def shape(self):
+        return small_weight_coefficient(self.spec) / self.K
+
+    def rows(self, R, rng):
+        return np.maximum(self.spec.closed_form_rows(self.shape, (R, self.K), rng), _WEIGHT_FLOOR)
+
+
+@dataclass(frozen=True)
+class _Bondesson(WeightDistribution):
+    gamma: float
+    alpha: float
+    K: int
+    kind = WeightKind.BONDESSON
+
+    def rows(self, R, rng):
+        K = self.K
+        arrivals = np.cumsum(rng.exponential(size=(R, K)), axis=1)
+        # alpha = 1 is the Beta(1, 0) limit: V is a point mass at 1
+        v = np.ones((R, K)) if self.alpha == 1.0 else rng.beta(1.0, self.alpha - 1.0, size=(R, K))
+        return np.maximum(v * np.exp(-arrivals / (self.gamma * self.alpha)), _WEIGHT_FLOOR)
+
+
+@dataclass(frozen=True)
+class _BetaStickBreaking(WeightDistribution):
+    gamma: float
+    alpha: float
+    K: int
+    kind = WeightKind.BETA_STICK_BREAKING
+
+    def rows(self, R, rng):
+        """Round i holds C_i ~ Poisson(gamma) atoms v prod_{j<i}(1 - v_j), v_j ~
+        Beta(1, alpha).  Each -log(1 - v_j) is Exp(alpha), so the product is
+        exp(-G) with G ~ Gamma(i - 1, scale 1/alpha): one beta and one gamma draw
+        per atom.  Atoms stay in round order; rows are zero-padded to the longest."""
+        counts = rng.poisson(self.gamma, size=(R, self.K))
+        rounds = np.repeat(np.tile(np.arange(self.K, dtype=float), R), counts.ravel())
+        v = rng.beta(1.0, self.alpha, size=rounds.size)
+        atoms = np.maximum(v * np.exp(-rng.gamma(rounds, 1.0 / self.alpha)), _WEIGHT_FLOOR)
+        lengths = counts.sum(axis=1)
+        row = np.repeat(np.arange(R), lengths)
+        col = np.arange(rounds.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        out = np.zeros((R, int(lengths.max(initial=0))))
+        out[row, col] = atoms
+        return out
+
+
+@dataclass(frozen=True)
+class _Tsb(WeightDistribution):
+    alpha: float
+    K: int
+    kind = WeightKind.TSB
+
+    def rows(self, R, rng):
+        K = self.K
+        v = np.ones((R, K))
+        v[:, : K - 1] = rng.beta(1.0, self.alpha, size=(R, K - 1))
+        stick = np.concatenate([np.ones((R, 1)), np.cumprod(1.0 - v[:, :-1], axis=1)], axis=1)
+        return v * stick
+
+
+@dataclass(frozen=True)
+class _Fsd(WeightDistribution):
+    gamma: float
+    K: int
+    kind = WeightKind.FSD
+
+    def rows(self, R, rng):
+        return rng.dirichlet(np.full(self.K, self.gamma / self.K), size=R)
+
+
+@dataclass(frozen=True)
+class _Bfry(WeightDistribution):
+    gamma: float
+    d: float
+    K: int
+    kind = WeightKind.BFRY
+
+    def rows(self, R, rng):
+        s = _bfry_table(self.gamma / self.K, self.d)(rng.random(R * self.K)).reshape(R, self.K)
+        return np.maximum(s / (s + 1.0), _WEIGHT_FLOOR)
 
 
 def aifa_numeric(cfg: AifaConfig) -> WeightDistribution:
-    return WeightDistribution(WeightKind.AIFA_NUMERIC, cfg.K, {"config": cfg})
+    return _AifaNumeric(cfg)
 
 
 def aifa_closed_form(spec: RateMeasureSpec, K: int) -> WeightDistribution:
@@ -492,40 +598,14 @@ def aifa_closed_form(spec: RateMeasureSpec, K: int) -> WeightDistribution:
     """
     if spec.discount != 0.0:
         raise ValueError("closed-form approximation exists only for discount d = 0")
-    K = _check_level(K)
-    c = small_weight_coefficient(spec)
-    fam = spec.family
-    if fam is Family.BETA:
-        params = {"family": fam.value, "shape1": c / K, "shape2": spec.extra("eta")}
-    elif fam is Family.GAMMA:
-        params = {"family": fam.value, "shape": c / K, "rate": spec.extra("rate")}
-    elif fam is Family.BETA_PRIME:
-        params = {"family": fam.value, "shape1": c / K, "shape2": spec.extra("eta")}
-    else:
-        eta1, eta2 = spec.extra("eta1"), spec.extra("eta2")
-        params = {"family": fam.value, "scale": 1.0 / eta1, "shape": c / K, "power": eta2}
-    return WeightDistribution(WeightKind.AIFA_CLOSED_FORM, K, params)
+    return _AifaClosedForm(spec, _check_level(K))
 
 
 def closed_form_log_density(dist: WeightDistribution, theta):
     """Log density of an AifaClosedForm law (vectorized in theta)."""
-    if dist.kind is not WeightKind.AIFA_CLOSED_FORM:
+    if not isinstance(dist, _AifaClosedForm):
         raise ValueError("closed_form_log_density expects an AifaClosedForm distribution")
-    p = dist.params
-    theta = np.asarray(theta, dtype=float)
-    fam = Family(p["family"])
-    if fam is Family.BETA:
-        a, b = p["shape1"], p["shape2"]
-        return (a - 1) * np.log(theta) + (b - 1) * np.log1p(-theta) - special.betaln(a, b)
-    if fam is Family.GAMMA:
-        a, lam = p["shape"], p["rate"]
-        return a * math.log(lam) + (a - 1) * np.log(theta) - lam * theta - special.gammaln(a)
-    if fam is Family.BETA_PRIME:
-        a, b = p["shape1"], p["shape2"]
-        return (a - 1) * np.log(theta) - (a + b) * np.log1p(theta) - special.betaln(a, b)
-    scale, shape, power = p["scale"], p["shape"], p["power"]
-    return (math.log(power) - shape * math.log(scale) + (shape - 1) * np.log(theta)
-            - (theta / scale) ** power - special.gammaln(shape / power))
+    return dist.spec.closed_form_log_density(dist.shape, np.asarray(theta, dtype=float))
 
 
 def _check_level(K):
@@ -535,28 +615,25 @@ def _check_level(K):
 def bondesson(gamma, alpha, K) -> WeightDistribution:
     if positive(alpha, "alpha") < 1:
         raise ValueError(f"the Bondesson construction requires alpha >= 1, got {alpha}")
-    return WeightDistribution(WeightKind.BONDESSON, _check_level(K),
-                              {"gamma": positive(gamma, "gamma"), "alpha": float(alpha)})
+    return _Bondesson(positive(gamma, "gamma"), float(alpha), _check_level(K))
 
 
 def beta_stick_breaking(gamma, alpha, K) -> WeightDistribution:
-    params = {"gamma": positive(gamma, "gamma"), "alpha": positive(alpha, "alpha")}
-    return WeightDistribution(WeightKind.BETA_STICK_BREAKING, _check_level(K), params)
+    return _BetaStickBreaking(positive(gamma, "gamma"), positive(alpha, "alpha"), _check_level(K))
 
 
 def tsb(alpha, K) -> WeightDistribution:
-    return WeightDistribution(WeightKind.TSB, _check_level(K), {"alpha": positive(alpha, "alpha")})
+    return _Tsb(positive(alpha, "alpha"), _check_level(K))
 
 
 def fsd(gamma, K) -> WeightDistribution:
-    return WeightDistribution(WeightKind.FSD, _check_level(K), {"gamma": positive(gamma, "gamma")})
+    return _Fsd(positive(gamma, "gamma"), _check_level(K))
 
 
 def bfry(gamma, d, K) -> WeightDistribution:
     if not 0 < real(d, "BFRY discount d") < 1:
         raise ValueError(f"BFRY discount must lie in (0, 1), got {d}")
-    return WeightDistribution(WeightKind.BFRY, _check_level(K),
-                              {"gamma": positive(gamma, "gamma"), "d": float(d)})
+    return _Bfry(positive(gamma, "gamma"), float(d), _check_level(K))
 
 
 # ---------------------------------------------------------------------------
@@ -602,77 +679,8 @@ def _bfry_table(c, alpha):
 
 
 # ---------------------------------------------------------------------------
-# sampling front end: one batched sampler per kind, each returning (R, K) rows
+# sampling front end
 # ---------------------------------------------------------------------------
-
-def _rows_aifa_numeric(p, K, R, rng):
-    return np.maximum(p["config"].sample(R * K, rng).reshape(R, K), _WEIGHT_FLOOR)
-
-
-def _rows_closed_form(p, K, R, rng):
-    fam, size = Family(p["family"]), (R, K)
-    if fam is Family.BETA:
-        out = rng.beta(p["shape1"], p["shape2"], size=size)
-    elif fam is Family.GAMMA:
-        out = rng.gamma(p["shape"], 1.0 / p["rate"], size=size)
-    elif fam is Family.BETA_PRIME:
-        out = rng.gamma(p["shape1"], 1.0, size=size) / rng.gamma(p["shape2"], 1.0, size=size)
-    else:
-        out = p["scale"] * rng.gamma(p["shape"] / p["power"], 1.0, size=size) ** (1.0 / p["power"])
-    return np.maximum(out, _WEIGHT_FLOOR)
-
-
-def _rows_bondesson(p, K, R, rng):
-    gamma, alpha = p["gamma"], p["alpha"]
-    arrivals = np.cumsum(rng.exponential(size=(R, K)), axis=1)
-    # alpha = 1 is the Beta(1, 0) limit: V is a point mass at 1
-    v = np.ones((R, K)) if alpha == 1.0 else rng.beta(1.0, alpha - 1.0, size=(R, K))
-    return np.maximum(v * np.exp(-arrivals / (gamma * alpha)), _WEIGHT_FLOOR)
-
-
-def _rows_beta_stick_breaking(p, K, R, rng):
-    """Round i holds C_i ~ Poisson(gamma) atoms v prod_{j<i}(1 - v_j), v_j ~
-    Beta(1, alpha).  Each -log(1 - v_j) is Exp(alpha), so the product is
-    exp(-G) with G ~ Gamma(i - 1, scale 1/alpha): one beta and one gamma draw
-    per atom.  Atoms stay in round order; rows are zero-padded to the longest."""
-    counts = rng.poisson(p["gamma"], size=(R, K))
-    rounds = np.repeat(np.tile(np.arange(K, dtype=float), R), counts.ravel())
-    v = rng.beta(1.0, p["alpha"], size=rounds.size)
-    atoms = np.maximum(v * np.exp(-rng.gamma(rounds, 1.0 / p["alpha"])), _WEIGHT_FLOOR)
-    lengths = counts.sum(axis=1)
-    row = np.repeat(np.arange(R), lengths)
-    col = np.arange(rounds.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    out = np.zeros((R, int(lengths.max(initial=0))))
-    out[row, col] = atoms
-    return out
-
-
-def _rows_tsb(p, K, R, rng):
-    v = np.ones((R, K))
-    v[:, : K - 1] = rng.beta(1.0, p["alpha"], size=(R, K - 1))
-    stick = np.concatenate([np.ones((R, 1)), np.cumprod(1.0 - v[:, :-1], axis=1)], axis=1)
-    return v * stick
-
-
-def _rows_fsd(p, K, R, rng):
-    return rng.dirichlet(np.full(K, p["gamma"] / K), size=R)
-
-
-def _rows_bfry(p, K, R, rng):
-    s = _bfry_table(p["gamma"] / K, p["d"])(rng.random(R * K)).reshape(R, K)
-    return np.maximum(s / (s + 1.0), _WEIGHT_FLOOR)
-
-
-_SAMPLERS = {
-    WeightKind.AIFA_NUMERIC: _rows_aifa_numeric,
-    WeightKind.AIFA_CLOSED_FORM: _rows_closed_form,
-    WeightKind.BONDESSON: _rows_bondesson,
-    WeightKind.BETA_STICK_BREAKING: _rows_beta_stick_breaking,
-    WeightKind.TSB: _rows_tsb,
-    WeightKind.FSD: _rows_fsd,
-    WeightKind.BFRY: _rows_bfry,
-}
-
 
 def sample_weights(dist: WeightDistribution, rng, size=None) -> np.ndarray:
     """Atom-size vectors: one K-vector, or an (R, K) array for ``size=R``.
@@ -685,5 +693,5 @@ def sample_weights(dist: WeightDistribution, rng, size=None) -> np.ndarray:
     coupled for the rest.
     """
     instance(dist, WeightDistribution, "dist")
-    rows = _SAMPLERS[dist.kind](dist.params, dist.K, 1 if size is None else integer(size, "size", 0), rng)
+    rows = dist.rows(1 if size is None else integer(size, "size", 0), rng)
     return rows[0] if size is None else rows

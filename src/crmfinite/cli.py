@@ -73,7 +73,7 @@ from .marginals import (
     generic_condition_bounds,
     simulate_allocation,
 )
-from .measures import RateMeasureSpec
+from .measures import rate_measure
 from .rng import derive_rng
 
 SCHEMA_VERSION = 1
@@ -189,7 +189,7 @@ def _by_replicate(tables):
 
 def _spec(family, gamma, discount, extras):
     """A RateMeasureSpec from its JSON form."""
-    return RateMeasureSpec(family, gamma, discount, **extras)
+    return rate_measure(family, gamma, discount, **extras)
 
 
 def _aifa_numeric(spec, K, a=1.0, b=None, indicator="smoothed"):

@@ -80,7 +80,7 @@ import numpy as np
 from scipy import special
 
 from .checks import integer, positive, real
-from .measures import Family, RateMeasureSpec
+from .measures import BetaMeasure, Family, GammaMeasure, RateMeasureSpec
 
 __all__ = [
     "ModelKind",
@@ -138,12 +138,6 @@ class ExpFamilyModel:
     def gamma(self):
         return self.spec.gamma
 
-    @property
-    def mass_shift(self):
-        """c = gamma*alpha or gamma*lambda; level K adds c/K to every count total."""
-        ((_, hyper),) = self.spec.extras  # eta = alpha at d = 0, or the rate lambda
-        return self.gamma * hyper
-
     def fresh_mass(self, shift, n):
         """1 - h~(0 | all-zero history), whose count total is the shift alone."""
         return -np.expm1(self.logpmf(n, shift, shift, 0.0))
@@ -161,16 +155,26 @@ class ExpFamilyModel:
         return _certified_l1(rows, np.stack([totals, K * fresh]), "new-atom mismatch sum")[0]
 
 
-class _BetaBernoulli(ExpFamilyModel):
-    """Beta process with Bernoulli counts."""
+class _BetaModel(ExpFamilyModel):
+    """A beta-process model: at d = 0 the spec's eta is the concentration alpha."""
 
-    kind = ModelKind.BETA_BERNOULLI
     family = Family.BETA
-    max_count = 1
 
     @property
     def alpha(self):
-        return self.spec.extra("eta")  # d = 0, so eta is the concentration
+        return self.spec.eta
+
+    @property
+    def mass_shift(self):
+        """c = gamma*alpha; level K adds c/K to every count total."""
+        return self.gamma * self.alpha
+
+
+class _BetaBernoulli(_BetaModel):
+    """Beta process with Bernoulli counts."""
+
+    kind = ModelKind.BETA_BERNOULLI
+    max_count = 1
 
     def logpmf(self, n, total, shift, x):
         # the shift augments the count total but not the number of trials
@@ -225,7 +229,12 @@ class _GammaPoisson(ExpFamilyModel):
 
     @property
     def lam(self):
-        return self.spec.extra("rate")
+        return self.spec.rate
+
+    @property
+    def mass_shift(self):
+        """c = gamma*lambda; level K adds c/K to every count total."""
+        return self.gamma * self.lam
 
     def logpmf(self, n, total, shift, x):
         p = 1.0 / (self.lam + n)
@@ -272,11 +281,10 @@ class _GammaPoisson(ExpFamilyModel):
 
 
 @dataclass(frozen=True)
-class _BetaNegBinomial(ExpFamilyModel):
+class _BetaNegBinomial(_BetaModel):
     """Beta process with negative-binomial counts of stopping parameter r."""
 
     kind = ModelKind.BETA_NEG_BINOMIAL
-    family = Family.BETA
     r: float
 
     def __post_init__(self):
@@ -285,10 +293,6 @@ class _BetaNegBinomial(ExpFamilyModel):
             raise ValueError(f"negative-binomial r must be positive, got {self.r}")
         if not self.alpha > 1:
             raise ValueError(f"beta-neg-binomial requires alpha > 1, got {self.alpha}")
-
-    @property
-    def alpha(self):
-        return self.spec.extra("eta")  # d = 0, so eta is the concentration
 
     def logpmf(self, n, total, shift, x):
         r, al = self.r, self.alpha
@@ -373,15 +377,15 @@ class _BetaNegBinomial(ExpFamilyModel):
 
 
 def beta_bernoulli(gamma, alpha) -> ExpFamilyModel:
-    return _BetaBernoulli(RateMeasureSpec(Family.BETA, gamma, 0.0, eta=alpha))
+    return _BetaBernoulli(BetaMeasure(gamma, 0.0, alpha))
 
 
 def gamma_poisson(gamma, lam) -> ExpFamilyModel:
-    return _GammaPoisson(RateMeasureSpec(Family.GAMMA, gamma, 0.0, rate=lam))
+    return _GammaPoisson(GammaMeasure(gamma, 0.0, lam))
 
 
 def beta_negative_binomial(gamma, alpha, r) -> ExpFamilyModel:
-    return _BetaNegBinomial(RateMeasureSpec(Family.BETA, gamma, 0.0, eta=alpha), float(r))
+    return _BetaNegBinomial(BetaMeasure(gamma, 0.0, alpha), float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +393,11 @@ def beta_negative_binomial(gamma, alpha, r) -> ExpFamilyModel:
 # ---------------------------------------------------------------------------
 
 def _integers(values, floor, what):
-    """``values`` as a float array, once every entry is an integer >= floor."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values) & (values >= floor) & (values == np.floor(values))):
+    """``values`` as a float array, once every entry is an integer (not a bool) >= floor."""
+    given = np.asarray(values)
+    values = given.astype(float)
+    if given.dtype == bool or not np.all(
+            np.isfinite(values) & (values >= floor) & (values == np.floor(values))):
         raise ValueError(f"{what} must be integers >= {floor}")
     return values
 
@@ -419,14 +425,14 @@ def target_predictive_pmf(model: ExpFamilyModel, history, x) -> float:
     if total == 0:
         raise ValueError("atom not yet instantiated in the target process (all-zero history)")
     n = history.size + 1
-    return float(np.exp(_predictive_logpmf(model, n, total, 0.0, x)))
+    return float(np.exp(_predictive_logpmf(model, n, total, 0.0, _integers(x, 0, "counts x"))))
 
 
 def approx_predictive_pmf(model: ExpFamilyModel, K, history, x) -> float:
     """Same predictive under the level-K approximation; all-zero histories are
     allowed and govern the dormant atoms."""
     integer(K, "approximation level K")
-    history = _check_history(model, history)
+    history, x = _check_history(model, history), _integers(x, 0, "counts x")
     n = history.size + 1
     return float(np.exp(_predictive_logpmf(model, n, history.sum(), model.mass_shift / K, x)))
 

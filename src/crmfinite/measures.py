@@ -4,23 +4,28 @@ A rate measure is stored in the decomposition
 
     nu(dtheta) = gamma * theta^(-1-d) * g(theta)^(-d) * h(theta; eta) / Z(1-d, eta) dtheta
 
-where the pair (g, h) and the normalizer Z are fixed per family:
+where the pair (g, h) and the normalizer Z are fixed per family.  Each family
+is one frozen subclass of ``RateMeasureSpec`` whose typed fields after gamma and
+d are its hyperparameters (eta; rate lambda; eta1, eta2) and whose methods give
+g, h and Z in log space, and the family's d = 0 level-K law in closed form:
 
-    family            g(theta)         h(theta; eta)           Z(xi, eta)
-    ----------------  ---------------  ----------------------  --------------------------------
-    Beta              1                (1-theta)^(eta-1), th<=1   B(xi, eta)
-    BetaPrime         1/(1+theta)      (1+theta)^(-eta)        B(xi, eta)
-    Gamma             1                exp(-lambda*theta)      Gamma(xi) * lambda^(-xi)
-    GeneralizedGamma  1                exp(-(eta1*theta)^eta2) Gamma(xi/eta2) * (eta1*eta2)^(-xi)
+    class                    g(theta)     h(theta; eta)            Z(xi, eta)
+    -----------------------  -----------  -----------------------  ----------------------------------
+    BetaMeasure              1            (1-theta)^(eta-1), th<=1 B(xi, eta)
+    BetaPrimeMeasure         1/(1+theta)  (1+theta)^(-eta)         B(xi, eta)
+    GammaMeasure             1            exp(-lambda*theta)       Gamma(xi) * lambda^(-xi)
+    GeneralizedGammaMeasure  1            exp(-(eta1*theta)^eta2)  Gamma(xi/eta2) * (eta1*eta2)^(-xi)
 
-All evaluation happens in log space; linear-scale wrappers exponentiate last.
+``rate_measure(family, gamma, discount, **extras)`` builds one by family name;
+the module functions take any spec and call its methods.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -30,13 +35,17 @@ from .checks import positive, real
 __all__ = [
     "Family",
     "RateMeasureSpec",
+    "BetaMeasure",
+    "BetaPrimeMeasure",
+    "GammaMeasure",
+    "GeneralizedGammaMeasure",
     "ApproxIndicator",
     "IndicatorKind",
+    "rate_measure",
     "beta_process",
     "gamma_process",
     "log_rate_density",
     "log_normalizer",
-    "normalizer",
     "small_weight_coefficient",
     "indicator_value",
 ]
@@ -49,117 +58,193 @@ class Family(enum.Enum):
     GENERALIZED_GAMMA = "generalized_gamma"
 
 
-# extras key names per family, used by validation and (de)serialization
-_EXTRA_KEYS = {
-    Family.BETA: ("eta",),
-    Family.BETA_PRIME: ("eta",),
-    Family.GAMMA: ("rate",),
-    Family.GENERALIZED_GAMMA: ("eta1", "eta2"),
-}
-
-
 @dataclass(frozen=True)
 class RateMeasureSpec:
-    """Immutable description of one CRM rate measure.
+    """Immutable description of one CRM rate measure: one subclass per family.
 
-    gamma is the total-mass parameter, d in [0, 1) the discount controlling
-    the power law near zero, and extras holds the family-specific positive
-    hyperparameters (see _EXTRA_KEYS). Validation is eager: a constructed
-    spec is always usable downstream.
+    gamma is the total-mass parameter and d in [0, 1) the discount
+    controlling the power law near zero; the fields after them are the
+    family's positive hyperparameters (its extras).  Validation is eager: a
+    constructed spec is always usable downstream.
     """
 
-    family: Family
     gamma: float
     discount: float
-    extras: tuple  # ((name, value), ...) kept hashable
+    family: ClassVar[Family]
+    support_upper: ClassVar[float] = math.inf  # the right end of the support
 
-    def __init__(self, family, gamma, discount, **extras):
-        object.__setattr__(self, "family", Family(family))
-        object.__setattr__(self, "gamma", positive(gamma, "mass gamma"))
-        object.__setattr__(self, "discount", real(discount, "discount"))
-        keys = _EXTRA_KEYS[self.family]
-        if set(extras) != set(keys):
-            raise ValueError(f"{self.family.value} spec needs extras {keys}, got {tuple(extras)}")
-        object.__setattr__(self, "extras", tuple(
-            (k, positive(extras[k], f"{self.family.value} extra {k}")) for k in keys))
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", positive(self.gamma, "mass gamma"))
+        object.__setattr__(self, "discount", real(self.discount, "discount"))
+        for key in self.extra_keys():
+            object.__setattr__(self, key, positive(getattr(self, key),
+                                                   f"{self.family.value} extra {key}"))
         if not 0 <= self.discount < 1:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
 
-    def extra(self, name: str) -> float:
-        return dict(self.extras)[name]
-
-    @property
-    def support_upper(self) -> float:
-        return 1.0 if self.family is Family.BETA else math.inf
+    @classmethod
+    def extra_keys(cls) -> tuple:
+        """Names of the family's hyperparameters, in field order."""
+        return tuple(f.name for f in fields(cls)[2:])
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family.value,
-            "gamma": self.gamma,
-            "discount": self.discount,
-            "extras": dict(self.extras),
-        }
+        extras = {key: getattr(self, key) for key in self.extra_keys()}
+        return {"family": self.family.value, "gamma": self.gamma, "discount": self.discount,
+                "extras": extras}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RateMeasureSpec":
-        return cls(obj["family"], obj["gamma"], obj["discount"], **obj["extras"])
+        return rate_measure(obj["family"], obj["gamma"], obj["discount"], **obj["extras"])
+
+    # -- the (g, h) pair and Z, in log space; theta is a float array ----------
+
+    def log_g(self, theta):
+        return np.zeros_like(theta)
+
+    def log_normalizer(self, xi) -> float:
+        """log Z(xi, eta) for the family's closed-form normalizer."""
+        xi = float(xi)
+        if xi <= 0:
+            raise ValueError(f"the {self.family.value} normalizer requires xi > 0, got xi={xi}")
+        return float(self._log_z(xi))
+
+
+@dataclass(frozen=True)
+class BetaMeasure(RateMeasureSpec):
+    """The beta family; at d = 0 the level-K law is Beta(c/K, eta)."""
+
+    eta: float
+    family = Family.BETA
+    support_upper = 1.0
+
+    @property
+    def edge_power(self):
+        """p in h = (1 - theta)^(p - 1): the singular right end of the support."""
+        return self.eta
+
+    def log_h(self, theta):
+        if self.eta == 1.0:  # avoid 0 * log(0) = nan at theta = 1
+            return np.zeros_like(theta)
+        return (self.eta - 1.0) * np.log1p(-theta)
+
+    def _log_z(self, xi):
+        return special.betaln(xi, self.eta)
+
+    def closed_form_rows(self, shape, size, rng):
+        return rng.beta(shape, self.eta, size=size)
+
+    def closed_form_log_density(self, shape, theta):
+        a, b = shape, self.eta
+        return (a - 1) * np.log(theta) + (b - 1) * np.log1p(-theta) - special.betaln(a, b)
+
+
+@dataclass(frozen=True)
+class BetaPrimeMeasure(RateMeasureSpec):
+    """The beta-prime family; at d = 0 the level-K law is BetaPrime(c/K, eta)."""
+
+    eta: float
+    family = Family.BETA_PRIME
+
+    def log_g(self, theta):
+        return -np.log1p(theta)
+
+    def log_h(self, theta):
+        return -self.eta * np.log1p(theta)
+
+    def _log_z(self, xi):
+        return special.betaln(xi, self.eta)
+
+    def closed_form_rows(self, shape, size, rng):
+        return rng.gamma(shape, 1.0, size=size) / rng.gamma(self.eta, 1.0, size=size)
+
+    def closed_form_log_density(self, shape, theta):
+        a, b = shape, self.eta
+        return (a - 1) * np.log(theta) - (a + b) * np.log1p(theta) - special.betaln(a, b)
+
+
+@dataclass(frozen=True)
+class GammaMeasure(RateMeasureSpec):
+    """The gamma family; at d = 0 the level-K law is Gamma(c/K, rate lambda)."""
+
+    rate: float
+    family = Family.GAMMA
+
+    def log_h(self, theta):
+        return -self.rate * theta
+
+    def _log_z(self, xi):
+        return special.gammaln(xi) - xi * math.log(self.rate)
+
+    def closed_form_rows(self, shape, size, rng):
+        return rng.gamma(shape, 1.0 / self.rate, size=size)
+
+    def closed_form_log_density(self, shape, theta):
+        a, lam = shape, self.rate
+        return a * math.log(lam) + (a - 1) * np.log(theta) - lam * theta - special.gammaln(a)
+
+
+@dataclass(frozen=True)
+class GeneralizedGammaMeasure(RateMeasureSpec):
+    """The generalized-gamma family; at d = 0 the level-K law is
+    GenGamma(scale 1/eta1, shape c/K, power eta2)."""
+
+    eta1: float
+    eta2: float
+    family = Family.GENERALIZED_GAMMA
+
+    def log_h(self, theta):
+        return -((self.eta1 * theta) ** self.eta2)
+
+    def _log_z(self, xi):
+        return special.gammaln(xi / self.eta2) - xi * math.log(self.eta1 * self.eta2)
+
+    def closed_form_rows(self, shape, size, rng):
+        scale, power = 1.0 / self.eta1, self.eta2
+        return scale * rng.gamma(shape / power, 1.0, size=size) ** (1.0 / power)
+
+    def closed_form_log_density(self, shape, theta):
+        scale, power = 1.0 / self.eta1, self.eta2
+        return (math.log(power) - shape * math.log(scale) + (shape - 1) * np.log(theta)
+                - (theta / scale) ** power - special.gammaln(shape / power))
+
+
+# the one map from a family to its class
+_FAMILIES = {cls.family: cls for cls in (BetaMeasure, BetaPrimeMeasure, GammaMeasure,
+                                         GeneralizedGammaMeasure)}
+
+
+def rate_measure(family, gamma, discount, **extras) -> RateMeasureSpec:
+    """The spec of ``family`` (a Family or its name) with its extras as keywords."""
+    cls = _FAMILIES[Family(family)]
+    keys = cls.extra_keys()
+    if set(extras) != set(keys):
+        raise ValueError(f"{cls.family.value} spec needs extras {keys}, got {tuple(extras)}")
+    return cls(gamma, discount, **extras)
 
 
 def beta_process(gamma, alpha, d=0.0) -> RateMeasureSpec:
     """BP(gamma, alpha, d) as a RateMeasureSpec; the stored eta is alpha + d."""
-    return RateMeasureSpec(Family.BETA, gamma, d, eta=alpha + d)
+    return BetaMeasure(gamma, d, alpha + d)
 
 
 def gamma_process(gamma, rate=1.0, d=0.0) -> RateMeasureSpec:
-    return RateMeasureSpec(Family.GAMMA, gamma, d, rate=rate)
+    return GammaMeasure(gamma, d, rate)
 
 
-# -- the (g, h) pair, in log space ------------------------------------------
+# -- module functions over any spec ---------------------------------------------
 
 def log_g(spec: RateMeasureSpec, theta):
-    theta = np.asarray(theta, dtype=float)
-    if spec.family is Family.BETA_PRIME:
-        return -np.log1p(theta)
-    return np.zeros_like(theta)
+    return spec.log_g(np.asarray(theta, dtype=float))
 
 
 def log_h(spec: RateMeasureSpec, theta):
     """log h(theta; eta); h(0) = 1 for all four families."""
-    theta = np.asarray(theta, dtype=float)
-    if spec.family is Family.BETA:
-        eta = spec.extra("eta")
-        if eta == 1.0:  # avoid 0 * log(0) = nan at theta = 1
-            return np.zeros_like(theta)
-        return (eta - 1.0) * np.log1p(-theta)
-    if spec.family is Family.BETA_PRIME:
-        return -spec.extra("eta") * np.log1p(theta)
-    if spec.family is Family.GAMMA:
-        return -spec.extra("rate") * theta
-    eta1, eta2 = spec.extra("eta1"), spec.extra("eta2")
-    return -((eta1 * theta) ** eta2)
+    return spec.log_h(np.asarray(theta, dtype=float))
 
 
 def log_normalizer(spec: RateMeasureSpec, xi) -> float:
     """log Z(xi, eta) for the family's closed-form normalizer."""
-    xi = float(xi)
-    if spec.family in (Family.BETA, Family.BETA_PRIME):
-        eta = spec.extra("eta")
-        if xi <= 0:
-            raise ValueError(f"B(xi, eta) requires xi > 0, got xi={xi}")
-        return float(special.betaln(xi, eta))
-    if spec.family is Family.GAMMA:
-        lam = spec.extra("rate")
-        if xi <= 0:
-            raise ValueError(f"Gamma-family normalizer requires xi > 0, got xi={xi}")
-        return float(special.gammaln(xi) - xi * math.log(lam))
-    eta1, eta2 = spec.extra("eta1"), spec.extra("eta2")
-    if xi <= 0:
-        raise ValueError(f"generalized-gamma normalizer requires xi > 0, got xi={xi}")
-    return float(special.gammaln(xi / eta2) - xi * math.log(eta1 * eta2))
-
-
-def normalizer(spec: RateMeasureSpec, xi) -> float:
-    return math.exp(log_normalizer(spec, xi))
+    return spec.log_normalizer(xi)
 
 
 def small_weight_coefficient(spec: RateMeasureSpec) -> float:

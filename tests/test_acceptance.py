@@ -54,7 +54,13 @@ from crmfinite.marginals import (
     gamma_poisson,
     simulate_allocation,
 )
-from crmfinite.measures import IndicatorKind, RateMeasureSpec, beta_process, gamma_process
+from crmfinite.measures import (
+    Family,
+    IndicatorKind,
+    beta_process,
+    gamma_process,
+    rate_measure,
+)
 from crmfinite.rng import derive_rng
 
 
@@ -73,8 +79,8 @@ def test_criterion_01_closed_form_reduction():
     specs = [
         beta_process(1.0, 1.5, 0.0),
         gamma_process(1.2, 2.0, 0.0),
-        RateMeasureSpec("beta_prime", 1.0, 0.0, eta=1.5),
-        RateMeasureSpec("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5),
+        rate_measure("beta_prime", 1.0, 0.0, eta=1.5),
+        rate_measure("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5),
     ]
     worst = 0.0
     q = np.linspace(0.005, 0.995, 100)
@@ -82,18 +88,15 @@ def test_criterion_01_closed_form_reduction():
         for K in (2, 10, 100):
             cfg = AifaConfig(spec, K)
             cf = aifa_closed_form(spec, K)
-            p = cf.params
-            from crmfinite.measures import Family
-            fam = Family(p["family"])
-            if fam is Family.BETA:
-                pts = stats.beta.ppf(q, p["shape1"], p["shape2"])
-            elif fam is Family.GAMMA:
-                pts = stats.gamma.ppf(q, p["shape"], scale=1 / p["rate"])
-            elif fam is Family.BETA_PRIME:
-                pts = stats.betaprime.ppf(q, p["shape1"], p["shape2"])
+            a = cfg.c / K  # the shape c/K of every family's closed-form law
+            if spec.family is Family.BETA:
+                pts = stats.beta.ppf(q, a, spec.eta)
+            elif spec.family is Family.GAMMA:
+                pts = stats.gamma.ppf(q, a, scale=1 / spec.rate)
+            elif spec.family is Family.BETA_PRIME:
+                pts = stats.betaprime.ppf(q, a, spec.eta)
             else:
-                pts = stats.gengamma.ppf(q, p["shape"] / p["power"], p["power"],
-                                         scale=p["scale"])
+                pts = stats.gengamma.ppf(q, a / spec.eta2, spec.eta2, scale=1 / spec.eta1)
             rel = np.abs(np.exp(cfg.log_density(pts) - closed_form_log_density(cf, pts)) - 1)
             worst = max(worst, float(rel.max()))
     elapsed = time.time() - started

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -23,30 +24,40 @@ from crmfinite.approximations import (
     sample_weights,
     tsb,
 )
-from crmfinite.measures import RateMeasureSpec, beta_process, gamma_process
+from crmfinite.measures import (
+    Family,
+    RateMeasureSpec,
+    beta_process,
+    gamma_process,
+    rate_measure,
+    small_weight_coefficient,
+)
 from crmfinite.rng import derive_rng
 
 D0_SPECS = [
     beta_process(1.0, 1.5, 0.0),
     gamma_process(1.2, 2.0, 0.0),
-    RateMeasureSpec("beta_prime", 1.0, 0.0, eta=1.5),
-    RateMeasureSpec("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5),
+    rate_measure("beta_prime", 1.0, 0.0, eta=1.5),
+    rate_measure("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5),
 ]
+
+
+def scipy_law(dist):
+    """A closed-form law as a frozen scipy distribution (the oracle), from
+    its spec's hyperparameters and the shape c/K."""
+    spec, a = dist.spec, small_weight_coefficient(dist.spec) / dist.K
+    if spec.family is Family.BETA:
+        return stats.beta(a, spec.eta)
+    if spec.family is Family.GAMMA:
+        return stats.gamma(a, scale=1.0 / spec.rate)
+    if spec.family is Family.BETA_PRIME:
+        return stats.betaprime(a, spec.eta)
+    return stats.gengamma(a / spec.eta2, spec.eta2, scale=1.0 / spec.eta1)
 
 
 def interior_grid(dist, n=100):
     """Interior quantile grid of a closed-form law (scipy oracle)."""
-    p = dist.params
-    q = np.linspace(0.005, 0.995, n)
-    from crmfinite.measures import Family
-    fam = Family(p["family"])
-    if fam is Family.BETA:
-        return stats.beta.ppf(q, p["shape1"], p["shape2"])
-    if fam is Family.GAMMA:
-        return stats.gamma.ppf(q, p["shape"], scale=1.0 / p["rate"])
-    if fam is Family.BETA_PRIME:
-        return stats.betaprime.ppf(q, p["shape1"], p["shape2"])
-    return stats.gengamma.ppf(q, p["shape"] / p["power"], p["power"], scale=p["scale"])
+    return scipy_law(dist).ppf(np.linspace(0.005, 0.995, n))
 
 
 def test_aifa_log_density_beta_example():
@@ -56,18 +67,16 @@ def test_aifa_log_density_beta_example():
 
 
 def test_closed_form_parameters():
-    cf = aifa_closed_form(beta_process(2.0, 1.5, 0.0), 10)
-    assert cf.params == {"family": "beta", "shape1": 0.3, "shape2": 1.5}
-    cf = aifa_closed_form(gamma_process(2.0, 1.5, 0.0), 10)
-    assert cf.params["shape"] == pytest.approx(0.3) and cf.params["rate"] == 1.5
-    cf = aifa_closed_form(RateMeasureSpec("beta_prime", 2.0, 0.0, eta=1.5), 10)
-    assert cf.params == {"family": "beta_prime", "shape1": pytest.approx(0.3), "shape2": 1.5}
-    gg = RateMeasureSpec("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5)
+    # the law keeps its spec and K; its shape is c/K: gamma*eta/K (beta, beta
+    # prime), gamma*lambda/K (gamma), gamma*eta1*eta2/(Gamma(1/eta2) K) (gen. gamma)
+    assert aifa_closed_form(beta_process(2.0, 1.5, 0.0), 10).shape == 0.3
+    assert aifa_closed_form(gamma_process(2.0, 1.5, 0.0), 10).shape == pytest.approx(0.3)
+    bp = rate_measure("beta_prime", 2.0, 0.0, eta=1.5)
+    assert aifa_closed_form(bp, 10).shape == pytest.approx(0.3)
+    gg = rate_measure("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5)
     cf = aifa_closed_form(gg, 10)
-    c = 1.0 * 2.0 * 1.5 / math.gamma(1 / 1.5)
-    assert cf.params["scale"] == 0.5
-    assert cf.params["shape"] == pytest.approx(c / 10)
-    assert cf.params["power"] == 1.5
+    assert cf.spec is gg and cf.K == 10
+    assert cf.shape == pytest.approx(1.0 * 2.0 * 1.5 / math.gamma(1 / 1.5) / 10)
 
 
 def test_closed_form_needs_zero_discount():
@@ -79,19 +88,8 @@ def test_closed_form_density_matches_scipy():
     for spec in D0_SPECS:
         cf = aifa_closed_form(spec, 7)
         pts = interior_grid(cf, 25)
-        p = cf.params
-        from crmfinite.measures import Family
-        fam = Family(p["family"])
-        if fam is Family.BETA:
-            ref = stats.beta.logpdf(pts, p["shape1"], p["shape2"])
-        elif fam is Family.GAMMA:
-            ref = stats.gamma.logpdf(pts, p["shape"], scale=1.0 / p["rate"])
-        elif fam is Family.BETA_PRIME:
-            ref = stats.betaprime.logpdf(pts, p["shape1"], p["shape2"])
-        else:
-            ref = stats.gengamma.logpdf(pts, p["shape"] / p["power"], p["power"],
-                                        scale=p["scale"])
-        np.testing.assert_allclose(closed_form_log_density(cf, pts), ref, rtol=1e-10)
+        np.testing.assert_allclose(closed_form_log_density(cf, pts), scipy_law(cf).logpdf(pts),
+                                   rtol=1e-10)
 
 
 def test_numeric_reduces_to_closed_form():
@@ -260,6 +258,96 @@ def test_golden_draws_every_kind():
     # the beta draws cover all three pieces: head (0, a/K], body, edge (1 - 1e-3, 1]
     w = _GOLDEN_DRAWS["aifa_beta"]
     assert min(w) <= 0.25 and max(w) > 1 - 1e-3 and any(0.25 < v <= 1 - 1e-3 for v in w)
+
+
+# sha256 of the bytes of sample_weights(dist, derive_rng(93, i), size=3) for
+# the i-th case below: every weight kind, and the AIFA laws of every family
+# (closed form, numeric at d = 0 and at d = 0.4).  A change to which random
+# numbers a seed produces, or to any arithmetic on them, shows up here.
+_DIGEST_SPECS = {
+    "beta": {"family": "beta", "gamma": 2.0, "discount": 0.0, "extras": {"eta": 1.5}},
+    "beta_prime": {"family": "beta_prime", "gamma": 1.3, "discount": 0.0, "extras": {"eta": 1.2}},
+    "gamma": {"family": "gamma", "gamma": 1.2, "discount": 0.0, "extras": {"rate": 2.0}},
+    "generalized_gamma": {"family": "generalized_gamma", "gamma": 1.1, "discount": 0.0,
+                          "extras": {"eta1": 2.0, "eta2": 1.5}},
+}
+
+
+def _digest_spec(family, d=0.0):
+    return RateMeasureSpec.from_json({**_DIGEST_SPECS[family], "discount": d})
+
+
+_SAMPLE_DIGESTS = [
+    ("closed_form-beta", lambda: aifa_closed_form(_digest_spec("beta"), 6),
+     "17d382c2820435252ea38aec399a7cf32c2dcc71af68e77e50877f86261f34f0"),
+    ("numeric-beta-d0", lambda: aifa_numeric(AifaConfig(_digest_spec("beta"), 6)),
+     "de63400dd6d98057498b86291c64c5ae7c15a15227af8cc23ac336e29127bc5a"),
+    ("numeric-beta-d0.4", lambda: aifa_numeric(AifaConfig(_digest_spec("beta", 0.4), 6)),
+     "8050a8dcf05fe6bc615ce070e8da65d5da33fdbda5763da78ab6ec1c5cf2e7aa"),
+    ("closed_form-beta_prime", lambda: aifa_closed_form(_digest_spec("beta_prime"), 6),
+     "a39bc06602d4b14ea576f8802a4ce5e28c1459f6a7095c73d22a5df765da9f90"),
+    ("numeric-beta_prime-d0", lambda: aifa_numeric(AifaConfig(_digest_spec("beta_prime"), 6)),
+     "f552d1650055c542ebefd55ed29b9ce5cbb9e7b1178683e2a4ad60e2bb16764a"),
+    ("numeric-beta_prime-d0.4",
+     lambda: aifa_numeric(AifaConfig(_digest_spec("beta_prime", 0.4), 6)),
+     "b34d0763065c40f0e401501be41f2c73a8cb14ce81156e03cd50f1859c797a62"),
+    ("closed_form-gamma", lambda: aifa_closed_form(_digest_spec("gamma"), 6),
+     "ba9f9ab0e3ee1538bb89742a6b9eff69955abab26e9653cd74af079d0a6d0e07"),
+    ("numeric-gamma-d0", lambda: aifa_numeric(AifaConfig(_digest_spec("gamma"), 6)),
+     "be16c0d8925413811f944f4fe376e265f502c8ad86fadd7abf5a67b561c0eadf"),
+    ("numeric-gamma-d0.4", lambda: aifa_numeric(AifaConfig(_digest_spec("gamma", 0.4), 6)),
+     "0845d80cefc67163f2b3b76c0dfec4ea9aa2a25214d9fec8410dd23bbaf92452"),
+    ("closed_form-generalized_gamma", lambda: aifa_closed_form(_digest_spec("generalized_gamma"), 6),
+     "944cf3a9d63671516230348093bd17080845b1566116197f24bc0324db89ab94"),
+    ("numeric-generalized_gamma-d0",
+     lambda: aifa_numeric(AifaConfig(_digest_spec("generalized_gamma"), 6)),
+     "30285f06eb5e3ad21dc3a881097b1bf20bbc2a2e96b92037dd830bc3cbc10eaa"),
+    ("numeric-generalized_gamma-d0.4",
+     lambda: aifa_numeric(AifaConfig(_digest_spec("generalized_gamma", 0.4), 6)),
+     "389cf430050ec7547b42589c4e7bed52cd7a918ddafb45bcb841a47f17ea6613"),
+    ("bondesson-alpha1", lambda: bondesson(1.5, 1.0, 6),
+     "67fc4964ae9f52af14ae8bd63961d44e3b8922958efd8bc47f111a6fc5eb57d0"),
+    ("bondesson-alpha2.5", lambda: bondesson(1.5, 2.5, 6),
+     "25c3667d2c2ad2e849a0d62b9a01649a096c5e80ffe3d1a8f0f3b9ce7e6819e9"),
+    ("tsb", lambda: tsb(1.3, 6),
+     "36732f98ba8e9ea18750fcfe52848638d279634cda7013be1c48005e33760cbe"),
+    ("fsd", lambda: fsd(0.8, 6),
+     "502ebecd89428fb883e2bceb551a0fd084d470cb04e35f66bd7e83bf7244c58d"),
+    ("bfry", lambda: bfry(2.0, 0.6, 6),
+     "dc96b45dea73547fb8fd549809813c07cec8c652278a56b9334e7c186a8eb3b8"),
+    ("beta_stick_breaking", lambda: beta_stick_breaking(1.5, 2.0, 6),
+     "09fb8a688ebdbfac041ff1b6b175e5cbeea4bffbd0183345cb3b33e9b88db875"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_SAMPLE_DIGESTS)),
+                         ids=[name for name, _, _ in _SAMPLE_DIGESTS])
+def test_sample_digests_every_kind_and_family(index):
+    _, build, digest = _SAMPLE_DIGESTS[index]
+    rows = sample_weights(build(), derive_rng(93, index), size=3)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+def test_weight_laws_compare_by_parameters():
+    # equal parameters give equal laws with equal hashes; another parameter,
+    # level or kind gives an unequal law (bondesson(1, 2, 5) once equalled
+    # bondesson(3, 4, 5)); the numeric AIFA law compares its config by identity
+    pairs = [
+        (lambda: bondesson(1.0, 2.0, 5), bondesson(3.0, 4.0, 5)),
+        (lambda: beta_stick_breaking(1.0, 2.0, 5), beta_stick_breaking(1.0, 3.0, 5)),
+        (lambda: tsb(1.0, 5), tsb(2.0, 5)),
+        (lambda: fsd(1.0, 5), fsd(1.0, 6)),
+        (lambda: fsd(1.0, 5), tsb(1.0, 5)),
+        (lambda: bfry(1.0, 0.5, 5), bfry(1.0, 0.6, 5)),
+        (lambda: aifa_closed_form(beta_process(1.0, 1.5), 5),
+         aifa_closed_form(beta_process(1.0, 2.5), 5)),
+    ]
+    cfg = AifaConfig(beta_process(1.0, 1.5), 5)
+    pairs.append((lambda: aifa_numeric(cfg), aifa_numeric(AifaConfig(beta_process(1.0, 1.5), 5))))
+    for build, other in pairs:
+        law = build()
+        assert law == build() and hash(law) == hash(build()), law
+        assert law != other, law
 
 
 def test_tsb_single_stick():

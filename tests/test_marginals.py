@@ -175,10 +175,21 @@ def test_fresh_mass_default_matches_closed_forms(model):
     (approx_fresh_mass, (GP, 10, 0), "round indices n"),
     (approx_fresh_mass, (BB, 0, 1), "approximation level K"),
     (approx_fresh_mass, (BB, 2.5, 1), "approximation level K"),
-], ids=["total-n0", "total-n2.5", "rate-n0", "fresh-n0", "fresh-K0", "fresh-K2.5"])
+    (target_predictive_pmf, (GP, [2], 2.5), "counts x"),
+    (target_predictive_pmf, (GP, [2], -0.5), "counts x"),
+    (target_predictive_pmf, (GP, [2], math.nan), "counts x"),
+    (target_predictive_pmf, (GP, [2], True), "counts x"),
+    (approx_predictive_pmf, (GP, 10, [2], 2.5), "counts x"),
+    (approx_predictive_pmf, (GP, 10, [2], -0.5), "counts x"),
+    (approx_predictive_pmf, (GP, 10, [2], math.nan), "counts x"),
+    (approx_predictive_pmf, (GP, 10, [2], True), "counts x"),
+], ids=["total-n0", "total-n2.5", "rate-n0", "fresh-n0", "fresh-K0", "fresh-K2.5",
+        "target_pmf-x2.5", "target_pmf-x-0.5", "target_pmf-xnan", "target_pmf-xtrue",
+        "approx_pmf-x2.5", "approx_pmf-x-0.5", "approx_pmf-xnan", "approx_pmf-xtrue"])
 def test_bad_rounds_and_levels_rejected(fn, args, what):
     # before any arithmetic: n = 0 gave inf with a warning, K = 0 a
-    # ZeroDivisionError, and K = 2.5 a number
+    # ZeroDivisionError, K = 2.5 a number, and a count x of 2.5, -0.5 or
+    # nan a pmf value (gammaln of a non-integer)
     with np.errstate(all="raise"), pytest.raises(ValueError, match=what):
         fn(*args)
 

@@ -15,17 +15,17 @@ from crmfinite.measures import (
     indicator_value,
     log_normalizer,
     log_rate_density,
-    normalizer,
+    rate_measure,
     small_weight_coefficient,
 )
 
 ALL_SPECS = [
     beta_process(1.0, 1.5, 0.0),
     beta_process(2.0, 0.0, 0.6),
-    RateMeasureSpec("beta_prime", 1.3, 0.3, eta=1.2),
+    rate_measure("beta_prime", 1.3, 0.3, eta=1.2),
     gamma_process(1.0, 2.0, 0.0),
     gamma_process(0.7, 1.0, 0.4),
-    RateMeasureSpec("generalized_gamma", 1.1, 0.2, eta1=2.0, eta2=1.5),
+    rate_measure("generalized_gamma", 1.1, 0.2, eta1=2.0, eta2=1.5),
 ]
 
 
@@ -51,33 +51,61 @@ def test_beta_density_outside_support():
 
 def test_spec_validation_eager():
     with pytest.raises(ValueError):
-        RateMeasureSpec("beta", -1.0, 0.0, eta=1.0)
+        rate_measure("beta", -1.0, 0.0, eta=1.0)
     with pytest.raises(ValueError):
-        RateMeasureSpec("beta", 1.0, 1.0, eta=1.0)   # discount must be < 1
+        rate_measure("beta", 1.0, 1.0, eta=1.0)   # discount must be < 1
     with pytest.raises(ValueError):
-        RateMeasureSpec("beta", 1.0, 0.0, eta=0.0)
+        rate_measure("beta", 1.0, 0.0, eta=0.0)
     with pytest.raises(ValueError):
-        RateMeasureSpec("gamma", 1.0, 0.0, rate=-2.0)
+        rate_measure("gamma", 1.0, 0.0, rate=-2.0)
     with pytest.raises(ValueError):
-        RateMeasureSpec("gamma", 1.0, 0.0, eta=1.0)  # wrong extras key
+        rate_measure("gamma", 1.0, 0.0, eta=1.0)  # wrong extras key
     with pytest.raises(ValueError):
-        RateMeasureSpec("generalized_gamma", 1.0, 0.0, eta1=1.0)
+        rate_measure("generalized_gamma", 1.0, 0.0, eta1=1.0)
 
 
 def test_normalizer_values():
-    assert normalizer(beta_process(1.0, 1.0, 0.0), 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert normalizer(gamma_process(1.0, 2.0, 0.0), 2.0) == pytest.approx(0.25, rel=1e-14)
-    gg = RateMeasureSpec("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5)
+    bp, gp = beta_process(1.0, 1.0, 0.0), gamma_process(1.0, 2.0, 0.0)
+    assert math.exp(log_normalizer(bp, 1.0)) == pytest.approx(1.0, rel=1e-14)
+    assert math.exp(log_normalizer(gp, 2.0)) == pytest.approx(0.25, rel=1e-14)
+    gg = rate_measure("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5)
     xi = 1.7
     expected = math.gamma(xi / 1.5) * (2.0 * 1.5) ** (-xi)
-    assert normalizer(gg, xi) == pytest.approx(expected, rel=1e-12)
+    assert math.exp(log_normalizer(gg, xi)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_normalizer_domain():
     with pytest.raises(ValueError):
-        normalizer(beta_process(1.0, 1.0, 0.0), 0.0)
+        log_normalizer(beta_process(1.0, 1.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        normalizer(gamma_process(1.0, 1.0, 0.0), -0.5)
+        log_normalizer(gamma_process(1.0, 1.0, 0.0), -0.5)
+
+
+_EXTRAS = {"beta": {"eta": 1.5}, "beta_prime": {"eta": 1.2}, "gamma": {"rate": 2.0},
+           "generalized_gamma": {"eta1": 2.0, "eta2": 1.5}}
+
+
+@pytest.mark.parametrize("family", [f.value for f in Family])
+def test_rate_measure_families_conform(family):
+    # every family builds from its name into a class of that family whose
+    # fields after gamma and d are its extras; the JSON form round-trips, and
+    # wrong extras or a normalizer argument xi <= 0 raise ValueError
+    extras = _EXTRAS[family]
+    spec = rate_measure(family, 1.3, 0.2, **extras)
+    assert type(spec).family is Family(family) and spec.family.value == family
+    assert spec.extra_keys() == tuple(extras)
+    assert {k: getattr(spec, k) for k in extras} == extras
+    assert spec.to_json() == {"family": family, "gamma": 1.3, "discount": 0.2, "extras": extras}
+    assert RateMeasureSpec.from_json(spec.to_json()) == spec
+    keys = ", ".join(repr(k) for k in extras)
+    for wrong in ({}, {**extras, "extra": 1.0}, {"lam" if "rate" not in extras else "eta": 1.0}):
+        with pytest.raises(ValueError, match=f"{family} spec needs extras \\({keys}"):
+            rate_measure(family, 1.3, 0.2, **wrong)
+    for xi in (0.0, -0.5):
+        with pytest.raises(ValueError, match="xi > 0"):
+            log_normalizer(spec, xi)
+    assert rate_measure(family, 1.3, 0.2, **extras) == spec
+    assert rate_measure(family, 1.3, 0.3, **extras) != spec
 
 
 def test_serialization_round_trip():
@@ -88,15 +116,15 @@ def test_serialization_round_trip():
 
 def _linear_density(spec, theta):
     """gamma theta^(-1-d) g^(-d) h / Z(1-d, eta), term by term on the linear scale."""
-    d, xi, e = spec.discount, 1.0 - spec.discount, dict(spec.extras)
+    d, xi = spec.discount, 1.0 - spec.discount
     head = spec.gamma * theta ** (-1.0 - d)
     if spec.family is Family.BETA:
-        return head * (1.0 - theta) ** (e["eta"] - 1.0) / special.beta(xi, e["eta"])
+        return head * (1.0 - theta) ** (spec.eta - 1.0) / special.beta(xi, spec.eta)
     if spec.family is Family.BETA_PRIME:
-        return head * (1.0 + theta) ** (d - e["eta"]) / special.beta(xi, e["eta"])
+        return head * (1.0 + theta) ** (d - spec.eta) / special.beta(xi, spec.eta)
     if spec.family is Family.GAMMA:
-        return head * math.exp(-e["rate"] * theta) / (special.gamma(xi) * e["rate"] ** -xi)
-    eta1, eta2 = e["eta1"], e["eta2"]
+        return head * math.exp(-spec.rate * theta) / (special.gamma(xi) * spec.rate ** -xi)
+    eta1, eta2 = spec.eta1, spec.eta2
     return (head * math.exp(-((eta1 * theta) ** eta2))
             / (special.gamma(xi / eta2) * (eta1 * eta2) ** -xi))
 
@@ -138,9 +166,9 @@ def test_small_weight_coefficient_matches_families():
     # c = gamma * h(0)/Z(1-d) reduces to the familiar constants at d = 0
     assert small_weight_coefficient(beta_process(2.0, 3.0, 0.0)) == pytest.approx(6.0, rel=1e-12)
     assert small_weight_coefficient(gamma_process(2.0, 1.5, 0.0)) == pytest.approx(3.0, rel=1e-12)
-    bp = RateMeasureSpec("beta_prime", 2.0, 0.0, eta=1.5)
+    bp = rate_measure("beta_prime", 2.0, 0.0, eta=1.5)
     assert small_weight_coefficient(bp) == pytest.approx(3.0, rel=1e-12)
-    gg = RateMeasureSpec("generalized_gamma", 2.0, 0.0, eta1=1.0, eta2=2.0)
+    gg = rate_measure("generalized_gamma", 2.0, 0.0, eta1=1.0, eta2=2.0)
     assert small_weight_coefficient(gg) == pytest.approx(
         2.0 * 1.0 * 2.0 / math.gamma(0.5), rel=1e-12)
 
