@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximations import sample_weights
-from .checks import integer, positive
+from .checks import integer, integers, positive
 
 __all__ = [
     "tv_exact",
@@ -140,11 +140,9 @@ def tv_binom_poisson(K, gamma):
     truncation support 0..X by the ratio recursion
     p(x) = p(x-1) (K-x+1)/x q/(1-q), with q/(1-q) = gamma/K; its mass past X
     is its unlisted mass."""
-    K = np.asarray(K)
-    if K.dtype == bool or np.any(K < 1) or np.any(K != np.floor(K)):
-        raise ValueError("K must be an integer >= 1")
+    K = integers(K, "K")
     poisson = truncated_poisson(gamma)
-    k = K.reshape(-1, 1).astype(float)
+    k = K.reshape(-1, 1)
     x = np.arange(1, poisson.size, dtype=float)
     ratio = np.maximum(k - x + 1, 0.0) / x * (gamma / k)  # zero past K
     binom = np.exp(-k * np.log1p(gamma / k)) * np.cumprod(

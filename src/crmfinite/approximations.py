@@ -1,17 +1,18 @@
 """Finite-approximation atom-size laws and their samplers.
 
-Seven kinds are supported:
+Seven kinds are supported, each named by its class's ``kind`` string:
 
-* AifaNumeric      -- i.i.d. draws from the K-atom independent-approximation
-                      density nu_K(theta) = theta^(-1 + c/K - d*S_b(theta - a/K))
-                      * g(theta)^(c/K - d) * h(theta) / Z_K, any discount d.
-* AifaClosedForm   -- the d = 0 special case, where nu_K is a named
-                      exponential family (beta, gamma, beta prime, gen. gamma).
-* Bondesson        -- series truncation theta_k = V_k exp(-Gamma_k/(gamma*alpha)).
-* BetaStickBreaking-- Poisson-round stick-breaking truncation for the beta process.
-* TSB              -- truncated stick-breaking of the Dirichlet process (v_K = 1).
-* FSD              -- finite symmetric Dirichlet(gamma/K, ..., gamma/K).
-* BFRY             -- competitor i.i.d. construction for power-law beta processes.
+* aifa_numeric        -- ``AifaConfig``: i.i.d. draws from the K-atom
+                         independent-approximation density nu_K(theta) =
+                         theta^(-1 + c/K - d*S_b(theta - a/K)) * g(theta)^(c/K - d)
+                         * h(theta) / Z_K, any discount d.
+* aifa_closed_form    -- the d = 0 special case, where nu_K is a named
+                         exponential family (beta, gamma, beta prime, gen. gamma).
+* bondesson           -- series truncation theta_k = V_k exp(-Gamma_k/(gamma*alpha)).
+* beta_stick_breaking -- Poisson-round stick-breaking truncation for the beta process.
+* tsb                 -- truncated stick-breaking of the Dirichlet process (v_K = 1).
+* fsd                 -- finite symmetric Dirichlet(gamma/K, ..., gamma/K).
+* bfry                -- competitor i.i.d. construction for power-law beta processes.
 
 Z_K and the sampling tables come from piecewise quadrature: the support is
 split at the indicator knots a/K and a/K + b_K, pieces are transformed
@@ -22,14 +23,15 @@ head (and, for the beta family, the right edge) with a monotone-cubic
 inverse-CDF table on 4096 log-spaced knots for the body; the table is
 validated once per configuration against an envelope rejection sampler.
 
-Each kind is one frozen class built by its constructor (``bondesson``, ...),
-whose ``rows(R, rng)`` draws all R rows in one call for ``sample_weights(dist,
-rng, size=R)``, the one sampling entry point.
+Each kind is one ``WeightDistribution`` class: ``AifaConfig`` itself for the
+numeric law, and a frozen class built by its constructor (``aifa_closed_form``,
+``bondesson``, ...) for the rest.  Its ``rows(R, rng)`` draws all R rows in one
+call for ``sample_weights(dist, rng, size=R)``, the one sampling entry point;
+the two AIFA laws also give their normalized ``log_density(theta)``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -51,11 +53,8 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "AifaConfig",
-    "WeightKind",
     "WeightDistribution",
     "aifa_closed_form",
-    "closed_form_log_density",
-    "aifa_numeric",
     "bondesson",
     "beta_stick_breaking",
     "tsb",
@@ -77,32 +76,45 @@ _GUIDE_MIN = 256  # fewer uniforms than this search the knots directly, at less 
 _EVAL_CHUNK = 1 << 15  # uniforms per inverse-CDF evaluation pass, sized to stay in cache
 
 
+class WeightDistribution:
+    """One finite-approximation atom-size law at level K, whose ``rows(R,
+    rng)`` draws R rows of atom sizes in one call: ``AifaConfig``, or a frozen
+    dataclass whose fields are its constructor's parameters."""
+
+    kind: ClassVar[str]
+
+
 # ---------------------------------------------------------------------------
-# numeric AIFA configuration
+# numeric AIFA law
 # ---------------------------------------------------------------------------
 
 _WIDTH_RULES = {"1/K": lambda K: 1.0 / K, "1/sqrt(K)": lambda K: 1.0 / math.sqrt(K)}
 
 
-class AifaConfig:
-    """Approximation level K of spec, with shift a and indicator width b_K.
+class AifaConfig(WeightDistribution):
+    """The numeric AIFA law at approximation level K of spec, with shift a and
+    indicator width b_K; instances compare by identity.
 
-    Defaults are a = 1, b_K = 1/K, smoothed indicator.  ``b`` may be a number,
-    a rule K -> width, or the name of one: "1/K" or "1/sqrt(K)".  The
-    normalizer, piece masses and inverse-CDF table are built on first use and
-    cached; treat instances as immutable.
+    Defaults are a = 1, b_K = 1/K, smoothed indicator.  ``b`` may be a number
+    or the name of a rule K -> width: "1/K" or "1/sqrt(K)".  The normalizer,
+    piece masses and inverse-CDF table are built on first use and cached;
+    treat instances as immutable.
     """
+
+    kind = "aifa_numeric"
 
     def __init__(self, spec: RateMeasureSpec, K: int, a: float = 1.0, b=None,
                  indicator_kind: IndicatorKind = IndicatorKind.SMOOTHED):
         self.spec = spec
         self.K = _check_level(K)
         self.a = positive(a, "shift a")
-        rule = "1/K" if b is None else b
-        rule = _WIDTH_RULES.get(rule, rule) if isinstance(rule, str) else rule
-        if isinstance(rule, str):
-            raise ValueError(f"indicator width b must be a number, '1/K' or '1/sqrt(K)', got {b!r}")
-        self.b = positive(rule(self.K) if callable(rule) else rule, "indicator width b_K")
+        if b is None or isinstance(b, str):
+            rule = _WIDTH_RULES.get("1/K" if b is None else b)
+            if rule is None:
+                raise ValueError(f"indicator width b must be a number, '1/K' or '1/sqrt(K)', "
+                                 f"got {b!r}")
+            b = rule(self.K)
+        self.b = positive(b, "indicator width b_K")
         self.indicator = ApproxIndicator(IndicatorKind(indicator_kind), self.b)
         self.c = small_weight_coefficient(spec)
         self.eps = self.c / self.K  # exponent c/K near zero
@@ -228,6 +240,9 @@ class AifaConfig:
                 self._failure = exc
                 raise
         return self._draw(n, rng, self._table_body)
+
+    def rows(self, R, rng):
+        return np.maximum(self.sample(R * self.K, rng).reshape(R, self.K), _WEIGHT_FLOOR)
 
     def _reference_sample(self, n, rng):
         """Envelope rejection sampler over the same pieces (validation path).
@@ -461,46 +476,13 @@ def _ks_two_sample(a, b):
 # weight distributions
 # ---------------------------------------------------------------------------
 
-class WeightKind(enum.Enum):
-    AIFA_NUMERIC = "aifa_numeric"
-    AIFA_CLOSED_FORM = "aifa_closed_form"
-    BONDESSON = "bondesson"
-    BETA_STICK_BREAKING = "beta_stick_breaking"
-    TSB = "tsb"
-    FSD = "fsd"
-    BFRY = "bfry"
-
-
-class WeightDistribution:
-    """One finite-approximation atom-size law at level K: one frozen
-    dataclass per kind, whose fields are its constructor's parameters and
-    whose ``rows(R, rng)`` draws R rows of atom sizes in one call."""
-
-    kind: ClassVar[WeightKind]
-
-
-@dataclass(frozen=True)
-class _AifaNumeric(WeightDistribution):
-    """i.i.d. draws from the numeric AIFA density of ``config`` (compared by identity)."""
-
-    config: AifaConfig
-    kind = WeightKind.AIFA_NUMERIC
-
-    @property
-    def K(self):
-        return self.config.K
-
-    def rows(self, R, rng):
-        return np.maximum(self.config.sample(R * self.K, rng).reshape(R, self.K), _WEIGHT_FLOOR)
-
-
 @dataclass(frozen=True)
 class _AifaClosedForm(WeightDistribution):
     """The spec family's named law at shape c/K (d = 0)."""
 
     spec: RateMeasureSpec
     K: int
-    kind = WeightKind.AIFA_CLOSED_FORM
+    kind = "aifa_closed_form"
 
     @property
     def shape(self):
@@ -509,13 +491,17 @@ class _AifaClosedForm(WeightDistribution):
     def rows(self, R, rng):
         return np.maximum(self.spec.closed_form_rows(self.shape, (R, self.K), rng), _WEIGHT_FLOOR)
 
+    def log_density(self, theta):
+        """Normalized log nu_K(theta), vectorized in theta."""
+        return self.spec.closed_form_log_density(self.shape, np.asarray(theta, dtype=float))
+
 
 @dataclass(frozen=True)
 class _Bondesson(WeightDistribution):
     gamma: float
     alpha: float
     K: int
-    kind = WeightKind.BONDESSON
+    kind = "bondesson"
 
     def rows(self, R, rng):
         K = self.K
@@ -530,7 +516,7 @@ class _BetaStickBreaking(WeightDistribution):
     gamma: float
     alpha: float
     K: int
-    kind = WeightKind.BETA_STICK_BREAKING
+    kind = "beta_stick_breaking"
 
     def rows(self, R, rng):
         """Round i holds C_i ~ Poisson(gamma) atoms v prod_{j<i}(1 - v_j), v_j ~
@@ -553,7 +539,7 @@ class _BetaStickBreaking(WeightDistribution):
 class _Tsb(WeightDistribution):
     alpha: float
     K: int
-    kind = WeightKind.TSB
+    kind = "tsb"
 
     def rows(self, R, rng):
         K = self.K
@@ -567,7 +553,7 @@ class _Tsb(WeightDistribution):
 class _Fsd(WeightDistribution):
     gamma: float
     K: int
-    kind = WeightKind.FSD
+    kind = "fsd"
 
     def rows(self, R, rng):
         return rng.dirichlet(np.full(self.K, self.gamma / self.K), size=R)
@@ -578,15 +564,11 @@ class _Bfry(WeightDistribution):
     gamma: float
     d: float
     K: int
-    kind = WeightKind.BFRY
+    kind = "bfry"
 
     def rows(self, R, rng):
         s = _bfry_table(self.gamma / self.K, self.d)(rng.random(R * self.K)).reshape(R, self.K)
         return np.maximum(s / (s + 1.0), _WEIGHT_FLOOR)
-
-
-def aifa_numeric(cfg: AifaConfig) -> WeightDistribution:
-    return _AifaNumeric(cfg)
 
 
 def aifa_closed_form(spec: RateMeasureSpec, K: int) -> WeightDistribution:
@@ -601,11 +583,10 @@ def aifa_closed_form(spec: RateMeasureSpec, K: int) -> WeightDistribution:
     return _AifaClosedForm(spec, _check_level(K))
 
 
-def closed_form_log_density(dist: WeightDistribution, theta):
-    """Log density of an AifaClosedForm law (vectorized in theta)."""
-    if not isinstance(dist, _AifaClosedForm):
-        raise ValueError("closed_form_log_density expects an AifaClosedForm distribution")
-    return dist.spec.closed_form_log_density(dist.shape, np.asarray(theta, dtype=float))
+def aifa_numeric(cfg: AifaConfig) -> AifaConfig:
+    """``cfg`` itself, since an ``AifaConfig`` is the numeric AIFA law: the
+    old spelling, kept only for perfbench's tracer test, which calls it."""
+    return cfg
 
 
 def _check_level(K):

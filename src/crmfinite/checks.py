@@ -8,12 +8,24 @@ rejected where a number is expected; numpy scalars are accepted.
 import math
 import numbers
 
+import numpy as np
+
 
 def integer(value, name, floor=1):
     """``value`` as an int: an integer (not a bool) >= ``floor``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
         raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
     return int(value)
+
+
+def integers(values, name, floor=1):
+    """``values`` as a float array, once every entry is an integer (not a bool) >= ``floor``."""
+    given = np.asarray(values)
+    values = given.astype(float)
+    if given.dtype == bool or not np.all(
+            np.isfinite(values) & (values >= floor) & (values == np.floor(values))):
+        raise ValueError(f"{name} must be an integer >= {floor} in every entry")
+    return values
 
 
 def real(value, name):

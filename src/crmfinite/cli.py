@@ -46,7 +46,6 @@ from .analysis import (
 from .approximations import (
     AifaConfig,
     aifa_closed_form,
-    aifa_numeric,
     beta_stick_breaking,
     bfry,
     bondesson,
@@ -68,7 +67,6 @@ from .marginals import (
     beta_bernoulli,
     beta_negative_binomial,
     check_condition_1,
-    condition_preset,
     gamma_poisson,
     generic_condition_bounds,
     simulate_allocation,
@@ -193,7 +191,7 @@ def _spec(family, gamma, discount, extras):
 
 
 def _aifa_numeric(spec, K, a=1.0, b=None, indicator="smoothed"):
-    return aifa_numeric(AifaConfig(_build(_spec, spec, "spec"), K, a, b, indicator))
+    return AifaConfig(_build(_spec, spec, "spec"), K, a, b, indicator)
 
 
 def _aifa_closed_form(spec, K):
@@ -228,7 +226,7 @@ def cmd_sample_prior(config, out, seed, replicates):
     totals = np.array([w.sum() for w, _ in results])
     active = np.array([a for _, a in results], dtype=float)
     summary = {
-        "kind": dist.kind.value,
+        "kind": dist.kind,
         "K": dist.K,
         "replicates": replicates,
         "mean_total_mass": float(totals.mean()),
@@ -258,7 +256,7 @@ def cmd_marginal_sim(config, out, seed, replicates):
     _write_csv(os.path.join(out, "allocations.csv"), ("replicate", "row", "col", "count"),
                *_by_replicate(cells))
     cols = np.array([a.n_columns for a in allocs], dtype=float)
-    summary = {"model": model.kind.value, "N": N, "source": source, "K": K,
+    summary = {"model": model.kind, "N": N, "source": source, "K": K,
                "replicates": replicates,
                "mean_columns": float(cols.mean()), "var_columns": float(cols.var())}
     _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2))
@@ -270,7 +268,7 @@ def cmd_check_conditions(config, out, seed, replicates):
                   "check-conditions config")
     model = _build(_MODEL_KINDS, config["model"], "model")
     bounds = (_build(generic_condition_bounds, config["constants"], "constants")
-              if "constants" in config else condition_preset(model))
+              if "constants" in config else model.preset())
     n_max, K_set = _integer(config["n_max"], "n_max", 2), _counts(config["K_set"], "K_set")
     report = check_condition_1(model, bounds, n_max, K_set)
     _write_atomic(os.path.join(out, "report.json"), json.dumps(report, indent=2))
@@ -433,7 +431,7 @@ def cmd_compare_ifa(config, out, seed, replicates):
     # one stream per construction: the AIFA (a, b) grid in order, then BFRY
     with _rejecting("a_grid and b_grid"):
         grid = [(a, b) for a in config.get("a_grid", [1.0]) for b in config.get("b_grid", ["1/K"])]
-        dists = [aifa_numeric(AifaConfig(spec, K, a=a, b=b)) for a, b in grid]
+        dists = [AifaConfig(spec, K, a=a, b=b) for a, b in grid]
     with _rejecting("spec"):
         dists.append(bfry(spec.gamma, spec.discount, K))
 

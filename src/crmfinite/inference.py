@@ -514,11 +514,15 @@ def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, initial_sta
 
     ``stats`` is a (sweeps, len(CHAIN_STATS)) array; row s - 1 holds sweep
     s's Geweke statistics sum_x, mean_tau and gamma_e, then gamma_w and the
-    joint log density, named by CHAIN_STATS.
+    joint log density, named by CHAIN_STATS.  An ``initial_state`` must
+    have been drawn under ``prior``, and ``prior`` must suit ``model``.
     """
     y = np.asarray(y, dtype=float)
-    state = initial_state if initial_state is not None \
-        else init_state(model, y.shape[0], rng, prior)
+    check_prior(model, prior)
+    state = init_state(model, y.shape[0], rng, prior) if initial_state is None else initial_state
+    if state.prior != prior:
+        raise ValueError(f"initial_state was drawn under prior {state.prior!r}, "
+                         f"but the chain's prior is {prior!r}")
     n, K = max(0, sweeps - burnin) // thin, model.K
     samples = SampleBatch(np.empty((n, K)), np.empty((n, K, model.D)), *np.empty((2, n, 1)))
     stats = np.empty((sweeps, len(CHAIN_STATS)))

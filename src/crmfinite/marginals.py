@@ -17,8 +17,10 @@ per-round totals have closed forms (the beta-negative-binomial one is a
 digamma difference, cross-checked against brute-force summation in the tests).
 
 Each family is one subclass of ``ExpFamilyModel`` that holds all of the
-family's formulas below as methods; the module functions check their
-arguments and call them.  The level-K fresh mass has one default,
+family's formulas below as methods, with its ``kind`` string and its
+condition preset (``model.preset()``).  The module functions check their
+arguments and call them; the checker calls the methods ``l1_history`` and
+``l4_mismatch`` directly.  The level-K fresh mass has one default,
 1 - h~(0 | all-zero history); beta-Bernoulli keeps closed forms for it and
 for the checker's sums.
 
@@ -70,7 +72,6 @@ condition checker with per-family presets.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -79,11 +80,10 @@ from typing import ClassVar
 import numpy as np
 from scipy import special
 
-from .checks import integer, positive, real
+from .checks import integer, integers, positive, real
 from .measures import BetaMeasure, Family, GammaMeasure, RateMeasureSpec
 
 __all__ = [
-    "ModelKind",
     "ExpFamilyModel",
     "beta_bernoulli",
     "gamma_poisson",
@@ -100,7 +100,6 @@ __all__ = [
     "fsd_urn_probs",
     "Condition1Bounds",
     "generic_condition_bounds",
-    "condition_preset",
     "check_condition_1",
 ]
 
@@ -108,12 +107,6 @@ _TAIL_TOL = 1e-12
 _ATOM_BLOCK = 512  # firing atoms per subset draw: memory stays O(N * block)
 _EPS = np.finfo(float).eps
 _SIZE_GRID_MAX = 1 << 23
-
-
-class ModelKind(enum.Enum):
-    BETA_BERNOULLI = "beta_bernoulli"
-    GAMMA_POISSON = "gamma_poisson"
-    BETA_NEG_BINOMIAL = "beta_neg_binomial"
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ class ExpFamilyModel:
     module functions calling them have checked."""
 
     spec: RateMeasureSpec
-    kind: ClassVar[ModelKind]
+    kind: ClassVar[str]
     family: ClassVar[Family]  # the rate-measure family the CRM must have
     max_count: ClassVar[float] = math.inf  # the largest count the likelihood gives
 
@@ -132,7 +125,7 @@ class ExpFamilyModel:
         if self.spec.discount != 0.0:
             raise ValueError("marginal processes require discount d = 0")
         if self.spec.family is not self.family:
-            raise ValueError(f"{self.kind.value} needs a {self.family.value}-family rate measure")
+            raise ValueError(f"{self.kind} needs a {self.family.value}-family rate measure")
 
     @property
     def gamma(self):
@@ -143,12 +136,17 @@ class ExpFamilyModel:
         return -np.expm1(self.logpmf(n, shift, shift, 0.0))
 
     def l1_history(self, K_set, n, S):
+        """Certified sum_x |h - h~| at history total S for each K in K_set,
+        vectorized over the float array n, as (sums, X) pairs."""
         # one block steps the target pmf alongside every K's shifted total
         totals = [float(S)] + [float(S) + self.mass_shift / K for K in K_set]
         return _certified_l1(_count_rows(self, n, totals, 0),
                              np.ones((len(totals), n.size)), "history L1 sum")
 
     def l4_mismatch(self, K, n, totals, fresh):
+        """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over the
+        float array n, and its truncation point X; ``totals`` and ``fresh``
+        are sum_x M_{n,x} and sum_{x>=1} h~(x|0) at n."""
         scale = np.array([[1.0], [K]])
         rows = ((x, block * scale)
                 for x, block in _count_rows(self, n, [0.0, self.mass_shift / K], 1))
@@ -173,7 +171,7 @@ class _BetaModel(ExpFamilyModel):
 class _BetaBernoulli(_BetaModel):
     """Beta process with Bernoulli counts."""
 
-    kind = ModelKind.BETA_BERNOULLI
+    kind = "beta_bernoulli"
     max_count = 1
 
     def logpmf(self, n, total, shift, x):
@@ -224,7 +222,7 @@ class _BetaBernoulli(_BetaModel):
 class _GammaPoisson(ExpFamilyModel):
     """Gamma process with Poisson counts."""
 
-    kind = ModelKind.GAMMA_POISSON
+    kind = "gamma_poisson"
     family = Family.GAMMA
 
     @property
@@ -284,7 +282,7 @@ class _GammaPoisson(ExpFamilyModel):
 class _BetaNegBinomial(_BetaModel):
     """Beta process with negative-binomial counts of stopping parameter r."""
 
-    kind = ModelKind.BETA_NEG_BINOMIAL
+    kind = "beta_neg_binomial"
     r: float
 
     def __post_init__(self):
@@ -392,16 +390,6 @@ def beta_negative_binomial(gamma, alpha, r) -> ExpFamilyModel:
 # predictive pmfs
 # ---------------------------------------------------------------------------
 
-def _integers(values, floor, what):
-    """``values`` as a float array, once every entry is an integer (not a bool) >= floor."""
-    given = np.asarray(values)
-    values = given.astype(float)
-    if given.dtype == bool or not np.all(
-            np.isfinite(values) & (values >= floor) & (values == np.floor(values))):
-        raise ValueError(f"{what} must be integers >= {floor}")
-    return values
-
-
 def _predictive_logpmf(model, n, S, shift, x):
     """log pmf of the next count at an atom whose history of n-1 observations
     sums to S; ``shift`` is the approximation's pseudo-count c/K (0 for the
@@ -412,9 +400,9 @@ def _predictive_logpmf(model, n, S, shift, x):
 
 
 def _check_history(model, history):
-    history = _integers(history, 0, "history entries")
+    history = integers(history, "history entries", 0)
     if np.any(history > model.max_count):
-        raise ValueError(f"{model.kind.value} counts are at most {model.max_count}")
+        raise ValueError(f"{model.kind} counts are at most {model.max_count}")
     return history
 
 
@@ -425,35 +413,35 @@ def target_predictive_pmf(model: ExpFamilyModel, history, x) -> float:
     if total == 0:
         raise ValueError("atom not yet instantiated in the target process (all-zero history)")
     n = history.size + 1
-    return float(np.exp(_predictive_logpmf(model, n, total, 0.0, _integers(x, 0, "counts x"))))
+    return float(np.exp(_predictive_logpmf(model, n, total, 0.0, integers(x, "counts x", 0))))
 
 
 def approx_predictive_pmf(model: ExpFamilyModel, K, history, x) -> float:
     """Same predictive under the level-K approximation; all-zero histories are
     allowed and govern the dormant atoms."""
     integer(K, "approximation level K")
-    history, x = _check_history(model, history), _integers(x, 0, "counts x")
+    history, x = _check_history(model, history), integers(x, "counts x", 0)
     n = history.size + 1
     return float(np.exp(_predictive_logpmf(model, n, history.sum(), model.mass_shift / K, x)))
 
 
 def target_new_atom_rate(model: ExpFamilyModel, n, x):
     """Poisson mean M_{n,x} of brand-new atoms of size x in round n."""
-    out = model.new_atom_rate(_integers(n, 1, "round indices n"),
-                              _integers(x, 1, "new-atom sizes x"))
+    out = model.new_atom_rate(integers(n, "round indices n"),
+                              integers(x, "new-atom sizes x"))
     return out if np.asarray(out).shape else float(out)
 
 
 def total_new_atom_rate(model: ExpFamilyModel, n):
     """sum_x M_{n,x}, in closed form per family."""
-    out = model.total_rate(_integers(n, 1, "round indices n"))
+    out = model.total_rate(integers(n, "round indices n"))
     return out if out.shape else float(out)
 
 
 def approx_fresh_mass(model: ExpFamilyModel, K, n):
     """sum_{x>=1} h~(x | all-zero history) = P(a dormant atom activates in round n)."""
     out = model.fresh_mass(model.mass_shift / integer(K, "approximation level K"),
-                           _integers(n, 1, "round indices n"))
+                           integers(n, "round indices n"))
     return out if out.shape else float(out)
 
 
@@ -680,11 +668,6 @@ def generic_condition_bounds(C1, C2=0.0, C3=0.0, C4=0.0, C5=0.0) -> Condition1Bo
     )
 
 
-def condition_preset(model: ExpFamilyModel) -> Condition1Bounds:
-    """The per-family verified bounds, shipped as named presets."""
-    return model.preset()
-
-
 _HISTORY_SCAN = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 32, 50)
 _SIGN_EPS = 1e-280
 _GUARD = 16
@@ -752,19 +735,6 @@ def _certified_l1(rows, mass, what):
         X *= 2
 
 
-def _l1_history(model, K_set, n_arr, S):
-    """Certified sum_x |h - h~| at history total S for each K in K_set,
-    vectorized over n, as (sums, X) pairs."""
-    return model.l1_history(K_set, np.asarray(n_arr, dtype=float), S)
-
-
-def _l4_mismatch(model, K, n_arr, totals, fresh):
-    """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over n, and
-    its truncation point X; ``totals`` and ``fresh`` are sum_x M_{n,x} and
-    sum_{x>=1} h~(x|0) at n_arr."""
-    return model.l4_mismatch(K, np.asarray(n_arr, dtype=float), totals, fresh)
-
-
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set) -> dict:
     """Evaluate the four inequalities numerically for all n <= n_max, K in K_set.
 
@@ -781,7 +751,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     K_set = sorted(integer(K, "K_set entries") for K in K_set)
     n_arr = np.arange(1, n_max + 1, dtype=float)
     grace = 1e-12
-    report = {"model": model.kind.value, "bounds": bounds.name, "n_max": n_max,
+    report = {"model": model.kind, "bounds": bounds.name, "n_max": n_max,
               "K_set": K_set, "history_scan": list(_HISTORY_SCAN), "inequalities": []}
 
     def record(idx, slack_arr, n_of, K=None, extra=None):
@@ -809,7 +779,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
         if not mask.any():
             continue
         idx = np.where(mask)[0]
-        for k, (K, (l1, X)) in enumerate(zip(K_set, _l1_history(model, K_set, n3[idx], S))):
+        for k, (K, (l1, X)) in enumerate(zip(K_set, model.l1_history(K_set, n3[idx], S))):
             x_max3[k] = max(x_max3[k], X)
             cand = bounds.rhs3(n3[idx], K) - l1
             tighter = cand < slack3[k, idx]
@@ -826,7 +796,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
         floor = np.asarray(bounds.k_floor(n_arr), dtype=float)
         dom = K >= floor
         if dom.any():
-            lhs4, X = _l4_mismatch(model, K, n_arr[dom], lhs1[dom], lhs2[dom])
+            lhs4, X = model.l4_mismatch(K, n_arr[dom], lhs1[dom], lhs2[dom])
             record(4, bounds.rhs4(n_arr[dom], K) - lhs4, n_arr[dom], K,
                    {"n_evaluated": int(dom.sum()), "x_max": X})
         else:

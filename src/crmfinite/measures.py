@@ -16,8 +16,9 @@ g, h and Z in log space, and the family's d = 0 level-K law in closed form:
     GammaMeasure             1            exp(-lambda*theta)       Gamma(xi) * lambda^(-xi)
     GeneralizedGammaMeasure  1            exp(-(eta1*theta)^eta2)  Gamma(xi/eta2) * (eta1*eta2)^(-xi)
 
-``rate_measure(family, gamma, discount, **extras)`` builds one by family name;
-the module functions take any spec and call its methods.
+``rate_measure(family, gamma, discount, **extras)`` builds one by family name.
+Callers use a spec's methods, except ``log_g`` and ``log_h``: these stay module
+functions, which take theta as any array-like and which perfbench's tracer counts.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "beta_process",
     "gamma_process",
     "log_rate_density",
-    "log_normalizer",
     "small_weight_coefficient",
     "indicator_value",
 ]
@@ -224,7 +224,7 @@ def rate_measure(family, gamma, discount, **extras) -> RateMeasureSpec:
 
 def beta_process(gamma, alpha, d=0.0) -> RateMeasureSpec:
     """BP(gamma, alpha, d) as a RateMeasureSpec; the stored eta is alpha + d."""
-    return BetaMeasure(gamma, d, alpha + d)
+    return BetaMeasure(gamma, d, real(alpha, "alpha") + real(d, "discount"))
 
 
 def gamma_process(gamma, rate=1.0, d=0.0) -> RateMeasureSpec:
@@ -242,15 +242,10 @@ def log_h(spec: RateMeasureSpec, theta):
     return spec.log_h(np.asarray(theta, dtype=float))
 
 
-def log_normalizer(spec: RateMeasureSpec, xi) -> float:
-    """log Z(xi, eta) for the family's closed-form normalizer."""
-    return spec.log_normalizer(xi)
-
-
 def small_weight_coefficient(spec: RateMeasureSpec) -> float:
     """c = gamma * h(0; eta) / Z(1 - d, eta), the coefficient of the
     theta^(-1-d) singularity of the rate density (h(0) = 1 here)."""
-    return spec.gamma * math.exp(-log_normalizer(spec, 1.0 - spec.discount))
+    return spec.gamma * math.exp(-spec.log_normalizer(1.0 - spec.discount))
 
 
 def log_rate_density(spec: RateMeasureSpec, theta):
@@ -266,7 +261,7 @@ def log_rate_density(spec: RateMeasureSpec, theta):
         raise ValueError(f"theta outside the support of the {spec.family.value} family")
     out = (
         math.log(spec.gamma)
-        - log_normalizer(spec, 1.0 - spec.discount)
+        - spec.log_normalizer(1.0 - spec.discount)
         + (-1.0 - spec.discount) * np.log(theta_arr)
         - spec.discount * log_g(spec, theta_arr)
         + log_h(spec, theta_arr)

@@ -28,9 +28,7 @@ from crmfinite.analysis import (
 from crmfinite.approximations import (
     AifaConfig,
     aifa_closed_form,
-    aifa_numeric,
     bfry,
-    closed_form_log_density,
     sample_weights,
 )
 from crmfinite.inference import (
@@ -48,7 +46,6 @@ from crmfinite.marginals import (
     beta_bernoulli,
     beta_negative_binomial,
     check_condition_1,
-    condition_preset,
     dp_urn_probs,
     fsd_urn_probs,
     gamma_poisson,
@@ -97,7 +94,7 @@ def test_criterion_01_closed_form_reduction():
                 pts = stats.betaprime.ppf(q, a, spec.eta)
             else:
                 pts = stats.gengamma.ppf(q, a / spec.eta2, spec.eta2, scale=1 / spec.eta1)
-            rel = np.abs(np.exp(cfg.log_density(pts) - closed_form_log_density(cf, pts)) - 1)
+            rel = np.abs(np.exp(cfg.log_density(pts) - cf.log_density(pts)) - 1)
             worst = max(worst, float(rel.max()))
     elapsed = time.time() - started
     ok = worst < 1e-8 and elapsed < 10.0
@@ -112,8 +109,9 @@ def test_criterion_02_normalization_sensitivity_grid():
         spec = beta_process(2.0, 1.0, d)  # alpha unpinned by the criterion; 1.0 here
         for K in (5, 50):
             for kind in (IndicatorKind.SMOOTHED, IndicatorKind.HARD):
-                for rule in (lambda k: 1.0 / k, lambda k: 1.0 / math.sqrt(k)):
+                for rule, width in (("1/K", 1.0 / K), ("1/sqrt(K)", 1.0 / math.sqrt(K))):
                     cfg = AifaConfig(spec, K, b=rule, indicator_kind=kind)
+                    assert cfg.b == width  # the rule names give the widths bit for bit
                     knots = sorted({cfg.a / K, min(cfg.a / K + cfg.b, 1.0)})
                     val, err = integrate.quad(
                         lambda t: math.exp(cfg.log_density(t)), 0.0, 1.0,
@@ -179,10 +177,10 @@ def test_criterion_06_condition_presets():
     all_ok = True
     details = []
     for model in models:
-        rep = check_condition_1(model, condition_preset(model), 10_000, [10, 100, 1000])
+        rep = check_condition_1(model, model.preset(), 10_000, [10, 100, 1000])
         all_ok = all_ok and rep["pass"]
         worst = min((e["slack"] for e in rep["inequalities"] if e["slack"] is not None))
-        details.append(f"{model.kind.value}:{'ok' if rep['pass'] else 'FAIL'}"
+        details.append(f"{model.kind}:{'ok' if rep['pass'] else 'FAIL'}"
                        f"(worst slack {worst:.2e})")
     elapsed = time.time() - started
     ok = all_ok and elapsed < 120
@@ -313,7 +311,7 @@ def test_criterion_11_ifa_vs_ifa_prior_parity():
         w = np.concatenate([sample_weights(dist, rng) for _ in range(vecs)])
         return float((rng.random(w.size) < np.minimum(w, 1.0)).sum() / vecs)
 
-    aifa_default = mean_active(aifa_numeric(AifaConfig(spec, K)), 0)
+    aifa_default = mean_active(AifaConfig(spec, K), 0)
     bfry_val = mean_active(bfry(2.0, 0.6, K), 1)
 
     # sensitivity measured on the construction's exact mean (quadrature), so
@@ -324,11 +322,11 @@ def test_criterion_11_ifa_vs_ifa_prior_parity():
                                 points=[cfg.a / K, min(cfg.a / K + cfg.b, 1.0)], limit=400)
         return K * val
 
-    base = exact_mean(1.0, lambda k: 1.0 / k)
+    base = exact_mean(1.0, "1/K")
     shifts = {}
     for a in (0.1, 1.0):
-        for rule, nm in ((lambda k: 1.0 / k, "1/K"), (lambda k: 1.0 / math.sqrt(k), "1/sqrt(K)")):
-            shifts[f"a={a},b={nm}"] = abs(exact_mean(a, rule) - base) / base
+        for rule in ("1/K", "1/sqrt(K)"):
+            shifts[f"a={a},b={rule}"] = abs(exact_mean(a, rule) - base) / base
 
     ok_aifa = abs(aifa_default - 2.0) / 2.0 < 0.10
     ok_bfry = abs(bfry_val - 2.0) / 2.0 < 0.10

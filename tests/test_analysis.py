@@ -28,7 +28,6 @@ from crmfinite.analysis import (
 )
 from crmfinite.approximations import (
     AifaConfig,
-    aifa_numeric,
     beta_stick_breaking,
     fsd,
     sample_weights,
@@ -369,7 +368,7 @@ def test_monte_carlo_normalized_aifa_matches_fsd():
     # the normalized gamma-process AIFA *is* the FSD, so the weight-path
     # Monte Carlo must agree with the FSD exact route
     gamma, K, reps = 1.0, 8, 4000
-    dist = aifa_numeric(AifaConfig(gamma_process(gamma, 1.0, 0.0), K))
+    dist = AifaConfig(gamma_process(gamma, 1.0, 0.0), K)
     comp = PartitionComposition((2, 1))
     p_comp = composition_frequencies(dist, comp.N, reps, derive_rng(78, 0)).get(comp.sizes, 0) / reps
     se = math.sqrt(max(p_comp * (1 - p_comp), 1.0 / reps) / reps)
@@ -379,7 +378,7 @@ def test_monte_carlo_normalized_aifa_matches_fsd():
 
 def test_normalized_aifa_more_blocks_than_atoms_is_zero():
     # K = 2 normalized weights label every draw 0 or 1: never three blocks
-    dist = aifa_numeric(AifaConfig(gamma_process(1.0, 1.0, 0.0), 2))
+    dist = AifaConfig(gamma_process(1.0, 1.0, 0.0), 2)
     freq = composition_frequencies(dist, 3, 2000, derive_rng(81, 0))
     assert sum(freq.values()) == 2000 and (1, 1, 1) not in freq
 

@@ -14,12 +14,10 @@ from crmfinite import approximations
 from crmfinite.approximations import (
     AifaConfig,
     aifa_closed_form,
-    aifa_numeric,
     beta_stick_breaking,
     bfry,
     bfry_log_density,
     bondesson,
-    closed_form_log_density,
     fsd,
     sample_weights,
     tsb,
@@ -88,7 +86,7 @@ def test_closed_form_density_matches_scipy():
     for spec in D0_SPECS:
         cf = aifa_closed_form(spec, 7)
         pts = interior_grid(cf, 25)
-        np.testing.assert_allclose(closed_form_log_density(cf, pts), scipy_law(cf).logpdf(pts),
+        np.testing.assert_allclose(cf.log_density(pts), scipy_law(cf).logpdf(pts),
                                    rtol=1e-10)
 
 
@@ -99,7 +97,7 @@ def test_numeric_reduces_to_closed_form():
             cfg = AifaConfig(spec, K)
             cf = aifa_closed_form(spec, K)
             pts = interior_grid(cf)
-            rel = np.abs(np.exp(cfg.log_density(pts) - closed_form_log_density(cf, pts)) - 1)
+            rel = np.abs(np.exp(cfg.log_density(pts) - cf.log_density(pts)) - 1)
             assert rel.max() < 1e-8
 
 
@@ -142,6 +140,10 @@ def test_aifa_config_validation():
         AifaConfig(spec, 5, a=-1.0)
     with pytest.raises(ValueError):
         AifaConfig(spec, 5, b=0.0)
+    # b is a number or a rule name: "1/K" or "1/sqrt(K)"
+    for bad in ("1/K^2", lambda K: 1.0 / K):
+        with pytest.raises(ValueError, match="indicator width b"):
+            AifaConfig(spec, 5, b=bad)
 
 
 def test_aifa_numeric_sampler_vs_closed_form_ks():
@@ -169,7 +171,7 @@ def test_aifa_total_mass_converges():
         assert exact[K] == pytest.approx(K / (K + 1.0), rel=1e-7)
     assert exact[10] < exact[100] < exact[1000] < 1.0
     reps, K = 3000, 1000
-    w = aifa_numeric(AifaConfig(spec, K))
+    w = AifaConfig(spec, K)
     totals = sample_weights(w, rng, size=reps).sum(axis=1)
     se = totals.std() / math.sqrt(reps)
     assert abs(totals.mean() - 1.0) < 3 * se + 1e-3  # 1/(K+1) construction bias
@@ -177,7 +179,7 @@ def test_aifa_total_mass_converges():
 
 def test_reproducibility_bit_identical():
     dists = [
-        aifa_numeric(AifaConfig(beta_process(2.0, 0.0, 0.6), 20)),
+        AifaConfig(beta_process(2.0, 0.0, 0.6), 20),
         aifa_closed_form(beta_process(1.0, 1.0, 0.0), 10),
         bondesson(1.0, 2.0, 15),
         beta_stick_breaking(1.0, 1.0, 6),
@@ -238,8 +240,8 @@ def test_head_reaching_theta_one_samples(spec):
 def test_golden_draws_every_kind():
     beta = AifaConfig(beta_process(3.0, 0.02, 0.2), 4)
     draws = {
-        "aifa_beta": sample_weights(aifa_numeric(beta), derive_rng(91, 0), size=4),
-        "aifa_gamma": sample_weights(aifa_numeric(AifaConfig(gamma_process(2.0, 1.0, 0.5), 8)),
+        "aifa_beta": sample_weights(beta, derive_rng(91, 0), size=4),
+        "aifa_gamma": sample_weights(AifaConfig(gamma_process(2.0, 1.0, 0.5), 8),
                                      derive_rng(91, 100), size=2),
         "aifa_beta_reference": beta._reference_sample(16, derive_rng(91, 101)),
         "closed_form": sample_weights(aifa_closed_form(beta_process(1.0, 1.0, 0.0), 8),
@@ -280,30 +282,30 @@ def _digest_spec(family, d=0.0):
 _SAMPLE_DIGESTS = [
     ("closed_form-beta", lambda: aifa_closed_form(_digest_spec("beta"), 6),
      "17d382c2820435252ea38aec399a7cf32c2dcc71af68e77e50877f86261f34f0"),
-    ("numeric-beta-d0", lambda: aifa_numeric(AifaConfig(_digest_spec("beta"), 6)),
+    ("numeric-beta-d0", lambda: AifaConfig(_digest_spec("beta"), 6),
      "de63400dd6d98057498b86291c64c5ae7c15a15227af8cc23ac336e29127bc5a"),
-    ("numeric-beta-d0.4", lambda: aifa_numeric(AifaConfig(_digest_spec("beta", 0.4), 6)),
+    ("numeric-beta-d0.4", lambda: AifaConfig(_digest_spec("beta", 0.4), 6),
      "8050a8dcf05fe6bc615ce070e8da65d5da33fdbda5763da78ab6ec1c5cf2e7aa"),
     ("closed_form-beta_prime", lambda: aifa_closed_form(_digest_spec("beta_prime"), 6),
      "a39bc06602d4b14ea576f8802a4ce5e28c1459f6a7095c73d22a5df765da9f90"),
-    ("numeric-beta_prime-d0", lambda: aifa_numeric(AifaConfig(_digest_spec("beta_prime"), 6)),
+    ("numeric-beta_prime-d0", lambda: AifaConfig(_digest_spec("beta_prime"), 6),
      "f552d1650055c542ebefd55ed29b9ce5cbb9e7b1178683e2a4ad60e2bb16764a"),
     ("numeric-beta_prime-d0.4",
-     lambda: aifa_numeric(AifaConfig(_digest_spec("beta_prime", 0.4), 6)),
+     lambda: AifaConfig(_digest_spec("beta_prime", 0.4), 6),
      "b34d0763065c40f0e401501be41f2c73a8cb14ce81156e03cd50f1859c797a62"),
     ("closed_form-gamma", lambda: aifa_closed_form(_digest_spec("gamma"), 6),
      "ba9f9ab0e3ee1538bb89742a6b9eff69955abab26e9653cd74af079d0a6d0e07"),
-    ("numeric-gamma-d0", lambda: aifa_numeric(AifaConfig(_digest_spec("gamma"), 6)),
+    ("numeric-gamma-d0", lambda: AifaConfig(_digest_spec("gamma"), 6),
      "be16c0d8925413811f944f4fe376e265f502c8ad86fadd7abf5a67b561c0eadf"),
-    ("numeric-gamma-d0.4", lambda: aifa_numeric(AifaConfig(_digest_spec("gamma", 0.4), 6)),
+    ("numeric-gamma-d0.4", lambda: AifaConfig(_digest_spec("gamma", 0.4), 6),
      "0845d80cefc67163f2b3b76c0dfec4ea9aa2a25214d9fec8410dd23bbaf92452"),
     ("closed_form-generalized_gamma", lambda: aifa_closed_form(_digest_spec("generalized_gamma"), 6),
      "944cf3a9d63671516230348093bd17080845b1566116197f24bc0324db89ab94"),
     ("numeric-generalized_gamma-d0",
-     lambda: aifa_numeric(AifaConfig(_digest_spec("generalized_gamma"), 6)),
+     lambda: AifaConfig(_digest_spec("generalized_gamma"), 6),
      "30285f06eb5e3ad21dc3a881097b1bf20bbc2a2e96b92037dd830bc3cbc10eaa"),
     ("numeric-generalized_gamma-d0.4",
-     lambda: aifa_numeric(AifaConfig(_digest_spec("generalized_gamma", 0.4), 6)),
+     lambda: AifaConfig(_digest_spec("generalized_gamma", 0.4), 6),
      "389cf430050ec7547b42589c4e7bed52cd7a918ddafb45bcb841a47f17ea6613"),
     ("bondesson-alpha1", lambda: bondesson(1.5, 1.0, 6),
      "67fc4964ae9f52af14ae8bd63961d44e3b8922958efd8bc47f111a6fc5eb57d0"),
@@ -343,7 +345,7 @@ def test_weight_laws_compare_by_parameters():
          aifa_closed_form(beta_process(1.0, 2.5), 5)),
     ]
     cfg = AifaConfig(beta_process(1.0, 1.5), 5)
-    pairs.append((lambda: aifa_numeric(cfg), aifa_numeric(AifaConfig(beta_process(1.0, 1.5), 5))))
+    pairs.append((lambda: cfg, AifaConfig(beta_process(1.0, 1.5), 5)))
     for build, other in pairs:
         law = build()
         assert law == build() and hash(law) == hash(build()), law
@@ -634,7 +636,7 @@ def test_aifa_numeric_unbounded_support_sampler():
 
 def test_beta_family_weights_leq_one():
     rng = derive_rng(14, 0)
-    for dist in (aifa_numeric(AifaConfig(beta_process(2.0, 0.0, 0.6), 30)),
+    for dist in (AifaConfig(beta_process(2.0, 0.0, 0.6), 30),
                  aifa_closed_form(beta_process(1.0, 1.0, 0.0), 30),
                  bondesson(1.0, 1.5, 10),
                  beta_stick_breaking(1.0, 1.0, 5),

@@ -173,6 +173,29 @@ _SPEC_BP = {"family": "beta", "gamma": 2.0, "discount": 0.6, "extras": {"eta": 0
 _GIBBS = {"model": {"D": 2, "gamma": 1.0, "alpha": 1.0, "K": 3}, "prior_kind": "aifa",
           "sweeps": 4, "burnin": 2, "data_path": "data.csv"}
 
+# the fields of one config per weight kind and per model kind
+_KIND_FIELDS = {
+    "aifa_numeric": {"K": 5, "spec": _SPEC_BP},
+    "aifa_closed_form": {"K": 5, "spec": dict(_SPEC_BP, discount=0.0)},
+    "bondesson": {"gamma": 1.0, "alpha": 1.0, "K": 3},
+    "beta_stick_breaking": {"gamma": 1.0, "alpha": 1.0, "K": 3},
+    "tsb": {"alpha": 1.0, "K": 3},
+    "fsd": {"gamma": 1.0, "K": 3},
+    "bfry": {"gamma": 1.0, "d": 0.5, "K": 3},
+    "beta_bernoulli": {"gamma": 1.0, "alpha": 1.0},
+    "gamma_poisson": {"gamma": 1.0, "lam": 1.0},
+    "beta_neg_binomial": {"gamma": 1.0, "alpha": 2.0, "r": 1.0},
+}
+
+
+def test_every_kind_builds_an_object_of_that_kind():
+    # the kind a config names is the kind that summary.json and report.json write
+    assert set(_KIND_FIELDS) == set(cli._WEIGHT_KINDS) | set(cli._MODEL_KINDS)
+    for table in (cli._WEIGHT_KINDS, cli._MODEL_KINDS):
+        for kind in table:
+            built = cli._build(table, {"kind": kind, **_KIND_FIELDS[kind]}, "kind")
+            assert built.kind == kind
+
 
 @pytest.mark.parametrize("command, config, field", [
     ("bounds-table", {"gamma": 1.0, "K_min": 0, "K_max": 5}, "K_min"),
@@ -422,6 +445,12 @@ _GOLDEN_RUNS = [
       "source": "target"}, 2),
     ("conditions", "check-conditions",
      {"model": _GP_MODEL, "n_max": 50, "K_set": [10, 100]}, 1),
+    ("conditions_bb", "check-conditions",
+     {"model": {"kind": "beta_bernoulli", "gamma": 1.0, "alpha": 1.0}, "n_max": 50,
+      "K_set": [10, 100]}, 1),
+    ("conditions_bnb", "check-conditions",
+     {"model": {"kind": "beta_neg_binomial", "gamma": 1.0, "alpha": 2.0, "r": 1.0}, "n_max": 50,
+      "K_set": [10, 100]}, 1),
     ("bounds", "bounds-table", {"gamma": 1.5, "K_min": 2, "K_max": 6}, 1),
     ("eppf", "eppf-convergence", {"alpha": 1.5, "N": 4, "K_set": [4, 16, 64]}, 1),
     ("data", "make-data", {"N": 12, "D": 3, "n_features": 2}, 1),
@@ -475,6 +504,12 @@ _GOLDEN_DIGESTS = {
     },
     "conditions": {
         "report.json": "c5003e72ff0398729f7d39dc6932dfb0d3e4342538878d8d3d80cb7ded98fb47",
+    },
+    "conditions_bb": {
+        "report.json": "0d0c77cccf93b18a3607f9694fc03a0697b7064b8fd488483c116a4205e2056a",
+    },
+    "conditions_bnb": {
+        "report.json": "4e7ff7c8c8f9b9209ef86f95897f1f6099699f4900063b3985ad41d2e83b796b",
     },
     "bounds": {
         "bounds.csv": "69ec91045a4438818e1e64c9d902fcff5c4a435c391cc5cced0c8484466c5d71",

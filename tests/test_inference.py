@@ -616,6 +616,17 @@ def test_model_validation():
         LinearGaussianModel(D=2, gamma=-1, alpha=1, K=2)
     with pytest.raises(ValueError):
         init_state(MODEL, 5, derive_rng(0, 0), "bogus")
+    # an initial state runs only under the prior it was drawn under, and only
+    # where that prior has a Gibbs path (a TFA state built under alpha = 1
+    # does not run under alpha = 2)
+    y = np.zeros((5, MODEL.D))
+    tfa_state = init_state(MODEL, 5, derive_rng(0, 1), "bondesson_tfa")
+    with pytest.raises(ValueError, match="drawn under prior 'bondesson_tfa'"):
+        run_chain(MODEL, y, 5, derive_rng(0, 2), prior="aifa", initial_state=tfa_state)
+    alpha2 = LinearGaussianModel(D=MODEL.D, gamma=1.0, alpha=2.0, K=MODEL.K)
+    with pytest.raises(ValueError, match="alpha = 1"):
+        run_chain(alpha2, y, 5, derive_rng(0, 2), prior="bondesson_tfa",
+                  initial_state=tfa_state)
 
 
 @pytest.mark.parametrize("field, value", [

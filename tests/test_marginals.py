@@ -26,10 +26,7 @@ from crmfinite.marginals import (
     _HISTORY_SCAN,
     ExpFamilyModel,
     FeatureAllocation,
-    ModelKind,
     _count_rows,
-    _l1_history,
-    _l4_mismatch,
     _predictive_logpmf,
     _sparse_counts,
     allocation_log_probability,
@@ -38,7 +35,6 @@ from crmfinite.marginals import (
     beta_bernoulli,
     beta_negative_binomial,
     check_condition_1,
-    condition_preset,
     dp_urn_probs,
     fsd_urn_probs,
     gamma_poisson,
@@ -159,7 +155,7 @@ def test_fresh_mass_default_matches_closed_forms(model):
     # gamma-Poisson and beta-NB closed forms it replaced, bit for bit
     n = np.arange(1, 20_001, dtype=float)
     for K in (1, 2, 7, 10, 100, 1000, 10**6):
-        if model.kind is ModelKind.GAMMA_POISSON:
+        if model.kind == "gamma_poisson":
             c = model.gamma * model.lam / K
             want = -np.expm1(c * np.log1p(-1.0 / (model.lam + n)))
         else:
@@ -203,9 +199,9 @@ def test_model_families_conform(kind):
     # beta-NB has a field besides the rate measure
     build = _MODEL_KINDS[kind]
     model = build(**dict.fromkeys(inspect.signature(build).parameters, 2.0))
-    assert model.kind.value == kind
+    assert model.kind == kind
     assert [f.name for f in dataclasses.fields(model)] == (
-        ["spec", "r"] if model.kind is ModelKind.BETA_NEG_BINOMIAL else ["spec"])
+        ["spec", "r"] if model.kind == "beta_neg_binomial" else ["spec"])
     wrong = gamma_process(1.0, 2.0) if model.family is Family.BETA else beta_process(1.0, 2.0)
     with pytest.raises(ValueError, match=f"{model.family.value}-family"):
         dataclasses.replace(model, spec=wrong)
@@ -234,7 +230,7 @@ def test_sampled_counts_match_pmf():
     alpha = 1e-3 / (2 * len(cases))
     for model, hist in cases:
         for K in (None, 10):
-            key = f"{model.kind.value}/{hist}/{K}"
+            key = f"{model.kind}/{hist}/{K}"
             rng = derive_rng(31, zlib.crc32(key.encode()))
             shift = 0.0 if K is None else model.mass_shift / K
             theta = model.posterior_weight(np.full(reps, float(sum(hist))), len(hist),
@@ -353,7 +349,7 @@ def test_aifa_allocation_column_law():
     cases = [(BB, 4, 6), (GP, 3, 4), (BNB, 3, 5)]
     alpha = 1e-3 / (2 * len(cases))
     for model, N, K in cases:
-        rng = derive_rng(43, zlib.crc32(f"{model.kind.value}/{N}/{K}".encode()))
+        rng = derive_rng(43, zlib.crc32(f"{model.kind}/{N}/{K}".encode()))
         columns, n_cols = {}, np.zeros(K + 1, dtype=int)
         for _ in range(reps):
             counts = simulate_allocation(model, N, rng, source="aifa", K=K).counts
@@ -394,9 +390,10 @@ def test_target_allocation_rejects_K():
     (lambda rng: tsb_dp_bound(2, 3.5, 1), "K"),
     (lambda rng: tv_binom_poisson(True, 1.0), "K"),
     (lambda rng: tv_binom_poisson(np.array([True, True]), 1.0), "K"),
+    (lambda rng: tv_binom_poisson(math.inf, 1.0), "K"),
 ], ids=["sim-N=2.5", "sim-aifa-K=2.5", "sim-aifa-K=true", "approx_pmf-K=2.5",
         "growth-N=2.5", "bondesson-N=2.5", "bondesson-K=3.5", "tsb-N=2.5", "tsb-K=3.5",
-        "tv_binom_poisson-K=true", "tv_binom_poisson-K=[true,true]"])
+        "tv_binom_poisson-K=true", "tv_binom_poisson-K=[true,true]", "tv_binom_poisson-K=inf"])
 def test_library_counts_must_be_integers(call, name):
     # a ValueError naming the count, raised before any random number is drawn
     rng = derive_rng(39, 0)
@@ -471,7 +468,7 @@ def test_target_allocation_matrix_law():
     cases = [(BB, 3), (GP, 2), (BNB, 2)]
     alpha = 1e-3 / len(cases)
     for model, N in cases:
-        rng = derive_rng(41, zlib.crc32(f"{model.kind.value}/{N}".encode()))
+        rng = derive_rng(41, zlib.crc32(f"{model.kind}/{N}".encode()))
         freq = {}
         for _ in range(reps):
             key = _class_key(simulate_allocation(model, N, rng).counts)
@@ -534,14 +531,14 @@ def test_fsd_urn_rejects_too_many_labels():
 
 def test_presets_pass_at_moderate_scale():
     for model in (BB, GP, BNB):
-        report = check_condition_1(model, condition_preset(model), 1000, [10, 100, 1000])
+        report = check_condition_1(model, model.preset(), 1000, [10, 100, 1000])
         assert report["pass"], report
 
 
 def test_h_difference_within_preset_bound():
     # |h - h~| summed over x stays below the family bound for n <= 1000
     for model in (BB, GP, BNB):
-        report = check_condition_1(model, condition_preset(model), 1000, [25])
+        report = check_condition_1(model, model.preset(), 1000, [25])
         entry = [e for e in report["inequalities"] if e["inequality"] == 3][0]
         assert entry["pass"] and entry["slack"] >= 0
 
@@ -609,7 +606,7 @@ _GOLDEN_REPORTS = {
 @pytest.mark.parametrize("name", ["bb", "gp", "bnb"])
 def test_condition_report_matches_golden(name):
     model = {"bb": BB, "gp": GP, "bnb": BNB}[name]
-    report = check_condition_1(model, condition_preset(model), 300, [10, 100, 1000])
+    report = check_condition_1(model, model.preset(), 300, [10, 100, 1000])
     got = [(e["inequality"], e["K"], e["n_worst"], e["slack"], e["pass"],
             e.get("history_total_worst"), e.get("n_evaluated")) for e in report["inequalities"]]
     want = _GOLDEN_REPORTS[name]
@@ -659,7 +656,7 @@ _GOLDEN_REPORTS_10K = {
 @pytest.mark.parametrize("name", ["gp", "bnb"])
 def test_condition_report_matches_golden_at_benchmark_scale(name):
     model = {"gp": GP, "bnb": BNB}[name]
-    report = check_condition_1(model, condition_preset(model), 10_000, [10, 100, 1000])
+    report = check_condition_1(model, model.preset(), 10_000, [10, 100, 1000])
     got = [(e["inequality"], e["K"], e["n_worst"], e["slack"], e["pass"],
             e.get("history_total_worst"), e.get("n_evaluated")) for e in report["inequalities"]]
     want = _GOLDEN_REPORTS_10K[name]
@@ -741,7 +738,7 @@ def test_bnb_grid_matches_mpmath():
 
 def _dense_count_grid(model, n, total, x_lo, X):
     n = np.asarray(n, dtype=float)
-    bnb = model.kind is ModelKind.BETA_NEG_BINOMIAL
+    bnb = model.kind == "beta_neg_binomial"
     x0 = 0 if bnb and total > 0 else x_lo
     grid = np.empty((X - x0 + 1, n.size))
     if total == 0:
@@ -801,13 +798,13 @@ def _streamed_matches_dense(model, K_set, n, scan):
     """Compare the streamed and dense sums; returns their truncation points."""
     xs = []
     for S in scan:
-        for K, (l1, X) in zip(K_set, _l1_history(model, K_set, n, S)):
+        for K, (l1, X) in zip(K_set, model.l1_history(K_set, n, S)):
             want, want_X = _dense_l1_history(model, K, n, S)
             assert X == want_X and np.array_equal(l1, want), (S, K, X, want_X)
             xs.append(X)
     for K in K_set:
-        l4, X = _l4_mismatch(model, K, n, total_new_atom_rate(model, n),
-                             approx_fresh_mass(model, K, n))
+        l4, X = model.l4_mismatch(K, n, total_new_atom_rate(model, n),
+                                  approx_fresh_mass(model, K, n))
         want, want_X = _dense_l4_mismatch(model, K, n)
         assert X == want_X and np.array_equal(l4, want), (K, X, want_X)
         xs.append(X)
@@ -845,11 +842,11 @@ def test_single_column_sums_within_ulps_of_dense():
     ulp = np.spacing(2.115950715950717)
     assert abs(e4["slack"] - -2.115950715950717) <= 8 * ulp, e4["slack"]
     for n in (np.array([1.0]), np.array([2.0])):
-        l4, X = _l4_mismatch(model, 1, n, total_new_atom_rate(model, n),
-                             approx_fresh_mass(model, 1, n))
+        l4, X = model.l4_mismatch(1, n, total_new_atom_rate(model, n),
+                                  approx_fresh_mass(model, 1, n))
         want, want_X = _dense_l4_mismatch(model, 1, n)
         assert X == want_X and abs(l4[0] - want[0]) <= 8 * np.spacing(want[0])
-        ((l1, X),) = _l1_history(model, [1], n + 1, 3)
+        ((l1, X),) = model.l1_history([1], n + 1, 3)
         want, want_X = _dense_l1_history(model, 1, n + 1, 3)
         assert X == want_X and abs(l1[0] - want[0]) <= 8 * np.spacing(want[0])
 
@@ -858,11 +855,11 @@ def test_single_column_sums_within_ulps_of_dense():
                                           (50, [0]), (50, [2.5]), (50, [True]), (50, 10)])
 def test_condition_checker_rejects_bad_ranges(n_max, K_set):
     with pytest.raises(ValueError, match="n_max" if K_set == [10] else "K_set"):
-        check_condition_1(GP, condition_preset(GP), n_max, K_set)
+        check_condition_1(GP, GP.preset(), n_max, K_set)
 
 
 def test_condition_report_shape():
-    report = check_condition_1(GP, condition_preset(GP), 50, [10])
+    report = check_condition_1(GP, GP.preset(), 50, [10])
     assert {e["inequality"] for e in report["inequalities"]} == {1, 2, 3, 4}
     for e in report["inequalities"]:
         assert set(e) >= {"inequality", "n_worst", "K", "slack", "pass"}
@@ -870,7 +867,7 @@ def test_condition_report_shape():
         assert ("x_max" in e) == (e["inequality"] in (3, 4))
         if "x_max" in e:
             assert e["x_max"] >= 64 and e["x_max"] & (e["x_max"] - 1) == 0
-    bb = check_condition_1(BB, condition_preset(BB), 50, [10])
+    bb = check_condition_1(BB, BB.preset(), 50, [10])
     assert [e["x_max"] for e in bb["inequalities"] if "x_max" in e] == [1, 1]
 
 

@@ -13,7 +13,6 @@ from crmfinite.measures import (
     beta_process,
     gamma_process,
     indicator_value,
-    log_normalizer,
     log_rate_density,
     rate_measure,
     small_weight_coefficient,
@@ -62,23 +61,29 @@ def test_spec_validation_eager():
         rate_measure("gamma", 1.0, 0.0, eta=1.0)  # wrong extras key
     with pytest.raises(ValueError):
         rate_measure("generalized_gamma", 1.0, 0.0, eta1=1.0)
+    # beta_process adds alpha and d into eta, so each is checked before the sum
+    for bad in (True, "x"):
+        with pytest.raises(ValueError, match="alpha"):
+            beta_process(1.0, bad)
+        with pytest.raises(ValueError, match="discount"):
+            beta_process(1.0, 1.0, bad)
 
 
 def test_normalizer_values():
     bp, gp = beta_process(1.0, 1.0, 0.0), gamma_process(1.0, 2.0, 0.0)
-    assert math.exp(log_normalizer(bp, 1.0)) == pytest.approx(1.0, rel=1e-14)
-    assert math.exp(log_normalizer(gp, 2.0)) == pytest.approx(0.25, rel=1e-14)
+    assert math.exp(bp.log_normalizer(1.0)) == pytest.approx(1.0, rel=1e-14)
+    assert math.exp(gp.log_normalizer(2.0)) == pytest.approx(0.25, rel=1e-14)
     gg = rate_measure("generalized_gamma", 1.0, 0.0, eta1=2.0, eta2=1.5)
     xi = 1.7
     expected = math.gamma(xi / 1.5) * (2.0 * 1.5) ** (-xi)
-    assert math.exp(log_normalizer(gg, xi)) == pytest.approx(expected, rel=1e-12)
+    assert math.exp(gg.log_normalizer(xi)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_normalizer_domain():
     with pytest.raises(ValueError):
-        log_normalizer(beta_process(1.0, 1.0, 0.0), 0.0)
+        beta_process(1.0, 1.0, 0.0).log_normalizer(0.0)
     with pytest.raises(ValueError):
-        log_normalizer(gamma_process(1.0, 1.0, 0.0), -0.5)
+        gamma_process(1.0, 1.0, 0.0).log_normalizer(-0.5)
 
 
 _EXTRAS = {"beta": {"eta": 1.5}, "beta_prime": {"eta": 1.2}, "gamma": {"rate": 2.0},
@@ -103,7 +108,7 @@ def test_rate_measure_families_conform(family):
             rate_measure(family, 1.3, 0.2, **wrong)
     for xi in (0.0, -0.5):
         with pytest.raises(ValueError, match="xi > 0"):
-            log_normalizer(spec, xi)
+            spec.log_normalizer(xi)
     assert rate_measure(family, 1.3, 0.2, **extras) == spec
     assert rate_measure(family, 1.3, 0.3, **extras) != spec
 
