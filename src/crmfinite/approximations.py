@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .checks import instance, integer, positive, real
 from .measures import (
     ApproxIndicator,
@@ -220,10 +220,7 @@ class AifaConfig(WeightDistribution):
 
     def log_density(self, theta):
         """Normalized log nu_K(theta)."""
-        theta_arr = np.asarray(theta, dtype=float)
-        if np.any(theta_arr <= 0) or np.any(theta_arr > self.spec.support_upper):
-            raise ValueError("theta outside the support")
-        out = self._log_f(theta_arr) - self.log_z
+        out = self._log_f(self.spec.support_points(theta)) - self.log_z
         return out if out.shape else float(out)
 
     # -- sampling --------------------------------------------------------------
@@ -493,7 +490,8 @@ class _AifaClosedForm(WeightDistribution):
 
     def log_density(self, theta):
         """Normalized log nu_K(theta), vectorized in theta."""
-        return self.spec.closed_form_log_density(self.shape, np.asarray(theta, dtype=float))
+        out = self.spec.closed_form_log_density(self.shape, self.spec.support_points(theta))
+        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .checks import integer, positive, real
 
 __all__ = [

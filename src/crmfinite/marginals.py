@@ -78,8 +78,8 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .checks import integer, integers, positive, real
 from .measures import BetaMeasure, Family, GammaMeasure, RateMeasureSpec
 

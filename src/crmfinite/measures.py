@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .checks import positive, real
 
 __all__ = [
@@ -95,6 +95,14 @@ class RateMeasureSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "RateMeasureSpec":
         return rate_measure(obj["family"], obj["gamma"], obj["discount"], **obj["extras"])
+
+    def support_points(self, theta):
+        """theta as a float array; ValueError unless every entry lies in
+        (0, support_upper], the support of the rate measure and its laws."""
+        theta = np.asarray(theta, dtype=float)
+        if not np.all((theta > 0) & (theta <= self.support_upper)):
+            raise ValueError(f"theta outside the support of the {self.family.value} family")
+        return theta
 
     # -- the (g, h) pair and Z, in log space; theta is a float array ----------
 
@@ -254,11 +262,9 @@ def log_rate_density(spec: RateMeasureSpec, theta):
     Scalar theta outside the support raises ValueError; array input must be
     entirely inside the support.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(~np.isfinite(theta_arr)):
+    theta_arr = spec.support_points(theta)
+    if not np.all(np.isfinite(theta_arr)):
         raise ValueError("theta must be finite")
-    if np.any(theta_arr <= 0) or np.any(theta_arr > spec.support_upper):
-        raise ValueError(f"theta outside the support of the {spec.family.value} family")
     out = (
         math.log(spec.gamma)
         - spec.log_normalizer(1.0 - spec.discount)

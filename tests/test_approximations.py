@@ -90,6 +90,19 @@ def test_closed_form_density_matches_scipy():
                                    rtol=1e-10)
 
 
+@pytest.mark.parametrize("law", ["closed_form", "numeric"])
+def test_log_density_checks_the_support(law):
+    # both AIFA laws share the spec's support check and give a float for a scalar
+    spec = beta_process(1.0, 1.5, 0.0)
+    dist = aifa_closed_form(spec, 5) if law == "closed_form" else AifaConfig(spec, 5)
+    for theta in (-1.0, 0.0, 2.0, np.array([0.5, 2.0])):
+        with pytest.raises(ValueError, match="outside the support"):
+            dist.log_density(theta)
+    assert type(dist.log_density(0.5)) is float
+    if law == "closed_form":
+        assert dist.log_density(0.5) == pytest.approx(scipy_law(dist).logpdf(0.5), rel=1e-12)
+
+
 def test_numeric_reduces_to_closed_form():
     # the acceptance suite runs the full grid; spot-check one (family, K) here
     for spec in D0_SPECS[:2]:

@@ -11,9 +11,10 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 import crmfinite
-from crmfinite import cli
+from crmfinite import _special, cli
 from crmfinite.cli import main, read_data_csv
 
 
@@ -40,24 +41,55 @@ def run(tmp_path, command, config, seed=11, replicates=1, name="cfg", env=None, 
 
 
 def test_aifa_sample_prior_imports_only_scipy_special(tmp_path):
-    # one cold AIFA run builds the inverse-CDF table and runs its KS check
+    # one fresh process: the import, make-data, bounds-table and a
+    # stick-breaking sample-prior load no scipy at all; then one cold AIFA run
+    # (inverse-CDF table and KS check) loads scipy.special and nothing else
     src = os.path.dirname(os.path.dirname(crmfinite.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    cfg = tmp_path / "aifa.json"
-    cfg.write_text(json.dumps({"distribution": {
-        "kind": "aifa_numeric", "K": 5,
-        "spec": {"family": "beta", "gamma": 2.0, "discount": 0.6, "extras": {"eta": 0.6}}}}))
+    configs = {
+        "make-data": {"N": 12, "D": 3, "n_features": 2},
+        "bounds-table": {"gamma": 1.5, "K_min": 2, "K_max": 6},
+        "sample-prior": {"distribution": {"kind": "beta_stick_breaking", "K": 4,
+                                          "gamma": 2.0, "alpha": 1.0}},
+        "aifa": {"distribution": {"kind": "aifa_numeric", "K": 5, "spec": {
+            "family": "beta", "gamma": 2.0, "discount": 0.6, "extras": {"eta": 0.6}}}},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     probe = (
         "import sys, crmfinite.cli as cli\n"
-        "code = cli.main(['sample-prior', *sys.argv[1:]])\n"
+        "def run(command, name):\n"
+        "    code = cli.main([command, '--config', f'{sys.argv[1]}/{name}.json', '--seed', '3',\n"
+        "                     '--out', f'{sys.argv[1]}/{name}'])\n"
+        "    if code:\n"
+        "        sys.exit(f'{name} exited {code}')\n"
+        "def no_scipy(after):\n"
+        "    if 'scipy' in sys.modules:\n"
+        "        sys.exit(f'scipy imported by {after}')\n"
+        "no_scipy('import')\n"
+        "for command in ('make-data', 'bounds-table', 'sample-prior'):\n"
+        "    run(command, command)\n"
+        "    no_scipy(command)\n"
+        "run('sample-prior', 'aifa')\n"
         "bad = [m for m in ('scipy.interpolate', 'scipy.stats', 'scipy.optimize')"
         " if m in sys.modules]\n"
-        "sys.exit(f'exit {code}, imported {bad}' if code or bad else 0)\n")
-    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "3"]
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+        "sys.exit(f'imported {bad}' if bad or 'scipy.special' not in sys.modules else 0)\n")
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out" / "weights.csv").exists()
+    for name, table in (("make-data", "data.csv"), ("bounds-table", "bounds.csv"),
+                        ("sample-prior", "weights.csv"), ("aifa", "weights.csv")):
+        assert (tmp_path / name / table).exists()
+
+
+def test_special_shim_resolves_to_scipy_objects():
+    for name in ("gammaln", "betaln", "betainc", "betaincinv", "digamma", "poch", "expit",
+                 "logsumexp", "kolmogorov"):
+        assert getattr(_special, name) is getattr(special, name)
+        assert vars(_special)[name] is getattr(special, name)  # stored on first use
+    for name in ("not_a_function", "erf", "__path__"):
+        with pytest.raises(AttributeError):
+            getattr(_special, name)
 
 
 def test_sample_prior_fsd_symmetry(tmp_path):
