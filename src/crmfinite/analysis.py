@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximations import sample_weights
-from .checks import integer, integers, positive
+from .checks import integer, integers, positive, real
 
 __all__ = [
     "tv_exact",
@@ -95,8 +95,7 @@ def tv_exact(p, q):
 def growth_function(N, alpha) -> float:
     """C(N, alpha) = sum_{n=1..N} alpha / (n - 1 + alpha)."""
     integer(N, "N")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    alpha = positive(alpha, "alpha")
     n = np.arange(1, int(N) + 1, dtype=float)
     return float((alpha / (n - 1 + alpha)).sum())
 
@@ -105,8 +104,9 @@ def bondesson_tfa_bound(N, K, gamma, alpha) -> float:
     """N gamma (gamma alpha / (1 + gamma alpha))^K, valid for alpha >= 1."""
     integer(N, "N")
     integer(K, "K")
-    if alpha < 1:
-        raise ValueError("the Bondesson bound requires alpha >= 1")
+    gamma = positive(gamma, "gamma")
+    if real(alpha, "alpha") < 1:
+        raise ValueError(f"the Bondesson bound requires alpha >= 1, got {alpha!r}")
     return N * gamma * (gamma * alpha / (1.0 + gamma * alpha)) ** K
 
 
@@ -114,13 +114,12 @@ def tsb_dp_bound(N, K, alpha) -> float:
     """2 N exp(-(K-1)/alpha) for the truncated stick-breaking approximation."""
     integer(N, "N")
     integer(K, "K")
-    return 2.0 * N * math.exp(-(K - 1) / alpha)
+    return 2.0 * N * math.exp(-(K - 1) / positive(alpha, "alpha"))
 
 
 def binom_poisson_lower_constant(gamma) -> float:
     """C(gamma) = 1/8 / (gamma + e^-1 (gamma+1) max(12 gamma^2, 48 gamma, 28))."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    gamma = positive(gamma, "gamma")
     return 0.125 / (gamma + math.exp(-1) * (gamma + 1) * max(12 * gamma**2, 48 * gamma, 28.0))
 
 
@@ -131,6 +130,7 @@ def lecam_upper(n, p_sum) -> float:
 
 def dp_fsd_two_sample_gap(alpha, K) -> float:
     """alpha / ((1 + alpha) K): the exact two-sample tie-probability gap."""
+    alpha, K = positive(alpha, "alpha"), integer(K, "K")
     return alpha / ((1.0 + alpha) * K)
 
 
@@ -141,7 +141,7 @@ def tv_binom_poisson(K, gamma):
     p(x) = p(x-1) (K-x+1)/x q/(1-q), with q/(1-q) = gamma/K; its mass past X
     is its unlisted mass."""
     K = integers(K, "K")
-    poisson = truncated_poisson(gamma)
+    poisson = truncated_poisson(real(gamma, "gamma"))
     k = K.reshape(-1, 1)
     x = np.arange(1, poisson.size, dtype=float)
     ratio = np.maximum(k - x + 1, 0.0) / x * (gamma / k)  # zero past K

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -57,7 +58,6 @@ from .checks import integer, real
 from .inference import (
     CHAIN_STATS,
     LinearGaussianModel,
-    check_prior,
     generate_synthetic,
     impute_heldout_locals,
     predictive_log_likelihood,
@@ -373,10 +373,10 @@ def _data_grid(path, field, D):
 def cmd_gibbs_run(config, out, seed, replicates):
     _require_keys(config, {"model", "prior_kind", "sweeps", "burnin", "data_path"},
                   {"thin", "heldout_path", "heldout_scans", "seed"}, "gibbs-run config")
-    model = _build(LinearGaussianModel, config["model"], "model")
-    prior = config["prior_kind"]
+    # "prior" is no field of the model object; a bad prior_kind is named as such
+    model = _build(LinearGaussianModel, config["model"], "model", prior="aifa")
     with _rejecting("prior_kind"):
-        check_prior(model, prior)
+        model = dataclasses.replace(model, prior=config["prior_kind"])
     sweeps = _integer(config["sweeps"], "sweeps")
     burnin = _integer(config["burnin"], "burnin", 0)
     thin = _integer(config.get("thin", max(1, (sweeps - burnin) // 50)), "thin")
@@ -390,8 +390,7 @@ def cmd_gibbs_run(config, out, seed, replicates):
 
     def one(rep):
         rng = derive_rng(seed, rep)
-        state, samples, stats = run_chain(model, y, sweeps, rng,
-                                          prior=prior, burnin=burnin, thin=thin)
+        state, samples, stats = run_chain(model, y, sweeps, rng, burnin=burnin, thin=thin)
         pll = None if heldout is None else predictive_log_likelihood(
             impute_heldout_locals(samples, heldout, model, rng, scans=scans), heldout)
         return state, stats, pll
@@ -413,7 +412,7 @@ def cmd_gibbs_run(config, out, seed, replicates):
         }
         _write_atomic(os.path.join(out, f"state_{rep:04d}.json"), json.dumps(checkpoint))
     plls = [pll for *_, pll in results if pll is not None]
-    summary = {"prior_kind": prior, "sweeps": sweeps, "burnin": burnin,
+    summary = {"prior_kind": model.prior, "sweeps": sweeps, "burnin": burnin,
                "thin": thin, "replicates": replicates,
                "predictive_log_likelihood": plls or None,
                "degenerate_draws": [state.degenerate_draws for state, *_ in results]}

@@ -40,7 +40,6 @@ __all__ = [
     "LinearGaussianModel",
     "GibbsState",
     "SampleBatch",
-    "check_prior",
     "init_state",
     "aifa_tau_conditional",
     "sample_truncated_beta",
@@ -66,7 +65,7 @@ CHAIN_STATS = ("sum_x", "mean_tau", "gamma_e", "gamma_w", "joint_log_density")
 
 @dataclass(frozen=True)
 class LinearGaussianModel:
-    """Dimensions and hyperparameters of the factor model."""
+    """Dimensions, hyperparameters and tau prior of the factor model."""
 
     D: int
     gamma: float
@@ -75,6 +74,7 @@ class LinearGaussianModel:
     prec_shape: float = 1e-6   # gamma_w, gamma_e hyperprior shape
     prec_rate: float = 1e-6    # and rate
     psi_scale: float = None    # ground-measure variance; default 1/D
+    prior: str = "aifa"        # tau prior: "aifa" | "bondesson_tfa"
 
     def __post_init__(self):
         integer(self.D, "D")
@@ -84,6 +84,10 @@ class LinearGaussianModel:
         if self.psi_scale is None:
             object.__setattr__(self, "psi_scale", 1.0 / self.D)
         positive(self.psi_scale, "psi_scale")
+        if self.prior not in ("aifa", "bondesson_tfa"):
+            raise ValueError(f"unknown prior {self.prior!r}; use 'aifa' or 'bondesson_tfa'")
+        if self.prior == "bondesson_tfa" and self.alpha != 1.0:
+            raise ValueError("the truncation prior has a Gibbs path only for alpha = 1")
 
 
 @dataclass
@@ -122,39 +126,25 @@ class SampleBatch:
         return self.tau.shape[0]
 
 
-def check_prior(model: LinearGaussianModel, prior):
-    """Raise ValueError unless ``prior`` names a Gibbs path for ``model``."""
-    if prior not in ("aifa", "bondesson_tfa"):
-        raise ValueError(f"unknown prior {prior!r}; use 'aifa' or 'bondesson_tfa'")
-    if prior == "bondesson_tfa" and model.alpha != 1.0:
-        raise ValueError("the truncation prior has a Gibbs path only for alpha = 1")
-
-
-def _sample_prior_tau(model, prior, rng):
-    check_prior(model, prior)
-    K = model.K
-    if prior == "aifa":
-        tau = rng.beta(model.gamma * model.alpha / K, model.alpha, size=K)
-    else:
-        tau = np.cumprod(rng.beta(model.gamma, 1.0, size=K))
-    return np.clip(tau, 1e-300, 1.0 - 1e-16)
-
-
-def init_state(model: LinearGaussianModel, N, rng, prior="aifa") -> GibbsState:
-    """Draw a full state from the prior (data not involved).
+def init_state(model: LinearGaussianModel, N, rng) -> GibbsState:
+    """Draw a full state from the model's prior (data not involved).
 
     Precision draws are clipped to [1e-10, 1e10]: the vague default
     Gamma(1e-6, 1e-6) hyperprior underflows to exactly zero with high
     probability, which only matters at this initialization point (the first
     data sweep resamples both precisions).
     """
-    tau = _sample_prior_tau(model, prior, rng)
+    if model.prior == "aifa":
+        tau = rng.beta(model.gamma * model.alpha / model.K, model.alpha, size=model.K)
+    else:
+        tau = np.cumprod(rng.beta(model.gamma, 1.0, size=model.K))
+    tau = np.clip(tau, 1e-300, 1.0 - 1e-16)
     psi = rng.normal(0.0, math.sqrt(model.psi_scale), size=(model.K, model.D))
     gamma_w = float(np.clip(rng.gamma(model.prec_shape, 1.0 / model.prec_rate), 1e-10, 1e10))
     gamma_e = float(np.clip(rng.gamma(model.prec_shape, 1.0 / model.prec_rate), 1e-10, 1e10))
     w = rng.normal(0.0, 1.0 / math.sqrt(gamma_w), size=(N, model.K))
     x = (rng.random((N, model.K)) < tau).astype(np.int8)
-    return GibbsState(tau, psi, x, w, gamma_w, gamma_e, prior)
+    return GibbsState(tau, psi, x, w, gamma_w, gamma_e, model.prior)
 
 
 def sample_data(state: GibbsState, rng) -> np.ndarray:
@@ -432,20 +422,20 @@ def generate_synthetic(N, D, n_features, rng, activation=0.3, feature_scale=1.0,
     return y, truth
 
 
-def geweke_marginal_conditional(model, N, draws, rng, prior="aifa"):
+def geweke_marginal_conditional(model, N, draws, rng):
     """i.i.d. (state, data) draws from the prior joint; returns the statistic
     array with columns (sum x, mean tau, gamma_e)."""
     out = np.empty((draws, 3))
     for i in range(draws):
-        state = init_state(model, N, rng, prior)
+        state = init_state(model, N, rng)
         out[i] = (state.x.sum(), state.tau.mean(), state.gamma_e)
     return out
 
 
-def geweke_successive_conditional(model, N, draws, rng, prior="aifa", thin=1):
+def geweke_successive_conditional(model, N, draws, rng, thin=1):
     """Alternate y | state and one Gibbs sweep of state | y; the chain leaves
     the prior joint invariant, so its marginals must match the i.i.d. path."""
-    state = init_state(model, N, rng, prior)
+    state = init_state(model, N, rng)
     out = np.empty((draws, 3))
     kept = 0
     while kept < draws:
@@ -492,7 +482,7 @@ def predictive_log_likelihood(samples: SampleBatch, y_heldout) -> float:
     return float(np.mean(special.logsumexp(log_terms, axis=0) - math.log(len(samples))))
 
 
-def data_informed_init(model, y, rng, prior="aifa"):
+def data_informed_init(model, y, rng):
     """Prior state with basis vectors seeded from randomly chosen data rows.
 
     All chains (and both priors) start from structurally comparable points,
@@ -500,7 +490,7 @@ def data_informed_init(model, y, rng, prior="aifa"):
     the stationary distribution is untouched.
     """
     y = np.asarray(y, dtype=float)
-    state = init_state(model, y.shape[0], rng, prior)
+    state = init_state(model, y.shape[0], rng)
     rows = rng.choice(y.shape[0], size=model.K, replace=False)
     state.psi = y[rows] + rng.normal(0.0, 0.01, size=(model.K, model.D))
     state.x[:] = 0
@@ -509,20 +499,19 @@ def data_informed_init(model, y, rng, prior="aifa"):
     return state
 
 
-def run_chain(model, y, sweeps, rng, prior="aifa", burnin=0, thin=1, initial_state=None):
+def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
     """Run one chain and return (final state, SampleBatch of kept globals, stats).
 
     ``stats`` is a (sweeps, len(CHAIN_STATS)) array; row s - 1 holds sweep
     s's Geweke statistics sum_x, mean_tau and gamma_e, then gamma_w and the
     joint log density, named by CHAIN_STATS.  An ``initial_state`` must
-    have been drawn under ``prior``, and ``prior`` must suit ``model``.
+    have been drawn under the model's prior.
     """
     y = np.asarray(y, dtype=float)
-    check_prior(model, prior)
-    state = init_state(model, y.shape[0], rng, prior) if initial_state is None else initial_state
-    if state.prior != prior:
+    state = init_state(model, y.shape[0], rng) if initial_state is None else initial_state
+    if state.prior != model.prior:
         raise ValueError(f"initial_state was drawn under prior {state.prior!r}, "
-                         f"but the chain's prior is {prior!r}")
+                         f"but the model's prior is {model.prior!r}")
     n, K = max(0, sweeps - burnin) // thin, model.K
     samples = SampleBatch(np.empty((n, K)), np.empty((n, K, model.D)), *np.empty((2, n, 1)))
     stats = np.empty((sweeps, len(CHAIN_STATS)))

@@ -287,7 +287,7 @@ class _BetaNegBinomial(_BetaModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.r > 0:
+        if not real(self.r, "r") > 0:
             raise ValueError(f"negative-binomial r must be positive, got {self.r}")
         if not self.alpha > 1:
             raise ValueError(f"beta-neg-binomial requires alpha > 1, got {self.alpha}")
@@ -383,7 +383,7 @@ def gamma_poisson(gamma, lam) -> ExpFamilyModel:
 
 
 def beta_negative_binomial(gamma, alpha, r) -> ExpFamilyModel:
-    return _BetaNegBinomial(BetaMeasure(gamma, 0.0, alpha), float(r))
+    return _BetaNegBinomial(BetaMeasure(gamma, 0.0, alpha), real(r, "r"))
 
 
 # ---------------------------------------------------------------------------

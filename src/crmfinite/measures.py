@@ -133,7 +133,8 @@ class BetaMeasure(RateMeasureSpec):
     def log_h(self, theta):
         if self.eta == 1.0:  # avoid 0 * log(0) = nan at theta = 1
             return np.zeros_like(theta)
-        return (self.eta - 1.0) * np.log1p(-theta)
+        with np.errstate(divide="ignore"):  # log h(1) = -inf for eta > 1, +inf for eta < 1
+            return (self.eta - 1.0) * np.log1p(-theta)
 
     def _log_z(self, xi):
         return special.betaln(xi, self.eta)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines and timings.  Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -280,11 +281,12 @@ def test_criterion_10_aifa_vs_tfa_parity():
                                 prec_shape=1.0, prec_rate=1.0)
     plls = {}
     for prior in ("aifa", "bondesson_tfa"):
+        model = dataclasses.replace(model, prior=prior)
         pooled = []
         for chain in range(3):
             crng = derive_rng(1000, (10 if prior == "aifa" else 20) + chain)
-            init = data_informed_init(model, y_train, crng, prior)
-            _, samples, _ = run_chain(model, y_train, 3000, crng, prior=prior,
+            init = data_informed_init(model, y_train, crng)
+            _, samples, _ = run_chain(model, y_train, 3000, crng,
                                       burnin=1500, thin=25, initial_state=init)
             twice = SampleBatch(*(np.repeat(a, 2, axis=0) for a in
                                   (samples.tau, samples.psi, samples.gamma_w, samples.gamma_e)))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from crmfinite.measures import (
     RateMeasureSpec,
     beta_process,
     gamma_process,
+    log_rate_density,
     rate_measure,
     small_weight_coefficient,
 )
@@ -248,6 +250,47 @@ def test_head_reaching_theta_one_samples(spec):
     exact, _ = integrate.quad(lambda t: t * math.exp(cfg.log_density(t)), 0.0, 1.0)
     assert 0.0 < lo and hi <= 1.0
     assert abs(mean - exact) < 4.5 * sd / math.sqrt(n)
+
+
+_HEAD_ETAS = (0.5, 1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("eta", _HEAD_ETAS)
+def test_head_covering_the_support_is_the_closed_form(eta):
+    # K = 1 <= a at d = 0: the head covers all of (0, 1] and there is no body
+    # table (eta < 1 adds an edge piece), and nu_1 is exactly Beta(c, eta) with
+    # mean gamma / (gamma + 1) = 2/3.  log h(1) = -inf for eta > 1 must not warn.
+    # The four mean z-tests are Bonferroni-gated to a family-wise rate 1e-3.
+    spec, n = beta_process(2.0, eta), 40_000
+    c = small_weight_coefficient(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = AifaConfig(spec, 1)
+        theta = np.array([1e-3, 0.1, 0.5, 0.9, 0.999])
+        np.testing.assert_allclose(cfg.log_density(theta),
+                                   spec.closed_form_log_density(c, theta), rtol=0, atol=1e-9)
+        draws = cfg.sample(n, derive_rng(41, 0))
+    mean = c / (c + eta)
+    sd = math.sqrt(mean * (1.0 - mean) / (c + eta + 1.0))
+    assert mean == pytest.approx(2 / 3, rel=1e-12)
+    assert abs(draws.mean() - mean) < stats.norm.isf(1e-3 / (2 * len(_HEAD_ETAS))) * sd / math.sqrt(n)
+
+
+def test_aifa_times_K_tends_to_the_rate_measure():
+    # the IFA's defining limit K nu_K(theta) -> nu(theta), pointwise on the
+    # open support; at d = 0 the error is O(1/K), so error * K settles
+    specs = [beta_process(2.0, 0.0, 0.6), beta_process(2.0, 1.0),
+             gamma_process(1.0, 1.0, 0.5), rate_measure("beta_prime", 2.0, 0.3, eta=1.5),
+             rate_measure("generalized_gamma", 1.0, 0.2, eta1=1.0, eta2=2.0)]
+    theta, levels = np.array([0.05, 0.3, 0.8]), (100, 1000, 10_000)
+    for spec in specs:
+        errors = [np.abs(np.expm1(math.log(K) + AifaConfig(spec, K).log_density(theta)
+                                  - log_rate_density(spec, theta))).max() for K in levels]
+        assert errors[0] > errors[1] > errors[2], (spec, errors)
+        assert errors[2] < 0.02, (spec, errors)
+        if spec.discount == 0.0:
+            scaled = [e * K for e, K in zip(errors, levels)]
+            assert max(scaled) < 1.05 * min(scaled), (spec, scaled)
 
 
 def test_golden_draws_every_kind():

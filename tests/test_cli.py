@@ -267,11 +267,21 @@ def test_every_kind_builds_an_object_of_that_kind():
      "alpha"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [10],
                           "constants": {"C1": "x"}}, "C1"),
+    ("marginal-sim", {"model": dict(_KIND_FIELDS["beta_neg_binomial"], kind="beta_neg_binomial",
+                                    r="2"), "N": 10, "source": "target"}, "r must be"),
+    ("check-conditions", {"model": dict(_KIND_FIELDS["beta_neg_binomial"],
+                                        kind="beta_neg_binomial", r=True),
+                          "n_max": 50, "K_set": [10]}, "r must be"),
     ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], prec_shape=float("inf"))),
      "model.prec_shape"),
     # checks that would otherwise fire only after the run has started
     ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], D=3)), "D"),
     ("gibbs-run", dict(_GIBBS, prior_kind="bogus"), "prior_kind"),
+    ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], alpha=2.0),
+                       prior_kind="bondesson_tfa"), "prior_kind"),
+    # the model's prior comes from prior_kind alone
+    ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], prior="aifa")),
+     "unknown fields in model: ['prior']"),
     ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [4]}, "K_set"),
     ("gibbs-run", dict(_GIBBS, burnin=4, heldout_path="data.csv"), "sweeps=4, burnin=4"),
 ], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
@@ -280,8 +290,9 @@ def test_every_kind_builds_an_object_of_that_kind():
         "eppf-N=3.5", "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
         "compare-K=5.5", "compare-draws=1e5", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
         "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5",
-        "fsd-alpha", "gamma_poisson-alpha", "constants-C1='x'", "gibbs-prec_shape=inf",
-        "gibbs-D=3-vs-2-dim-data", "gibbs-prior_kind=bogus", "eppf-K_set=[4]",
+        "fsd-alpha", "gamma_poisson-alpha", "constants-C1='x'", "bnb-r='2'", "bnb-r=true", "gibbs-prec_shape=inf",
+        "gibbs-D=3-vs-2-dim-data", "gibbs-prior_kind=bogus", "gibbs-tfa-alpha=2",
+        "gibbs-model.prior", "eppf-K_set=[4]",
         "gibbs-burnin=sweeps-heldout"])
 def test_table_configs_rejected_at_boundary(tmp_path, capsys, monkeypatch, command, config,
                                             field):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +35,7 @@ from crmfinite.rng import derive_rng
 
 MODEL = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=5,
                             prec_shape=2.0, prec_rate=2.0)
+TFA_MODEL = dataclasses.replace(MODEL, prior="bondesson_tfa")
 
 
 # -- conditional conjugacy -------------------------------------------------------
@@ -152,8 +154,8 @@ def test_truncated_beta_mean_matches_quadrature():
 
 
 def test_tfa_conditional_single_atom_no_data_is_prior():
-    m = LinearGaussianModel(D=2, gamma=1.7, alpha=1.0, K=1)
-    state = init_state(m, 0, derive_rng(53, 0), "bondesson_tfa")
+    m = LinearGaussianModel(D=2, gamma=1.7, alpha=1.0, K=1, prior="bondesson_tfa")
+    state = init_state(m, 0, derive_rng(53, 0))
     state.x = np.zeros((0, 1), dtype=np.int8)
     shape1, shape2, lo, hi = tfa_tau_conditional_params(state, 0, m)
     assert shape1 == pytest.approx(1.7) and shape2 == pytest.approx(1.0)
@@ -161,9 +163,10 @@ def test_tfa_conditional_single_atom_no_data_is_prior():
 
 
 def test_tfa_conditional_sampling_stays_ordered():
-    m = LinearGaussianModel(D=2, gamma=1.0, alpha=1.0, K=6, prec_shape=2.0, prec_rate=2.0)
+    m = LinearGaussianModel(D=2, gamma=1.0, alpha=1.0, K=6, prec_shape=2.0, prec_rate=2.0,
+                            prior="bondesson_tfa")
     rng = derive_rng(54, 0)
-    state = init_state(m, 12, rng, "bondesson_tfa")
+    state = init_state(m, 12, rng)
     for _ in range(200):
         for k in range(m.K):
             tfa_tau_conditional_sample(state, k, m, rng)
@@ -174,9 +177,10 @@ def test_tfa_conditional_sampling_stays_ordered():
 
 
 def test_tfa_requires_alpha_one():
-    m = LinearGaussianModel(D=2, gamma=1.0, alpha=2.0, K=3)
-    with pytest.raises(ValueError):
-        init_state(m, 5, derive_rng(55, 0), "bondesson_tfa")
+    with pytest.raises(ValueError, match="alpha = 1"):
+        LinearGaussianModel(D=2, gamma=1.0, alpha=2.0, K=3, prior="bondesson_tfa")
+    with pytest.raises(ValueError, match="alpha = 1"):
+        dataclasses.replace(TFA_MODEL, alpha=2.0)
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -255,16 +259,17 @@ def _reference_sweep(state, y, model, rng):
 def test_residual_kernel_matches_reference_sweep(prior, monkeypatch):
     # same random numbers in the same order: x identical, the rest equal up to
     # floating-point rounding (tolerance fixed from float64, not from a run)
-    state = init_state(MODEL, 40, derive_rng(69, 0), prior)
+    model = dataclasses.replace(MODEL, prior=prior)
+    state = init_state(model, 40, derive_rng(69, 0))
     y = sample_data(state, derive_rng(69, 1))
     new, ref = copy.deepcopy(state), copy.deepcopy(state)
     rng = derive_rng(69, 2)
     for _ in range(20):
-        gibbs_sweep(new, y, MODEL, rng)
+        gibbs_sweep(new, y, model, rng)
     monkeypatch.setattr(inference, "sample_truncated_beta", _bisection_truncated_beta)
     rng = derive_rng(69, 2)
     for _ in range(20):
-        _reference_sweep(ref, y, MODEL, rng)
+        _reference_sweep(ref, y, model, rng)
     assert np.array_equal(new.x, ref.x)
     for name in ("w", "psi", "tau", "gamma_w", "gamma_e"):
         np.testing.assert_allclose(getattr(new, name), getattr(ref, name),
@@ -275,13 +280,14 @@ def test_residual_kernel_matches_reference_sweep(prior, monkeypatch):
 def test_sweep_draws_the_reference_random_stream(prior):
     # the sweep and the reference call the generator the same number of times
     # with the same sizes: after 20 sweeps from one seed both stand at one state
-    state = init_state(MODEL, 40, derive_rng(73, 0), prior)
+    model = dataclasses.replace(MODEL, prior=prior)
+    state = init_state(model, 40, derive_rng(73, 0))
     y = sample_data(state, derive_rng(73, 1))
     new, ref = derive_rng(73, 2), derive_rng(73, 2)
     a, b = copy.deepcopy(state), copy.deepcopy(state)
     for _ in range(20):
-        gibbs_sweep(a, y, MODEL, new)
-        _reference_sweep(b, y, MODEL, ref)
+        gibbs_sweep(a, y, model, new)
+        _reference_sweep(b, y, model, ref)
     np.testing.assert_equal(new.bit_generator.state, ref.bit_generator.state)
 
 
@@ -327,11 +333,11 @@ def test_factor_kernel_projection_matches_direct_residual(batch, noise):
 
 def test_debug_sweep_blanket_assertions():
     rng = derive_rng(57, 0)
-    for prior in ("aifa", "bondesson_tfa"):
-        state = init_state(MODEL, 15, rng, prior)
+    for model in (MODEL, TFA_MODEL):
+        state = init_state(model, 15, rng)
         y = sample_data(state, rng)
         for _ in range(3):
-            state = gibbs_sweep(state, y, MODEL, rng, debug=True)
+            state = gibbs_sweep(state, y, model, rng, debug=True)
 
 
 def test_sweep_rejects_bad_shapes_and_nonfinite():
@@ -363,19 +369,20 @@ def test_label_permutation_invariance():
 
 def test_tfa_joint_density_order_indicator():
     rng = derive_rng(60, 0)
-    state = init_state(MODEL, 8, rng, "bondesson_tfa")
+    state = init_state(TFA_MODEL, 8, rng)
     y = sample_data(state, rng)
-    terms = joint_log_density_terms(state, y, MODEL)
+    terms = joint_log_density_terms(state, y, TFA_MODEL)
     assert np.isfinite(terms["lp_tau"])
     disordered = copy.deepcopy(state)
     disordered.tau = state.tau[::-1].copy()
-    assert joint_log_density_terms(disordered, y, MODEL)["lp_tau"] == -math.inf
+    assert joint_log_density_terms(disordered, y, TFA_MODEL)["lp_tau"] == -math.inf
 
 
 def test_ordering_invariant_across_sweeps():
     rng = derive_rng(61, 0)
-    m = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=8, prec_shape=2.0, prec_rate=2.0)
-    state = init_state(m, 30, rng, "bondesson_tfa")
+    m = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=8, prec_shape=2.0, prec_rate=2.0,
+                            prior="bondesson_tfa")
+    state = init_state(m, 30, rng)
     y = sample_data(state, rng)
     for _ in range(100):
         state = gibbs_sweep(state, y, m, rng)
@@ -614,19 +621,13 @@ def test_model_validation():
         LinearGaussianModel(D=0, gamma=1, alpha=1, K=2)
     with pytest.raises(ValueError):
         LinearGaussianModel(D=2, gamma=-1, alpha=1, K=2)
-    with pytest.raises(ValueError):
-        init_state(MODEL, 5, derive_rng(0, 0), "bogus")
-    # an initial state runs only under the prior it was drawn under, and only
-    # where that prior has a Gibbs path (a TFA state built under alpha = 1
-    # does not run under alpha = 2)
+    with pytest.raises(ValueError, match="unknown prior 'bogus'"):
+        dataclasses.replace(MODEL, prior="bogus")
+    # an initial state runs only under the prior it was drawn under
     y = np.zeros((5, MODEL.D))
-    tfa_state = init_state(MODEL, 5, derive_rng(0, 1), "bondesson_tfa")
+    tfa_state = init_state(TFA_MODEL, 5, derive_rng(0, 1))
     with pytest.raises(ValueError, match="drawn under prior 'bondesson_tfa'"):
-        run_chain(MODEL, y, 5, derive_rng(0, 2), prior="aifa", initial_state=tfa_state)
-    alpha2 = LinearGaussianModel(D=MODEL.D, gamma=1.0, alpha=2.0, K=MODEL.K)
-    with pytest.raises(ValueError, match="alpha = 1"):
-        run_chain(alpha2, y, 5, derive_rng(0, 2), prior="bondesson_tfa",
-                  initial_state=tfa_state)
+        run_chain(MODEL, y, 5, derive_rng(0, 2), initial_state=tfa_state)
 
 
 @pytest.mark.parametrize("field, value", [

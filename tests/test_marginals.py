@@ -16,7 +16,9 @@ from crmfinite.analysis import (
     DPSource,
     FSDSource,
     _urn_labels,
+    binom_poisson_lower_constant,
     bondesson_tfa_bound,
+    dp_fsd_two_sample_gap,
     growth_function,
     tsb_dp_bound,
     tv_binom_poisson,
@@ -400,6 +402,25 @@ def test_library_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
         call(rng)
     assert rng.random() == derive_rng(39, 0).random()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: growth_function(3, True), "alpha"),
+    (lambda: binom_poisson_lower_constant(True), "gamma"),
+    (lambda: tv_binom_poisson(5, True), "gamma"),
+    (lambda: tsb_dp_bound(3, 2, -1.0), "alpha"),
+    (lambda: tsb_dp_bound(3, 2, 0.0), "alpha"),
+    (lambda: bondesson_tfa_bound(3, 2, -1.0, 1.0), "gamma"),
+    (lambda: bondesson_tfa_bound(3, 2, 1.0, True), "alpha"),
+    (lambda: dp_fsd_two_sample_gap(-1.0, 3), "alpha"),
+    (lambda: dp_fsd_two_sample_gap(1.0, 0), "K"),
+], ids=["growth-alpha=true", "lower_constant-gamma=true", "tv_binom_poisson-gamma=true",
+        "tsb-alpha=-1", "tsb-alpha=0", "bondesson-gamma=-1", "bondesson-alpha=true",
+        "two_sample-alpha=-1", "two_sample-K=0"])
+def test_bound_evaluator_scalars_must_be_valid(call, name):
+    # a ValueError naming the parameter, not a number or a ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        call()
 
 
 def test_gp_allocation_general_path():
@@ -878,5 +899,11 @@ def test_model_validation():
     for r in (-1.0, 0.0):
         with pytest.raises(ValueError, match="r must be positive"):
             beta_negative_binomial(1.0, 2.0, r)
+    # no string coercion, no bools, no infinity; replace() runs the same check
+    for r in ("2", True, math.inf):
+        with pytest.raises(ValueError, match="r must be a finite number"):
+            beta_negative_binomial(1.0, 2.0, r)
+        with pytest.raises(ValueError, match="r must be a finite number"):
+            dataclasses.replace(beta_negative_binomial(1.0, 2.0, 1.0), r=r)
     with pytest.raises(ValueError):
         gamma_poisson(-1.0, 1.0)
