@@ -141,7 +141,9 @@ def tv_binom_poisson(K, gamma):
     p(x) = p(x-1) (K-x+1)/x q/(1-q), with q/(1-q) = gamma/K; its mass past X
     is its unlisted mass."""
     K = integers(K, "K")
-    poisson = truncated_poisson(real(gamma, "gamma"))
+    if not 0 <= real(gamma, "gamma") <= POISSON_MEAN_MAX:
+        raise ValueError(f"gamma must lie in [0, {POISSON_MEAN_MAX:.4f}], got {gamma!r}")
+    poisson = truncated_poisson(gamma)
     k = K.reshape(-1, 1)
     x = np.arange(1, poisson.size, dtype=float)
     ratio = np.maximum(k - x + 1, 0.0) / x * (gamma / k)  # zero past K

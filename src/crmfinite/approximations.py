@@ -20,8 +20,8 @@ split at the indicator knots a/K and a/K + b_K, pieces are transformed
 integrated by adaptive Gauss-Legendre to 1e-10 absolute on the transformed
 scale.  Numeric sampling combines exact power-law draws on the singular
 head (and, for the beta family, the right edge) with a monotone-cubic
-inverse-CDF table on 4096 log-spaced knots for the body; the table is
-validated once per configuration against an envelope rejection sampler.
+inverse-CDF table on 4096 log-spaced knots for the body; the sampler is
+checked once per configuration against nu_K's exact CDF over those pieces.
 
 Each kind is one ``WeightDistribution`` class: ``AifaConfig`` itself for the
 numeric law, and a frozen class built by its constructor (``aifa_closed_form``,
@@ -236,24 +236,14 @@ class AifaConfig(WeightDistribution):
             except RuntimeError as exc:
                 self._failure = exc
                 raise
-        return self._draw(n, rng, self._table_body)
+        return self._draw(n, rng)
 
     def rows(self, R, rng):
         return np.maximum(self.sample(R * self.K, rng).reshape(R, self.K), _WEIGHT_FLOOR)
 
-    def _reference_sample(self, n, rng):
-        """Envelope rejection sampler over the same pieces (validation path).
-
-        Head and edge reuse their exact power-law schemes; the body is drawn
-        by rejection against a piecewise-constant envelope on the knot grid,
-        which does not rely on the interpolated inverse CDF.
-        """
-        return self._draw(n, rng, self._rejection_body)
-
-    def _draw(self, n, rng, body):
+    def _draw(self, n, rng):
         """Pick a piece per draw by one uniform, then fill head, edge and
-        body in that order; ``body(q, rng)`` maps the body's rescaled
-        uniforms q to atom sizes."""
+        body (through the inverse-CDF table) in that order."""
         t = self._build()
         u = rng.random(n)
         head_p, edge_p = t["head_p"], t["edge_p"]
@@ -271,45 +261,39 @@ class AifaConfig(WeightDistribution):
             out[is_edge] = 1.0 - t["edge"].sample(int(is_edge.sum()), rng)
         if is_body.any():
             q = np.clip((u[is_body] - head_p) / max(1.0 - head_p - edge_p, 1e-300), 0.0, 1.0)
-            out[is_body] = body(q, rng)
+            out[is_body] = t["inverse"](q)
         return out
 
-    def _table_body(self, q, rng):
-        return self._tables["inverse"](q)
-
-    def _rejection_body(self, q, rng):
-        knots = self._tables["inverse"].knots
-        fk = self._f(knots)
-        env = 1.5 * np.maximum(fk[:-1], fk[1:])
-        widths = np.diff(knots)
-        probs = env * widths / (env * widths).sum()
-        draws = np.empty(q.size)
-        filled = 0
-        while filled < q.size:
-            take = q.size - filled
-            j = rng.choice(probs.size, size=take, p=probs)
-            theta = knots[j] + widths[j] * rng.random(take)
-            acc = theta[rng.random(take) * env[j] <= self._f(theta)]
-            draws[filled:filled + acc.size] = acc
-            filled += acc.size
-        return draws
+    def _cdf(self, theta):
+        """nu_K's CDF at a sample's ascending distinct draws theta, from the
+        pieces' own masses (not the sampler's piece split or table)."""
+        t = self._build()
+        head, edge, total = t["head"], t["edge"], math.exp(t["log_z"])
+        ends = [head.scale, math.inf if edge is None else 1.0 - edge.scale]
+        h, e = np.searchsorted(theta, ends, side="right")
+        out = np.empty(theta.size)
+        out[:h] = head.partial_masses(theta[:h])
+        if h < e:
+            out[h:e] = head.mass + t["inverse"].partial_masses(theta[h:e])
+        if e < theta.size:
+            out[e:] = total - edge.partial_masses(1.0 - theta[e:][::-1])[::-1]
+        return out / total
 
     def _validate(self):
-        """One-time two-sample KS check of the table sampler (fixed seed).
+        """One-time one-sample KS check of the sampler against nu_K's CDF.
 
         A screen at 10k draws passes below KS 0.02; a config that misses it
         is retested on 200k fresh draws and fails only at p < 1e-6, which
-        still flags any table error above about 0.009 in CDF distance.
+        still flags any sampler error above about 0.006 in CDF distance.
         """
         rng = np.random.Generator(np.random.Philox(12345))
-        ks, _ = _ks_two_sample(self.sample(_KS_DRAWS, rng), self._reference_sample(_KS_DRAWS, rng))
+        ks, _ = _ks_one_sample(self.sample(_KS_DRAWS, rng), self._cdf)
         if ks < _KS_LIMIT:
             return
-        _, p = _ks_two_sample(self.sample(_KS_RETEST_DRAWS, rng),
-                              self._reference_sample(_KS_RETEST_DRAWS, rng))
+        _, p = _ks_one_sample(self.sample(_KS_RETEST_DRAWS, rng), self._cdf)
         if p < _KS_RETEST_P:
             raise RuntimeError(
-                "inverse-CDF table failed its rejection-sampler cross-check: "
+                "AIFA sampler failed its exact-CDF check: "
                 f"KS={ks:.4f} at {_KS_DRAWS} draws, p={p:.2g} at {_KS_RETEST_DRAWS} draws")
 
 
@@ -330,10 +314,17 @@ class _EndPiece:
 
     def __init__(self, scale, power, weight):
         self.scale, self.power, self.weight = scale, power, weight
-        self.mass = (scale**power / power) * gauss_legendre(
-            lambda u: weight(scale * _pow_safe(u, 1.0 / power)), 0.0, 1.0, _QUAD_TOL)
+        self._weight_of_u = lambda u: weight(scale * _pow_safe(u, 1.0 / power))
+        self.mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, 1.0, _QUAD_TOL)
         grid = scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
         self.sup = float(weight(grid).max()) * (1.0 + 1e-9)
+
+    def partial_masses(self, v):
+        """Mass of (0, v] at each v of a sample's ascending draws (close where
+        the mass is): a 3-point Gauss-Legendre rule in u between neighbours, summed."""
+        u = _pow_safe(v / self.scale, self.power)
+        steps = _gauss_masses(self._weight_of_u, np.concatenate([[0.0], u])[:-1], u, 3)
+        return (self.scale**self.power / self.power) * np.cumsum(steps)
 
     def sample(self, n, rng):
         """n draws of v: exact power-law proposals v = scale U^(1/power),
@@ -363,10 +354,10 @@ class _InverseCdf:
     to scipy's ``PchipInterpolator`` on the same table."""
 
     def __init__(self, f, knots, below=0.0, above=0.0):
-        masses = _interval_masses(f, knots)
+        masses = _interval_masses(f, knots[:-1], knots[1:])
         self.mass = float(masses.sum())
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        cum = np.maximum.accumulate(cum)
+        self._f = f
+        cum = self._cum = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(masses)]))
         keep = np.concatenate([[True], np.diff(cum) > 0])
         x = (below + cum[keep]) / (below + cum[-1] + above)
         self._coef = _pchip_coefficients(x, knots[keep])
@@ -377,6 +368,12 @@ class _InverseCdf:
         self._guide = np.where(ends[:-1] == ends[1:], ends[:-1], -1)
         self.knots = knots
         self.lo, self.hi = knots[0], knots[-1]
+
+    def partial_masses(self, theta):
+        """f's mass over [lo, theta] at each theta in [lo, hi]: the knot
+        intervals below theta's, plus the same 12-point rule from its knot."""
+        i = np.clip(np.searchsorted(self.knots, theta, side="right") - 1, 0, self.knots.size - 2)
+        return self._cum[i] + _interval_masses(self._f, self.knots[i], theta)
 
     def _interval(self, q):
         """i with x[i] <= q < x[i+1], clipped to the table: the count of
@@ -444,29 +441,30 @@ def _pchip_coefficients(x, y):
     return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
 
-def _interval_masses(f, knots):
-    """Fixed-order Gauss-Legendre mass of f over each knot interval (log scale)."""
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    lo = np.log(knots[:-1])
-    hi = np.log(knots[1:])
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+def _gauss_masses(f, lo, hi, order):
+    """order-point Gauss-Legendre integral of f over each [lo, hi]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     t = mid[:, None] + half[:, None] * nodes[None, :]
-    theta = np.exp(t)
-    vals = f(theta.ravel()).reshape(theta.shape) * theta
-    return half * (vals * weights[None, :]).sum(axis=1)
+    return half * (f(t.ravel()).reshape(t.shape) * weights[None, :]).sum(axis=1)
 
 
-def _ks_two_sample(a, b):
-    """(statistic, asymptotic p-value) of the two-sample KS test of log a
-    against log b; the p-value is Kolmogorov's limit law at the scaled
-    statistic sqrt(n_a n_b / (n_a + n_b)) D."""
-    a, b = np.sort(np.log(a)), np.sort(np.log(b))
-    pooled = np.concatenate([a, b])
-    gap = np.searchsorted(a, pooled, side="right") / a.size
-    gap -= np.searchsorted(b, pooled, side="right") / b.size
-    stat = float(np.abs(gap).max())
-    return stat, float(special.kolmogorov(math.sqrt(a.size * b.size / (a.size + b.size)) * stat))
+def _interval_masses(f, lo, hi):
+    """12-point Gauss-Legendre mass of f over each [lo, hi], on the log scale."""
+    return _gauss_masses(lambda t: f(np.exp(t)) * np.exp(t), np.log(lo), np.log(hi), 12)
+
+
+def _ks_one_sample(x, cdf):
+    """(statistic, asymptotic p-value) of the one-sample KS test of x against
+    the continuous CDF ``cdf``, called once on x's ascending distinct values;
+    the p-value is Kolmogorov's limit law at sqrt(n) D.  Draws clamped to
+    _WEIGHT_FLOOR are the floor's point mass F(floor), so F(floor-) is 0."""
+    values, counts = np.unique(x, return_counts=True)
+    seen = np.cumsum(counts)
+    f = cdf(values)
+    f_before = np.where(values == _WEIGHT_FLOOR, 0.0, f)
+    stat = float(max((seen / x.size - f).max(), (f_before - (seen - counts) / x.size).max()))
+    return stat, float(special.kolmogorov(math.sqrt(x.size) * stat))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,9 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
     With debug=True, the named joint-density terms are recomputed around each
     block and any change outside the block's Markov blanket raises.
     """
+    if state.prior != model.prior:
+        raise ValueError(f"the state was drawn under prior {state.prior!r}, "
+                         f"but the model's prior is {model.prior!r}")
     y = np.asarray(y, dtype=float)
     if y.shape != (state.x.shape[0], model.D):
         raise ValueError(f"data shape {y.shape} does not match state/model")
@@ -509,9 +512,6 @@ def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
     """
     y = np.asarray(y, dtype=float)
     state = init_state(model, y.shape[0], rng) if initial_state is None else initial_state
-    if state.prior != model.prior:
-        raise ValueError(f"initial_state was drawn under prior {state.prior!r}, "
-                         f"but the model's prior is {model.prior!r}")
     n, K = max(0, sweeps - burnin) // thin, model.K
     samples = SampleBatch(np.empty((n, K)), np.empty((n, K, model.D)), *np.empty((2, n, 1)))
     stats = np.empty((sweeps, len(CHAIN_STATS)))

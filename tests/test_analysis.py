@@ -125,6 +125,12 @@ def test_tv_binom_poisson_rejects_bad_K():
             tv_binom_poisson(K, 1.0)
 
 
+def test_tv_binom_poisson_rejects_gamma_outside_the_poisson_range():
+    for gamma in (-1.0, 800.0):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            tv_binom_poisson(5, gamma)
+
+
 # -- growth function and evaluators ---------------------------------------------
 
 def test_growth_function_values():

@@ -220,7 +220,6 @@ def test_reproducibility_bit_identical():
 _GOLDEN_DRAWS = {
     "aifa_beta": [0.3182115985484275, 0.9710381306734175, 1.375277025824364e-05, 0.7969031236384609, 0.7181825419800231, 0.9991864353293906, 0.9983239817661844, 0.06813249976406205, 0.9999987192224414, 0.00714164440895037, 0.9999999976809613, 0.8293544909459007, 0.0002539534639858963, 0.009582595274623362, 0.9684579687246333, 0.9990316245323966],
     "aifa_gamma": [7.020307181110836e-07, 0.09225839158354891, 0.0034767117944586264, 0.44861781776814363, 0.9338476830122033, 0.024788085282762037, 0.01646807819439432, 0.027638116166539786, 0.03041086721907416, 0.09745312123837081, 0.2992628558219372, 1.3343880158699402, 0.14490352386773891, 4.593660213763848e-05, 1.1242377063064406e-06, 0.002593436497151877],
-    "aifa_beta_reference": [0.95024101945354, 0.6152493087603682, 0.9990768058958321, 0.9285934941062307, 0.0030845495112475927, 0.04950700576852085, 0.02384593830683816, 0.8849453105354274, 0.9999983775582215, 0.9120225544090085, 0.6304928458370145, 0.007906960157933223, 0.014870498354391592, 0.21442310372605167, 0.009176224753580679, 0.43503810932613507],
     "closed_form": [0.00013730499573684949, 7.751957755927106e-08, 0.058548186717323855, 0.019164860685131187, 0.007386720970819866, 1.1426002434737952e-17, 0.015868861238625163, 0.0007390570620158547],
     "bondesson": [0.4086166263488245, 0.16450979399367635, 0.03141364548734996, 0.10552979442724084, 0.025129958789662853, 0.0003606866809132317, 0.008064054221685829, 0.007284452818042318],
     "beta_stick_breaking": [0.769965448677367, 0.8961117891301296, 0.6718583858181887, 0.968770513642895, 0.48252045721886594, 0.1658667443047052, 0.09301451512330189],
@@ -299,7 +298,6 @@ def test_golden_draws_every_kind():
         "aifa_beta": sample_weights(beta, derive_rng(91, 0), size=4),
         "aifa_gamma": sample_weights(AifaConfig(gamma_process(2.0, 1.0, 0.5), 8),
                                      derive_rng(91, 100), size=2),
-        "aifa_beta_reference": beta._reference_sample(16, derive_rng(91, 101)),
         "closed_form": sample_weights(aifa_closed_form(beta_process(1.0, 1.0, 0.0), 8),
                                       derive_rng(91, 102)),
         "bondesson": sample_weights(bondesson(1.0, 2.0, 8), derive_rng(91, 103)),
@@ -531,25 +529,75 @@ def test_beta_stick_breaking_matches_per_round_product():
     assert abs(totals.mean() - exact) < 4 * totals.std() / math.sqrt(reps)
 
 
+def _bend_body_table(monkeypatch):
+    """Every body draw maps q -> q^2 before the table: a wrong inverse CDF."""
+    table = approximations._InverseCdf.__call__
+    monkeypatch.setattr(approximations._InverseCdf, "__call__", lambda self, q: table(self, q * q))
+
+
 def test_failed_validation_is_sticky(monkeypatch):
-    cfg = AifaConfig(beta_process(1.0, 1.0, 0.0), 10)
-    reference = cfg._reference_sample
-    monkeypatch.setattr(cfg, "_reference_sample", lambda n, rng: 2.0 * reference(n, rng))
-    for _ in range(2):
-        with pytest.raises(RuntimeError, match="cross-check"):
-            cfg.sample(10, derive_rng(16, 0))
+    _bend_body_table(monkeypatch)
+    cfg = AifaConfig(beta_process(2.0, 0.0, 0.6), 100)
+    with pytest.raises(RuntimeError, match="exact-CDF check") as first:
+        cfg.sample(10, derive_rng(16, 0))
+    monkeypatch.setattr(cfg, "_validate", lambda: pytest.fail("validated twice"))
+    with pytest.raises(RuntimeError) as again:
+        cfg.sample(10, derive_rng(16, 0))
+    assert again.value is first.value
 
 
-def test_valid_config_passes_validation():
-    # misses the 10k-draw KS screen (KS = 0.0214) and passes the 200k retest
+def _shrink_head(monkeypatch, cfg):
+    """The head's share of the draws scaled by 0.93: a fault in the piece
+    split, which no comparison with a second sampler sharing that split sees."""
+    cfg._build()
+    monkeypatch.setitem(cfg._tables, "head_p", 0.93 * cfg._tables["head_p"])
+
+
+@pytest.mark.parametrize("mutate", [_shrink_head, lambda mp, cfg: _bend_body_table(mp)],
+                         ids=["head_p*0.93", "body q^2"])
+def test_mutated_sampler_fails_validation(mutate, monkeypatch):
+    cfg = AifaConfig(beta_process(2.0, 0.0, 0.6), 100)
+    mutate(monkeypatch, cfg)
+    draws = cfg._draw(approximations._KS_DRAWS, np.random.Generator(np.random.Philox(12345)))
+    assert approximations._ks_one_sample(draws, cfg._cdf)[0] > 0.03
+    with pytest.raises(RuntimeError, match=r"exact-CDF check: KS=0\.0[36]"):
+        cfg.sample(10, derive_rng(16, 0))
+
+
+def test_valid_config_passes_validation(monkeypatch):
+    # a screen limit of 0 sends every configuration to the 200k-draw retest,
+    # which a correct sampler passes
+    monkeypatch.setattr(approximations, "_KS_LIMIT", 0.0)
     cfg = AifaConfig(beta_process(5.0, 1.0, 0.0), 5)
+    calls = []
+    sample = cfg.sample
+    monkeypatch.setattr(cfg, "sample", lambda n, rng: calls.append(n) or sample(n, rng))
     assert cfg.sample(100, derive_rng(17, 0)).shape == (100,)
+    assert calls == [100, 10_000, 200_000]
+
+
+@pytest.mark.parametrize("spec", [beta_process(2.0, 1.0), beta_process(2.0, 0.5),
+                                  beta_process(3.0, 2.0), gamma_process(1.0, 2.0)],
+                         ids=["beta eta=1", "beta eta=0.5", "beta eta=2", "gamma"])
+def test_cdf_matches_closed_form_at_zero_discount(spec):
+    # at d = 0, nu_K is Beta(c/K, eta) or Gamma(c/K, rate); the check's CDF,
+    # at the validation draws, is its regularized incomplete beta or gamma
+    c = small_weight_coefficient(spec)
+    for K in (1, 5, 100, 1000, 10_000):
+        cfg = AifaConfig(spec, K)
+        theta = np.unique(cfg._draw(10_000, np.random.Generator(np.random.Philox(12345))))
+        if spec.family.value == "beta":
+            want = special.betainc(c / K, spec.eta, theta)
+        else:
+            want = special.gammainc(c / K, spec.rate * theta)
+        np.testing.assert_allclose(cfg._cdf(theta), want, rtol=0, atol=1e-6, err_msg=f"K={K}")
 
 
 def _scipy_inverse(f, knots, below=0.0, above=0.0):
     """The inverse-CDF table as scipy's PchipInterpolator builds it, with a
     uniform outside the table sent to the nearer end knot."""
-    cum = np.concatenate([[0.0], np.cumsum(approximations._interval_masses(f, knots))])
+    masses = approximations._interval_masses(f, knots[:-1], knots[1:])
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
     cum = np.maximum.accumulate(cum)
     keep = np.concatenate([[True], np.diff(cum) > 0])
     interp = PchipInterpolator((below + cum[keep]) / (below + cum[-1] + above), knots[keep],
@@ -608,13 +656,31 @@ def test_pchip_coefficients_reject_unordered_knots():
 
 @pytest.mark.parametrize("ties", [False, True])
 def test_ks_statistic_matches_scipy(ties):
-    rng = derive_rng(41, 0)
+    # scipy's sorted-sample formula is exact for a continuous CDF, ties or not
+    x = derive_rng(41, 0).gamma(2.0, size=700)
     if ties:
-        a, b = rng.integers(1, 30, 700).astype(float), rng.integers(2, 31, 900).astype(float)
-    else:
-        a, b = rng.gamma(2.0, size=700), rng.gamma(2.1, size=900)
-    statistic, _ = approximations._ks_two_sample(a, b)
-    assert statistic == stats.ks_2samp(np.log(a), np.log(b), method="asymp").statistic
+        x = np.round(x, 1)
+    statistic, _ = approximations._ks_one_sample(x, stats.gamma(2.1).cdf)
+    assert statistic == stats.kstest(x, stats.gamma(2.1).cdf).statistic
+
+
+def test_ks_statistic_counts_the_floor_as_a_point_mass():
+    # F(t) = t^0.005 on (0, 1] puts 3.2% of its mass below the floor, where
+    # the draws are clamped; brute force takes the sup of |F_n - F| over every
+    # sample point and the point just below it, with F = 0 below the floor
+    floor = approximations._WEIGHT_FLOOR
+
+    def cdf(t):
+        return np.where(t < floor, 0.0, np.asarray(t, dtype=float) ** 0.005)
+
+    x = np.maximum(derive_rng(43, 0).random(2000) ** 200.0, floor)
+    assert 30 < np.sum(x == floor) < 100
+    points = np.concatenate([x, np.nextafter(x, 0.0)])
+    brute = np.abs((x[None, :] <= points[:, None]).mean(axis=1) - cdf(points)).max()
+    statistic, _ = approximations._ks_one_sample(x, cdf)
+    assert statistic == pytest.approx(brute, rel=0, abs=1e-12)
+    # scipy's formula assumes a continuous F and reads the atom, F(floor) = 0.0316
+    assert statistic < 0.02 < stats.kstest(x, cdf).statistic
 
 
 def test_ks_retest_pvalue_near_scipy():
@@ -622,10 +688,9 @@ def test_ks_retest_pvalue_near_scipy():
     cfg = AifaConfig(beta_process(5.0, 1.0, 0.0), 5)
     rng = np.random.Generator(np.random.Philox(12345))
     for n in (10_000, 200_000):
-        a, b = cfg.sample(n, rng), cfg._reference_sample(n, rng)
-    _, pvalue = approximations._ks_two_sample(a, b)
-    assert pvalue == pytest.approx(stats.ks_2samp(np.log(a), np.log(b), method="asymp").pvalue,
-                                   rel=0.01)
+        x = cfg.sample(n, rng)
+    _, pvalue = approximations._ks_one_sample(x, cfg._cdf)
+    assert pvalue == pytest.approx(stats.kstest(x, cfg._cdf, method="asymp").pvalue, rel=1e-9)
 
 
 def test_bfry_log_density_normalizes():

@@ -351,6 +351,16 @@ def test_sweep_rejects_bad_shapes_and_nonfinite():
         gibbs_sweep(state, y, MODEL, rng)
 
 
+@pytest.mark.parametrize("drawn, swept", [(MODEL, TFA_MODEL), (TFA_MODEL, MODEL)],
+                         ids=["aifa state, tfa model", "tfa state, aifa model"])
+def test_sweep_rejects_a_state_of_the_other_prior(drawn, swept):
+    # a state runs only under the prior it was drawn under; an AIFA state swept
+    # as TFA once left its tau unordered without tripping the ordering check
+    state = init_state(drawn, 5, derive_rng(0, 3))
+    with pytest.raises(ValueError, match=f"drawn under prior '{drawn.prior}'"):
+        gibbs_sweep(state, np.zeros((5, MODEL.D)), swept, derive_rng(0, 4))
+
+
 def test_label_permutation_invariance():
     rng = derive_rng(59, 0)
     state = init_state(MODEL, 20, rng)
