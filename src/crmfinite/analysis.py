@@ -164,9 +164,9 @@ class PartitionComposition:
     sizes: tuple
 
     def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("block sizes must be positive integers")
+        sizes = tuple(integer(s, "block size") for s in sizes)
+        if not sizes:
+            raise ValueError("a composition needs at least one block size")
         if any(a < b for a, b in zip(sizes, sizes[1:])):
             raise ValueError("block sizes must be sorted descending")
         object.__setattr__(self, "sizes", sizes)
@@ -202,7 +202,8 @@ def all_compositions(N):
         for head in range(min(remaining, cap), 0, -1):
             for rest in rec(remaining - head, head):
                 yield (head,) + rest
-    return [PartitionComposition(sizes) for sizes in rec(int(N), int(N))]
+    N = integer(N, "N")
+    return [PartitionComposition(sizes) for sizes in rec(N, N)]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ import numpy as np
 from . import _special as special
 from .checks import instance, integer, positive, real
 from .measures import (
-    ApproxIndicator,
     IndicatorKind,
     RateMeasureSpec,
     indicator_value,
@@ -115,7 +114,7 @@ class AifaConfig(WeightDistribution):
                                  f"got {b!r}")
             b = rule(self.K)
         self.b = positive(b, "indicator width b_K")
-        self.indicator = ApproxIndicator(IndicatorKind(indicator_kind), self.b)
+        self.indicator_kind = IndicatorKind(indicator_kind)
         self.c = small_weight_coefficient(spec)
         self.eps = self.c / self.K  # exponent c/K near zero
         self._tables = None
@@ -126,8 +125,8 @@ class AifaConfig(WeightDistribution):
 
     def _log_power(self, theta):
         """(eps - 1 - d S_b(theta - a/K)) log theta: the power-law part of log f."""
-        expo = (self.eps - 1.0
-                - self.spec.discount * np.asarray(indicator_value(self.indicator, theta - self.a / self.K)))
+        s_b = indicator_value(self.indicator_kind, self.b, theta - self.a / self.K)
+        expo = self.eps - 1.0 - self.spec.discount * np.asarray(s_b)
         return expo * np.log(theta)
 
     def _log_f(self, theta):
@@ -182,13 +181,11 @@ class AifaConfig(WeightDistribution):
     def _body_knots(self, m1, m2, body_hi):
         n = _TABLE_KNOTS
         if self.spec.support_upper < math.inf:
+            # strictly inside (m1, body_hi), as m2 >= m1 > 0 and body_hi > m1 (1 + 1e-12)
             split = min(max(0.5, m2 * 1.5), 0.5 * (m1 + body_hi))
-            if split <= m1 or split >= body_hi:
-                knots = np.geomspace(m1, body_hi, n)
-            else:
-                left = np.geomspace(m1, split, n // 2)
-                right = 1.0 - np.geomspace(1.0 - body_hi, 1.0 - split, n - n // 2)[::-1]
-                knots = np.concatenate([left, right])
+            left = np.geomspace(m1, split, n // 2)
+            right = 1.0 - np.geomspace(1.0 - body_hi, 1.0 - split, n - n // 2)[::-1]
+            knots = np.concatenate([left, right])
         else:
             knots = np.geomspace(m1, body_hi, n)
         if m1 < m2 < body_hi:

@@ -250,7 +250,7 @@ def cmd_marginal_sim(config, out, seed, replicates):
     if source == "target" and K is not None:
         raise ConfigError(f"source 'target' takes no approximation level K, got {K}")
 
-    allocs = [simulate_allocation(model, N, derive_rng(seed, rep), source=source, K=K)
+    allocs = [simulate_allocation(model, N, derive_rng(seed, rep), K=K)
               for rep in range(replicates)]
     cells = [(*np.nonzero(a.counts), a.counts[a.counts != 0]) for a in allocs]
     _write_csv(os.path.join(out, "allocations.csv"), ("replicate", "row", "col", "count"),

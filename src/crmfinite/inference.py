@@ -176,12 +176,7 @@ def sample_truncated_beta(a, b, lo, hi, rng):
     fhi = special.betainc(a, b, hi)
     mass = fhi - flo
     if mass <= 1e-300:
-        # interval mass lost to floating point: rejection fallback, then the
-        # denser endpoint if the prior never lands inside
-        for _ in range(1000):
-            cand = rng.beta(a, b)
-            if lo <= cand <= hi:
-                return cand, False
+        # mass lost to rounding, so a prior draw would miss it too: the denser endpoint
         la = (a - 1) * math.log(max(lo, 1e-300)) + (b - 1) * math.log1p(-min(lo, 1 - 1e-16))
         lb = (a - 1) * math.log(hi) + (b - 1) * math.log1p(-min(hi, 1 - 1e-16))
         return (lo if la > lb else hi), True

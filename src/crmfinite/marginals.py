@@ -29,15 +29,15 @@ with count total S an atom's weight is Beta(S + shift, alpha + n - S),
 Gamma(S + shift, rate lambda + n) or Beta(S + shift, alpha + r n), and its
 later counts are i.i.d. Bernoulli, Poisson or negative binomial given that
 weight.  Allocations are simulated this way, with no round-by-round walk.
-The level-K (AIFA) source *is* K i.i.d. IFA weights, Beta(c/K, alpha) or
-Gamma(c/K, lambda), plus the likelihood.  The target source draws each
-round's births as one Poisson, their sizes by inverse CDF over
+Given K, the level-K (AIFA) process *is* K i.i.d. IFA weights, Beta(c/K,
+alpha) or Gamma(c/K, lambda), plus the likelihood.  The target (K=None)
+draws each round's births as one Poisson, their sizes by inverse CDF over
 M_{n,x} / sum_x M_{n,x}, and every later count from the posterior weight
 after the birth round.
 
-Both sources draw those counts sparsely, since each atom's counts depend
-only on its own weight theta.  An atom with F free rows (all N for the
-level-K source, the rows after its birth for the target) fires in
+Both processes draw those counts sparsely, since each atom's counts depend
+only on its own weight theta.  An atom with F free rows (all N at level K,
+the rows after its birth for the target) fires in
 M ~ Binomial(F, q) of them, where q = P(count > 0 | theta) is theta,
 1 - exp(-theta) or 1 - (1 - theta)^r.  Only the atoms with M > 0 draw a
 uniform M-subset of their free rows and one zero-truncated count per chosen
@@ -531,12 +531,12 @@ def _birth_sizes(model, rounds, totals, rng):
     return sizes
 
 
-def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) -> FeatureAllocation:
+def simulate_allocation(model: ExpFamilyModel, N, rng, K=None) -> FeatureAllocation:
     """Simulate N rounds of the marginal process from conjugate latent weights.
 
-    source="aifa": K i.i.d. level-K IFA weights, each atom with N i.i.d.
-    counts given its weight; atoms that never fire are dropped.
-    source="target": each round's births are one Poisson draw with sizes from
+    Given K: K i.i.d. level-K IFA weights, each atom with N i.i.d. counts
+    given its weight; atoms that never fire are dropped.  K=None, the
+    target: each round's births are one Poisson draw with sizes from
     M_{n,x}; an atom's counts after its birth round are i.i.d. given its
     posterior weight after that round.
 
@@ -546,12 +546,8 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, source="target", K=None) 
     counts, so the cost grows with the atoms that fire, not with N * K.
     """
     integer(N, "N")
-    if source not in ("target", "aifa"):
-        raise ValueError(f"unknown source {source!r}")
-    if source == "target" and K is not None:
-        raise ValueError(f"target source takes no approximation level K, got {K!r}")
-    if source == "aifa":
-        integer(K, "aifa source's approximation level K")
+    if K is not None:
+        integer(K, "approximation level K")
         first = np.zeros(K, dtype=np.int64)  # every row is free
         theta = model.posterior_weight(first, 0, model.mass_shift / K, rng)
         live, rows, cols, counts = _sparse_counts(model, theta, first, N, rng)

@@ -40,7 +40,6 @@ __all__ = [
     "BetaPrimeMeasure",
     "GammaMeasure",
     "GeneralizedGammaMeasure",
-    "ApproxIndicator",
     "IndicatorKind",
     "rate_measure",
     "beta_process",
@@ -283,29 +282,16 @@ class IndicatorKind(enum.Enum):
     SMOOTHED = "smoothed"
 
 
-@dataclass(frozen=True)
-class ApproxIndicator:
-    """A non-decreasing ramp S_b: 0 for theta <= 0, 1 for theta >= b.
+def indicator_value(kind, width, theta):
+    """S_b(theta) with b = width: a non-decreasing ramp, 0 for theta <= 0, 1 for theta >= b.
 
     HARD is the step 1{theta > 0}.  SMOOTHED is the differentiable bump
     transition exp(-1 / (1 - (theta-b)^2/b^2) + 1) on (0, b).
     """
-
-    kind: IndicatorKind
-    width: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", IndicatorKind(self.kind))
-        object.__setattr__(self, "width", float(self.width))
-        if not self.width > 0:
-            raise ValueError(f"indicator width must be positive, got {self.width}")
-
-
-def indicator_value(ind: ApproxIndicator, theta):
+    kind, b = IndicatorKind(kind), positive(width, "indicator width")
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     out = (t > 0).astype(float)
-    if ind.kind is IndicatorKind.SMOOTHED:
-        b = ind.width
+    if kind is IndicatorKind.SMOOTHED:
         inside = (t > 0) & (t < b)
         if np.any(inside):
             u = 1.0 - (t[inside] - b) ** 2 / b**2

@@ -64,7 +64,7 @@ def test_tv_poisson_pair_against_brute_force():
     assert val <= 1 - math.exp(-1.0)  # mean-difference bound for Poisson pairs
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.tuples(st.floats(0.1, 8.0), st.floats(0.1, 8.0), st.floats(0.1, 8.0)))
 def test_tv_metric_properties(lams):
     ps = [truncated_poisson(lam, 1e-13) for lam in lams]
@@ -197,12 +197,19 @@ def test_binom_poisson_monotone_trend():
 # -- partition compositions and EPPFs ----------------------------------------------
 
 def test_composition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sorted descending"):
         PartitionComposition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one block"):
         PartitionComposition(())
+    for sizes in ([2.7], ["3"], [True], [2, 0], [np.nan]):
+        with pytest.raises(ValueError, match="block size must be an integer"):
+            PartitionComposition(sizes)
+    for N in (2.5, 0, True):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            all_compositions(N)
     comp = PartitionComposition((3, 1, 1))
     assert comp.N == 5 and comp.blocks == 3
+    assert PartitionComposition(np.array([2, 1])).sizes == (2, 1)
 
 
 def brute_partition_count(comp):

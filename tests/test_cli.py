@@ -254,6 +254,7 @@ def test_every_kind_builds_an_object_of_that_kind():
     ("make-data", {"N": 10, "D": 2, "n_features": -1}, "n_features"),
     ("compare-ifa", {"spec": _SPEC_BP, "K": 5.5, "draws": 100}, "K"),
     ("compare-ifa", {"spec": _SPEC_BP, "K": 5, "draws": 1e5}, "draws"),
+    ("compare-ifa", {"spec": _SPEC_BP, "K": 5, "draws": 4}, "draws"),
     ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], K=3.5)), "K"),
     ("gibbs-run", dict(_GIBBS, model=dict(_GIBBS["model"], D=2.0)), "D"),
     ("gibbs-run", dict(_GIBBS, sweeps=10.5), "sweeps"),
@@ -284,16 +285,17 @@ def test_every_kind_builds_an_object_of_that_kind():
      "unknown fields in model: ['prior']"),
     ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [4]}, "K_set"),
     ("gibbs-run", dict(_GIBBS, burnin=4, heldout_path="data.csv"), "sweeps=4, burnin=4"),
+    ("sample-prior", [{"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}}], "JSON object"),
 ], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
         "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1",
         "prior-K=2.5", "prior-K=true", "marginal-K=7.5", "marginal-N=2.5", "marginal-target-K=3",
         "eppf-N=3.5", "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
-        "compare-K=5.5", "compare-draws=1e5", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
+        "compare-K=5.5", "compare-draws=1e5", "compare-draws<K", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
         "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5",
         "fsd-alpha", "gamma_poisson-alpha", "constants-C1='x'", "bnb-r='2'", "bnb-r=true", "gibbs-prec_shape=inf",
         "gibbs-D=3-vs-2-dim-data", "gibbs-prior_kind=bogus", "gibbs-tfa-alpha=2",
         "gibbs-model.prior", "eppf-K_set=[4]",
-        "gibbs-burnin=sweeps-heldout"])
+        "gibbs-burnin=sweeps-heldout", "config-is-a-list"])
 def test_table_configs_rejected_at_boundary(tmp_path, capsys, monkeypatch, command, config,
                                             field):
     # the _GIBBS paths name a 2 x 2 grid in the working directory
@@ -306,14 +308,18 @@ def test_table_configs_rejected_at_boundary(tmp_path, capsys, monkeypatch, comma
     assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
 
 
-@pytest.mark.parametrize("seed", [2.7, True])
-def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+@pytest.mark.parametrize("seed", [2.7, True, None])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, monkeypatch, seed):
+    # None: no seed from BNP_SEED, --seed or the config
+    monkeypatch.delenv("BNP_SEED", raising=False)
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps({"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0},
                                "seed": seed}))
     assert main(["sample-prior", "--config", str(cfg), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "ConfigError" and "config seed" in err["detail"]
+    assert err["error"] == "ConfigError"
+    assert ("no seed" if seed is None else "config seed") in err["detail"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "config_error"
     assert os.listdir(out) == ["manifest.json"]
 
 

@@ -120,7 +120,8 @@ def _bisection_truncated_beta(a, b, lo, hi, rng):
 
 def test_truncated_beta_matches_bisection():
     # same uniform, same draw: shapes up to N = 500 columns, intervals at 0 and 1;
-    # cases whose mass underflows take the shared rejection fallback.  Skipped:
+    # cases whose mass underflows take the denser endpoint, after the
+    # reference's 1000 prior draws all miss the interval.  Skipped:
     # intervals where one ulp of the CDF spans more than 1e-10 in t (CDF near 1,
     # density tiny), since there bisection itself cannot resolve 1e-10
     shapes = [(0.3, 1.0), (1.7, 2.3), (1.0, 501.0), (5.0, 496.0), (300.0, 200.0),

@@ -278,10 +278,10 @@ def test_allocation_validation():
 
 def test_aifa_allocation_never_exceeds_K():
     for i in range(30):
-        alloc = simulate_allocation(BB, 20, derive_rng(33, i), source="aifa", K=7)
+        alloc = simulate_allocation(BB, 20, derive_rng(33, i), K=7)
         assert alloc.n_columns <= 7
     for i in range(10):
-        alloc = simulate_allocation(GP, 10, derive_rng(34, i), source="aifa", K=5)
+        alloc = simulate_allocation(GP, 10, derive_rng(34, i), K=5)
         assert alloc.n_columns <= 5
 
 
@@ -290,8 +290,7 @@ def test_aifa_first_round_activation_count():
     # N = 1 under BB(1,1) (P = 0.1/1.1), N = 3 under gamma-Poisson and beta-NB
     reps, K = 6000, 10
     for case, (model, N) in enumerate(((BB, 1), (GP, 3), (BNB, 3))):
-        counts = np.array([simulate_allocation(model, N, derive_rng(35, case, i),
-                                               source="aifa", K=K).n_columns
+        counts = np.array([simulate_allocation(model, N, derive_rng(35, case, i), K=K).n_columns
                            for i in range(reps)])
         p = 1.0 - np.prod([1.0 - approx_fresh_mass(model, K, n) for n in range(1, N + 1)])
         se = math.sqrt(K * p * (1 - p) / reps)
@@ -306,7 +305,7 @@ def test_aifa_large_K_draws_only_firing_atoms():
     probe = ("from crmfinite.marginals import gamma_poisson, simulate_allocation; "
              "from crmfinite.rng import derive_rng; "
              f"print(simulate_allocation(gamma_poisson(2.0, 1.0), {N}, derive_rng(44, 0), "
-             f"source='aifa', K={K}).n_columns)")
+             f"K={K}).n_columns)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crmfinite.__file__)))
     done = subprocess.run([sys.executable, "-W", "error", "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
@@ -354,7 +353,7 @@ def test_aifa_allocation_column_law():
         rng = derive_rng(43, zlib.crc32(f"{model.kind}/{N}/{K}".encode()))
         columns, n_cols = {}, np.zeros(K + 1, dtype=int)
         for _ in range(reps):
-            counts = simulate_allocation(model, N, rng, source="aifa", K=K).counts
+            counts = simulate_allocation(model, N, rng, K=K).counts
             n_cols[counts.shape[1]] += 1
             for col in map(tuple, counts.T.tolist()):
                 columns[col] = columns.get(col, 0) + 1
@@ -372,18 +371,10 @@ def test_aifa_allocation_column_law():
             model.kind, "column count", n_cols)
 
 
-def test_target_allocation_rejects_K():
-    # the target process has no approximation level: a K is a mistake
-    rng = derive_rng(38, 0)
-    with pytest.raises(ValueError, match="approximation level K"):
-        simulate_allocation(GP, 5, rng, source="target", K=3)
-    assert rng.random() == derive_rng(38, 0).random()  # nothing drawn
-
-
 @pytest.mark.parametrize("call, name", [
     (lambda rng: simulate_allocation(GP, 2.5, rng), "N"),
-    (lambda rng: simulate_allocation(GP, 5, rng, source="aifa", K=2.5), "K"),
-    (lambda rng: simulate_allocation(GP, 5, rng, source="aifa", K=True), "K"),
+    (lambda rng: simulate_allocation(GP, 5, rng, K=2.5), "K"),
+    (lambda rng: simulate_allocation(GP, 5, rng, K=True), "K"),
     (lambda rng: approx_predictive_pmf(GP, 2.5, [1], 1), "K"),
     (lambda rng: growth_function(2.5, 1.0), "N"),
     (lambda rng: bondesson_tfa_bound(2.5, 4, 1, 1), "N"),
@@ -424,7 +415,7 @@ def test_bound_evaluator_scalars_must_be_valid(call, name):
 
 
 def test_gp_allocation_general_path():
-    alloc = simulate_allocation(GP, 25, derive_rng(37, 0), source="target")
+    alloc = simulate_allocation(GP, 25, derive_rng(37, 0))
     assert alloc.n_rows == 25
     assert np.all(alloc.counts >= 0)
     first = alloc.first_rows()

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from crmfinite.measures import (
-    ApproxIndicator,
     Family,
     IndicatorKind,
     RateMeasureSpec,
@@ -36,6 +35,8 @@ def test_beta_density_value():
 def test_gamma_density_value():
     spec = gamma_process(1.0, 1.0, 0.0)
     assert np.exp(log_rate_density(spec, 1.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        log_rate_density(spec, math.inf)  # inside the unbounded support, but no density
 
 
 def test_beta_density_outside_support():
@@ -181,31 +182,32 @@ def test_small_weight_coefficient_matches_families():
 # -- indicators ---------------------------------------------------------------
 
 def test_indicator_spec_values():
-    assert indicator_value(ApproxIndicator("smoothed", 0.1), -0.5) == 0.0
-    assert indicator_value(ApproxIndicator("smoothed", 0.1), 0.2) == 1.0
-    assert indicator_value(ApproxIndicator("smoothed", 1.0), 0.5) == pytest.approx(
+    assert indicator_value("smoothed", 0.1, -0.5) == 0.0
+    assert indicator_value("smoothed", 0.1, 0.2) == 1.0
+    assert indicator_value("smoothed", 1.0, 0.5) == pytest.approx(
         math.exp(-1.0 / 3.0), rel=1e-12)
-    assert indicator_value(ApproxIndicator("hard", 1.0), 0.0) == 0.0
-    assert indicator_value(ApproxIndicator("hard", 1.0), 1e-9) == 1.0
+    assert indicator_value("hard", 1.0, 0.0) == 0.0
+    assert indicator_value("hard", 1.0, 1e-9) == 1.0
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=1e-3, max_value=10.0),
        st.lists(st.floats(min_value=-5, max_value=15), min_size=2, max_size=30))
 @example(1.9444115538540037, [0.0, 3.838544973076532e-123])  # 1 - (t-b)^2/b^2 rounds below 0
 def test_indicator_monotone_and_bounded(b, thetas):
-    ind = ApproxIndicator(IndicatorKind.SMOOTHED, b)
-    vals = [indicator_value(ind, t) for t in sorted(thetas)]
+    vals = [indicator_value(IndicatorKind.SMOOTHED, b, t) for t in sorted(thetas)]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_indicator_continuity_at_knots():
-    ind = ApproxIndicator("smoothed", 0.7)
-    assert indicator_value(ind, 1e-12) == pytest.approx(0.0, abs=1e-9)
-    assert indicator_value(ind, 0.7 - 1e-9) == pytest.approx(1.0, abs=1e-6)
+    assert indicator_value("smoothed", 0.7, 1e-12) == pytest.approx(0.0, abs=1e-9)
+    assert indicator_value("smoothed", 0.7, 0.7 - 1e-9) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_indicator_width_validation():
-    with pytest.raises(ValueError):
-        ApproxIndicator("smoothed", 0.0)
+    for width in (0.0, -1.0, math.inf, True):
+        with pytest.raises(ValueError, match="indicator width"):
+            indicator_value("smoothed", width, 0.5)
+    with pytest.raises(ValueError, match="soft"):
+        indicator_value("soft", 1.0, 0.5)

@@ -13,6 +13,12 @@ def test_gauss_legendre_raises_when_panel_budget_runs_out():
         gauss_legendre(lambda x: np.sin(1e6 * x), 0.0, 1.0, 1e-10)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_gauss_legendre_rejects_non_finite_endpoints(a, b):
+    with pytest.raises(ValueError, match="finite endpoints"):
+        gauss_legendre(np.exp, a, b)
+
+
 def _reference_gauss_legendre(f, a, b, abs_tol):
     """The same adaptive scheme, re-summing every panel's error each step."""
     lo, hi = quadrature._panel(f, a, b)
@@ -37,6 +43,7 @@ def _reference_gauss_legendre(f, a, b, abs_tol):
     (lambda x: 1.0 / np.sqrt(x + 1e-9), 0.0, 1.0, 1e-10),
     (lambda x: np.exp(-x * x) * 1e6, -5.0, 5.0, 1e-10),
     (lambda x: np.abs(x - 0.3) ** 0.2, 0.0, 1.0, 1e-13),
-], ids=["oscillating", "near-singular", "large-scale", "kink"])
+    (lambda x: 1.0 / x, 0.7, 0.7, 1e-10),
+], ids=["oscillating", "near-singular", "large-scale", "kink", "empty"])
 def test_running_error_sum_stops_where_a_full_re_sum_does(f, a, b, tol):
     assert gauss_legendre(f, a, b, tol) == _reference_gauss_legendre(f, a, b, tol)
