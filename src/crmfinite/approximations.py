@@ -22,6 +22,11 @@ scale.  Numeric sampling combines exact power-law draws on the singular
 head (and, for the beta family, the right edge) with a monotone-cubic
 inverse-CDF table on 4096 log-spaced knots for the body; the sampler is
 checked once per configuration against nu_K's exact CDF over those pieces.
+The end-piece sampler takes two shortcuts that change no draw: a proposal
+bound for the 1e-300 floor has its exponent cut before exp (slow where it
+underflows), and on the head, whose weight g^(eps-d) h is monotone for all
+four families, a uniform below the weight's minimum accepts without
+evaluating the weight.
 
 Each kind is one ``WeightDistribution`` class: ``AifaConfig`` itself for the
 numeric law, and a frozen class built by its constructor (``aifa_closed_form``,
@@ -166,7 +171,7 @@ class AifaConfig(WeightDistribution):
             body_hi = m1  # head swallowed the whole support (K <= a)
         else:
             body_hi = self._unbounded_right_end(m1, m2)
-        head = _EndPiece(m1, self.eps, self._head_weight)
+        head = _EndPiece(m1, self.eps, self._head_weight, monotone=True)
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
         # knot m2 inserted, a bounded support refined toward its right edge
@@ -307,14 +312,28 @@ class _EndPiece:
     singular end of the support in local coordinate v (theta = v on the
     head, theta = 1 - v on the beta right edge).  The mass comes from the
     substitution u = (v/scale)^power, which removes the singularity, and
-    weight's sup from a 128-point log grid."""
+    weight's sup from a 128-point log grid.
 
-    def __init__(self, scale, power, weight):
+    A ``monotone`` weight (the head's g^(eps-d) h, for every family) has its
+    inf at an end of [_WEIGHT_FLOOR, scale]; ``inf`` is that minimum shrunk by
+    1e-12 to cover rounding, and -inf otherwise.  ``sample`` accepts a proposal
+    whose scaled uniform is <= inf without evaluating weight, and cuts the
+    exponent of a proposal that would land below the floor before exp (where
+    exp is slow on underflow); neither changes a draw.
+    """
+
+    def __init__(self, scale, power, weight, monotone=False):
         self.scale, self.power, self.weight = scale, power, weight
         self._weight_of_u = lambda u: weight(scale * _pow_safe(u, 1.0 / power))
         self.mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, 1.0, _QUAD_TOL)
         grid = scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
         self.sup = float(weight(grid).max()) * (1.0 + 1e-9)
+        ends = np.array([_WEIGHT_FLOOR, scale])
+        self.inf = float(weight(ends).min()) * (1.0 - 1e-12) if monotone else -math.inf
+        # a proposal with log(v / scale) below log(floor / scale) - 1 ends at
+        # the floor either way; past -700 the cut exp would underflow too
+        log_cut = math.log(_WEIGHT_FLOOR / scale) - 1.0
+        self._log_cut = log_cut if log_cut > -700.0 else -math.inf
 
     def partial_masses(self, v):
         """Mass of (0, v] at each v of a sample's ascending draws (close where
@@ -326,19 +345,26 @@ class _EndPiece:
     def sample(self, n, rng):
         """n draws of v: exact power-law proposals v = scale U^(1/power),
         clamped to _WEIGHT_FLOOR and accepted with probability weight(v)/sup."""
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = n - filled
-            v = _pow_safe(rng.random(m), 1.0 / self.power)
-            v *= self.scale
-            np.maximum(v, _WEIGHT_FLOOR, out=v)
-            u = rng.random(m)
-            u *= self.sup
-            take = v[u <= self.weight(v)]
-            out[filled:filled + take.size] = take
-            filled += take.size
-        return out
+        rounds, filled = [], 0
+        with np.errstate(under="ignore", divide="ignore"):  # log 0 = -inf ends at the floor
+            while filled < n:
+                m = n - filled
+                v = np.log(rng.random(m))
+                v *= 1.0 / self.power
+                np.maximum(v, self._log_cut, out=v)
+                np.exp(v, out=v)
+                v *= self.scale
+                np.maximum(v, _WEIGHT_FLOOR, out=v)
+                u = rng.random(m)
+                u *= self.sup
+                keep = u <= self.inf
+                rest = np.flatnonzero(~keep)
+                if rest.size:
+                    keep[rest] = u[rest] <= self.weight(v[rest])
+                    v = v[keep]
+                rounds.append(v)
+                filled += v.size
+        return rounds[0] if len(rounds) == 1 else np.concatenate(rounds)
 
 
 class _InverseCdf:

@@ -373,6 +373,44 @@ _SAMPLE_DIGESTS = [
      "dc96b45dea73547fb8fd549809813c07cec8c652278a56b9334e7c186a8eb3b8"),
     ("beta_stick_breaking", lambda: beta_stick_breaking(1.5, 2.0, 6),
      "09fb8a688ebdbfac041ff1b6b175e5cbeea4bffbd0183345cb3b33e9b88db875"),
+    # where head proposals fall below the 1e-300 floor (26-96% of the draws
+    # sit on it): BP(2, 0, 0.6) at K = 10^3 and 10^4 over a in {0.1, 1} and
+    # both width rules, d > 0 gamma and beta-prime laws at K = 10^3; and two
+    # heads of scale 5000, where the sampler makes no exponent cut (54% of the
+    # generalized gamma's draws underflow exp, none of the beta-prime's).
+    # Pinned before the head sampler's exponent cut and squeeze, which leave
+    # every draw as it was.
+    ("BP-K1000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/K"),
+     "2d1db65f41c06bb2d2e10e66df2b635fb1f9b7737894ea80ec849a86fe56c1e8"),
+    ("BP-K1000-a0.1-1/sqrt(K)",
+     lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/sqrt(K)"),
+     "a3e75475bf3f7548831187628969b8bc79a4964d1ebf60c1225bf2ee66226ab1"),
+    ("BP-K1000-a1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 1.0, "1/K"),
+     "1db3d6d445ee5de94ee68f45435847c86e41c9d5bbbd91a688d6d5d1258dee55"),
+    ("BP-K1000-a1-1/sqrt(K)",
+     lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 1.0, "1/sqrt(K)"),
+     "f1f5ff9d5d950d00beaf3d019fc48bdd40ff00072197dd5c15454a11746aa8db"),
+    ("BP-K10000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 0.1, "1/K"),
+     "be0162378e365e72f640ccb542e6e3f5339169ae7bea4d36b8887e08cab4b652"),
+    ("BP-K10000-a0.1-1/sqrt(K)",
+     lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 0.1, "1/sqrt(K)"),
+     "b204f767ad43ff60d705cfa512cca7bec9624485a7a84c267178379b66fb87bd"),
+    ("BP-K10000-a1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 1.0, "1/K"),
+     "0ef684bbc11817bdc79cdb886877600c24d9380108299ca932de14848ff0af91"),
+    ("BP-K10000-a1-1/sqrt(K)",
+     lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 1.0, "1/sqrt(K)"),
+     "6eeb79955185780932a70b21fff562f922c18d8edc9f02feadc0ba452a704dca"),
+    ("gamma-d0.5-K1000", lambda: AifaConfig(gamma_process(2.0, 1.0, 0.5), 1000),
+     "e3f4f8b4716713e7b607a7ba5eb1a30bb0afd67fad45dc6262f741496261dc5d"),
+    ("beta_prime-d0.3-K1000",
+     lambda: AifaConfig(rate_measure("beta_prime", 2.0, 0.3, eta=1.5), 1000),
+     "d2717ac35f0daceac87cd17d0dc06224d1fe280a01915781d5e2d95500885028"),
+    ("beta_prime-d0.3-head5000",
+     lambda: AifaConfig(rate_measure("beta_prime", 1.3, 0.3, eta=1.2), 100, a=5e5),
+     "8d147efac342e52962d66a728f85f3ce242d82be887098756f1bf3525aa3c269"),
+    ("generalized_gamma-head5000",
+     lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=5e5),
+     "a3b274d949e76c682e5097855c6392d56ac3dec168b757ec20a3316fa553e96b"),
 ]
 
 
@@ -382,6 +420,43 @@ def test_sample_digests_every_kind_and_family(index):
     _, build, digest = _SAMPLE_DIGESTS[index]
     rows = sample_weights(build(), derive_rng(93, index), size=3)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+def _plain_end_sample(piece, n, rng):
+    """An end piece's draws without the exponent cut or the squeeze: every
+    proposal through exp, every weight evaluated."""
+    out = np.empty(0)
+    while out.size < n:
+        m = n - out.size
+        with np.errstate(under="ignore", divide="ignore"):
+            v = np.maximum(np.exp(np.log(rng.random(m)) * (1.0 / piece.power)) * piece.scale,
+                           approximations._WEIGHT_FLOOR)
+        u = rng.random(m) * piece.sup
+        out = np.concatenate([out, v[u <= piece.weight(v)]])
+    return out
+
+
+@pytest.mark.parametrize("d", [0.0, 0.4])
+@pytest.mark.parametrize("family", list(_DIGEST_SPECS))
+def test_head_squeeze_is_a_lower_bound_and_changes_no_draw(family, d):
+    # the head weight g^(eps-d) h is monotone, so inf (its smaller end value,
+    # less 1e-12) bounds it from below on all of [floor, scale]; at K = 1000
+    # 13-54% of the draws end at the floor, so the exponent cut runs too, and
+    # about 0.1% of the proposals still have their weight evaluated
+    tables = AifaConfig(_digest_spec(family, d), 1000)._build()
+    head = tables["head"]
+    grid = np.geomspace(approximations._WEIGHT_FLOOR, head.scale, 20_001)
+    assert 0.0 < head.inf <= head.weight(grid).min()
+    plain = approximations._EndPiece(head.scale, head.power, head.weight)
+    assert plain.inf == -math.inf
+    draws = [sample(50_000, derive_rng(97, 0))
+             for sample in (head.sample, plain.sample, lambda n, rng: _plain_end_sample(head, n, rng))]
+    assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
+    assert (draws[0] == approximations._WEIGHT_FLOOR).mean() > 0.1
+    # the beta right edge's indicator term need not be monotone: no squeeze
+    edge = tables["edge"]
+    assert (edge is not None) == (family == "beta")
+    assert edge is None or edge.inf == -math.inf
 
 
 def test_weight_laws_compare_by_parameters():
