@@ -318,8 +318,8 @@ class _EndPiece:
     inf at an end of [_WEIGHT_FLOOR, scale]; ``inf`` is that minimum shrunk by
     1e-12 to cover rounding, and -inf otherwise.  ``sample`` accepts a proposal
     whose scaled uniform is <= inf without evaluating weight, and cuts the
-    exponent of a proposal that would land below the floor before exp (where
-    exp is slow on underflow); neither changes a draw.
+    exponent of a proposal bound for the floor before exp (which is slow
+    where it underflows); neither changes a draw.
     """
 
     def __init__(self, scale, power, weight, monotone=False):
@@ -330,10 +330,9 @@ class _EndPiece:
         self.sup = float(weight(grid).max()) * (1.0 + 1e-9)
         ends = np.array([_WEIGHT_FLOOR, scale])
         self.inf = float(weight(ends).min()) * (1.0 - 1e-12) if monotone else -math.inf
-        # a proposal with log(v / scale) below log(floor / scale) - 1 ends at
-        # the floor either way; past -700 the cut exp would underflow too
-        log_cut = math.log(_WEIGHT_FLOOR / scale) - 1.0
-        self._log_cut = log_cut if log_cut > -700.0 else -math.inf
+        # exp is monotone, so a proposal with log(v / scale) below this cut
+        # gets at most about floor / e (or 0) and ends at the floor either way
+        self._log_cut = math.log(_WEIGHT_FLOOR) - math.log(scale) - 1.0
 
     def partial_masses(self, v):
         """Mass of (0, v] at each v of a sample's ascending draws (close where

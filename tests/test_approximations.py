@@ -375,11 +375,12 @@ _SAMPLE_DIGESTS = [
      "09fb8a688ebdbfac041ff1b6b175e5cbeea4bffbd0183345cb3b33e9b88db875"),
     # where head proposals fall below the 1e-300 floor (26-96% of the draws
     # sit on it): BP(2, 0, 0.6) at K = 10^3 and 10^4 over a in {0.1, 1} and
-    # both width rules, d > 0 gamma and beta-prime laws at K = 10^3; and two
-    # heads of scale 5000, where the sampler makes no exponent cut (54% of the
-    # generalized gamma's draws underflow exp, none of the beta-prime's).
-    # Pinned before the head sampler's exponent cut and squeeze, which leave
-    # every draw as it was.
+    # both width rules, d > 0 gamma and beta-prime laws at K = 10^3; and heads
+    # of scale 5000 and 10^8, where the exponent cut log(1e-300/scale) - 1 is
+    # -700.3 and -710.2 (exp of the latter is subnormal; about half of the
+    # generalized gamma's draws end at the floor, under 1% of the
+    # beta-prime's).  Pinned before the head sampler's exponent cut and
+    # squeeze, which leave every draw as it was.
     ("BP-K1000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/K"),
      "2d1db65f41c06bb2d2e10e66df2b635fb1f9b7737894ea80ec849a86fe56c1e8"),
     ("BP-K1000-a0.1-1/sqrt(K)",
@@ -411,6 +412,12 @@ _SAMPLE_DIGESTS = [
     ("generalized_gamma-head5000",
      lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=5e5),
      "a3b274d949e76c682e5097855c6392d56ac3dec168b757ec20a3316fa553e96b"),
+    ("beta_prime-d0.3-head1e8",
+     lambda: AifaConfig(rate_measure("beta_prime", 1.3, 0.3, eta=1.2), 100, a=1e10),
+     "8f0f4d21e7a3ba6ff041c469823835c2d23952437bd5955272f322464861f261"),
+    ("generalized_gamma-head1e8",
+     lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=1e10),
+     "bae3d10c7ea5140f887fd02fe48a1346998b53f26547617bd0827dfdf90f9cab"),
 ]
 
 
