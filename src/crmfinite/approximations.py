@@ -174,9 +174,13 @@ class AifaConfig(WeightDistribution):
         head = _EndPiece(m1, self.eps, self._head_weight, monotone=True)
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
-        # knot m2 inserted, a bounded support refined toward its right edge
-        inverse = (_InverseCdf(self._f, self._body_knots(m1, m2, body_hi))
-                   if body_hi > m1 * (1 + 1e-12) else None)
+        # knot m2 inserted, a bounded support refined toward its right edge.
+        # A body whose mass underflows to 0 is dropped, as is an empty one
+        inverse = None
+        if body_hi > m1 * (1 + 1e-12):
+            knots = self._body_knots(m1, m2, body_hi)
+            masses = _interval_masses(self._f, knots[:-1], knots[1:])
+            inverse = _InverseCdf(self._f, knots, masses) if masses.sum() > 0 else None
         edge_mass = 0.0 if edge is None else edge.mass
         total = head.mass + (0.0 if inverse is None else inverse.mass) + edge_mass
         self._tables = {"head": head, "edge": edge, "inverse": inverse, "log_z": math.log(total),
@@ -369,14 +373,14 @@ class _EndPiece:
 class _InverseCdf:
     """Monotone-cubic (PCHIP) inverse CDF of density f over a knot grid.
 
-    ``below`` and ``above`` are the masses below the first and above the
-    last knot (known analytically), which the table maps to its end knots;
-    a uniform that falls outside the table goes to the nearer end knot.
-    ``mass`` is f's mass over the knot intervals.  Values are bit-identical
-    to scipy's ``PchipInterpolator`` on the same table."""
+    ``masses`` are f's masses over the knot intervals (``_interval_masses``),
+    with a positive sum ``mass``.  ``below`` and ``above`` are the masses below
+    the first and above the last knot (known analytically), which the table
+    maps to its end knots; a uniform that falls outside the table goes to the
+    nearer end knot.  Values are bit-identical to scipy's ``PchipInterpolator``
+    on the same table."""
 
-    def __init__(self, f, knots, below=0.0, above=0.0):
-        masses = _interval_masses(f, knots[:-1], knots[1:])
+    def __init__(self, f, knots, masses, below=0.0, above=0.0):
         self.mass = float(masses.sum())
         self._f = f
         cum = self._cum = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(masses)]))
@@ -669,8 +673,9 @@ def _bfry_table(c, alpha):
     # density ~ amp * t * s^(-alpha) near 0 and ~ amp * s^(-alpha-1) at infinity
     s_lo = (1e-13 * (1.0 - alpha) / (amp * t)) ** (1.0 / (1.0 - alpha))
     s_hi = (amp / (alpha * 1e-13)) ** (1.0 / alpha)
-    table = _InverseCdf(lambda s: np.exp(bfry_log_density(c, alpha, s)),
-                        np.geomspace(s_lo, s_hi, _TABLE_KNOTS),
+    f = lambda s: np.exp(bfry_log_density(c, alpha, s))
+    knots = np.geomspace(s_lo, s_hi, _TABLE_KNOTS)
+    table = _InverseCdf(f, knots, _interval_masses(f, knots[:-1], knots[1:]),
                         below=amp * t * s_lo ** (1.0 - alpha) / (1.0 - alpha),
                         above=amp * s_hi**-alpha / alpha)
     _BFRY_TABLES[key] = table

@@ -16,11 +16,13 @@ atoms; the truncation prior keeps the ordering 1 >= tau_1 >= ... >= tau_K > 0
 and its conditionals are interval-truncated betas, drawn exactly by inverting
 the regularized incomplete beta function at one uniform.
 
-The scan order is fixed (x, w, psi, precisions, tau) and every update draws
-through the caller's generator, so a chain is reproducible from its seed.
-The x, w and psi blocks share the loadings S = x * w and one factor kernel that
+The scan order is fixed ((x, w) jointly, psi, precisions, tau) and every update
+draws through the caller's generator, so a chain is reproducible from its seed.
+The joint block draws each column's x with its w integrated out, then w given x:
+one column scan with the same stationary law as separate x and w scans.
+The (x, w) and psi blocks share the loadings S = x * w and one factor kernel that
 reads each column's residual projection from a cross product and a Gram matrix
-fixed during the block (y psi^T, psi psi^T for x and w; y^T S, S^T S for psi), so
+fixed during the block (y psi^T, psi psi^T for (x, w); y^T S, S^T S for psi), so
 no residual is updated per column.  The kernel takes optional leading sample axes:
 a sweep has none, and held-out scoring runs all kept samples (SampleBatch) at once.
 """
@@ -50,11 +52,8 @@ __all__ = [
     "joint_log_density",
     "sample_data",
     "generate_synthetic",
-    "geweke_marginal_conditional",
-    "geweke_successive_conditional",
     "impute_heldout_locals",
     "predictive_log_likelihood",
-    "data_informed_init",
     "run_chain",
     "CHAIN_STATS",
 ]
@@ -237,20 +236,26 @@ def _logit(tau):
     return np.reshape([math.log(t) - math.log1p(-t) for t in tau.ravel().tolist()], tau.shape)
 
 
-def _draw_x(state, logit, k, proj, psi_sq, rng):
-    """Uncollapsed Bernoulli update of x[..., k] given tau_k, rows vectorized."""
-    wk = state.w[..., k]
-    p = special.expit(logit[..., k, None] + state.gamma_e * (wk * proj - 0.5 * wk**2 * psi_sq))
-    state.x[..., k] = rng.random(p.shape) < p
-    return state.x[..., k] * wk
+def _draw_xw(state, logit, gram):
+    """_scan_factors' column step of the joint (x, w) block, rows vectorized: x[..., k]
+    with w[..., k] integrated out, then w[..., k] given x[..., k].  With b = gamma_e proj and
+    lam = gamma_w + gamma_e gram[k, k], the matrix-determinant lemma and Sherman-Morrison
+    give the exact collapsed log odds logit tau_k + log(gamma_w / lam) / 2 + b^2 / (2 lam);
+    then w ~ N(b / lam, 1 / lam) where x = 1 and its prior N(0, 1 / gamma_w) where x = 0.
+    The per-column scalars depend only on gram's diagonal, so they are computed once."""
+    inv_lam = 1.0 / (state.gamma_w + state.gamma_e * np.diagonal(gram, axis1=-2, axis2=-1))
+    base = logit + 0.5 * np.log(state.gamma_w * inv_lam)
+    sd, prior_sd = np.sqrt(inv_lam), np.sqrt(state.gamma_w)
 
-
-def _draw_w(state, k, proj, psi_sq, rng):
-    xk = state.x[..., k].astype(float)
-    lam = state.gamma_w + state.gamma_e * xk * psi_sq
-    mean = state.gamma_e * xk * proj / lam
-    state.w[..., k] = mean + rng.normal(size=xk.shape) / np.sqrt(lam)
-    return state.x[..., k] * state.w[..., k]
+    def draw(k, proj, _psi_sq, rng):
+        b = state.gamma_e * proj
+        mean = b * inv_lam[..., k, None]
+        x = rng.random(proj.shape) < special.expit(base[..., k, None] + 0.5 * b * mean)
+        z = rng.normal(size=proj.shape)
+        w = np.where(x, mean + z * sd[..., k, None], z / prior_sd)
+        state.x[..., k], state.w[..., k] = x, w
+        return x * w
+    return draw
 
 
 def _draw_psi(state, psi_scale, k, proj, s_sq, rng):
@@ -267,7 +272,7 @@ def _by_column(a):
 def _scan_factors(P, left, gram, draw, rng):
     """Redraw each left[..., k] by draw(k, proj, gram[..., k, k], rng) with proj = P[..., k] -
     sum_{j != k} left[..., j] gram[..., j, k] on the current left: for P = y r^T and gram =
-    r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  x and w run on
+    r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  (x, w) runs on
     (y psi^T, S, psi psi^T), psi on (y^T S, psi^T, S^T S).  Leading axes index samples."""
     cross = gram * (1.0 - np.eye(gram.shape[-1]))
     for k in range(gram.shape[-1]):
@@ -293,8 +298,7 @@ def _update_tau(state, model, rng):
 
 
 _BLANKETS = {
-    "x": ("lp_x", "lp_y"),
-    "w": ("lp_w", "lp_y"),
+    "xw": ("lp_x", "lp_w", "lp_y"),
     "psi": ("lp_psi", "lp_y"),
     "precisions": ("lp_w", "lp_y", "lp_prec"),
     "tau": ("lp_tau", "lp_x"),
@@ -302,7 +306,7 @@ _BLANKETS = {
 
 
 def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=False) -> GibbsState:
-    """One systematic scan: x, w, psi, precisions, tau (order fixed).
+    """One systematic scan: (x, w) jointly, psi, precisions, tau (order fixed).
 
     With debug=True, the named joint-density terms are recomputed around each
     block and any change outside the block's Markov blanket raises.
@@ -330,9 +334,8 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
         return out
 
     S = _by_column(state.x * state.w)
-    P, G = (state.psi @ y.T).T, state.psi @ state.psi.T  # psi is fixed through x and w
-    guarded("x", lambda: _scan_factors(P, S, G, partial(_draw_x, state, _logit(state.tau)), rng))
-    guarded("w", lambda: _scan_factors(P, S, G, partial(_draw_w, state), rng))
+    P, G = (state.psi @ y.T).T, state.psi @ state.psi.T  # psi is fixed through (x, w)
+    guarded("xw", lambda: _scan_factors(P, S, G, _draw_xw(state, _logit(state.tau), G), rng))
     guarded("psi", lambda: _scan_factors((S.T @ y).T, state.psi.T, S.T @ S,
                                          partial(_draw_psi, state, model.psi_scale), rng))
     guarded("precisions", lambda: _update_precisions(state, y - S @ state.psi, model, rng))
@@ -391,7 +394,7 @@ def joint_log_density(state, y, model) -> float:
 
 
 # ---------------------------------------------------------------------------
-# synthetic data and Geweke simulators
+# synthetic data
 # ---------------------------------------------------------------------------
 
 def generate_synthetic(N, D, n_features, rng, activation=0.3, feature_scale=1.0,
@@ -420,31 +423,6 @@ def generate_synthetic(N, D, n_features, rng, activation=0.3, feature_scale=1.0,
     return y, truth
 
 
-def geweke_marginal_conditional(model, N, draws, rng):
-    """i.i.d. (state, data) draws from the prior joint; returns the statistic
-    array with columns (sum x, mean tau, gamma_e)."""
-    out = np.empty((draws, 3))
-    for i in range(draws):
-        state = init_state(model, N, rng)
-        out[i] = (state.x.sum(), state.tau.mean(), state.gamma_e)
-    return out
-
-
-def geweke_successive_conditional(model, N, draws, rng, thin=1):
-    """Alternate y | state and one Gibbs sweep of state | y; the chain leaves
-    the prior joint invariant, so its marginals must match the i.i.d. path."""
-    state = init_state(model, N, rng)
-    out = np.empty((draws, 3))
-    kept = 0
-    while kept < draws:
-        for _ in range(thin):
-            y = sample_data(state, rng)
-            state = gibbs_sweep(state, y, model, rng)
-        out[kept] = (state.x.sum(), state.tau.mean(), state.gamma_e)
-        kept += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # held-out evaluation
 # ---------------------------------------------------------------------------
@@ -460,9 +438,9 @@ def impute_heldout_locals(samples: SampleBatch, y_heldout, model, rng, scans=5) 
     S = _by_column(out.x * out.w)
     P = (out.psi @ y.T).swapaxes(-1, -2)  # (S, m, K) with contiguous columns, no copy
     G = out.psi @ out.psi.swapaxes(-1, -2)
+    draw = _draw_xw(out, _logit(out.tau), G)
     for _ in range(scans):
-        _scan_factors(P, S, G, partial(_draw_x, out, _logit(out.tau)), rng)
-        _scan_factors(P, S, G, partial(_draw_w, out), rng)
+        _scan_factors(P, S, G, draw, rng)
     return out
 
 
@@ -478,23 +456,6 @@ def predictive_log_likelihood(samples: SampleBatch, y_heldout) -> float:
     log_terms = (-0.5 * samples.gamma_e * ((y - samples.reconstruction)**2).sum(axis=-1)
                  + 0.5 * y.shape[1] * (np.log(samples.gamma_e) - math.log(2 * math.pi)))
     return float(np.mean(special.logsumexp(log_terms, axis=0) - math.log(len(samples))))
-
-
-def data_informed_init(model, y, rng):
-    """Prior state with basis vectors seeded from randomly chosen data rows.
-
-    All chains (and both priors) start from structurally comparable points,
-    which removes most feature-birth mode variance of the uncollapsed scan;
-    the stationary distribution is untouched.
-    """
-    y = np.asarray(y, dtype=float)
-    state = init_state(model, y.shape[0], rng)
-    rows = rng.choice(y.shape[0], size=model.K, replace=False)
-    state.psi = y[rows] + rng.normal(0.0, 0.01, size=(model.K, model.D))
-    state.x[:] = 0
-    state.gamma_e = 1.0 / max(float(y.var()), 1e-12)
-    state.gamma_w = 1.0
-    return state
 
 
 def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):

@@ -37,8 +37,6 @@ from crmfinite.inference import (
     SampleBatch,
     aifa_tau_conditional,
     generate_synthetic,
-    geweke_marginal_conditional,
-    geweke_successive_conditional,
     impute_heldout_locals,
     predictive_log_likelihood,
     run_chain,
@@ -60,6 +58,12 @@ from crmfinite.measures import (
     rate_measure,
 )
 from crmfinite.rng import derive_rng
+
+from _reference import (
+    data_informed_init,
+    geweke_marginal_conditional,
+    geweke_successive_conditional,
+)
 
 
 def report(num, name, ok, detail="", started=None, budget=None):
@@ -272,7 +276,6 @@ def test_criterion_10_aifa_vs_tfa_parity():
     # from the same data-informed construction (the comparison experiments
     # this mirrors likewise used informed/warm initialization); the held-out
     # score pools the chains' samples into one posterior-predictive mixture
-    from crmfinite.inference import data_informed_init
     started = time.time()
     gen = dict(activation=0.5, noise_prec=4.0, feature_scale=2.0)
     y_train, _ = generate_synthetic(500, 5, 5, derive_rng(1000, 0), **gen)

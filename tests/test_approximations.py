@@ -275,6 +275,20 @@ def test_head_covering_the_support_is_the_closed_form(eta):
     assert abs(draws.mean() - mean) < stats.norm.isf(1e-3 / (2 * len(_HEAD_ETAS))) * sd / math.sqrt(n)
 
 
+def test_body_whose_mass_underflows_is_dropped():
+    # a = 5e5 at K = 100 puts the head on (0, 5000]; past it the gamma density
+    # underflows, so the body's mass is exactly 0.  Building its table once
+    # divided 0 by 0.  The body is dropped, and the law builds, passes its
+    # self-check and draws finite atoms with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = AifaConfig(gamma_process(2.0, 1.0, 0.0), 100, a=5e5)
+        draws = cfg.sample(1000, derive_rng(43, 0))
+    tables = cfg._build()
+    assert tables["inverse"] is None and tables["head_p"] == 1.0
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
+
 def test_aifa_times_K_tends_to_the_rate_measure():
     # the IFA's defining limit K nu_K(theta) -> nu(theta), pointwise on the
     # open support; at d = 0 the error is O(1/K), so error * K settles
@@ -675,10 +689,11 @@ def test_cdf_matches_closed_form_at_zero_discount(spec):
         np.testing.assert_allclose(cfg._cdf(theta), want, rtol=0, atol=1e-6, err_msg=f"K={K}")
 
 
-def _scipy_inverse(f, knots, below=0.0, above=0.0):
+def _scipy_inverse(f, knots, masses, below=0.0, above=0.0):
     """The inverse-CDF table as scipy's PchipInterpolator builds it, with a
-    uniform outside the table sent to the nearer end knot."""
-    masses = approximations._interval_masses(f, knots[:-1], knots[1:])
+    uniform outside the table sent to the nearer end knot; the builder's
+    interval masses are f's, by the same rule."""
+    assert np.array_equal(masses, approximations._interval_masses(f, knots[:-1], knots[1:]))
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     cum = np.maximum.accumulate(cum)
     keep = np.concatenate([[True], np.diff(cum) > 0])

@@ -533,7 +533,8 @@ def _golden_digests(tmp_path):
 # sparse draw (a binomial number of firing rows per atom, then which rows).
 # The gibbs chain and state files were re-pinned when the factor kernel came
 # to read projections from Gram matrices: same random stream, same x, floats
-# moved in the last bits
+# moved in the last bits.  All six gibbs files were re-pinned again when the
+# separate x and w scans became one joint (x, w) block, which draws a new stream
 _GOLDEN_DIGESTS = {
     "prior_aifa": {
         "summary.json": "cd060051c7634aaa2159a9a066d75e1190a3459c20e3c2bd644cfd9180a697ce",
@@ -572,12 +573,12 @@ _GOLDEN_DIGESTS = {
         "summary.json": "4beacce229f0052320d356cab27e8345bd4c69a1aecded79f1b7224ffdb20f8e",
     },
     "gibbs": {
-        "chain.csv": "a6af72afd8546b4b3a4f97c49eee1fc94e49fb2029ebed66f34457097cd9f476",
-        "chain_0000.csv": "b951dcd69d06069cc666c7544e6b137aacfb3a084fc46cea55db02ab154cc0cd",
-        "chain_0001.csv": "fad6bc7c0025f9fd152fcbec6a47080690864250c5cf0cb157bf98519dd5e493",
-        "state_0000.json": "9f37d238008394a26cafcab131488eca51d35fb53784f159fea4c41091bcbb97",
-        "state_0001.json": "6167a88d726e847fc1a8bd9d8aad034d8172b699ca2b3526f14eb1fa1f2eac76",
-        "summary.json": "7b1cf91211695bded3fef3157478fecc9b6cc34c9486f6024694808f2d1d825c",
+        "chain.csv": "972ba43bbda1323b85379b85cb290201061fec8cbae3578206abff600de76f1e",
+        "chain_0000.csv": "41c17115a195d932b6da9c06c1b764e55372f066cdfa34d80e94d9f24c6257b9",
+        "chain_0001.csv": "ad76b324ffe4e0d04dae187a550352c4444ed0778ff91f43f847f0293c8dd01b",
+        "state_0000.json": "5c2af32d55371179d023850432d2ec4033aa1ef59f5d53c407482c715eeebd1f",
+        "state_0001.json": "161f294b2bda33c5b289b45d3c1f4dfd23eeb222daef9853cee4f7120c5cc3c1",
+        "summary.json": "4c249d00e22e67ee21fd47af93dc58625c9e9ea541378f6b708bfd933adde35e",
     },
     "compare": {
         "compare.csv": "42d6cf6ca9eb02593d22c20fb3013e997452c7e467b2923a08800a4866bb5512",

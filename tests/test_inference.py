@@ -17,8 +17,6 @@ from crmfinite.inference import (
     SampleBatch,
     aifa_tau_conditional,
     generate_synthetic,
-    geweke_marginal_conditional,
-    geweke_successive_conditional,
     gibbs_sweep,
     impute_heldout_locals,
     init_state,
@@ -32,6 +30,8 @@ from crmfinite.inference import (
     tfa_tau_conditional_sample,
 )
 from crmfinite.rng import derive_rng
+
+from _reference import geweke_marginal_conditional, geweke_successive_conditional
 
 MODEL = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=5,
                             prec_shape=2.0, prec_rate=2.0)
@@ -187,22 +187,28 @@ def test_tfa_requires_alpha_one():
 # -- sweeps ----------------------------------------------------------------------
 
 def test_zero_feature_state_reduces_to_priors():
-    # with all x = 0 the w and psi conditionals equal their priors: the sweep
-    # must consume the same variates as direct prior draws
+    # with all x = 0 the psi conditionals equal their priors, and in the (x, w) block
+    # so does w | x = 0: rows whose new x is 0 get exactly the prior draw z / sqrt(gamma_w)
+    # from the block's normal call, which follows its uniform call
     rng1 = derive_rng(56, 0)
     state = init_state(MODEL, 10, rng1)
     state.x[:] = 0
     y = sample_data(state, derive_rng(56, 1))
-    from crmfinite.inference import _by_column, _draw_psi, _draw_w, _scan_factors
+    from crmfinite.inference import _by_column, _draw_psi, _draw_xw, _logit, _scan_factors
     probe = derive_rng(56, 2)
     st = copy.deepcopy(state)
-    _scan_factors((st.psi @ y.T).T, _by_column(st.x * st.w), st.psi @ st.psi.T,
-                  partial(_draw_w, st), probe)
+    G = st.psi @ st.psi.T
+    _scan_factors((st.psi @ y.T).T, _by_column(st.x * st.w), G, _draw_xw(st, _logit(st.tau), G),
+                  probe)
     ref = derive_rng(56, 2)
-    expected = np.column_stack(
-        [0.0 + ref.normal(size=10) / np.sqrt(np.full(10, st.gamma_w))
-         for _ in range(MODEL.K)])
-    np.testing.assert_array_equal(st.w, expected)
+    off = 0
+    for k in range(MODEL.K):
+        ref.random(10)
+        z = ref.normal(size=10)
+        rows = st.x[:, k] == 0
+        np.testing.assert_array_equal(st.w[rows, k], z[rows] / np.sqrt(st.gamma_w))
+        off += rows.sum()
+    assert off > 0
     probe2 = derive_rng(56, 3)
     st2 = copy.deepcopy(state)
     S = _by_column(st2.x * st2.w)
@@ -215,31 +221,65 @@ def test_zero_feature_state_reduces_to_priors():
     np.testing.assert_array_equal(st2.psi, expected_psi)
 
 
+class _Fixed:
+    """A generator stub: every uniform it draws is u and every standard normal 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def normal(self, size=None):
+        return np.zeros(size)
+
+
+def test_joint_block_activation_is_the_collapsed_posterior():
+    # one row, K = 2.  With w_0 integrated out, column 0's residual r = y - x_1 w_1 psi_1
+    # is N(0, I/gamma_e + psi_0 psi_0^T / gamma_w) under x_0 = 1 and N(0, I/gamma_e)
+    # under x_0 = 0, which gives P(x_0 = 1) = p in closed form.  The block compares its
+    # uniform with its own p: just below p it must set x_0 = 1, just above it x_0 = 0.
+    # A relative step of 1e-9 sits far above float64 rounding of either p
+    from scipy import stats
+    from crmfinite.inference import _by_column, _draw_xw, _logit, _scan_factors
+    psi = np.array([[0.8, -0.4, 0.5], [0.2, 0.9, -0.3]])
+    state = GibbsState(np.array([0.3, 0.6]), psi, np.array([[0, 1]], dtype=np.int8),
+                       np.array([[0.4, 0.7]]), 1.5, 3.0, "aifa")
+    y = np.array([[0.9, 0.5, 0.6]])
+    r, noise = y[0] - 0.7 * psi[1], np.eye(3) / state.gamma_e
+    p = special.expit(math.log(0.3 / 0.7)
+                      + stats.multivariate_normal.logpdf(r, np.zeros(3),
+                                                         noise + np.outer(psi[0], psi[0]) / 1.5)
+                      - stats.multivariate_normal.logpdf(r, np.zeros(3), noise))
+    assert 0.05 < p < 0.95
+    for u, expected in ((p * (1 - 1e-9), 1), (p * (1 + 1e-9), 0)):
+        st = copy.deepcopy(state)
+        _scan_factors((psi @ y.T).T, _by_column(st.x * st.w), psi @ psi.T,
+                      _draw_xw(st, _logit(st.tau), psi @ psi.T), _Fixed(u))
+        assert st.x[0, 0] == expected, (u, p)
+
+
 def _reference_sweep(state, y, model, rng):
-    """Reference: the x, w, psi and precision blocks as separate loops that
-    rebuild the residual from the reconstruction at every column, then tau."""
+    """Reference: the (x, w), psi and precision blocks as separate loops that
+    rebuild the residual from the reconstruction at every column, then tau.
+    The (x, w) step draws x from its odds with w integrated out, by the
+    marginal of the residual r = w psi_k + noise, then w given x."""
     recon = state.reconstruction
     logit_tau = np.log(state.tau) - np.log1p(-state.tau)
     for k in range(model.K):
         contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
         resid = y - (recon - contrib)
-        wk = state.w[:, k]
-        gain = state.gamma_e * (wk * (resid @ state.psi[k])
-                                - 0.5 * wk**2 * (state.psi[k] @ state.psi[k]))
-        logit = logit_tau[k] + gain
+        lam = state.gamma_w + state.gamma_e * (state.psi[k] @ state.psi[k])
+        b = state.gamma_e * (resid @ state.psi[k])
+        logit = logit_tau[k] + 0.5 * math.log(state.gamma_w / lam) + 0.5 * b**2 / lam
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(-logit))
         new = (rng.random(p.size) < p).astype(np.int8)
-        recon += np.outer(new * wk, state.psi[k]) - contrib
+        z = rng.normal(size=p.size)
+        state.w[:, k] = np.where(new == 1, b / lam + z / math.sqrt(lam),
+                                 z / math.sqrt(state.gamma_w))
         state.x[:, k] = new
-    for k in range(model.K):
-        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
-        resid = y - (recon - contrib)
-        xk = state.x[:, k].astype(float)
-        lam = state.gamma_w + state.gamma_e * xk * (state.psi[k] @ state.psi[k])
-        mean = state.gamma_e * xk * (resid @ state.psi[k]) / lam
-        state.w[:, k] = mean + rng.normal(size=xk.size) / np.sqrt(lam)
-        recon += np.outer(state.x[:, k] * state.w[:, k], state.psi[k]) - contrib
+        recon += np.outer(new * state.w[:, k], state.psi[k]) - contrib
     for k in range(model.K):
         contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
         resid = y - (recon - contrib)
@@ -550,31 +590,28 @@ class _Replay:
 
 
 def _impute_reference(tau, psi, gamma_w, gamma_e, y, rng, scans):
-    """Held-out imputation for one sample with scalar globals: the x and w
-    column steps on 2-D arrays, as a loop over kept samples ran them."""
+    """Held-out imputation for one sample with scalar globals: the joint (x, w)
+    column steps on 2-D arrays, one uniform and one normal call per column, as a
+    loop over kept samples ran them."""
     m, K = y.shape[0], tau.size
     x = (rng.random((m, K)) < tau).astype(np.int8)
     w = rng.normal(0.0, 1.0 / math.sqrt(gamma_w), size=(m, K))
     E = y - (x * w) @ psi
     S = np.asfortranarray(x * w)
     for _ in range(scans):
-        for block in ("x", "w"):
-            for k in range(K):
-                r = psi[k]
-                r_sq = r @ r
-                old = S[:, k]
-                proj = E @ r + old * r_sq
-                if block == "x":
-                    p = special.expit(math.log(tau[k]) - math.log1p(-tau[k])
-                                      + gamma_e * (w[:, k] * proj - 0.5 * w[:, k]**2 * r_sq))
-                    x[:, k] = rng.random(m) < p
-                else:
-                    xk = x[:, k].astype(float)
-                    lam = gamma_w + gamma_e * xk * r_sq
-                    w[:, k] = gamma_e * xk * proj / lam + rng.normal(size=m) / np.sqrt(lam)
-                new = x[:, k] * w[:, k]
-                E -= np.outer(new - old, r)
-                S[:, k] = new
+        for k in range(K):
+            r = psi[k]
+            lam = gamma_w + gamma_e * (r @ r)
+            old = S[:, k]
+            b = gamma_e * (E @ r + old * (r @ r))
+            p = special.expit(math.log(tau[k]) - math.log1p(-tau[k])
+                              + 0.5 * math.log(gamma_w / lam) + 0.5 * b**2 / lam)
+            x[:, k] = rng.random(m) < p
+            z = rng.normal(size=m)
+            w[:, k] = np.where(x[:, k] == 1, b / lam + z / math.sqrt(lam), z / math.sqrt(gamma_w))
+            new = x[:, k] * w[:, k]
+            E -= np.outer(new - old, r)
+            S[:, k] = new
     return x, w
 
 
