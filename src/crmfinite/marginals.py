@@ -44,10 +44,13 @@ uniform M-subset of their free rows and one zero-truncated count per chosen
 cell, so a level-K allocation costs O(K + firing atoms * N), not O(N K):
 at K = 1000 and N = 500 only about 23 beta-Bernoulli atoms fire.
 
-Infinite sums over x are truncated with certified remainders: totals are known
-in closed form, and because the predictive families are likelihood-ratio
-ordered in the count total, past the single sign change of the term
-difference the neglected remainder is exactly |tail_a - tail_b|.
+The checker's infinite sums over x rest on one fact: the predictive families
+are likelihood-ratio ordered in the count total, so the term difference of two
+rows changes sign once, at its crossing.  Two pmfs of mass 1 (inequality 3)
+need nothing past it: by Scheffe's identity sum_x |a - b| is twice the sum of
+a - b before the crossing.  The new-atom rates against the level-K fresh
+pmf (inequality 4) have closed-form totals, so once every column has crossed
+the neglected remainder past a truncation point is exactly |tail_a - tail_b|.
 
 The checker's pmf terms come from one row stepper, ``_count_rows``: a (T, n)
 block, one row per count total (the target's and each level-K shifted total
@@ -57,16 +60,18 @@ the new-atom rate at total 0, or for beta-NB at a positive total a
 Pochhammer ratio at x = 0); each step multiplies it by the family's ratio
 h(x)/h(x-1), a rational function of x, n and the total, so a row carries its
 start's relative error (near eps) plus at most ~X eps of rounding over X
-steps.  ``_certified_l1`` adds each row into running sums of |a - b|, a and
-b as it comes, in x order, which is the order numpy's axis-0 sum adds the
-rows of an (x, n) grid with two or more columns: the sums equal those of the
-dense grids bit for bit (one column numpy sums pairwise, so there the last
-bits may differ).  No (x, n) grid is built, so the checker's memory is
-O(T n) whatever truncation point X it certifies.  Point queries keep the
-closed form.
+steps.  ``_crossing_l1`` adds the differences a - b into running partial
+sums in x order, as a cumsum over an (x, n) grid does, and drops a column
+from the block once all of its pairs have crossed; at the benchmark's
+configuration every column has crossed by x = 17.  ``_certified_l1`` adds
+each row into running sums of |a - b|, a and b in x order, which is the
+order numpy's axis-0 sum adds the rows of an (x, n) grid with two or more
+columns: the sums equal those of the dense grids bit for bit (one column
+numpy sums pairwise, so there the last bits may differ).  No (x, n) grid is
+built, so the checker's memory is O(T n) whatever x it reaches.  Point
+queries keep the closed form.
 
-The module also houses the Dirichlet-process and finite-symmetric-Dirichlet
-urn probabilities and the numeric four-inequality growth/approximation
+The module also houses the numeric four-inequality growth/approximation
 condition checker with per-family presets.
 """
 
@@ -88,16 +93,12 @@ __all__ = [
     "beta_bernoulli",
     "gamma_poisson",
     "beta_negative_binomial",
-    "target_predictive_pmf",
-    "approx_predictive_pmf",
     "target_new_atom_rate",
     "total_new_atom_rate",
     "approx_fresh_mass",
     "FeatureAllocation",
     "simulate_allocation",
     "allocation_log_probability",
-    "dp_urn_probs",
-    "fsd_urn_probs",
     "Condition1Bounds",
     "generic_condition_bounds",
     "check_condition_1",
@@ -136,21 +137,20 @@ class ExpFamilyModel:
         return -np.expm1(self.logpmf(n, shift, shift, 0.0))
 
     def l1_history(self, K_set, n, S):
-        """Certified sum_x |h - h~| at history total S for each K in K_set,
-        vectorized over the float array n, as (sums, X) pairs."""
+        """sum_x |h - h~| at history total S for each K in K_set, vectorized
+        over the float array n, as (sums, largest crossing point) pairs."""
         # one block steps the target pmf alongside every K's shifted total
         totals = [float(S)] + [float(S) + self.mass_shift / K for K in K_set]
-        return _certified_l1(_count_rows(self, n, totals, 0),
-                             np.ones((len(totals), n.size)), "history L1 sum")
+        return _crossing_l1(self, n, totals)
 
     def l4_mismatch(self, K, n, totals, fresh):
         """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over the
         float array n, and its truncation point X; ``totals`` and ``fresh``
         are sum_x M_{n,x} and sum_{x>=1} h~(x|0) at n."""
-        scale = np.array([[1.0], [K]])
+        scale = np.array([[1.0], [K]], dtype=float)
         rows = ((x, block * scale)
                 for x, block in _count_rows(self, n, [0.0, self.mass_shift / K], 1))
-        return _certified_l1(rows, np.stack([totals, K * fresh]), "new-atom mismatch sum")[0]
+        return _certified_l1(rows, np.stack([totals, K * fresh]))
 
 
 class _BetaModel(ExpFamilyModel):
@@ -261,7 +261,7 @@ class _GammaPoisson(ExpFamilyModel):
     def stepper(self, n):
         """ratio(t, x, out): h(x)/h(x-1) = (t+x-1)/x * 1/(lambda+n) at totals t."""
         base = self.lam + n
-        return lambda t, x, out: np.divide(((t + x - 1) / x)[:, None], base, out=out)
+        return lambda t, x, out: np.divide(((t + (x - 1)) / x)[:, None], base, out=out)
 
     def start_row(self, n, total, x_lo):
         return np.exp(_predictive_logpmf(self, n, total, 0.0, x_lo))
@@ -345,7 +345,7 @@ class _BetaNegBinomial(_BetaModel):
         base = self.r * n + self.alpha
 
         def ratio(t, x, out):
-            u = t + x - 1
+            u = t + (x - 1)  # one rounding: a total below eps survives at x = 1
             np.add(base, u[:, None], out=out)
             return np.divide(((x + self.r - 1) / x * u)[:, None], out, out=out)
         return ratio
@@ -397,32 +397,6 @@ def _predictive_logpmf(model, n, S, shift, x):
     x = np.asarray(x, dtype=float)
     n = np.asarray(n, dtype=float)
     return model.logpmf(n, np.asarray(S, dtype=float) + shift, shift, x)
-
-
-def _check_history(model, history):
-    history = integers(history, "history entries", 0)
-    if np.any(history > model.max_count):
-        raise ValueError(f"{model.kind} counts are at most {model.max_count}")
-    return history
-
-
-def target_predictive_pmf(model: ExpFamilyModel, history, x) -> float:
-    """P(next count = x) at an atom already instantiated with the given history."""
-    history = _check_history(model, history)
-    total = history.sum()
-    if total == 0:
-        raise ValueError("atom not yet instantiated in the target process (all-zero history)")
-    n = history.size + 1
-    return float(np.exp(_predictive_logpmf(model, n, total, 0.0, integers(x, "counts x", 0))))
-
-
-def approx_predictive_pmf(model: ExpFamilyModel, K, history, x) -> float:
-    """Same predictive under the level-K approximation; all-zero histories are
-    allowed and govern the dormant atoms."""
-    integer(K, "approximation level K")
-    history, x = _check_history(model, history), integers(x, "counts x", 0)
-    n = history.size + 1
-    return float(np.exp(_predictive_logpmf(model, n, history.sum(), model.mass_shift / K, x)))
 
 
 def target_new_atom_rate(model: ExpFamilyModel, n, x):
@@ -606,27 +580,6 @@ def allocation_log_probability(model: ExpFamilyModel, alloc: FeatureAllocation) 
 
 
 # ---------------------------------------------------------------------------
-# urn schemes
-# ---------------------------------------------------------------------------
-
-def dp_urn_probs(counts, alpha):
-    """(existing-label probabilities, fresh probability) of the DP urn."""
-    counts = np.asarray(counts, dtype=float)
-    denom = counts.sum() + alpha
-    return counts / denom, alpha / denom
-
-
-def fsd_urn_probs(counts, alpha, K):
-    """Finite-symmetric-Dirichlet urn; the fresh mass carries (K - J) slots."""
-    counts = np.asarray(counts, dtype=float)
-    j = counts.size
-    if j > K:
-        raise ValueError(f"FSD urn cannot hold more than K={K} distinct labels, got {j}")
-    denom = counts.sum() + alpha
-    return (counts + alpha / K) / denom, (K - j) * (alpha / K) / denom
-
-
-# ---------------------------------------------------------------------------
 # the four-inequality condition checker
 # ---------------------------------------------------------------------------
 
@@ -665,8 +618,11 @@ def generic_condition_bounds(C1, C2=0.0, C3=0.0, C4=0.0, C5=0.0) -> Condition1Bo
 
 
 _HISTORY_SCAN = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 32, 50)
-_SIGN_EPS = 1e-280
-_GUARD = 16
+# two rows within this relative gap have crossed: it is above the rounding
+# of rows whose totals differ by a few ulps (2.3e-13 at beta-NB r = 0.5), and
+# twice it is below the checker's 1e-12 grace
+_CROSS_REL = 2.0 ** -41
+_X_CAP = 1 << 16
 
 
 def _count_rows(model, n, totals, x_lo):
@@ -676,70 +632,105 @@ def _count_rows(model, n, totals, x_lo):
     new-atom rate M_{n,x}.  Each row starts at x_lo from the family's
     ``start_row`` (M from its closed form); each step multiplies it by the
     family's ratio h(x)/h(x-1), which M shares at total 0 since
-    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Gamma-Poisson and beta-NB only:
-    beta-Bernoulli counts need no rows."""
+    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Sending an index array keeps
+    only those columns, with the stepper re-bound to them; the next yield is
+    the send's return.  Gamma-Poisson and beta-NB only: beta-Bernoulli
+    counts need no rows."""
     n = np.asarray(n, dtype=float)
     totals = np.asarray(totals, dtype=float)
-    ratio, out = model.stepper(n), np.empty((totals.size, n.size))
-    block = np.empty_like(out)
+    block = np.empty((totals.size, n.size))
     for t in range(totals.size):
         block[t] = (target_new_atom_rate(model, n, x_lo) if totals[t] == 0
                     else model.start_row(n, totals[t], x_lo))
-    yield x_lo, block
-    for x in itertools.count(x_lo + 1):
-        block *= ratio(totals, x, out)
-        yield x, block
+    ratio, out = model.stepper(n), np.empty_like(block)
+    for x in itertools.count(x_lo):
+        keep = yield x, block
+        if keep is not None:
+            n, block = n[keep], block[:, keep]
+            ratio, out = model.stepper(n), np.empty_like(block)
+        block *= ratio(totals, x + 1, out)
 
 
-def _certified_l1(rows, mass, what):
-    """sum_x |a - b| for row 0 of the ``rows`` blocks (a) against each later
-    row (b), one value per column, and the truncation point X each pair was
-    certified at.  ``mass`` (T, n) is each row's exact sum over all x, so a
-    row's tail past X is mass - its sum to X.  At X = 64, 128, ... a pair is
-    certified once its last _GUARD term differences are single-signed in
-    every column; the likelihood-ratio order guarantees a single crossing,
-    so past it |sum of tail differences| = |tail_a - tail_b|.
+def _crossing_l1(model, n, totals):
+    """sum_x |a - b_p| of the pmf row a at totals[0] against each row b_p at
+    totals[p + 1] >= totals[0], one value per column, and each pair's
+    largest crossing point.
 
-    The sums add the rows as they come, in x order, as numpy's axis-0 sum
-    adds the rows of an (x, n) grid with n >= 2 columns (one column it sums
-    pairwise).  The guard test needs only the min and max of the differences
-    over the guard rows X - _GUARD + 1 .. X, kept as running values there,
-    so memory is a few (T, n) arrays whatever X turns out to be."""
-    T, n = mass.shape
-    sums, l1 = np.zeros((T, n)), np.zeros((T - 1, n))
-    diff, lo, hi = np.empty((3, T - 1, n))
-    done, X = {}, 64
+    Both rows have mass 1 and b_p / a rises with x (likelihood-ratio order
+    in the total), so a - b_p is positive before its crossing x_c, the first
+    x with a - b_p <= _CROSS_REL a, and past it adds at most _CROSS_REL of
+    a's tail as positive part.  Scheffe's identity then gives
+    sum_x |a - b_p| = 2 sum_{x < x_c} (a - b_p), exact up to
+    2 _CROSS_REL: no tails and no masses.  Equal totals give equal rows and
+    sum 0 at x_c = 0.  The partial sums add the differences in x order, as a
+    cumsum over an (x, n) grid does.  A column leaves the block once all of
+    its pairs have crossed, so memory is O(T n) and the steps run only as
+    far as the columns that have not crossed yet."""
+    totals = np.asarray(totals, dtype=float)
+    shape = (totals.size - 1, n.size)
+    sums, at = np.zeros(shape), np.zeros(shape, dtype=np.int64)
+    part, crossed, live = np.zeros(shape), np.zeros(shape, dtype=bool), np.arange(n.size)
+    rows, keep = _count_rows(model, n, totals, 0), None
+    while True:
+        x, block = rows.send(keep)
+        if x == _X_CAP:
+            raise RuntimeError("history L1 sum: no crossing found")
+        diff = block[0] - block[1:]
+        p, j = np.nonzero((diff <= _CROSS_REL * block[0]) & ~crossed)
+        sums[p, live[j]], at[p, live[j]] = 2.0 * part[p, j], x
+        crossed[p, j] = True
+        part += diff
+        left = ~crossed.all(axis=0)
+        if not left.any():
+            return [(sums[q], int(at[q].max())) for q in range(shape[0])]
+        keep = None
+        if not left.all():
+            keep = np.flatnonzero(left)
+            live, part, crossed = live[keep], part[:, keep], crossed[:, keep]
+
+
+def _certified_l1(rows, mass):
+    """sum_x |a - b| of the two rows of the ``rows`` blocks, one value per
+    column, and the truncation point X it was certified at.  ``mass`` (2, n)
+    is each row's sum over all x, so a row's tail past X is mass - its sum
+    to X.  The rows are likelihood-ratio ordered, b / a rising with x, so
+    past the crossing (the first x with a - b <= _CROSS_REL a) the
+    differences add at most _CROSS_REL of a's tail as positive part and the
+    neglected remainder is |tail_a - tail_b|: the sum is certified at the
+    first X of 64, 128, ... by which every column has crossed.  The sums add
+    the rows as they come, in x order, as numpy's axis-0 sum adds the rows
+    of an (x, n) grid with n >= 2 columns (one column it sums pairwise), in
+    a few (2, n) arrays whatever X is."""
+    sums, l1 = np.zeros_like(mass), np.zeros(mass.shape[1])
+    crossed, X = np.zeros(mass.shape[1], dtype=bool), 64
     for x, block in rows:
-        np.subtract(block[0], block[1:], out=diff)
-        if x == X - _GUARD + 1:  # the guard rows X - _GUARD + 1 .. X
-            lo[:] = hi[:] = diff
-        elif x > X - _GUARD:
-            np.minimum(lo, diff, out=lo)
-            np.maximum(hi, diff, out=hi)
+        diff = block[0] - block[1]
+        crossed |= diff <= _CROSS_REL * block[0]
         sums += block
         l1 += np.abs(diff, out=diff)
         if x < X:
             continue
-        single = ((lo >= -_SIGN_EPS) | (hi <= _SIGN_EPS)).all(axis=1)
-        tails = np.clip(mass - sums, 0, None)
-        for p in np.flatnonzero(single):
-            done.setdefault(p, (l1[p] + np.abs(tails[0] - tails[p + 1]), X))
-        if len(done) == T - 1:
-            return [done[p] for p in range(T - 1)]
-        if X == 1 << 16:
-            raise RuntimeError(f"{what}: no certified truncation point found")
+        if crossed.all():
+            tails = np.clip(mass - sums, 0, None)
+            return l1 + np.abs(tails[0] - tails[1]), X
+        if X == _X_CAP:
+            raise RuntimeError("new-atom mismatch sum: no certified truncation point found")
         X *= 2
 
 
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set) -> dict:
     """Evaluate the four inequalities numerically for all n <= n_max, K in K_set.
 
-    Left-hand sides are exact up to certified remainders below 1e-12 (folded
-    in conservatively).  Inequality 3 is maximized over instantiated histories
-    with count totals in ``_HISTORY_SCAN``; inequality 4 is evaluated only at
-    (n, K) with K >= k_floor(n), as its statement requires.  Violations
-    produce failure entries in the report, never exceptions; an n_max or
-    K_set out of range raises ValueError.
+    Left-hand sides are exact up to rounding and, for the sums over x, the
+    crossing test's relative gap _CROSS_REL (at most 2 _CROSS_REL, below the
+    1e-12 grace).  Inequality 3 is maximized over instantiated histories with
+    count totals in ``_HISTORY_SCAN``; its ``x_max`` is the largest crossing
+    point, where its Scheffe sums end.  Inequality 4 is evaluated only at
+    (n, K) with K >= k_floor(n), as its statement requires; its ``x_max`` is
+    the truncation point (64, 128, ...) its sum was certified at, the first
+    by which every column has crossed.  Violations produce failure entries
+    in the report, never exceptions; an n_max or K_set out of range raises
+    ValueError.
     """
     n_max = integer(n_max, "n_max (inequality 3 needs n >= 2)", 2)
     if not (isinstance(K_set, (list, tuple, np.ndarray)) and len(K_set)):

@@ -45,8 +45,6 @@ from crmfinite.marginals import (
     beta_bernoulli,
     beta_negative_binomial,
     check_condition_1,
-    dp_urn_probs,
-    fsd_urn_probs,
     gamma_poisson,
     simulate_allocation,
 )
@@ -61,6 +59,8 @@ from crmfinite.rng import derive_rng
 
 from _reference import (
     data_informed_init,
+    dp_urn_probs,
+    fsd_urn_probs,
     geweke_marginal_conditional,
     geweke_successive_conditional,
 )

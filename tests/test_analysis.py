@@ -32,9 +32,10 @@ from crmfinite.approximations import (
     fsd,
     sample_weights,
 )
-from crmfinite.marginals import dp_urn_probs, fsd_urn_probs
 from crmfinite.measures import gamma_process
 from crmfinite.rng import derive_rng
+
+from _reference import dp_urn_probs, fsd_urn_probs
 
 
 # -- exact TV on pmf arrays -------------------------------------------------------

@@ -25,6 +25,7 @@ from crmfinite.analysis import (
 )
 from crmfinite.cli import _MODEL_KINDS
 from crmfinite.marginals import (
+    _CROSS_REL,
     _HISTORY_SCAN,
     ExpFamilyModel,
     FeatureAllocation,
@@ -33,21 +34,19 @@ from crmfinite.marginals import (
     _sparse_counts,
     allocation_log_probability,
     approx_fresh_mass,
-    approx_predictive_pmf,
     beta_bernoulli,
     beta_negative_binomial,
     check_condition_1,
-    dp_urn_probs,
-    fsd_urn_probs,
     gamma_poisson,
     generic_condition_bounds,
     simulate_allocation,
     target_new_atom_rate,
-    target_predictive_pmf,
     total_new_atom_rate,
 )
 from crmfinite.measures import Family, beta_process, gamma_process
 from crmfinite.rng import derive_rng
+
+from _reference import approx_predictive_pmf, dp_urn_probs, fsd_urn_probs, target_predictive_pmf
 
 BB = beta_bernoulli(1.0, 1.0)
 GP = gamma_poisson(1.0, 1.0)
@@ -744,9 +743,11 @@ def test_bnb_grid_matches_mpmath():
 
 
 # The dense checker the streamed sums replace: each pmf an (x, n) grid built
-# row by row with the same ratio arithmetic, summed over axis 0, its
-# truncation point doubled from 64 until the last 16 term differences of
-# every column are single-signed.
+# row by row with the same ratio arithmetic, its truncation point doubled from
+# 64 until every column has crossed (a - b <= _CROSS_REL a at some x).
+# Inequality 3 is Scheffe's sum, twice the cumsum of a - b before each
+# column's crossing; inequality 4 sums |a - b| over axis 0 and adds the tail
+# difference.
 
 def _dense_count_grid(model, n, total, x_lo, X):
     n = np.asarray(n, dtype=float)
@@ -761,7 +762,7 @@ def _dense_count_grid(model, n, total, x_lo, X):
     else:
         grid[0] = np.exp(_predictive_logpmf(model, n, total, 0.0, x_lo))
     x = np.arange(x0 + 1, X + 1, dtype=float)
-    u = total + x - 1
+    u = total + (x - 1)
     if not bnb:
         num, lag, base = u / x, np.zeros_like(u), model.lam + n
     else:
@@ -774,79 +775,93 @@ def _dense_count_grid(model, n, total, x_lo, X):
     return grid[x_lo - x0:]
 
 
-def _dense_certified_l1(terms):
-    X = 64
-    while X <= 1 << 16:
-        a, b, tail_a, tail_b = terms(X)
-        diff = a - b
-        guard = diff[-16:]
-        if np.all((guard.min(axis=0) >= -1e-280) | (guard.max(axis=0) <= 1e-280)):
-            return np.abs(diff, out=diff).sum(axis=0) + np.abs(tail_a - tail_b), X
-        X *= 2
-    raise RuntimeError("no certified truncation point found")
+def _dense_crossed(a, b):
+    """The (x, n) grid of differences and the columns' crossing mask."""
+    diff = a - b
+    return diff, diff <= _CROSS_REL * a
 
 
 def _dense_l1_history(model, K, n, S):
-    def terms(X):
-        a = _dense_count_grid(model, n, float(S), 0, X)
-        b = _dense_count_grid(model, n, float(S) + model.mass_shift / K, 0, X)
-        return a, b, np.clip(1 - a.sum(axis=0), 0, None), np.clip(1 - b.sum(axis=0), 0, None)
-    return _dense_certified_l1(terms)
+    X = 64
+    while X <= 1 << 16:
+        diff, crossed = _dense_crossed(
+            _dense_count_grid(model, n, float(S), 0, X),
+            _dense_count_grid(model, n, float(S) + model.mass_shift / K, 0, X))
+        if crossed.any(axis=0).all():
+            at = crossed.argmax(axis=0)
+            part = np.vstack([np.zeros(n.size), np.cumsum(diff, axis=0)])
+            return 2.0 * part[at, np.arange(n.size)], int(at.max())
+        X *= 2
+    raise RuntimeError("no crossing found")
 
 
 def _dense_l4_mismatch(model, K, n):
     totals, fresh = total_new_atom_rate(model, n), approx_fresh_mass(model, K, n)
-
-    def terms(X):
+    X = 64
+    while X <= 1 << 16:
         m = _dense_count_grid(model, n, 0.0, 1, X)
         h = _dense_count_grid(model, n, model.mass_shift / K, 1, X)
         h *= K
-        return (m, h, np.clip(totals - m.sum(axis=0), 0, None),
-                np.clip(K * fresh - h.sum(axis=0), 0, None))
-    return _dense_certified_l1(terms)
+        diff, crossed = _dense_crossed(m, h)
+        if crossed.any(axis=0).all():
+            tail_m = np.clip(totals - m.sum(axis=0), 0, None)
+            tail_h = np.clip(K * fresh - h.sum(axis=0), 0, None)
+            return np.abs(diff, out=diff).sum(axis=0) + np.abs(tail_m - tail_h), X
+        X *= 2
+    raise RuntimeError("no certified truncation point found")
 
 
 def _streamed_matches_dense(model, K_set, n, scan):
-    """Compare the streamed and dense sums; returns their truncation points."""
-    xs = []
+    """Compare the streamed and dense sums; returns the inequality-3 crossing
+    points (at n >= 2, as the checker scans histories) and the inequality-4
+    truncation points."""
+    xs3, xs4 = set(), set()
     for S in scan:
-        for K, (l1, X) in zip(K_set, model.l1_history(K_set, n, S)):
-            want, want_X = _dense_l1_history(model, K, n, S)
+        for K, (l1, X) in zip(K_set, model.l1_history(K_set, n[n >= 2], S)):
+            want, want_X = _dense_l1_history(model, K, n[n >= 2], S)
             assert X == want_X and np.array_equal(l1, want), (S, K, X, want_X)
-            xs.append(X)
+            xs3.add(X)
     for K in K_set:
         l4, X = model.l4_mismatch(K, n, total_new_atom_rate(model, n),
                                   approx_fresh_mass(model, K, n))
         want, want_X = _dense_l4_mismatch(model, K, n)
         assert X == want_X and np.array_equal(l4, want), (K, X, want_X)
-        xs.append(X)
-    return xs
+        xs4.add(X)
+    return xs3, xs4
 
 
-@pytest.mark.parametrize("model, K_set, n, scan, want_X", [
+@pytest.mark.parametrize("model, K_set, n, scan, want3, want4", [
     # the benchmark's check-conditions config, every scanned history total
-    (BNB, [10, 100, 1000], np.arange(1, 10_001.0), _HISTORY_SCAN, {64}),
-    # certified at X = 128 for inequality 4 and large history totals: the
-    # sums carry on past 64
-    (gamma_poisson(1.0, 0.01), [10, 1000], np.arange(1, 2001.0), _HISTORY_SCAN, {64, 128}),
-    # pairs of one block certified at different X (K = 1 at 128, the rest at 64)
-    (gamma_poisson(100.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {64, 128}),
-    (gamma_poisson(300.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {64, 128}),
-    (GP, [1, 7, 100], np.arange(1, 301.0), _HISTORY_SCAN, {64, 128}),
-    (BNB_R5, [2, 10], np.array([1.0, 4.0, 9.0, 5000.0]), _HISTORY_SCAN, {64, 128}),
-    (beta_negative_binomial(0.5, 1.5, 0.5), [1, 1000], np.arange(1, 51.0), [1, 13, 50], {64}),
-], ids=["bnb-bench", "gp-128", "gp-mixed", "gp-mixed2", "gp", "bnb-r5", "bnb-r0.5"])
-def test_streamed_sums_match_dense_reference(model, K_set, n, scan, want_X):
-    # the running sums add rows in the order numpy's axis-0 sum adds the
-    # rows of the dense grid, so with two or more columns they are equal
-    assert set(_streamed_matches_dense(model, K_set, n, scan)) == want_X
+    (BNB, [10, 100, 1000], np.arange(1, 10_001.0), _HISTORY_SCAN,
+     {1, 2, 3, 4, 5, 6, 7, 11, 17}, {64}),
+    # late crossings at large history totals
+    (gamma_poisson(1.0, 0.01), [10, 1000], np.arange(1, 2001.0), _HISTORY_SCAN,
+     {1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 32, 50}, {64}),
+    # pairs of one block crossing at different x
+    (gamma_poisson(100.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {46, 47, 50}, {64}),
+    (gamma_poisson(300.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {46, 50, 58}, {64}),
+    (GP, [1, 7, 100], np.arange(1, 301.0), _HISTORY_SCAN, {1, 2, 3, 4, 5, 7, 8, 10, 16, 25}, {64}),
+    (BNB_R5, [2, 10], np.array([1.0, 4.0, 9.0, 5000.0]), _HISTORY_SCAN,
+     {1, 2, 3, 4, 5, 6, 10, 15}, {64}),
+    (beta_negative_binomial(0.5, 1.5, 0.5), [1, 1000], np.arange(1, 51.0), [1, 13, 50],
+     {1, 4, 13}, {64}),
+    # inequality 4 at n = 1 crosses at x = 114, past the first checkpoint
+    (gamma_poisson(1.0, 0.005), [10, 100], np.array([1.0, 2.0, 3.0]), [1, 50], {1, 50}, {128}),
+], ids=["bnb-bench", "gp-late", "gp-mixed", "gp-mixed2", "gp", "bnb-r5", "bnb-r0.5", "gp-l4-128"])
+def test_streamed_sums_match_dense_reference(model, K_set, n, scan, want3, want4):
+    # the partial sums add the differences in x order, as the dense cumsum
+    # does, and the inequality-4 running sums add rows in the order numpy's
+    # axis-0 sum adds the rows of a grid of two or more columns, so both are
+    # equal
+    assert _streamed_matches_dense(model, K_set, n, scan) == (want3, want4)
 
 
 def test_single_column_sums_within_ulps_of_dense():
     # one column: numpy summed the (X, 1) grid pairwise, the stream adds in
     # order.  The named case: beta-NB(2, 3, 2), generic bounds, K = 1, where
     # inequality 4 is evaluated at n = 1 only; its slack was
-    # -2.115950715950717 with the dense sums and moves 5 ulp
+    # -2.115950715950717 with the dense sums and moves 5 ulp.  The
+    # inequality-3 cumsum adds in order for one column too, so it is exact
     model = beta_negative_binomial(2.0, 3.0, 2.0)
     report = check_condition_1(model, generic_condition_bounds(1.0, 1.0, 1.0, 0.0, 1.0), 50, [1])
     (e4,) = [e for e in report["inequalities"] if e["inequality"] == 4]
@@ -860,7 +875,75 @@ def test_single_column_sums_within_ulps_of_dense():
         assert X == want_X and abs(l4[0] - want[0]) <= 8 * np.spacing(want[0])
         ((l1, X),) = model.l1_history([1], n + 1, 3)
         want, want_X = _dense_l1_history(model, 1, n + 1, 3)
-        assert X == want_X and abs(l1[0] - want[0]) <= 8 * np.spacing(want[0])
+        assert X == want_X and np.array_equal(l1, want)
+
+
+def _brute_l1(rows, a, b, j):
+    """sum_x |rows[:, a, j] - rows[:, b, j]| over every stacked row, in
+    exact-rounded summation."""
+    return math.fsum(np.abs(rows[:, a, j] - rows[:, b, j]))
+
+
+def test_mismatch_sum_waits_for_a_late_crossing():
+    # gamma-Poisson(1, 0.005), K = 10, n = 1: M_{1,x} - 10 h~(x | 0) changes
+    # sign at x = 114, past the first checkpoint X = 64, where the last 16
+    # differences already have one sign (a sum certified there reads
+    # 3.6057e-05).  Each step shrinks the terms by about 0.995, so 2^15
+    # stepped terms give the converged value
+    model, K, n = gamma_poisson(1.0, 0.005), 10, np.array([1.0])
+    l4, X = model.l4_mismatch(K, n, total_new_atom_rate(model, n), approx_fresh_mass(model, K, n))
+    rows = _stacked_rows(model, n, [0.0, model.mass_shift / K], 1, 1 << 15)
+    rows[:, 1] *= K
+    brute = _brute_l1(rows, 0, 1, 0)
+    assert X == 128 and abs(l4[0] - brute) <= 1e-13, (l4[0], brute)
+    # with C5 = 3.63e-4 the bound at n = 1 is 3.63e-05: below the sum
+    bounds = generic_condition_bounds(1.0, 0.0, 0.0, 0.0, 3.63e-4)
+    report = check_condition_1(model, bounds, 2, [10])
+    (e4,) = [e for e in report["inequalities"] if e["inequality"] == 4]
+    assert (e4["n_worst"], e4["x_max"], e4["pass"], report["pass"]) == (1, 128, False, False)
+    assert abs(e4["slack"] - (3.63e-4 / K - brute)) <= 1e-13, e4["slack"]
+
+
+@pytest.mark.parametrize("model, K_set, n, scan, X, last_crossing", [
+    # crossing at x = 50
+    (gamma_poisson(1.0, 0.01), [10], np.array([2.0]), [50], 1 << 15, 50),
+    # the benchmark's beta-NB, whose rows have polynomial tails
+    (BNB, [10, 100, 1000], np.array([2.0, 3.0, 10.0, 10_000.0]), _HISTORY_SCAN, 1 << 12, 17),
+], ids=["gp-late", "bnb-bench"])
+def test_history_sum_matches_brute_force(model, K_set, n, scan, X, last_crossing):
+    # Scheffe's sum against |a - b| summed over X stepped terms plus the tail
+    # difference past them (mass 1 each, single-signed past the crossing)
+    crossings = set()
+    for S in scan:
+        totals = [float(S)] + [S + model.mass_shift / K for K in K_set]
+        rows = _stacked_rows(model, n, totals, 0, X)
+        for p, (l1, x_c) in enumerate(model.l1_history(K_set, n, S)):
+            crossings.add(x_c)
+            for j in range(n.size):
+                tails = [1.0 - math.fsum(rows[:, t, j]) for t in (0, p + 1)]
+                brute = _brute_l1(rows, 0, p + 1, j) + abs(tails[0] - tails[1])
+                assert abs(l1[j] - brute) <= 1e-13, (S, K_set[p], n[j], l1[j], brute)
+    assert max(crossings) == last_crossing
+
+
+def test_history_sum_of_unresolvable_shift_is_zero():
+    # a K so large that S + c/K == S: the rows are equal, and the sum is 0 at
+    # crossing point 0.  The whole checker runs there: the beta-NB stepper
+    # must add x - 1 to a total c/K below eps in one rounding, or the row
+    # K h~ is 0 from x = 1 on and never crosses M
+    n, K = np.arange(2, 200.0), 10**20  # past int64 too: K h~ stays a float row
+    for model in (GP, BNB, beta_negative_binomial(0.5, 1.5, 0.5)):
+        assert float(_HISTORY_SCAN[0]) + model.mass_shift / K == _HISTORY_SCAN[0]
+        for S in _HISTORY_SCAN:
+            assert all(X == 0 and not l1.any() for l1, X in model.l1_history([K], n, S))
+        report = check_condition_1(model, model.preset(), 50, [K])
+        e3, e4 = (e for e in report["inequalities"] if "x_max" in e)
+        assert (e3["x_max"], e3["pass"], e4["x_max"]) == (0, True, 64)
+        # shifts of a few ulps end too, where rounding hides the crossing
+        for S in (1, 13, 50):
+            K_ulps = [round(model.mass_shift / (u * np.spacing(float(S)))) for u in (1, 2, 3)]
+            for l1, X in model.l1_history(K_ulps, n, S):
+                assert X < 64 and l1.max() <= 1e-13
 
 
 @pytest.mark.parametrize("n_max, K_set", [(1, [10]), (2.5, [10]), (True, [10]), (50, []),
@@ -875,10 +958,14 @@ def test_condition_report_shape():
     assert {e["inequality"] for e in report["inequalities"]} == {1, 2, 3, 4}
     for e in report["inequalities"]:
         assert set(e) >= {"inequality", "n_worst", "K", "slack", "pass"}
-        # certified truncation points: the doubling loop starts at 64
         assert ("x_max" in e) == (e["inequality"] in (3, 4))
-        if "x_max" in e:
-            assert e["x_max"] >= 64 and e["x_max"] & (e["x_max"] - 1) == 0
+    e3, e4 = (e for e in report["inequalities"] if "x_max" in e)
+    # inequality 3: the largest crossing point over the scanned history totals
+    n3 = np.arange(2, 51.0)
+    crossings = [_dense_l1_history(GP, 10, n3, S)[1] for S in _HISTORY_SCAN]
+    assert e3["x_max"] == max(crossings) >= 1
+    # inequality 4: a certified truncation point; the doubling loop starts at 64
+    assert e4["x_max"] >= 64 and e4["x_max"] & (e4["x_max"] - 1) == 0
     bb = check_condition_1(BB, BB.preset(), 50, [10])
     assert [e["x_max"] for e in bb["inequalities"] if "x_max" in e] == [1, 1]
 
