@@ -19,19 +19,18 @@ the regularized incomplete beta function at one uniform.
 The scan order is fixed ((x, w) jointly, psi, precisions, tau) and every update
 draws through the caller's generator, so a chain is reproducible from its seed.
 The joint block draws each column's x with its w integrated out, then w given x:
-one column scan with the same stationary law as separate x and w scans.
-The (x, w) and psi blocks share the loadings S = x * w and one factor kernel that
-reads each column's residual projection from a cross product and a Gram matrix
-fixed during the block (y psi^T, psi psi^T for (x, w); y^T S, S^T S for psi), so
-no residual is updated per column.  The kernel takes optional leading sample axes:
-a sweep has none, and held-out scoring runs all kept samples (SampleBatch) at once.
+one column scan with the same stationary law as separate x and w scans.  Its
+factor kernel reads each column's residual projection from y psi^T and psi psi^T,
+fixed during the block, and takes optional leading sample axes: a sweep has none,
+held-out scoring runs all kept samples (SampleBatch) at once.  psi is one joint
+Gaussian block: given S = x * w its columns share the precision
+I / psi_scale + gamma_e S^T S, drawn through its Cholesky factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -143,7 +142,8 @@ def init_state(model: LinearGaussianModel, N, rng) -> GibbsState:
     gamma_e = float(np.clip(rng.gamma(model.prec_shape, 1.0 / model.prec_rate), 1e-10, 1e10))
     w = rng.normal(0.0, 1.0 / math.sqrt(gamma_w), size=(N, model.K))
     x = (rng.random((N, model.K)) < tau).astype(np.int8)
-    return GibbsState(tau, psi, x, w, gamma_w, gamma_e, model.prior)
+    # column-contiguous: the sweep writes x and w one column at a time and counts x by column
+    return GibbsState(tau, psi, _by_column(x), _by_column(w), gamma_w, gamma_e, model.prior)
 
 
 def sample_data(state: GibbsState, rng) -> np.ndarray:
@@ -186,12 +186,12 @@ def sample_truncated_beta(a, b, lo, hi, rng):
     return min(max(draw, lo), hi), False
 
 
-def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel):
-    """(shape1, shape2, lo, hi) of the k-th truncated-beta conditional;
-    boundary conventions tau_0 = 1, tau_{K+1} = 0."""
+def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel, m_k=None):
+    """(shape1, shape2, lo, hi) of the k-th truncated-beta conditional; boundary conventions
+    tau_0 = 1, tau_{K+1} = 0.  m_k, column k's active rows, is counted when not given."""
     K = state.tau.size
     N = state.x.shape[0]
-    m_k = int(state.x[:, k].sum())
+    m_k = int(state.x[:, k].sum()) if m_k is None else m_k
     shape1 = (model.gamma if k == K - 1 else 0.0) + m_k
     shape2 = N - m_k + 1.0
     hi = 1.0 if k == 0 else float(state.tau[k - 1])
@@ -199,30 +199,37 @@ def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel)
     return shape1, shape2, lo, hi
 
 
-def _sample_trunc_log_density(shape2, lo, hi, rng):
-    """Exact draw from density ~ tau^-1 (1-tau)^(shape2-1) on [lo, hi], the
-    shape1 = 0 limit: a log-uniform proposal accepts with the (1-tau) factor."""
-    base = math.log1p(-lo) * (shape2 - 1)
-    ratio = math.log(hi / lo)
-    for _ in range(200):
-        cand = lo * math.exp(rng.random() * ratio)
-        if math.log(rng.random()) <= (shape2 - 1) * math.log1p(-cand) - base:
-            return cand, False
-    return lo, True  # acceptance starved; the mass sits at the lower endpoint
+def _sample_trunc_log_density(s, lo, hi, rng):
+    """Exact draw from density ~ tau^-1 (1-tau)^(s-1) on [lo, hi], 0 < lo, the shape1 = 0 limit,
+    by rejection from a log-uniform proposal, accepted with prob. ((1-tau) / (1-lo))^(s-1), or
+    from ~ (1-tau)^(s-1), by inversion, accepted with prob. lo / tau.  Their acceptance rates
+    stand in the ratio M / (lo log(hi/lo)), M = int_lo^hi ((1-t) / (1-lo))^(s-1) dt, so the
+    better one is taken (rate >= 0.2 on a grid of s to 1e5, lo from 1e-300 to 0.999)."""
+    log_ratio, log_lo = math.log(hi / lo), math.log1p(-lo)
+    # span = 1 - ((1-hi) / (1-lo))^s, so M = (1-lo) span / s
+    span = -math.expm1(s * ((math.log1p(-hi) if hi < 1.0 else -math.inf) - log_lo))
+    if (1.0 - lo) * span / s >= lo * log_ratio:
+        while True:
+            cand = min(lo * math.exp(rng.random() * log_ratio), hi)
+            if cand < 1.0 and rng.random() < math.exp((s - 1) * (math.log1p(-cand) - log_lo)):
+                return cand
+    while True:
+        cand = -math.expm1(log_lo + math.log1p(-rng.random() * span) / s)
+        cand = min(max(cand, lo), hi)
+        if rng.random() * cand < lo:
+            return cand
 
 
-def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel, rng):
+def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel, rng, m_k=None):
     """Draw tau_k from its interval-truncated beta conditional and write it
     back; preserves the ordering invariant by construction."""
-    shape1, shape2, lo, hi = tfa_tau_conditional_params(state, k, model)
-    if shape1 <= 0:
-        # an unused atom before the last one: exponent -1, beta machinery
-        # does not apply, but the truncated density is proper for lo > 0
-        draw, degenerate = _sample_trunc_log_density(shape2, max(lo, 1e-300), hi, rng)
-    else:
+    shape1, shape2, lo, hi = tfa_tau_conditional_params(state, k, model, m_k)
+    if shape1 > 0:
         draw, degenerate = sample_truncated_beta(shape1, shape2, lo, hi, rng)
-    if degenerate:
-        state.degenerate_draws += 1
+        state.degenerate_draws += degenerate
+    else:  # an unused atom before the last one: exponent -1, beta machinery does
+        # not apply, but the truncated density is proper for lo > 0
+        draw = _sample_trunc_log_density(shape2, max(lo, 1e-300), hi, rng)
     state.tau[k] = min(max(draw, 1e-300), 1.0 - 1e-16)
     return state.tau[k]
 
@@ -241,27 +248,27 @@ def _draw_xw(state, logit, gram):
     with w[..., k] integrated out, then w[..., k] given x[..., k].  With b = gamma_e proj and
     lam = gamma_w + gamma_e gram[k, k], the matrix-determinant lemma and Sherman-Morrison
     give the exact collapsed log odds logit tau_k + log(gamma_w / lam) / 2 + b^2 / (2 lam);
-    then w ~ N(b / lam, 1 / lam) where x = 1 and its prior N(0, 1 / gamma_w) where x = 0.
-    The per-column scalars depend only on gram's diagonal, so they are computed once."""
+    x = 1 where its uniform u < expit(odds), tested as u exp(-odds) < 1 - u with one exp (an
+    exp that overflows to inf sets x = 0, where P(x = 1) < 1e-300).  Then w ~ N(b / lam, 1 / lam)
+    where x = 1 and its prior N(0, 1 / gamma_w) where x = 0.  The per-column scalars depend
+    only on gram's diagonal, so they are computed once: floats in a sweep, (..., 1) columns
+    with sample axes."""
     inv_lam = 1.0 / (state.gamma_w + state.gamma_e * np.diagonal(gram, axis1=-2, axis2=-1))
-    base = logit + 0.5 * np.log(state.gamma_w * inv_lam)
-    sd, prior_sd = np.sqrt(inv_lam), np.sqrt(state.gamma_w)
+    cols = np.moveaxis(np.stack([-logit - 0.5 * np.log(state.gamma_w * inv_lam),
+                                 -0.5 * state.gamma_e**2 * inv_lam, state.gamma_e * inv_lam,
+                                 np.sqrt(inv_lam)]), -1, 0)  # (K, 4, ...)
+    cols = cols.tolist() if cols.ndim == 2 else cols[..., None]
+    prior_sd = np.sqrt(state.gamma_w)
 
     def draw(k, proj, _psi_sq, rng):
-        b = state.gamma_e * proj
-        mean = b * inv_lam[..., k, None]
-        x = rng.random(proj.shape) < special.expit(base[..., k, None] + 0.5 * b * mean)
+        neg_base, neg_odds, to_mean, sd = cols[k]
+        u = rng.random(proj.shape)
+        x = u * np.exp(proj * proj * neg_odds + neg_base) < 1.0 - u
         z = rng.normal(size=proj.shape)
-        w = np.where(x, mean + z * sd[..., k, None], z / prior_sd)
-        state.x[..., k], state.w[..., k] = x, w
+        w = proj * to_mean + z * sd
+        state.x[..., k], state.w[..., k] = x, np.where(x, w, z / prior_sd)
         return x * w
     return draw
-
-
-def _draw_psi(state, psi_scale, k, proj, s_sq, rng):
-    """Gaussian update of psi_k given the loadings s = x[:, k] w[:, k]; sweep only."""
-    prec = 1.0 / psi_scale + state.gamma_e * s_sq.item()
-    return state.gamma_e * proj / prec + rng.normal(size=proj.size) / math.sqrt(prec)
 
 
 def _by_column(a):
@@ -272,12 +279,23 @@ def _by_column(a):
 def _scan_factors(P, left, gram, draw, rng):
     """Redraw each left[..., k] by draw(k, proj, gram[..., k, k], rng) with proj = P[..., k] -
     sum_{j != k} left[..., j] gram[..., j, k] on the current left: for P = y r^T and gram =
-    r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  (x, w) runs on
-    (y psi^T, S, psi psi^T), psi on (y^T S, psi^T, S^T S).  Leading axes index samples."""
+    r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  The (x, w) block
+    runs on (y psi^T, S, psi psi^T), in the sweep and in held-out imputation; psi is drawn
+    as one joint block (_update_psi).  Leading axes index samples."""
     cross = gram * (1.0 - np.eye(gram.shape[-1]))
-    for k in range(gram.shape[-1]):
-        proj = P[..., k] - (left @ cross[..., :, k, None])[..., 0]
-        left[..., k] = draw(k, proj, gram[..., k, k, None], rng)
+    with np.errstate(over="ignore"):  # _draw_xw's exp(-log odds) where x = 1 is hopeless
+        for k in range(gram.shape[-1]):
+            proj = P[..., k] - (left @ cross[..., :, k, None])[..., 0]
+            left[..., k] = draw(k, proj, gram[..., k, k, None], rng)
+
+
+def _update_psi(state, S, y, psi_scale, rng):
+    """psi | S = x * w, y, one exact joint draw.  The columns psi[:, d] are independent with
+    precision Lam = I / psi_scale + gamma_e S^T S = L L^T and mean Lam^-1 gamma_e S^T y[:, d],
+    so psi = L^-T (L^-1 gamma_e S^T y + Z), with Z (K, D) from one standard-normal call."""
+    L = np.linalg.cholesky(np.eye(S.shape[1]) / psi_scale + state.gamma_e * (S.T @ S))
+    state.psi = np.linalg.solve(L.T, np.linalg.solve(L, state.gamma_e * (S.T @ y))
+                                + rng.normal(size=state.psi.shape))
 
 
 def _update_precisions(state, E, model, rng):
@@ -288,13 +306,13 @@ def _update_precisions(state, E, model, rng):
 
 
 def _update_tau(state, model, rng):
-    n = state.x.shape[0]
+    m = state.x.sum(axis=0)  # active rows per column
     if state.prior == "aifa":
-        a, b = aifa_tau_conditional(state.x.sum(axis=0), n, model)
+        a, b = aifa_tau_conditional(m, state.x.shape[0], model)
         state.tau = np.clip(rng.beta(a, b), 1e-300, 1.0 - 1e-16)
     else:
-        for k in range(model.K):
-            tfa_tau_conditional_sample(state, k, model, rng)
+        for k, m_k in enumerate(m.tolist()):
+            tfa_tau_conditional_sample(state, k, model, rng, m_k)
 
 
 _BLANKETS = {
@@ -317,8 +335,8 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
     y = np.asarray(y, dtype=float)
     if y.shape != (state.x.shape[0], model.D):
         raise ValueError(f"data shape {y.shape} does not match state/model")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(state.w))
-            and np.all(np.isfinite(state.psi))):
+    if not (np.isfinite(y).all() and np.isfinite(state.w).all()
+            and np.isfinite(state.psi).all()):
         raise RuntimeError("non-finite values entering the sweep (y, w, or psi)")
 
     def guarded(name, fn):
@@ -336,14 +354,13 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
     S = _by_column(state.x * state.w)
     P, G = (state.psi @ y.T).T, state.psi @ state.psi.T  # psi is fixed through (x, w)
     guarded("xw", lambda: _scan_factors(P, S, G, _draw_xw(state, _logit(state.tau), G), rng))
-    guarded("psi", lambda: _scan_factors((S.T @ y).T, state.psi.T, S.T @ S,
-                                         partial(_draw_psi, state, model.psi_scale), rng))
+    guarded("psi", lambda: _update_psi(state, S, y, model.psi_scale, rng))
     guarded("precisions", lambda: _update_precisions(state, y - S @ state.psi, model, rng))
     guarded("tau", lambda: _update_tau(state, model, rng))
 
     for name, value in (("tau", state.tau), ("psi", state.psi), ("w", state.w),
                         ("gamma_w", state.gamma_w), ("gamma_e", state.gamma_e)):
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise RuntimeError(f"non-finite values in {name} after sweep")
     if state.prior == "bondesson_tfa" and np.any(np.diff(state.tau) > 0):
         raise RuntimeError("truncation-prior ordering invariant violated")
@@ -379,7 +396,8 @@ def joint_log_density_terms(state: GibbsState, y, model: LinearGaussianModel) ->
                    - 0.5 * state.psi.size * math.log(2 * math.pi * model.psi_scale))
     lp_w = float(-0.5 * state.gamma_w * (state.w**2).sum()
                  + 0.5 * state.w.size * (math.log(state.gamma_w) - math.log(2 * math.pi)))
-    lp_x = float(np.sum(state.x * np.log(state.tau) + (1 - state.x) * np.log1p(-state.tau)))
+    m = state.x.sum(axis=0)
+    lp_x = float(np.sum(m * np.log(state.tau) + (n - m) * np.log1p(-state.tau)))
     lp_prec = (_gamma_logpdf(state.gamma_w, model.prec_shape, model.prec_rate)
                + _gamma_logpdf(state.gamma_e, model.prec_shape, model.prec_rate))
     resid = np.asarray(y, dtype=float) - state.reconstruction

@@ -534,7 +534,8 @@ def _golden_digests(tmp_path):
 # The gibbs chain and state files were re-pinned when the factor kernel came
 # to read projections from Gram matrices: same random stream, same x, floats
 # moved in the last bits.  All six gibbs files were re-pinned again when the
-# separate x and w scans became one joint (x, w) block, which draws a new stream.
+# separate x and w scans became one joint (x, w) block, which draws a new stream,
+# and once more when psi became one joint Gaussian draw in place of a column scan.
 # The gamma-Poisson and beta-NB check-conditions reports were re-pinned when
 # the history sums came to end at each round's sign change (Scheffe's sum):
 # inequality 3's x_max went from the truncation point 64 to the largest
@@ -578,12 +579,12 @@ _GOLDEN_DIGESTS = {
         "summary.json": "4beacce229f0052320d356cab27e8345bd4c69a1aecded79f1b7224ffdb20f8e",
     },
     "gibbs": {
-        "chain.csv": "972ba43bbda1323b85379b85cb290201061fec8cbae3578206abff600de76f1e",
-        "chain_0000.csv": "41c17115a195d932b6da9c06c1b764e55372f066cdfa34d80e94d9f24c6257b9",
-        "chain_0001.csv": "ad76b324ffe4e0d04dae187a550352c4444ed0778ff91f43f847f0293c8dd01b",
-        "state_0000.json": "5c2af32d55371179d023850432d2ec4033aa1ef59f5d53c407482c715eeebd1f",
-        "state_0001.json": "161f294b2bda33c5b289b45d3c1f4dfd23eeb222daef9853cee4f7120c5cc3c1",
-        "summary.json": "4c249d00e22e67ee21fd47af93dc58625c9e9ea541378f6b708bfd933adde35e",
+        "chain.csv": "02a782f781c079b5442e7ae09d016ec38da68241c7fe1abcbc5af3b1c93c2918",
+        "chain_0000.csv": "d27c77318d31bb420143783fe6a760d1f7fcf868d7ef80d3150700baf9e48596",
+        "chain_0001.csv": "f31d38415f007d47c08086feee6ea3a6177e2d46a52ac879a8f36e9f9b2f9194",
+        "state_0000.json": "0ab7deeef6732e489aae26d35390c7c1cdb9acf16cf20d07b0fe5f281f260f7f",
+        "state_0001.json": "b4e171b31e3c53d72b713bdcabccf6b57cb4f977d34c26641b1e4bf71b95c47f",
+        "summary.json": "8040c035a308fd72cdfdcd277faa73d0576c7a49029c0a9f7615d265a64f59c4",
     },
     "compare": {
         "compare.csv": "42d6cf6ca9eb02593d22c20fb3013e997452c7e467b2923a08800a4866bb5512",

@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -177,6 +176,31 @@ def test_tfa_conditional_sampling_stays_ordered():
             assert lo <= state.tau[k] <= hi
 
 
+@pytest.mark.parametrize("s, lo, hi", [(501.0, 0.3, 0.9), (50.0, 0.01, 0.5), (20.0, 1e-3, 0.3)],
+                         ids=["starved log-uniform", "inverted proposal", "log-uniform proposal"])
+def test_tfa_unused_atom_draw_is_exact(s, lo, hi):
+    # an unused atom before the last one has density ~ tau^-1 (1-tau)^(s-1) on
+    # [tau_{k+1}, tau_{k-1}].  At s = 501 on [0.3, 0.9] the mass sits within a few
+    # 1/500 of lo, where a log-uniform proposal starves; the sampler never gives up
+    # and flags nothing.  Each case's draws pass a KS test against the quadrature
+    # CDF at p = 1e-3 / 3 (family-wise 1e-3 over the three cases; the seed is fixed)
+    from scipy import stats
+    m = LinearGaussianModel(D=2, gamma=1.0, alpha=1.0, K=3, prior="bondesson_tfa")
+    state = init_state(m, int(s) - 1, derive_rng(75, 0))
+    state.tau[:] = (hi, 0.5 * (lo + hi), lo)
+    state.x[:, 1] = 0
+    assert tfa_tau_conditional_params(state, 1, m) == (0.0, s, lo, hi)
+    rng = derive_rng(75, 1)
+    draws = np.sort([tfa_tau_conditional_sample(state, 1, m, rng) for _ in range(10_000)])
+    assert state.degenerate_draws == 0 and lo <= draws[0] and draws[-1] <= hi
+    log_lo = math.log1p(-lo)
+    f = lambda t: math.exp((s - 1) * (math.log1p(-t) - log_lo)) / t
+    knots = np.concatenate([[lo], draws, [hi]])
+    pieces = [integrate.quad(f, a, b, epsabs=0)[0] for a, b in zip(knots[:-1], knots[1:])]
+    cdf = np.cumsum(pieces) / sum(pieces)
+    assert stats.kstest(draws, lambda t: np.interp(t, draws, cdf[:-1])).pvalue > 1e-3 / 3
+
+
 def test_tfa_requires_alpha_one():
     with pytest.raises(ValueError, match="alpha = 1"):
         LinearGaussianModel(D=2, gamma=1.0, alpha=2.0, K=3, prior="bondesson_tfa")
@@ -194,7 +218,7 @@ def test_zero_feature_state_reduces_to_priors():
     state = init_state(MODEL, 10, rng1)
     state.x[:] = 0
     y = sample_data(state, derive_rng(56, 1))
-    from crmfinite.inference import _by_column, _draw_psi, _draw_xw, _logit, _scan_factors
+    from crmfinite.inference import _by_column, _draw_xw, _logit, _scan_factors, _update_psi
     probe = derive_rng(56, 2)
     st = copy.deepcopy(state)
     G = st.psi @ st.psi.T
@@ -209,16 +233,12 @@ def test_zero_feature_state_reduces_to_priors():
         np.testing.assert_array_equal(st.w[rows, k], z[rows] / np.sqrt(st.gamma_w))
         off += rows.sum()
     assert off > 0
-    probe2 = derive_rng(56, 3)
+    # the joint psi block with S = 0 has precision I / psi_scale: psi is its (K, D)
+    # normal call scaled by sqrt(psi_scale), to rounding of the triangular solves
     st2 = copy.deepcopy(state)
-    S = _by_column(st2.x * st2.w)
-    _scan_factors((S.T @ y).T, st2.psi.T, S.T @ S,
-                  partial(_draw_psi, st2, MODEL.psi_scale), probe2)
-    ref2 = derive_rng(56, 3)
-    expected_psi = np.stack(
-        [0.0 + ref2.normal(size=MODEL.D) / math.sqrt(1.0 / MODEL.psi_scale)
-         for _ in range(MODEL.K)])
-    np.testing.assert_array_equal(st2.psi, expected_psi)
+    _update_psi(st2, _by_column(st2.x * st2.w), y, MODEL.psi_scale, derive_rng(56, 3))
+    expected_psi = derive_rng(56, 3).normal(size=(MODEL.K, MODEL.D)) * math.sqrt(MODEL.psi_scale)
+    np.testing.assert_allclose(st2.psi, expected_psi, rtol=4 * np.finfo(float).eps, atol=0)
 
 
 class _Fixed:
@@ -259,11 +279,42 @@ def test_joint_block_activation_is_the_collapsed_posterior():
         assert st.x[0, 0] == expected, (u, p)
 
 
+class _Eye:
+    """A generator stub whose (K, K) block of standard normals is the identity."""
+
+    @staticmethod
+    def normal(size=None):
+        return np.eye(*size)
+
+
+def test_psi_block_is_the_joint_gaussian_posterior():
+    # with Lam = I / psi_scale + gamma_e S^T S = L L^T the block draws
+    # psi = L^-T (L^-1 gamma_e S^T y + Z).  Normals Z = 0 leave the mean Lam^-1 gamma_e S^T y;
+    # with y = 0 and Z = I (D = K) the draw is L^-T itself, so psi psi^T = Lam^-1, the
+    # posterior covariance of each column psi[:, d].  Both match explicit inverses to rounding
+    from crmfinite.inference import _by_column, _update_psi
+    model = dataclasses.replace(MODEL, D=MODEL.K)
+    state = init_state(model, 30, derive_rng(76, 0))
+    y = sample_data(state, derive_rng(76, 1))
+    S = _by_column(state.x * state.w)
+    prec = np.eye(model.K) / model.psi_scale + state.gamma_e * (S.T @ S)
+    _update_psi(state, S, y, model.psi_scale, _Fixed(0.5))
+    mean = np.linalg.inv(prec) @ (state.gamma_e * (S.T @ y))
+    np.testing.assert_allclose(state.psi, mean, rtol=1e-12, atol=0)
+    _update_psi(state, S, np.zeros_like(y), model.psi_scale, _Eye())
+    assert np.all(np.tril(state.psi, -1) == 0)  # L^-T is upper triangular
+    np.testing.assert_allclose(state.psi @ state.psi.T, np.linalg.inv(prec),
+                               rtol=1e-12, atol=1e-15 * np.abs(np.linalg.inv(prec)).max())
+
+
 def _reference_sweep(state, y, model, rng):
-    """Reference: the (x, w), psi and precision blocks as separate loops that
-    rebuild the residual from the reconstruction at every column, then tau.
-    The (x, w) step draws x from its odds with w integrated out, by the
-    marginal of the residual r = w psi_k + noise, then w given x."""
+    """Reference: the (x, w) block as a loop that rebuilds the residual from the
+    reconstruction at every column, psi as one joint draw by explicit inverses,
+    then the precisions and tau.  The (x, w) step draws x from its odds with w
+    integrated out, by the marginal of the residual r = w psi_k + noise, then w
+    given x.  psi has precision Lam = I / psi_scale + gamma_e S^T S and mean
+    Lam^-1 gamma_e S^T y, and its noise maps the (K, D) normals through the
+    inverse transpose of Lam's Cholesky factor, as the sweep does."""
     recon = state.reconstruction
     logit_tau = np.log(state.tau) - np.log1p(-state.tau)
     for k in range(model.K):
@@ -280,14 +331,12 @@ def _reference_sweep(state, y, model, rng):
                                  z / math.sqrt(state.gamma_w))
         state.x[:, k] = new
         recon += np.outer(new * state.w[:, k], state.psi[k]) - contrib
-    for k in range(model.K):
-        contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
-        resid = y - (recon - contrib)
-        s = state.x[:, k] * state.w[:, k]
-        prec = 1.0 / model.psi_scale + state.gamma_e * float(s @ s)
-        mean = state.gamma_e * (s @ resid) / prec
-        state.psi[k] = mean + rng.normal(size=model.D) / math.sqrt(prec)
-        recon += np.outer(s, state.psi[k]) - contrib
+    s = state.x * state.w
+    prec = np.eye(model.K) / model.psi_scale + state.gamma_e * (s.T @ s)
+    mean = np.linalg.inv(prec) @ (state.gamma_e * (s.T @ y))
+    noise = np.linalg.inv(np.linalg.cholesky(prec)).T @ rng.normal(size=(model.K, model.D))
+    state.psi = mean + noise
+    recon = s @ state.psi
     n, d = y.shape
     state.gamma_w = rng.gamma(model.prec_shape + 0.5 * n * model.K,
                               1.0 / (model.prec_rate + 0.5 * float((state.w**2).sum())))
@@ -400,6 +449,21 @@ def test_sweep_rejects_a_state_of_the_other_prior(drawn, swept):
     state = init_state(drawn, 5, derive_rng(0, 3))
     with pytest.raises(ValueError, match=f"drawn under prior '{drawn.prior}'"):
         gibbs_sweep(state, np.zeros((5, MODEL.D)), swept, derive_rng(0, 4))
+
+
+def test_lp_x_from_column_counts_matches_elementwise_sum():
+    # lp_x = sum_k m_k log tau_k + (N - m_k) log(1 - tau_k) from the column counts m
+    # equals the sum over all N K Bernoulli terms to rounding
+    for model in (MODEL, TFA_MODEL):
+        state = init_state(model, 200, derive_rng(77, 0))
+        y = sample_data(state, derive_rng(77, 1))
+        rng = derive_rng(77, 2)
+        for _ in range(3):
+            state = gibbs_sweep(state, y, model, rng)
+            elementwise = np.sum(state.x * np.log(state.tau)
+                                 + (1 - state.x) * np.log1p(-state.tau))
+            lp_x = joint_log_density_terms(state, y, model)["lp_x"]
+            assert lp_x == pytest.approx(elementwise, rel=1e-12, abs=0)
 
 
 def test_label_permutation_invariance():
