@@ -18,15 +18,18 @@ Z_K and the sampling tables come from piecewise quadrature: the support is
 split at the indicator knots a/K and a/K + b_K, pieces are transformed
 (theta = e^t in the body, power substitutions at singular endpoints) and
 integrated by adaptive Gauss-Legendre to 1e-10 absolute on the transformed
-scale.  Numeric sampling combines exact power-law draws on the singular
-head (and, for the beta family, the right edge) with a monotone-cubic
-inverse-CDF table on 4096 log-spaced knots for the body; the sampler is
-checked once per configuration against nu_K's exact CDF over those pieces.
-The end-piece sampler takes two shortcuts that change no draw: a proposal
-bound for the 1e-300 floor has its exponent cut before exp (slow where it
-underflows), and on the head, whose weight g^(eps-d) h is monotone for all
-four families, a uniform below the weight's minimum accepts without
-evaluating the weight.
+scale.  Numeric sampling picks one of four pieces per draw: the point mass
+at the 1e-300 floor where atom sizes are clamped (the head's mass on
+(0, 1e-300], a share that grows with K), exact power-law draws on the
+singular head above the floor (and, for the beta family, the right edge),
+and a monotone-cubic inverse-CDF table on 4096 log-spaced knots for the
+body.  The sampler is checked once per configuration against nu_K's exact
+CDF over the head, body and edge.  The end-piece sampler takes two shortcuts
+that change no draw: an edge proposal bound for the floor has its exponent
+cut before exp (slow where it underflows; head proposals start above the
+floor), and on the head, whose weight g^(eps-d) h is monotone for all four
+families, a uniform below the weight's minimum accepts without evaluating
+the weight.
 
 Each kind is one ``WeightDistribution`` class: ``AifaConfig`` itself for the
 numeric law, and a frozen class built by its constructor (``aifa_closed_form``,
@@ -171,7 +174,7 @@ class AifaConfig(WeightDistribution):
             body_hi = m1  # head swallowed the whole support (K <= a)
         else:
             body_hi = self._unbounded_right_end(m1, m2)
-        head = _EndPiece(m1, self.eps, self._head_weight, monotone=True)
+        head = _EndPiece(m1, self.eps, self._head_weight, monotone=True, lo=_WEIGHT_FLOOR)
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
         # knot m2 inserted, a bounded support refined toward its right edge.
@@ -184,7 +187,8 @@ class AifaConfig(WeightDistribution):
         edge_mass = 0.0 if edge is None else edge.mass
         total = head.mass + (0.0 if inverse is None else inverse.mass) + edge_mass
         self._tables = {"head": head, "edge": edge, "inverse": inverse, "log_z": math.log(total),
-                        "head_p": head.mass / total, "edge_p": edge_mass / total}
+                        "head_p": head.mass / total, "edge_p": edge_mass / total,
+                        "floor_p": head.lo_mass / total}
         return self._tables
 
     def _body_knots(self, m1, m2, body_hi):
@@ -248,26 +252,27 @@ class AifaConfig(WeightDistribution):
         return np.maximum(self.sample(R * self.K, rng).reshape(R, self.K), _WEIGHT_FLOOR)
 
     def _draw(self, n, rng):
-        """Pick a piece per draw by one uniform, then fill head, edge and
-        body (through the inverse-CDF table) in that order."""
+        """Pick a piece per draw by one uniform u: the floor's point mass at
+        1e-300 for u < floor_p (no further draw), the head above the floor for
+        u < head_p, the edge for u >= 1 - edge_p and the body, through the
+        inverse-CDF table, between; head, edge and body are filled in turn."""
         t = self._build()
         u = rng.random(n)
-        head_p, edge_p = t["head_p"], t["edge_p"]
-        is_head = u < head_p
-        is_edge = u >= 1.0 - edge_p if edge_p > 0 else np.zeros(n, dtype=bool)
-        is_body = ~is_head & ~is_edge
-        if t["inverse"] is None:
-            # no body piece; stray u in the rounding crack goes to the head
-            is_head |= is_body
-            is_body[:] = False
-        out = np.empty(n)
-        if is_head.any():
-            out[is_head] = t["head"].sample(int(is_head.sum()), rng)
-        if is_edge.any():
-            out[is_edge] = 1.0 - t["edge"].sample(int(is_edge.sum()), rng)
-        if is_body.any():
-            q = np.clip((u[is_body] - head_p) / max(1.0 - head_p - edge_p, 1e-300), 0.0, 1.0)
-            out[is_body] = t["inverse"](q)
+        head_p, edge_p, inverse = t["head_p"], t["edge_p"], t["inverse"]
+        out = np.full(n, _WEIGHT_FLOOR)
+        # no body piece: stray u in the rounding crack goes to the head
+        below_body = u < (head_p if inverse is not None else 1.0 - edge_p)
+        head = np.flatnonzero(below_body & (u >= t["floor_p"]))
+        is_edge = u >= 1.0 - edge_p if edge_p > 0 else None
+        if head.size:
+            out[head] = t["head"].sample(head.size, rng)
+        if is_edge is not None and (m := np.count_nonzero(is_edge)):
+            out[is_edge] = 1.0 - t["edge"].sample(m, rng)
+        if inverse is not None:
+            body = np.flatnonzero(~below_body if is_edge is None else ~(below_body | is_edge))
+            if body.size:
+                q = np.clip((u[body] - head_p) / max(1.0 - head_p - edge_p, 1e-300), 0.0, 1.0)
+                out[body] = inverse(q)
         return out
 
     def _cdf(self, theta):
@@ -318,18 +323,27 @@ class _EndPiece:
     substitution u = (v/scale)^power, which removes the singularity, and
     weight's sup from a 128-point log grid.
 
+    ``sample`` draws from the piece above ``lo`` (the 1e-300 floor on the
+    head, 0 on the edge), with u uniform on [c, 1), c = (lo/scale)^power.
+    ``mass`` covers all of (0, scale] and ``lo_mass`` (0, lo], by the same
+    adaptive rule on u in [0, 1] and [0, c].
+
     A ``monotone`` weight (the head's g^(eps-d) h, for every family) has its
     inf at an end of [_WEIGHT_FLOOR, scale]; ``inf`` is that minimum shrunk by
     1e-12 to cover rounding, and -inf otherwise.  ``sample`` accepts a proposal
     whose scaled uniform is <= inf without evaluating weight, and cuts the
     exponent of a proposal bound for the floor before exp (which is slow
-    where it underflows); neither changes a draw.
+    where it underflows; head proposals start at u = c, so it serves the
+    edge); neither changes a draw.
     """
 
-    def __init__(self, scale, power, weight, monotone=False):
+    def __init__(self, scale, power, weight, monotone=False, lo=0.0):
         self.scale, self.power, self.weight = scale, power, weight
         self._weight_of_u = lambda u: weight(scale * _pow_safe(u, 1.0 / power))
         self.mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, 1.0, _QUAD_TOL)
+        self.c = math.exp(power * (math.log(lo) - math.log(scale))) if lo > 0 else 0.0
+        self.lo_mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, self.c,
+                                                               _QUAD_TOL)
         grid = scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
         self.sup = float(weight(grid).max()) * (1.0 + 1e-9)
         ends = np.array([_WEIGHT_FLOOR, scale])
@@ -346,13 +360,19 @@ class _EndPiece:
         return (self.scale**self.power / self.power) * np.cumsum(steps)
 
     def sample(self, n, rng):
-        """n draws of v: exact power-law proposals v = scale U^(1/power),
-        clamped to _WEIGHT_FLOOR and accepted with probability weight(v)/sup."""
+        """n draws of v above lo: exact power-law proposals v = scale U'^(1/power)
+        with U' = c + (1 - c) U, clamped to _WEIGHT_FLOOR and accepted with
+        probability weight(v)/sup.  U' is formed as 1 - (1 - c)(1 - U), which
+        is U itself, bit for bit, wherever 1 - c rounds to 1."""
         rounds, filled = [], 0
         with np.errstate(under="ignore", divide="ignore"):  # log 0 = -inf ends at the floor
             while filled < n:
                 m = n - filled
-                v = np.log(rng.random(m))
+                v = rng.random(m)
+                v -= 1.0
+                v *= 1.0 - self.c
+                v += 1.0
+                np.log(v, out=v)
                 v *= 1.0 / self.power
                 np.maximum(v, self._log_cut, out=v)
                 np.exp(v, out=v)

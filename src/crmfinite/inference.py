@@ -264,7 +264,7 @@ def _draw_xw(state, logit, gram):
         neg_base, neg_odds, to_mean, sd = cols[k]
         u = rng.random(proj.shape)
         x = u * np.exp(proj * proj * neg_odds + neg_base) < 1.0 - u
-        z = rng.normal(size=proj.shape)
+        z = rng.standard_normal(proj.shape)
         w = proj * to_mean + z * sd
         state.x[..., k], state.w[..., k] = x, np.where(x, w, z / prior_sd)
         return x * w
@@ -295,7 +295,7 @@ def _update_psi(state, S, y, psi_scale, rng):
     so psi = L^-T (L^-1 gamma_e S^T y + Z), with Z (K, D) from one standard-normal call."""
     L = np.linalg.cholesky(np.eye(S.shape[1]) / psi_scale + state.gamma_e * (S.T @ S))
     state.psi = np.linalg.solve(L.T, np.linalg.solve(L, state.gamma_e * (S.T @ y))
-                                + rng.normal(size=state.psi.shape))
+                                + rng.standard_normal(state.psi.shape))
 
 
 def _update_precisions(state, E, model, rng):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -387,51 +388,52 @@ _SAMPLE_DIGESTS = [
      "dc96b45dea73547fb8fd549809813c07cec8c652278a56b9334e7c186a8eb3b8"),
     ("beta_stick_breaking", lambda: beta_stick_breaking(1.5, 2.0, 6),
      "09fb8a688ebdbfac041ff1b6b175e5cbeea4bffbd0183345cb3b33e9b88db875"),
-    # where head proposals fall below the 1e-300 floor (26-96% of the draws
+    # where much of the law lies on the 1e-300 floor (26-96% of the draws
     # sit on it): BP(2, 0, 0.6) at K = 10^3 and 10^4 over a in {0.1, 1} and
     # both width rules, d > 0 gamma and beta-prime laws at K = 10^3; and heads
-    # of scale 5000 and 10^8, where the exponent cut log(1e-300/scale) - 1 is
-    # -700.3 and -710.2 (exp of the latter is subnormal; about half of the
-    # generalized gamma's draws end at the floor, under 1% of the
-    # beta-prime's).  Pinned before the head sampler's exponent cut and
-    # squeeze, which leave every draw as it was.
+    # of scale 5000 and 10^8, where the floor is 2e-304 and a subnormal 1e-308
+    # of the scale (about half of the generalized gamma's draws end at the
+    # floor, under 1% of the beta-prime's).  Re-pinned when the floor became
+    # its own piece: a floor draw takes one uniform, and the head proposes
+    # only above the floor, so these streams moved; the cases above, where
+    # 1 - c rounds to 1, kept every bit.
     ("BP-K1000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/K"),
-     "2d1db65f41c06bb2d2e10e66df2b635fb1f9b7737894ea80ec849a86fe56c1e8"),
+     "34c80005e8d256a6f3e6462fc189322a2df3e66c0965cbbae5e90471e695a1b3"),
     ("BP-K1000-a0.1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/sqrt(K)"),
-     "a3e75475bf3f7548831187628969b8bc79a4964d1ebf60c1225bf2ee66226ab1"),
+     "2ba7bc9ea513e0ee7f8982abad8b99de10fe64db20cb552ad538e73e4f35d4af"),
     ("BP-K1000-a1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 1.0, "1/K"),
-     "1db3d6d445ee5de94ee68f45435847c86e41c9d5bbbd91a688d6d5d1258dee55"),
+     "e936f097db7bb0beb35bb12abb9d2d9980124103ecc183844d701e7e01c6fd4b"),
     ("BP-K1000-a1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 1.0, "1/sqrt(K)"),
-     "f1f5ff9d5d950d00beaf3d019fc48bdd40ff00072197dd5c15454a11746aa8db"),
+     "579017d51f9e3d1f092088e1b398fcd2213a9dcf8ef5fba62edcc66ad049fbbc"),
     ("BP-K10000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 0.1, "1/K"),
-     "be0162378e365e72f640ccb542e6e3f5339169ae7bea4d36b8887e08cab4b652"),
+     "fc1c6ea93b7e860b496a838c9f95fd2a931e7c94e2b5fd22293c1474d5a3599b"),
     ("BP-K10000-a0.1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 0.1, "1/sqrt(K)"),
-     "b204f767ad43ff60d705cfa512cca7bec9624485a7a84c267178379b66fb87bd"),
+     "b6a52353c29093c0a40d1e63cd6bc223095a3ab500ab6b6efa36ffe9bbf89e04"),
     ("BP-K10000-a1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 1.0, "1/K"),
-     "0ef684bbc11817bdc79cdb886877600c24d9380108299ca932de14848ff0af91"),
+     "f63a56be29b54a1406bd7b4c2a9edbcf8752981bd238a37f6c9c3b3c41ad88dd"),
     ("BP-K10000-a1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 1.0, "1/sqrt(K)"),
-     "6eeb79955185780932a70b21fff562f922c18d8edc9f02feadc0ba452a704dca"),
+     "a634317a01cb0f261a6073dc4f32ed30b8d610b0724d6105eba1bb00d1bef7cd"),
     ("gamma-d0.5-K1000", lambda: AifaConfig(gamma_process(2.0, 1.0, 0.5), 1000),
-     "e3f4f8b4716713e7b607a7ba5eb1a30bb0afd67fad45dc6262f741496261dc5d"),
+     "d92d04a2cb01b0a1e8d86956c93d3a7e38e692815f18f2aed23c37944ba448c7"),
     ("beta_prime-d0.3-K1000",
      lambda: AifaConfig(rate_measure("beta_prime", 2.0, 0.3, eta=1.5), 1000),
-     "d2717ac35f0daceac87cd17d0dc06224d1fe280a01915781d5e2d95500885028"),
+     "83b0783ef0c7734333a85ba56e256a0bb5ba961bb4dc7ee0da748386e1ec6bba"),
     ("beta_prime-d0.3-head5000",
      lambda: AifaConfig(rate_measure("beta_prime", 1.3, 0.3, eta=1.2), 100, a=5e5),
-     "8d147efac342e52962d66a728f85f3ce242d82be887098756f1bf3525aa3c269"),
+     "dd84167c4db93fd2808eb8ae2192a523b0212c44b42424247246eb19fd13b5db"),
     ("generalized_gamma-head5000",
      lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=5e5),
-     "a3b274d949e76c682e5097855c6392d56ac3dec168b757ec20a3316fa553e96b"),
+     "75fee1c9f8b9ab83078e43fca06af8a49bbf17bff4c705698d7e7c31a61c7c3c"),
     ("beta_prime-d0.3-head1e8",
      lambda: AifaConfig(rate_measure("beta_prime", 1.3, 0.3, eta=1.2), 100, a=1e10),
-     "8f0f4d21e7a3ba6ff041c469823835c2d23952437bd5955272f322464861f261"),
+     "91a96a9dec6968be40267bbd4b09ede4f0d876313d23ea8926805a75c209e847"),
     ("generalized_gamma-head1e8",
      lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=1e10),
-     "bae3d10c7ea5140f887fd02fe48a1346998b53f26547617bd0827dfdf90f9cab"),
+     "2e2b370982104819f0408606224e35085f850d361dd9733ab8472ee2535f7b01"),
 ]
 
 
@@ -445,12 +447,14 @@ def test_sample_digests_every_kind_and_family(index):
 
 def _plain_end_sample(piece, n, rng):
     """An end piece's draws without the exponent cut or the squeeze: every
-    proposal through exp, every weight evaluated."""
+    proposal through exp, every weight evaluated, on the same proposals
+    U' = 1 - (1 - c)(1 - U), uniform on [c, 1)."""
     out = np.empty(0)
     while out.size < n:
         m = n - out.size
         with np.errstate(under="ignore", divide="ignore"):
-            v = np.maximum(np.exp(np.log(rng.random(m)) * (1.0 / piece.power)) * piece.scale,
+            uc = 1.0 - (1.0 - piece.c) * (1.0 - rng.random(m))
+            v = np.maximum(np.exp(np.log(uc) * (1.0 / piece.power)) * piece.scale,
                            approximations._WEIGHT_FLOOR)
         u = rng.random(m) * piece.sup
         out = np.concatenate([out, v[u <= piece.weight(v)]])
@@ -461,23 +465,99 @@ def _plain_end_sample(piece, n, rng):
 @pytest.mark.parametrize("family", list(_DIGEST_SPECS))
 def test_head_squeeze_is_a_lower_bound_and_changes_no_draw(family, d):
     # the head weight g^(eps-d) h is monotone, so inf (its smaller end value,
-    # less 1e-12) bounds it from below on all of [floor, scale]; at K = 1000
-    # 13-54% of the draws end at the floor, so the exponent cut runs too, and
-    # about 0.1% of the proposals still have their weight evaluated
+    # less 1e-12) bounds it from below on all of [floor, scale].  At K = 1000
+    # the floor piece holds 13-54% of the law, so the head above it proposes
+    # from u in [c, 1) with c well above 2^-53, and about 0.1% of the
+    # proposals still have their weight evaluated
     tables = AifaConfig(_digest_spec(family, d), 1000)._build()
-    head = tables["head"]
-    grid = np.geomspace(approximations._WEIGHT_FLOOR, head.scale, 20_001)
+    head, floor = tables["head"], approximations._WEIGHT_FLOOR
+    assert tables["floor_p"] > 0.1 and head.c > 0.1
+    grid = np.geomspace(floor, head.scale, 20_001)
     assert 0.0 < head.inf <= head.weight(grid).min()
-    plain = approximations._EndPiece(head.scale, head.power, head.weight)
-    assert plain.inf == -math.inf
+    plain = approximations._EndPiece(head.scale, head.power, head.weight, lo=floor)
+    assert plain.inf == -math.inf and plain.c == head.c
     draws = [sample(50_000, derive_rng(97, 0))
              for sample in (head.sample, plain.sample, lambda n, rng: _plain_end_sample(head, n, rng))]
     assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
-    assert (draws[0] == approximations._WEIGHT_FLOOR).mean() > 0.1
-    # the beta right edge's indicator term need not be monotone: no squeeze
+    # no head draw falls below the floor, and almost none sits on it
+    assert draws[0].min() >= floor and (draws[0] == floor).mean() < 1e-3
+    # the beta right edge's indicator term need not be monotone: no squeeze,
+    # and it proposes from all of (0, scale]
     edge = tables["edge"]
     assert (edge is not None) == (family == "beta")
-    assert edge is None or edge.inf == -math.inf
+    assert edge is None or (edge.inf == -math.inf and edge.c == 0.0 and edge.lo_mass == 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000),
+    lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000),
+    lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=5e5),
+], ids=["BP-K1000", "BP-K10000", "generalized_gamma-head5000"])
+def test_floor_share_matches_floor_p(build):
+    # the floor piece's probability is the head's mass on (0, 1e-300] over
+    # the total, and the draws equal to 1e-300 come from it alone: an exact
+    # two-sided binomial test of their count
+    cfg = build()
+    floor_p = cfg._build()["floor_p"]
+    assert 0.4 < floor_p < 0.95
+    on_floor = int((cfg.sample(200_000, derive_rng(95, 0)) == approximations._WEIGHT_FLOOR).sum())
+    assert stats.binomtest(on_floor, 200_000, floor_p).pvalue > 1e-3
+
+
+# log Z_K, head_p and edge_p as hex floats, pinned before the floor became
+# its own piece: the split leaves the pieces' masses as they were
+_PIECE_MASSES = [
+    (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 100),
+     "0x1.4cbed745c77b1p+2", "0x1.c61219f6632bap-1", "0x1.320a0a7b2d7b3p-13"),
+    (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000),
+     "0x1.dcfd819c791fbp+2", "0x1.e82ebd44d7b90p-1", "0x1.0110d7fcca695p-16"),
+    (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000),
+     "0x1.375f17500dafap+3", "0x1.f675810f23613p-1", "0x1.a5cd4f6d08e6ap-20"),
+    (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/sqrt(K)"),
+     "0x1.dad7f7e27909fp+2", "0x1.f8218ca879656p-1", "0x1.09d5950f75cc5p-16"),
+    (lambda: AifaConfig(gamma_process(2.0, 1.0, 0.5), 1000),
+     "0x1.b53cd624f3ca3p+2", "0x1.e5bc3c0a04c4cp-1", "0x0.0p+0"),
+    (lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100,
+                        a=5e5),
+     "0x1.ba9cb45080288p+2", "0x1.ff9f2e389f4bbp-1", "0x0.0p+0"),
+    (lambda: AifaConfig(beta_process(2.0, 1.5, 0.0), 6),
+     "0x1.ce6bb25aa1318p-2", "0x1.028c09aff704ep-1", "0x1.c2792cd947fdap-17"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_PIECE_MASSES)))
+def test_floor_piece_leaves_the_piece_masses(index):
+    build, *pinned = _PIECE_MASSES[index]
+    tables = build()._build()
+    assert [tables[name] for name in ("log_z", "head_p", "edge_p")] == \
+        [float.fromhex(h) for h in pinned]
+    assert 0.0 < tables["floor_p"] < tables["head_p"]
+
+
+# sha256 of cfg.sample(200_000, derive_rng(94, 0)), pinned before the floor
+# became its own piece, for heads where 1 - c rounds to 1 (c <= 2^-54; BP at
+# K = 11 has c = 3.5e-17): there the proposals are the uniforms themselves
+_SMALL_C_DIGESTS = [
+    (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 5),
+     "486203002b882ee1f6f4bbddf9af4fdb68e87f373c8983285c83974254dab8fa"),
+    (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 11),
+     "787be4eb5c3c7dc9e9d915d2df2541f570c2e9431751601606b6ee471910e6bc"),
+    (lambda: AifaConfig(gamma_process(2.0, 1.0, 0.5), 10),
+     "b66d43fa80602e818a15744bcc7dda34434396d2bd8c7cb055327c8c5e030531"),
+    (lambda: AifaConfig(rate_measure("beta_prime", 2.0, 0.3, eta=1.5), 10),
+     "f50b6fea34ae982e9652ab6ac3ce6ba861eea4f6756b09d9516f97df807733e3"),
+    (lambda: AifaConfig(rate_measure("generalized_gamma", 1.0, 0.2, eta1=1.0, eta2=2.0), 10),
+     "69219296aafdf6f3ec59bdf6d9277a4f1d822ae67c473b2f67a6700edbf80a3f"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_SMALL_C_DIGESTS)))
+def test_small_c_draws_keep_every_bit(index):
+    build, digest = _SMALL_C_DIGESTS[index]
+    cfg = build()
+    assert 0.0 < cfg._build()["head"].c <= 2.0**-54
+    draws = cfg.sample(200_000, derive_rng(94, 0))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
 
 
 def test_weight_laws_compare_by_parameters():
@@ -649,14 +729,23 @@ def _shrink_head(monkeypatch, cfg):
     monkeypatch.setitem(cfg._tables, "head_p", 0.93 * cfg._tables["head_p"])
 
 
-@pytest.mark.parametrize("mutate", [_shrink_head, lambda mp, cfg: _bend_body_table(mp)],
-                         ids=["head_p*0.93", "body q^2"])
-def test_mutated_sampler_fails_validation(mutate, monkeypatch):
-    cfg = AifaConfig(beta_process(2.0, 0.0, 0.6), 100)
+def _shrink_floor(monkeypatch, cfg):
+    """The floor's share of the draws scaled by 0.9, its lost share going to
+    the head above the floor."""
+    cfg._build()
+    monkeypatch.setitem(cfg._tables, "floor_p", 0.9 * cfg._tables["floor_p"])
+
+
+@pytest.mark.parametrize("mutate, K, ks", [(_shrink_head, 100, "0.06"),
+                                           (lambda mp, cfg: _bend_body_table(mp), 100, "0.03"),
+                                           (_shrink_floor, 1000, "0.07")],
+                         ids=["head_p*0.93", "body q^2", "floor_p*0.9"])
+def test_mutated_sampler_fails_validation(mutate, K, ks, monkeypatch):
+    cfg = AifaConfig(beta_process(2.0, 0.0, 0.6), K)
     mutate(monkeypatch, cfg)
     draws = cfg._draw(approximations._KS_DRAWS, np.random.Generator(np.random.Philox(12345)))
     assert approximations._ks_one_sample(draws, cfg._cdf)[0] > 0.03
-    with pytest.raises(RuntimeError, match=r"exact-CDF check: KS=0\.0[36]"):
+    with pytest.raises(RuntimeError, match=f"exact-CDF check: KS={re.escape(ks)}"):
         cfg.sample(10, derive_rng(16, 0))
 
 

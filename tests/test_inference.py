@@ -250,7 +250,7 @@ class _Fixed:
     def random(self, size):
         return np.full(size, self.u)
 
-    def normal(self, size=None):
+    def standard_normal(self, size=None):
         return np.zeros(size)
 
 
@@ -283,7 +283,7 @@ class _Eye:
     """A generator stub whose (K, K) block of standard normals is the identity."""
 
     @staticmethod
-    def normal(size=None):
+    def standard_normal(size=None):
         return np.eye(*size)
 
 
@@ -634,8 +634,11 @@ class _Recorder:
         return self.draws[-1].copy()
 
     def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.standard_normal(size)
+
+    def standard_normal(self, size=None):
         self.draws.append(self.rng.standard_normal(size))
-        return loc + scale * self.draws[-1]
+        return self.draws[-1].copy()
 
 
 class _Replay:
@@ -651,6 +654,9 @@ class _Replay:
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return loc + scale * self.random(size)
+
+    def standard_normal(self, size=None):
+        return self.random(size)
 
 
 def _impute_reference(tau, psi, gamma_w, gamma_e, y, rng, scans):
