@@ -9,8 +9,8 @@ the function in this module's globals (PEP 562), so later lookups are plain
 module-attribute lookups that return the very same scipy object.
 """
 
-_NAMES = frozenset({"betainc", "betaincinv", "betaln", "digamma", "expit",
-                    "gammaln", "kolmogorov", "logsumexp", "poch"})
+_NAMES = frozenset({"betainc", "betaincinv", "betaln", "digamma", "gammaln",
+                    "kolmogorov", "logsumexp", "poch"})
 
 
 def __getattr__(name):

@@ -23,13 +23,14 @@ at the 1e-300 floor where atom sizes are clamped (the head's mass on
 (0, 1e-300], a share that grows with K), exact power-law draws on the
 singular head above the floor (and, for the beta family, the right edge),
 and a monotone-cubic inverse-CDF table on 4096 log-spaced knots for the
-body.  The sampler is checked once per configuration against nu_K's exact
-CDF over the head, body and edge.  The end-piece sampler takes two shortcuts
-that change no draw: an edge proposal bound for the floor has its exponent
-cut before exp (slow where it underflows; head proposals start above the
-floor), and on the head, whose weight g^(eps-d) h is monotone for all four
-families, a uniform below the weight's minimum accepts without evaluating
-the weight.
+body.  The end pieces sample by rejection.  On the head, whose weight
+g^(eps-d) h is monotone for all four families, the envelope takes the
+weight's sup and inf from its values at the ends of [1e-300, a/K], and a
+uniform below the inf accepts without evaluating the weight.  The sampler is
+checked once per configuration against nu_K's exact CDF over the head, body
+and edge, with two point masses: draws clamped to the 1e-300 floor, and for
+the beta family draws of 1.0, to which an edge draw 1 - v rounds for
+v <= 2^-54.
 
 Each kind is one ``WeightDistribution`` class: ``AifaConfig`` itself for the
 numeric law, and a frozen class built by its constructor (``aifa_closed_form``,
@@ -277,7 +278,9 @@ class AifaConfig(WeightDistribution):
 
     def _cdf(self, theta):
         """nu_K's CDF at a sample's ascending distinct draws theta, from the
-        pieces' own masses (not the sampler's piece split or table)."""
+        pieces' own masses (not the sampler's piece split or table).  At 1.0,
+        to which the edge draws v <= 2^-54 round, it gives F(1.0-), the mass
+        below 1.0, with v = 2^-54 taken in turn among the sorted edge points."""
         t = self._build()
         head, edge, total = t["head"], t["edge"], math.exp(t["log_z"])
         ends = [head.scale, math.inf if edge is None else 1.0 - edge.scale]
@@ -287,7 +290,8 @@ class AifaConfig(WeightDistribution):
         if h < e:
             out[h:e] = head.mass + t["inverse"].partial_masses(theta[h:e])
         if e < theta.size:
-            out[e:] = total - edge.partial_masses(1.0 - theta[e:][::-1])[::-1]
+            v = np.maximum(1.0 - theta[e:][::-1], 2.0**-54)
+            out[e:] = total - edge.partial_masses(v)[::-1]
         return out / total
 
     def _validate(self):
@@ -298,10 +302,11 @@ class AifaConfig(WeightDistribution):
         still flags any sampler error above about 0.006 in CDF distance.
         """
         rng = np.random.Generator(np.random.Philox(12345))
-        ks, _ = _ks_one_sample(self.sample(_KS_DRAWS, rng), self._cdf)
+        atom_at_one = self.spec.support_upper == 1.0
+        ks, _ = _ks_one_sample(self.sample(_KS_DRAWS, rng), self._cdf, atom_at_one)
         if ks < _KS_LIMIT:
             return
-        _, p = _ks_one_sample(self.sample(_KS_RETEST_DRAWS, rng), self._cdf)
+        _, p = _ks_one_sample(self.sample(_KS_RETEST_DRAWS, rng), self._cdf, atom_at_one)
         if p < _KS_RETEST_P:
             raise RuntimeError(
                 "AIFA sampler failed its exact-CDF check: "
@@ -320,8 +325,7 @@ class _EndPiece:
     """Density proportional to v^(power-1) weight(v) on (0, scale]: a
     singular end of the support in local coordinate v (theta = v on the
     head, theta = 1 - v on the beta right edge).  The mass comes from the
-    substitution u = (v/scale)^power, which removes the singularity, and
-    weight's sup from a 128-point log grid.
+    substitution u = (v/scale)^power, which removes the singularity.
 
     ``sample`` draws from the piece above ``lo`` (the 1e-300 floor on the
     head, 0 on the edge), with u uniform on [c, 1), c = (lo/scale)^power.
@@ -329,12 +333,12 @@ class _EndPiece:
     adaptive rule on u in [0, 1] and [0, c].
 
     A ``monotone`` weight (the head's g^(eps-d) h, for every family) has its
-    inf at an end of [_WEIGHT_FLOOR, scale]; ``inf`` is that minimum shrunk by
-    1e-12 to cover rounding, and -inf otherwise.  ``sample`` accepts a proposal
-    whose scaled uniform is <= inf without evaluating weight, and cuts the
-    exponent of a proposal bound for the floor before exp (which is slow
-    where it underflows; head proposals start at u = c, so it serves the
-    edge); neither changes a draw.
+    sup and inf at the ends of [_WEIGHT_FLOOR, scale], where proposals lie:
+    ``sup`` is the larger end value grown by 1e-9 and ``inf`` the smaller
+    shrunk by 1e-12, to cover rounding.  ``sample`` accepts a proposal whose
+    scaled uniform is <= inf without evaluating weight, which changes no draw.
+    Any other weight (the beta edge's indicator term need not be monotone) takes
+    ``sup`` from a 128-point log grid on [1e-15 scale, scale], and ``inf`` is -inf.
     """
 
     def __init__(self, scale, power, weight, monotone=False, lo=0.0):
@@ -344,13 +348,10 @@ class _EndPiece:
         self.c = math.exp(power * (math.log(lo) - math.log(scale))) if lo > 0 else 0.0
         self.lo_mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, self.c,
                                                                _QUAD_TOL)
-        grid = scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128))
-        self.sup = float(weight(grid).max()) * (1.0 + 1e-9)
-        ends = np.array([_WEIGHT_FLOOR, scale])
-        self.inf = float(weight(ends).min()) * (1.0 - 1e-12) if monotone else -math.inf
-        # exp is monotone, so a proposal with log(v / scale) below this cut
-        # gets at most about floor / e (or 0) and ends at the floor either way
-        self._log_cut = math.log(_WEIGHT_FLOOR) - math.log(scale) - 1.0
+        values = weight(np.array([_WEIGHT_FLOOR, scale]) if monotone
+                        else scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128)))
+        self.sup = float(values.max()) * (1.0 + 1e-9)
+        self.inf = float(values.min()) * (1.0 - 1e-12) if monotone else -math.inf
 
     def partial_masses(self, v):
         """Mass of (0, v] at each v of a sample's ascending draws (close where
@@ -374,7 +375,6 @@ class _EndPiece:
                 v += 1.0
                 np.log(v, out=v)
                 v *= 1.0 / self.power
-                np.maximum(v, self._log_cut, out=v)
                 np.exp(v, out=v)
                 v *= self.scale
                 np.maximum(v, _WEIGHT_FLOOR, out=v)
@@ -500,15 +500,19 @@ def _interval_masses(f, lo, hi):
     return _gauss_masses(lambda t: f(np.exp(t)) * np.exp(t), np.log(lo), np.log(hi), 12)
 
 
-def _ks_one_sample(x, cdf):
+def _ks_one_sample(x, cdf, atom_at_one=False):
     """(statistic, asymptotic p-value) of the one-sample KS test of x against
-    the continuous CDF ``cdf``, called once on x's ascending distinct values;
-    the p-value is Kolmogorov's limit law at sqrt(n) D.  Draws clamped to
-    _WEIGHT_FLOOR are the floor's point mass F(floor), so F(floor-) is 0."""
+    the CDF ``cdf``, called once on x's ascending distinct values; the p-value
+    is Kolmogorov's limit law at sqrt(n) D.  Draws clamped to _WEIGHT_FLOOR are
+    a point mass: ``cdf`` gives F(floor), and F(floor-) is 0.  With
+    ``atom_at_one`` (a law on (0, 1], whose edge draws 1 - v round to 1.0 for
+    v <= 2^-54) so are draws of 1.0: ``cdf`` gives F(1.0-), and F(1.0) is 1."""
     values, counts = np.unique(x, return_counts=True)
     seen = np.cumsum(counts)
     f = cdf(values)
     f_before = np.where(values == _WEIGHT_FLOOR, 0.0, f)
+    if atom_at_one and values[-1] == 1.0:
+        f[-1] = 1.0
     stat = float(max((seen / x.size - f).max(), (f_before - (seen - counts) / x.size).max()))
     return stat, float(special.kolmogorov(math.sqrt(x.size) * stat))
 

@@ -18,6 +18,8 @@ the regularized incomplete beta function at one uniform.
 
 The scan order is fixed ((x, w) jointly, psi, precisions, tau) and every update
 draws through the caller's generator, so a chain is reproducible from its seed.
+The blocks are module functions that the sweep calls by name, so a test can
+wrap each one, as the tests' Markov-blanket check (Geweke 2004) does.
 The joint block draws each column's x with its w integrated out, then w given x:
 one column scan with the same stationary law as separate x and w scans.  Its
 factor kernel reads each column's residual projection from y psi^T and psi psi^T,
@@ -49,7 +51,6 @@ __all__ = [
     "gibbs_sweep",
     "joint_log_density_terms",
     "joint_log_density",
-    "sample_data",
     "generate_synthetic",
     "impute_heldout_locals",
     "predictive_log_likelihood",
@@ -146,12 +147,6 @@ def init_state(model: LinearGaussianModel, N, rng) -> GibbsState:
     return GibbsState(tau, psi, _by_column(x), _by_column(w), gamma_w, gamma_e, model.prior)
 
 
-def sample_data(state: GibbsState, rng) -> np.ndarray:
-    """y | state, used by the prior-joint simulators."""
-    mean = state.reconstruction
-    return mean + rng.normal(0.0, 1.0 / math.sqrt(state.gamma_e), size=mean.shape)
-
-
 # ---------------------------------------------------------------------------
 # tau conditionals
 # ---------------------------------------------------------------------------
@@ -186,12 +181,11 @@ def sample_truncated_beta(a, b, lo, hi, rng):
     return min(max(draw, lo), hi), False
 
 
-def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel, m_k=None):
-    """(shape1, shape2, lo, hi) of the k-th truncated-beta conditional; boundary conventions
-    tau_0 = 1, tau_{K+1} = 0.  m_k, column k's active rows, is counted when not given."""
+def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel, m_k):
+    """(shape1, shape2, lo, hi) of the k-th truncated-beta conditional given m_k, column k's
+    active rows; boundary conventions tau_0 = 1, tau_{K+1} = 0."""
     K = state.tau.size
     N = state.x.shape[0]
-    m_k = int(state.x[:, k].sum()) if m_k is None else m_k
     shape1 = (model.gamma if k == K - 1 else 0.0) + m_k
     shape2 = N - m_k + 1.0
     hi = 1.0 if k == 0 else float(state.tau[k - 1])
@@ -220,9 +214,9 @@ def _sample_trunc_log_density(s, lo, hi, rng):
             return cand
 
 
-def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel, rng, m_k=None):
-    """Draw tau_k from its interval-truncated beta conditional and write it
-    back; preserves the ordering invariant by construction."""
+def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel, rng, m_k):
+    """Draw tau_k from its interval-truncated beta conditional given m_k, column k's active
+    rows, and write it back; preserves the ordering invariant by construction."""
     shape1, shape2, lo, hi = tfa_tau_conditional_params(state, k, model, m_k)
     if shape1 > 0:
         draw, degenerate = sample_truncated_beta(shape1, shape2, lo, hi, rng)
@@ -248,7 +242,7 @@ def _draw_xw(state, logit, gram):
     with w[..., k] integrated out, then w[..., k] given x[..., k].  With b = gamma_e proj and
     lam = gamma_w + gamma_e gram[k, k], the matrix-determinant lemma and Sherman-Morrison
     give the exact collapsed log odds logit tau_k + log(gamma_w / lam) / 2 + b^2 / (2 lam);
-    x = 1 where its uniform u < expit(odds), tested as u exp(-odds) < 1 - u with one exp (an
+    x = 1 where its uniform u < 1 / (1 + exp(-odds)), tested as u exp(-odds) < 1 - u (an
     exp that overflows to inf sets x = 0, where P(x = 1) < 1e-300).  Then w ~ N(b / lam, 1 / lam)
     where x = 1 and its prior N(0, 1 / gamma_w) where x = 0.  The per-column scalars depend
     only on gram's diagonal, so they are computed once: floats in a sweep, (..., 1) columns
@@ -260,7 +254,7 @@ def _draw_xw(state, logit, gram):
     cols = cols.tolist() if cols.ndim == 2 else cols[..., None]
     prior_sd = np.sqrt(state.gamma_w)
 
-    def draw(k, proj, _psi_sq, rng):
+    def draw(k, proj, rng):
         neg_base, neg_odds, to_mean, sd = cols[k]
         u = rng.random(proj.shape)
         x = u * np.exp(proj * proj * neg_odds + neg_base) < 1.0 - u
@@ -277,7 +271,7 @@ def _by_column(a):
 
 
 def _scan_factors(P, left, gram, draw, rng):
-    """Redraw each left[..., k] by draw(k, proj, gram[..., k, k], rng) with proj = P[..., k] -
+    """Redraw each left[..., k] by draw(k, proj, rng) with proj = P[..., k] -
     sum_{j != k} left[..., j] gram[..., j, k] on the current left: for P = y r^T and gram =
     r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  The (x, w) block
     runs on (y psi^T, S, psi psi^T), in the sweep and in held-out imputation; psi is drawn
@@ -286,7 +280,7 @@ def _scan_factors(P, left, gram, draw, rng):
     with np.errstate(over="ignore"):  # _draw_xw's exp(-log odds) where x = 1 is hopeless
         for k in range(gram.shape[-1]):
             proj = P[..., k] - (left @ cross[..., :, k, None])[..., 0]
-            left[..., k] = draw(k, proj, gram[..., k, k, None], rng)
+            left[..., k] = draw(k, proj, rng)
 
 
 def _update_psi(state, S, y, psi_scale, rng):
@@ -315,20 +309,8 @@ def _update_tau(state, model, rng):
             tfa_tau_conditional_sample(state, k, model, rng, m_k)
 
 
-_BLANKETS = {
-    "xw": ("lp_x", "lp_w", "lp_y"),
-    "psi": ("lp_psi", "lp_y"),
-    "precisions": ("lp_w", "lp_y", "lp_prec"),
-    "tau": ("lp_tau", "lp_x"),
-}
-
-
-def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=False) -> GibbsState:
-    """One systematic scan: (x, w) jointly, psi, precisions, tau (order fixed).
-
-    With debug=True, the named joint-density terms are recomputed around each
-    block and any change outside the block's Markov blanket raises.
-    """
+def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng) -> GibbsState:
+    """One systematic scan: (x, w) jointly, psi, precisions, tau (order fixed)."""
     if state.prior != model.prior:
         raise ValueError(f"the state was drawn under prior {state.prior!r}, "
                          f"but the model's prior is {model.prior!r}")
@@ -339,24 +321,12 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng, debug=Fal
             and np.isfinite(state.psi).all()):
         raise RuntimeError("non-finite values entering the sweep (y, w, or psi)")
 
-    def guarded(name, fn):
-        if not debug:
-            return fn()
-        before = joint_log_density_terms(state, y, model)
-        out = fn()
-        after = joint_log_density_terms(state, y, model)
-        for term in before:
-            if term not in _BLANKETS[name] and after[term] != before[term]:
-                raise AssertionError(
-                    f"{name} update changed {term}: {before[term]!r} -> {after[term]!r}")
-        return out
-
     S = _by_column(state.x * state.w)
     P, G = (state.psi @ y.T).T, state.psi @ state.psi.T  # psi is fixed through (x, w)
-    guarded("xw", lambda: _scan_factors(P, S, G, _draw_xw(state, _logit(state.tau), G), rng))
-    guarded("psi", lambda: _update_psi(state, S, y, model.psi_scale, rng))
-    guarded("precisions", lambda: _update_precisions(state, y - S @ state.psi, model, rng))
-    guarded("tau", lambda: _update_tau(state, model, rng))
+    _scan_factors(P, S, G, _draw_xw(state, _logit(state.tau), G), rng)
+    _update_psi(state, S, y, model.psi_scale, rng)
+    _update_precisions(state, y - S @ state.psi, model, rng)
+    _update_tau(state, model, rng)
 
     for name, value in (("tau", state.tau), ("psi", state.psi), ("w", state.w),
                         ("gamma_w", state.gamma_w), ("gamma_e", state.gamma_e)):

@@ -1,18 +1,27 @@
 """Test harness code that the library itself never calls.
 
-The Geweke (2004) joint-distribution simulators and the data-informed chain
-start of the AIFA-against-TFA parity check run only under the tests, so they
-live here, beside them, and not in ``crmfinite.inference``.  So do the
+The Geweke (2004) joint-distribution simulators, the data draw y | state they
+and the sweep tests share, and the data-informed chain start of the
+AIFA-against-TFA parity check run only under the tests, so they live here,
+beside them, and not in ``crmfinite.inference``.  So do the
 point-query predictive pmfs and the Dirichlet-process and
 finite-symmetric-Dirichlet urn probabilities, which state in closed form
 what ``crmfinite.marginals`` and ``crmfinite.analysis`` compute in bulk.
 """
 
+import math
+
 import numpy as np
 
 from crmfinite.checks import integer, integers
-from crmfinite.inference import gibbs_sweep, init_state, sample_data
+from crmfinite.inference import gibbs_sweep, init_state
 from crmfinite.marginals import _predictive_logpmf
+
+
+def sample_data(state, rng):
+    """y | state: the reconstruction plus N(0, 1/gamma_e) noise."""
+    mean = state.reconstruction
+    return mean + rng.normal(0.0, 1.0 / math.sqrt(state.gamma_e), size=mean.shape)
 
 
 def geweke_marginal_conditional(model, N, draws, rng):

@@ -446,9 +446,8 @@ def test_sample_digests_every_kind_and_family(index):
 
 
 def _plain_end_sample(piece, n, rng):
-    """An end piece's draws without the exponent cut or the squeeze: every
-    proposal through exp, every weight evaluated, on the same proposals
-    U' = 1 - (1 - c)(1 - U), uniform on [c, 1)."""
+    """An end piece's draws without the squeeze: every weight evaluated, on
+    the same proposals U' = 1 - (1 - c)(1 - U), uniform on [c, 1)."""
     out = np.empty(0)
     while out.size < n:
         m = n - out.size
@@ -486,6 +485,39 @@ def test_head_squeeze_is_a_lower_bound_and_changes_no_draw(family, d):
     edge = tables["edge"]
     assert (edge is not None) == (family == "beta")
     assert edge is None or (edge.inf == -math.inf and edge.c == 0.0 and edge.lo_mass == 0.0)
+
+
+def _generalized_gamma_law(eta2):
+    """The generalized gamma law at eta1 = 1, d = 0 and K = 1, with gamma set
+    so that c/K = 0.02: its head weight exp(-theta^eta2) decreases, and at a
+    small eta2 it is still well below its maximum 1 at theta = 1e-15."""
+    spec = rate_measure("generalized_gamma", 0.02 * math.gamma(1.0 / eta2) / eta2, 0.0,
+                        eta1=1.0, eta2=eta2)
+    return AifaConfig(spec, 1)
+
+
+@pytest.mark.parametrize("eta2", [0.05, 0.1])
+def test_decreasing_head_weight_has_its_sup_at_the_floor(eta2):
+    # a monotone head weight has its extremes at the ends of [1e-300, scale], so
+    # the envelope sup bounds it on every point where proposals may lie
+    head = _generalized_gamma_law(eta2)._build()["head"]
+    grid = np.geomspace(approximations._WEIGHT_FLOOR, head.scale, 20_001)
+    assert head.sup >= head.weight(grid).max()
+
+
+def test_decreasing_head_weight_draws_match_the_closed_form_cdf():
+    # at d = 0 the law is GenGamma: (eta1 theta)^eta2 ~ Gamma((c/K) / eta2), so
+    # its CDF is gammainc((c/K) / eta2, (eta1 theta)^eta2).  The share of draws at
+    # or below each of its 9 deciles passes an exact binomial test, Bonferroni
+    # over the 18 tests (family-wise 1e-3); an envelope below the weight's
+    # maximum thins the draws near the floor and misses by z = -5 to -40
+    q = np.arange(1, 10) / 10
+    for eta2 in (0.05, 0.1):
+        draws = _generalized_gamma_law(eta2).sample(400_000, derive_rng(99, 0))
+        deciles = special.gammaincinv(0.02 / eta2, q) ** (1.0 / eta2)
+        for theta, share in zip(deciles, q):
+            below = int((draws <= theta).sum())
+            assert stats.binomtest(below, draws.size, share).pvalue > 1e-3 / 18, (eta2, share)
 
 
 @pytest.mark.parametrize("build", [
@@ -747,6 +779,21 @@ def test_mutated_sampler_fails_validation(mutate, K, ks, monkeypatch):
     assert approximations._ks_one_sample(draws, cfg._cdf)[0] > 0.03
     with pytest.raises(RuntimeError, match=f"exact-CDF check: KS={re.escape(ks)}"):
         cfg.sample(10, derive_rng(16, 0))
+
+
+@pytest.mark.parametrize("K", [1, 5])
+@pytest.mark.parametrize("eta", [0.01, 0.05])
+def test_small_eta_beta_law_passes_validation_with_an_atom_at_one(eta, K):
+    # at a small eta the right edge holds so much mass near theta = 1 that 1 - v
+    # rounds to 1.0 for every v <= 2^-54: P(theta = 1.0) = I_{2^-54}(eta, c/K), 46%
+    # at eta = 0.01 and K = 1.  The self-check takes 1.0 as a point mass and passes,
+    # and the share of draws at 1.0 passes an exact binomial test (family-wise 1e-3
+    # over the four cases).  K = 1 stays at 10^4 draws: its head accepts about 0.1%
+    # of its proposals
+    spec = beta_process(2.0, eta, 0.0)
+    draws = AifaConfig(spec, K).sample(10_000, derive_rng(98, K))
+    at_one = special.betainc(eta, small_weight_coefficient(spec) / K, 2.0**-54)
+    assert stats.binomtest(int((draws == 1.0).sum()), draws.size, at_one).pvalue > 1e-3 / 4
 
 
 def test_valid_config_passes_validation(monkeypatch):
