@@ -126,11 +126,14 @@ def _integer(value, field, floor=1):
 
 
 def _counts(value, field, distinct=1):
-    """A list of integers >= 1 holding at least ``distinct`` different values."""
+    """A list of integers >= 1 holding at least ``distinct`` different values,
+    none repeated."""
     if not isinstance(value, list):
         raise ConfigError(f"{field} must be a list, got {value!r}")
     counts = [_integer(v, f"{field} entries") for v in value]
-    if len(set(counts)) < distinct:
+    if len(set(counts)) < len(counts):
+        raise ConfigError(f"{field} must not repeat an entry, got {value!r}")
+    if len(counts) < distinct:
         raise ConfigError(f"{field} must hold at least {distinct} different integers, "
                           f"got {value!r}")
     return counts

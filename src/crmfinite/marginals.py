@@ -22,7 +22,8 @@ condition preset (``model.preset()``).  The module functions check their
 arguments and call them; the checker calls the methods ``l1_history`` and
 ``l4_mismatch`` directly.  The level-K fresh mass has one default,
 1 - h~(0 | all-zero history); beta-Bernoulli keeps closed forms for it and
-for the checker's sums.
+for the checker's sums, and beta-NB integrates its log h~(0) so that it
+does not cancel.
 
 Each predictive is the marginal of a conjugate latent weight: after n rounds
 with count total S an atom's weight is Beta(S + shift, alpha + n - S),
@@ -46,30 +47,25 @@ at K = 1000 and N = 500 only about 23 beta-Bernoulli atoms fire.
 
 The checker's infinite sums over x rest on one fact: the predictive families
 are likelihood-ratio ordered in the count total, so the term difference of two
-rows changes sign once, at its crossing.  Two pmfs of mass 1 (inequality 3)
-need nothing past it: by Scheffe's identity sum_x |a - b| is twice the sum of
-a - b before the crossing.  The new-atom rates against the level-K fresh
-pmf (inequality 4) have closed-form totals, so once every column has crossed
-the neglected remainder past a truncation point is exactly |tail_a - tail_b|.
+rows changes sign once, at its crossing.  Rows of known masses A and B need
+nothing past it: sum_x |a - b| = 2 sum_{x < crossing} (a - b) - (A - B).
+Inequality 3 compares two pmfs, A = B = 1 (Scheffe's identity); inequality 4
+compares the new-atom rates with K times the level-K fresh pmf, whose masses
+are ``total_new_atom_rate`` and K ``approx_fresh_mass``.
 
-The checker's pmf terms come from one row stepper, ``_count_rows``: a (T, n)
-block, one row per count total (the target's and each level-K shifted total
-for inequality 3; M at total 0 and the shift c/K for inequality 4), advanced
-one x at a time.  A row starts from its closed form (``_predictive_logpmf``,
-the new-atom rate at total 0, or for beta-NB at a positive total a
-Pochhammer ratio at x = 0); each step multiplies it by the family's ratio
-h(x)/h(x-1), a rational function of x, n and the total, so a row carries its
-start's relative error (near eps) plus at most ~X eps of rounding over X
-steps.  ``_crossing_l1`` adds the differences a - b into running partial
-sums in x order, as a cumsum over an (x, n) grid does, and drops a column
-from the block once all of its pairs have crossed; at the benchmark's
-configuration every column has crossed by x = 17.  ``_certified_l1`` adds
-each row into running sums of |a - b|, a and b in x order, which is the
-order numpy's axis-0 sum adds the rows of an (x, n) grid with two or more
-columns: the sums equal those of the dense grids bit for bit (one column
-numpy sums pairwise, so there the last bits may differ).  No (x, n) grid is
-built, so the checker's memory is O(T n) whatever x it reaches.  Point
-queries keep the closed form.
+Both sums run in one kernel, ``_crossing_l1``.  It steps a (T, n) block, one
+row per count total (the target's and each level-K shifted total for
+inequality 3; M at total 0 and the shift c/K for inequality 4), one x at a
+time.  A row starts from its closed form (``_predictive_logpmf``, the
+new-atom rate at total 0, or for beta-NB at a positive total a Pochhammer
+ratio at x = 0); each step multiplies it by the family's ratio h(x)/h(x-1),
+a rational function of x, n and the total, so a row carries its start's
+relative error (near eps) plus at most ~X eps of rounding over X steps.  The
+kernel adds the differences a - b into running partial sums in x order, as a
+cumsum over an (x, n) grid does, and drops a column from the block once all
+of its pairs have crossed; at the benchmark's configuration every column has
+crossed by x = 17.  No (x, n) grid is built, so the checker's memory is
+O(T n) whatever x it reaches.  Point queries keep the closed form.
 
 The module also houses the numeric four-inequality growth/approximation
 condition checker with per-family presets.
@@ -77,7 +73,6 @@ condition checker with per-family presets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -108,6 +103,9 @@ _TAIL_TOL = 1e-12
 _ATOM_BLOCK = 512  # firing atoms per subset draw: memory stays O(N * block)
 _EPS = np.finfo(float).eps
 _SIZE_GRID_MAX = 1 << 23
+# the beta-NB fresh mass's rule: at t = b, 8 nodes leave 1.9e-12 relative
+# error and 10 at most 1.1e-14
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 @dataclass(frozen=True)
@@ -144,13 +142,10 @@ class ExpFamilyModel:
         return _crossing_l1(self, n, totals)
 
     def l4_mismatch(self, K, n, totals, fresh):
-        """Certified sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over the
-        float array n, and its truncation point X; ``totals`` and ``fresh``
-        are sum_x M_{n,x} and sum_{x>=1} h~(x|0) at n."""
-        scale = np.array([[1.0], [K]], dtype=float)
-        rows = ((x, block * scale)
-                for x, block in _count_rows(self, n, [0.0, self.mass_shift / K], 1))
-        return _certified_l1(rows, np.stack([totals, K * fresh]))
+        """sum_{x>=1} |M_{n,x} - K h~(x|0)|, vectorized over the float array
+        n, and its largest crossing point; ``totals`` and ``fresh`` are
+        sum_x M_{n,x} and sum_{x>=1} h~(x|0) at n."""
+        return _crossing_l1(self, n, [0.0, self.mass_shift / K], 1, K, totals - K * fresh)[0]
 
 
 class _BetaModel(ExpFamilyModel):
@@ -305,6 +300,24 @@ class _BetaNegBinomial(_BetaModel):
     def total_rate(self, n):
         r, al = self.r, self.alpha
         return self.gamma * al * (special.digamma(r * n + al) - special.digamma(r * (n - 1) + al))
+
+    def fresh_mass(self, shift, n):
+        """-expm1(log h~(0 | 0)), t = shift, b = r(n-1) + alpha, with
+        log h~(0 | 0) = -int_0^t [psi(b + r + s) - psi(b + s)] ds by a
+        Gauss-Legendre rule where t <= b.  The betaln difference of the
+        default cancels there (up to 2e-10 off, 1.5e-4 in K times the mass,
+        at n = 10^4); where t > b, too wide an interval for a fixed rule,
+        it does not."""
+        r, b = self.r, self.r * (n - 1) + self.alpha
+        rule = 0.0
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            s = b + 0.5 * shift * (1.0 + node)
+            rule = rule + weight * (special.digamma(s + r) - special.digamma(s))
+        log_h0 = -0.5 * shift * rule
+        if np.any(shift > b):
+            log_h0 = np.where(shift <= b, log_h0,
+                              special.betaln(shift, b + r) - special.betaln(shift, b))
+        return -np.expm1(log_h0)
 
     def posterior_weight(self, S, n_seen, shift, rng):
         return rng.beta(S + shift, self.alpha + self.r * n_seen)
@@ -625,56 +638,39 @@ _CROSS_REL = 2.0 ** -41
 _X_CAP = 1 << 16
 
 
-def _count_rows(model, n, totals, x_lo):
-    """Step a (T, len(n)) block through x = x_lo, x_lo + 1, ...: yields
-    (x, block), the same array updated in place, whose row t is the
-    predictive pmf h(x | n, totals[t]), or at total 0 (x_lo >= 1) the
-    new-atom rate M_{n,x}.  Each row starts at x_lo from the family's
-    ``start_row`` (M from its closed form); each step multiplies it by the
-    family's ratio h(x)/h(x-1), which M shares at total 0 since
-    M_{n,x} = c lim_{t->0} h(x | n, t) / t.  Sending an index array keeps
-    only those columns, with the stepper re-bound to them; the next yield is
-    the send's return.  Gamma-Poisson and beta-NB only: beta-Bernoulli
-    counts need no rows."""
-    n = np.asarray(n, dtype=float)
+def _crossing_l1(model, n, totals, x_lo=0, scale=1.0, gap=0.0):
+    """sum_{x>=x_lo} |a - b_p| of the row a at totals[0] against each row b_p,
+    ``scale`` times the row at totals[p + 1] >= totals[0], one value per
+    column, and each pair's largest crossing point.  A row is the predictive
+    pmf h(x | n, total), or at total 0 (x_lo >= 1) the new-atom rate M_{n,x};
+    ``gap`` is each pair's sum_x (a - b_p) over x >= x_lo, 0 for two pmfs.
+
+    b_p / a rises with x (likelihood-ratio order in the total), so a - b_p
+    is positive before its crossing x_c, the first x with a - b_p <=
+    _CROSS_REL a, and past it adds at most _CROSS_REL of a's tail as
+    positive part.  So sum_x |a - b_p| = 2 sum_{x < x_c} (a - b_p) - gap_p,
+    exact up to 2 _CROSS_REL of a's mass: no tails are summed.  Equal
+    totals give equal rows and sum 0 at x_c = x_lo.  The partial sums add
+    the differences in x order, as a cumsum over an (x, n) grid does.
+
+    Each row starts at x_lo from the family's ``start_row`` (M from its
+    closed form) and each step multiplies it by the family's ratio
+    h(x)/h(x-1), which M shares at total 0 since M_{n,x} = c lim_{t->0}
+    h(x | n, t) / t.  A column leaves the block once all of its pairs have
+    crossed, so memory is O(T n) and the steps run only as far as the
+    columns that have not crossed yet.  Gamma-Poisson and beta-NB only:
+    beta-Bernoulli counts need no rows."""
     totals = np.asarray(totals, dtype=float)
     block = np.empty((totals.size, n.size))
     for t in range(totals.size):
         block[t] = (target_new_atom_rate(model, n, x_lo) if totals[t] == 0
                     else model.start_row(n, totals[t], x_lo))
-    ratio, out = model.stepper(n), np.empty_like(block)
-    for x in itertools.count(x_lo):
-        keep = yield x, block
-        if keep is not None:
-            n, block = n[keep], block[:, keep]
-            ratio, out = model.stepper(n), np.empty_like(block)
-        block *= ratio(totals, x + 1, out)
-
-
-def _crossing_l1(model, n, totals):
-    """sum_x |a - b_p| of the pmf row a at totals[0] against each row b_p at
-    totals[p + 1] >= totals[0], one value per column, and each pair's
-    largest crossing point.
-
-    Both rows have mass 1 and b_p / a rises with x (likelihood-ratio order
-    in the total), so a - b_p is positive before its crossing x_c, the first
-    x with a - b_p <= _CROSS_REL a, and past it adds at most _CROSS_REL of
-    a's tail as positive part.  Scheffe's identity then gives
-    sum_x |a - b_p| = 2 sum_{x < x_c} (a - b_p), exact up to
-    2 _CROSS_REL: no tails and no masses.  Equal totals give equal rows and
-    sum 0 at x_c = 0.  The partial sums add the differences in x order, as a
-    cumsum over an (x, n) grid does.  A column leaves the block once all of
-    its pairs have crossed, so memory is O(T n) and the steps run only as
-    far as the columns that have not crossed yet."""
-    totals = np.asarray(totals, dtype=float)
+    block[1:] *= scale
     shape = (totals.size - 1, n.size)
     sums, at = np.zeros(shape), np.zeros(shape, dtype=np.int64)
     part, crossed, live = np.zeros(shape), np.zeros(shape, dtype=bool), np.arange(n.size)
-    rows, keep = _count_rows(model, n, totals, 0), None
-    while True:
-        x, block = rows.send(keep)
-        if x == _X_CAP:
-            raise RuntimeError("history L1 sum: no crossing found")
+    ratio, out = model.stepper(n), np.empty_like(block)
+    for x in range(x_lo, _X_CAP):
         diff = block[0] - block[1:]
         p, j = np.nonzero((diff <= _CROSS_REL * block[0]) & ~crossed)
         sums[p, live[j]], at[p, live[j]] = 2.0 * part[p, j], x
@@ -682,60 +678,39 @@ def _crossing_l1(model, n, totals):
         part += diff
         left = ~crossed.all(axis=0)
         if not left.any():
+            sums = np.maximum(sums - gap, 0.0)
             return [(sums[q], int(at[q].max())) for q in range(shape[0])]
-        keep = None
         if not left.all():
-            keep = np.flatnonzero(left)
-            live, part, crossed = live[keep], part[:, keep], crossed[:, keep]
-
-
-def _certified_l1(rows, mass):
-    """sum_x |a - b| of the two rows of the ``rows`` blocks, one value per
-    column, and the truncation point X it was certified at.  ``mass`` (2, n)
-    is each row's sum over all x, so a row's tail past X is mass - its sum
-    to X.  The rows are likelihood-ratio ordered, b / a rising with x, so
-    past the crossing (the first x with a - b <= _CROSS_REL a) the
-    differences add at most _CROSS_REL of a's tail as positive part and the
-    neglected remainder is |tail_a - tail_b|: the sum is certified at the
-    first X of 64, 128, ... by which every column has crossed.  The sums add
-    the rows as they come, in x order, as numpy's axis-0 sum adds the rows
-    of an (x, n) grid with n >= 2 columns (one column it sums pairwise), in
-    a few (2, n) arrays whatever X is."""
-    sums, l1 = np.zeros_like(mass), np.zeros(mass.shape[1])
-    crossed, X = np.zeros(mass.shape[1], dtype=bool), 64
-    for x, block in rows:
-        diff = block[0] - block[1]
-        crossed |= diff <= _CROSS_REL * block[0]
-        sums += block
-        l1 += np.abs(diff, out=diff)
-        if x < X:
-            continue
-        if crossed.all():
-            tails = np.clip(mass - sums, 0, None)
-            return l1 + np.abs(tails[0] - tails[1]), X
-        if X == _X_CAP:
-            raise RuntimeError("new-atom mismatch sum: no certified truncation point found")
-        X *= 2
+            n, block, live, part, crossed = (n[left], block[:, left], live[left],
+                                             part[:, left], crossed[:, left])
+            ratio, out = model.stepper(n), np.empty_like(block)
+        block *= ratio(totals, x + 1, out)
+    raise RuntimeError("L1 sum: no crossing found")
 
 
 def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_set) -> dict:
     """Evaluate the four inequalities numerically for all n <= n_max, K in K_set.
 
     Left-hand sides are exact up to rounding and, for the sums over x, the
-    crossing test's relative gap _CROSS_REL (at most 2 _CROSS_REL, below the
-    1e-12 grace).  Inequality 3 is maximized over instantiated histories with
-    count totals in ``_HISTORY_SCAN``; its ``x_max`` is the largest crossing
-    point, where its Scheffe sums end.  Inequality 4 is evaluated only at
-    (n, K) with K >= k_floor(n), as its statement requires; its ``x_max`` is
-    the truncation point (64, 128, ...) its sum was certified at, the first
-    by which every column has crossed.  Violations produce failure entries
-    in the report, never exceptions; an n_max or K_set out of range raises
-    ValueError.
+    crossing test's relative gap _CROSS_REL (at most 2 _CROSS_REL times the
+    first row's mass, below the 1e-12 grace where that mass is at most 1).
+    The sums over x end at their crossings, by the identity of
+    ``_crossing_l1`` with the left-hand sides of inequalities 1 and 2 as the
+    masses; at the benchmark's configuration the inequality-4 sums read
+    within 5e-15 of 40-digit arithmetic.  Inequality 3 is maximized over
+    instantiated histories with count totals in ``_HISTORY_SCAN``.
+    Inequality 4 is evaluated only at (n, K) with K >= k_floor(n), as its
+    statement requires.  Each of their entries carries as ``x_max`` the
+    largest crossing point, where its sums end.  Violations produce failure
+    entries in the report, never exceptions; an n_max or K_set out of range,
+    or a K_set that repeats an entry, raises ValueError.
     """
     n_max = integer(n_max, "n_max (inequality 3 needs n >= 2)", 2)
     if not (isinstance(K_set, (list, tuple, np.ndarray)) and len(K_set)):
         raise ValueError(f"K_set must be a non-empty list of integers >= 1, got {K_set!r}")
     K_set = sorted(integer(K, "K_set entries") for K in K_set)
+    if len(set(K_set)) < len(K_set):
+        raise ValueError(f"K_set must not repeat an entry, got {K_set!r}")
     n_arr = np.arange(1, n_max + 1, dtype=float)
     grace = 1e-12
     report = {"model": model.kind, "bounds": bounds.name, "n_max": n_max,
@@ -756,7 +731,7 @@ def check_condition_1(model: ExpFamilyModel, bounds: Condition1Bounds, n_max, K_
     record(1, bounds.rhs1(n_arr) - lhs1, n_arr)
 
     # inequality 3 for every K, one history total at a time, so that each
-    # total builds its target grid once
+    # total steps its target row once, alongside every K's shifted row
     n3 = n_arr[1:]  # instantiated histories need n >= 2
     slack3 = np.full((len(K_set), n3.size), np.inf)
     worst_s = np.zeros((len(K_set), n3.size), dtype=int)

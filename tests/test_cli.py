@@ -241,6 +241,7 @@ def test_every_kind_builds_an_object_of_that_kind():
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [2.5]}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": []}, "K_set"),
     ("check-conditions", {"model": _GP_MODEL, "n_max": 1, "K_set": [10]}, "n_max"),
+    ("check-conditions", {"model": _GP_MODEL, "n_max": 50, "K_set": [10, 10]}, "K_set"),
     # every count field must be a JSON integer (not a bool) at or above its floor
     ("sample-prior", {"distribution": {"kind": "fsd", "K": 2.5, "gamma": 1.0}}, "K"),
     ("sample-prior", {"distribution": {"kind": "fsd", "K": True, "gamma": 1.0}}, "K"),
@@ -249,6 +250,7 @@ def test_every_kind_builds_an_object_of_that_kind():
     ("marginal-sim", {"model": _GP_MODEL, "N": 5, "source": "target", "K": 3}, "K"),
     ("eppf-convergence", {"alpha": 1.0, "N": 3.5, "K_set": [4, 16]}, "N"),
     ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [4, 16.5]}, "K_set"),
+    ("eppf-convergence", {"alpha": 1.0, "N": 3, "K_set": [5, 5, 10, 20]}, "K_set"),
     ("make-data", {"N": "10", "D": 2, "n_features": 1}, "N"),
     ("make-data", {"N": 10, "D": 2.0, "n_features": 1}, "D"),
     ("make-data", {"N": 10, "D": 2, "n_features": -1}, "n_features"),
@@ -287,9 +289,10 @@ def test_every_kind_builds_an_object_of_that_kind():
     ("gibbs-run", dict(_GIBBS, burnin=4, heldout_path="data.csv"), "sweeps=4, burnin=4"),
     ("sample-prior", [{"distribution": {"kind": "fsd", "K": 2, "gamma": 1.0}}], "JSON object"),
 ], ids=["K_min=0", "K_max=0", "K_max=3.7", "K_min>K_max", "gamma=800", "gamma=inf", "gamma=nan",
-        "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1",
+        "K_set=[0]", "K_set=[2.5]", "K_set=[]", "n_max=1", "K_set=[10,10]",
         "prior-K=2.5", "prior-K=true", "marginal-K=7.5", "marginal-N=2.5", "marginal-target-K=3",
-        "eppf-N=3.5", "eppf-K_set=[4,16.5]", "data-N='10'", "data-D=2.0", "data-n_features=-1",
+        "eppf-N=3.5", "eppf-K_set=[4,16.5]", "eppf-K_set=[5,5,10,20]",
+        "data-N='10'", "data-D=2.0", "data-n_features=-1",
         "compare-K=5.5", "compare-draws=1e5", "compare-draws<K", "gibbs-K=3.5", "gibbs-D=2.0", "gibbs-sweeps=10.5",
         "gibbs-burnin=-1", "gibbs-thin=0", "gibbs-heldout_scans=2.5",
         "fsd-alpha", "gamma_poisson-alpha", "constants-C1='x'", "bnb-r='2'", "bnb-r=true", "gibbs-prec_shape=inf",
@@ -540,7 +543,12 @@ def _golden_digests(tmp_path):
 # the history sums came to end at each round's sign change (Scheffe's sum):
 # inequality 3's x_max went from the truncation point 64 to the largest
 # crossing point (25 and 17), its slacks moved by less than 2e-16, and the
-# stepper's t + (x - 1) moved inequality 4's in the last bits
+# stepper's t + (x - 1) moved inequality 4's in the last bits.  Both were
+# re-pinned again when the inequality-4 sums came to end at their crossings
+# too: its x_max went from 64 to 2 (gamma-Poisson) and 3 (beta-NB), and its
+# slacks moved by at most 2e-14 (beta-NB, K = 100), to within 9e-16 of
+# 40-digit mpmath; the beta-NB fresh mass, integrated so that it does not
+# cancel, moved inequality 2's slacks by at most 2e-16
 _GOLDEN_DIGESTS = {
     "prior_aifa": {
         "summary.json": "cd060051c7634aaa2159a9a066d75e1190a3459c20e3c2bd644cfd9180a697ce",
@@ -559,13 +567,13 @@ _GOLDEN_DIGESTS = {
         "summary.json": "2439ecb4a2763de61a1fc608348791ce67c0bdf4ee2cbf489ac72fff17d8859f",
     },
     "conditions": {
-        "report.json": "91b9473c5ae9e5fe7ed4d27241db6c53e08b6aafce7be4ce9886692790599970",
+        "report.json": "080921c316f4f94ef85ba3bfbcf826bbdf441cb4d20cda25f81803655a37db34",
     },
     "conditions_bb": {
         "report.json": "0d0c77cccf93b18a3607f9694fc03a0697b7064b8fd488483c116a4205e2056a",
     },
     "conditions_bnb": {
-        "report.json": "b28abb971d50b29af54cf9ff230c74b1a4f12c3a98c6637d51d20e135e28e3f0",
+        "report.json": "db01ad77e593f55d479caf7b431c8937c3111cebe0242c884526745a24399a2a",
     },
     "bounds": {
         "bounds.csv": "69ec91045a4438818e1e64c9d902fcff5c4a435c391cc5cced0c8484466c5d71",

@@ -29,7 +29,6 @@ from crmfinite.marginals import (
     _HISTORY_SCAN,
     ExpFamilyModel,
     FeatureAllocation,
-    _count_rows,
     _predictive_logpmf,
     _sparse_counts,
     allocation_log_probability,
@@ -152,17 +151,47 @@ def test_fresh_mass_closed_forms():
                                    beta_negative_binomial(1.3, 2.5, 2.0)],
                          ids=["gp", "gp-2.5-0.3", "bnb", "bnb-1.3-2.5-2"])
 def test_fresh_mass_default_matches_closed_forms(model):
-    # the one default, -expm1(log h~(0 | all-zero history)), against the
-    # gamma-Poisson and beta-NB closed forms it replaced, bit for bit
+    # gamma-Poisson: the one default, -expm1(log h~(0 | all-zero history)),
+    # against the closed form it replaced, bit for bit.  Beta-NB: its own
+    # integral of log h~(0 | 0) against 50-digit mpmath, within 1e-14 in
+    # K * fresh, where the betaln difference it replaced cancels (5.8e-5
+    # off in K * fresh at K = 10^6)
     n = np.arange(1, 20_001, dtype=float)
     for K in (1, 2, 7, 10, 100, 1000, 10**6):
+        got = approx_fresh_mass(model, K, n)
         if model.kind == "gamma_poisson":
             c = model.gamma * model.lam / K
             want = -np.expm1(c * np.log1p(-1.0 / (model.lam + n)))
+            assert np.array_equal(got, want), K
         else:
-            r, al, c = model.r, model.alpha, model.gamma * model.alpha / K
-            want = -np.expm1(special.betaln(c, r * n + al) - special.betaln(c, r * (n - 1) + al))
-        assert np.array_equal(approx_fresh_mass(model, K, n), want), K
+            at = np.array([1, 2, 3, 10, 100, 1000, 9817, 10_000, 20_000])
+            err = [K * abs(got[m - 1] - _bnb_fresh_mass_mp(model, K, m)) for m in at]
+            assert max(err) <= 1e-14, (K, max(err))
+
+
+def _bnb_fresh_mass_mp(model, K, n):
+    """1 - B(t, b + r) / B(t, b), t = c/K, b = r(n-1) + alpha, in 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        t, r = mp.mpf(model.mass_shift) / K, mp.mpf(model.r)
+        b = r * (n - 1) + model.alpha
+        return float(-mp.expm1(mp.loggamma(b + r) - mp.loggamma(b)
+                               - mp.loggamma(t + b + r) + mp.loggamma(t + b)))
+
+
+def test_bnb_fresh_mass_wide_grid():
+    # the integral rule where t = c/K <= b = r(n-1) + alpha, the betaln
+    # difference past it; the betaln difference alone is up to 12.5 off in
+    # relative terms on this grid
+    worst = 0.0
+    for gamma, alpha, r in itertools.product((0.1, 1.0, 50.0), (1.01, 2.0, 30.0),
+                                             (0.3, 1.0, 2.5, 7.0)):
+        model = beta_negative_binomial(gamma, alpha, r)
+        for K in (1, 2, 3, 10, 10**3, 10**6):
+            for n in (1, 2, 10, 10_000):
+                want = _bnb_fresh_mass_mp(model, K, n)
+                worst = max(worst, abs(float(approx_fresh_mass(model, K, n)) / want - 1))
+    assert worst <= 2e-11, worst
 
 
 @pytest.mark.parametrize("fn, args, what", [
@@ -573,7 +602,10 @@ def test_generic_wrong_constant_fails():
 # n_worst, slack, pass, history_total_worst, n_evaluated) per entry.  The
 # beta-NB inequality-3 slacks are those of the Pochhammer start row h(0),
 # each within 1e-16 of a 40-digit mpmath evaluation (the betaln start row
-# was 1.2-3.7e-13 off).
+# was 1.2-3.7e-13 off).  The beta-NB inequality-2 and -4 slacks are those of
+# the integrated fresh mass and of the mismatch sum ended at its crossing,
+# within 5e-18 and 1.5e-15 of 40-digit mpmath (the betaln fresh mass had
+# moved inequality 2 by up to 4.3e-13).
 _GOLDEN_REPORTS = {
     "bb": [
         (1, None, 1, 0.0, True, None, None),
@@ -601,15 +633,15 @@ _GOLDEN_REPORTS = {
     ],
     "bnb": [
         (1, None, 300, 1.1055770835716704e-05, True, None, None),
-        (2, 10, 300, 0.0019982189933544277, True, None, None),
+        (2, 10, 300, 0.001998218993134511, True, None, None),
         (3, 10, 300, 9.659787215908966e-06, True, 1, None),
         (4, 10, None, None, True, None, 0),
-        (2, 100, 300, 0.00019978219410381393, True, None, None),
+        (2, 100, 300, 0.0001997821936751706, True, None, None),
         (3, 100, 300, 8.873534994764155e-07, True, 1, None),
-        (4, 100, 300, 0.007376458851892641, True, None, 300),
-        (2, 1000, 300, 1.9977822350169066e-05, True, None, None),
+        (4, 100, 300, 0.007376458851891087, True, None, 300),
+        (2, 1000, 300, 1.9977822049949642e-05, True, None, None),
         (3, 1000, 300, 8.794858226869736e-08, True, 1, None),
-        (4, 1000, 300, 0.0007376458720960239, True, None, 300),
+        (4, 1000, 300, 0.0007376458720931866, True, None, 300),
     ],
 }
 
@@ -635,7 +667,11 @@ def test_condition_report_matches_golden(name):
 # Same fields as above.  The beta-NB inequality-3 entries are those of the
 # Pochhammer start row, each within 2e-16 of 40-digit mpmath, which also puts
 # the exact worst n at 10^4 (the betaln start row's rounding, up to 9e-11,
-# had set n_worst to 9998 / 9897 / 9817).
+# had set n_worst to 9998 / 9897 / 9817).  The beta-NB inequality-2 and -4
+# entries are those of the integrated fresh mass and of the mismatch sum
+# ended at its crossing, within 2e-17 and 4.5e-15 of 40-digit mpmath.  The
+# betaln fresh mass had moved inequality 2 by up to 2e-11 and put inequality
+# 4's worst n at K = 1000 at 9996, with slack 2.98440e-05.
 _GOLDEN_REPORTS_10K = {
     "gp": [
         (1, None, 10000, 4.999666691665305e-09, True, None, None),
@@ -651,15 +687,15 @@ _GOLDEN_REPORTS_10K = {
     ],
     "bnb": [
         (1, None, 10000, 9.99849836540341e-09, True, None, None),
-        (2, 10, 10000, 5.999841982658096e-05, True, None, None),
+        (2, 10, 10000, 5.9998399912039956e-05, True, None, None),
         (3, 10, 10000, 8.796784726933e-09, True, 1, None),
         (4, 10, None, None, True, None, 0),
-        (2, 100, 10000, 5.999805069333274e-06, True, None, None),
+        (2, 100, 10000, 5.9998039992022295e-06, True, None, None),
         (3, 100, 10000, 8.077159508217884e-10, True, 1, None),
-        (4, 100, 10000, 0.000298617956718625, True, None, 10000),
-        (2, 1000, 10000, 5.999876029261656e-07, True, None, None),
+        (4, 100, 10000, 0.000298617956717786, True, None, 10000),
+        (2, 1000, 10000, 5.999800399904751e-07, True, None, None),
         (3, 1000, 10000, 8.0051963655472e-11, True, 1, None),
-        (4, 1000, 9996, 2.9844027909597557e-05, True, None, 10000),
+        (4, 1000, 10000, 2.9861795667149477e-05, True, None, 10000),
     ],
 }
 
@@ -680,9 +716,16 @@ def test_condition_report_matches_golden_at_benchmark_scale(name):
 
 
 def _stacked_rows(model, n, totals, x_lo, X):
-    """The stepper's rows for x = x_lo..X stacked as an (x, T, n) array."""
-    return np.array([block.copy() for _, block
-                     in itertools.islice(_count_rows(model, n, totals, x_lo), X - x_lo + 1)])
+    """The checker's rows for x = x_lo..X stacked as an (x, T, n) array: each
+    starts from the family's ``start_row`` (M_{n,x} at total 0) and steps by
+    its ``stepper``."""
+    n, totals = np.asarray(n, dtype=float), np.asarray(totals, dtype=float)
+    block = np.array([target_new_atom_rate(model, n, x_lo) if t == 0
+                      else model.start_row(n, t, x_lo) for t in totals])
+    ratio, rows = model.stepper(n), [block]
+    for x in range(x_lo + 1, X + 1):
+        rows.append(rows[-1] * ratio(totals, x, np.empty_like(block)))
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("model", [GP, BNB], ids=["gp", "bnb"])
@@ -744,12 +787,14 @@ def test_bnb_grid_matches_mpmath():
 
 # The dense checker the streamed sums replace: each pmf an (x, n) grid built
 # row by row with the same ratio arithmetic, its truncation point doubled from
-# 64 until every column has crossed (a - b <= _CROSS_REL a at some x).
-# Inequality 3 is Scheffe's sum, twice the cumsum of a - b before each
-# column's crossing; inequality 4 sums |a - b| over axis 0 and adds the tail
-# difference.
+# 64 until every column has crossed (a - b <= _CROSS_REL a at some x).  Both
+# sums are twice the cumsum of a - b before each column's crossing less the
+# rows' mass gap: 0 for inequality 3's pmfs (Scheffe's sum), sum_x M_{n,x}
+# - K sum_{x>=1} h~(x|0) for inequality 4.
 
-def _dense_count_grid(model, n, total, x_lo, X):
+def _dense_count_grid(model, n, total, x_lo, X, scale=1.0):
+    """Rows x_lo..X; the row at x_lo is scaled before the steps past it, as
+    the checker scales its start rows."""
     n = np.asarray(n, dtype=float)
     bnb = model.kind == "beta_neg_binomial"
     x0 = 0 if bnb and total > 0 else x_lo
@@ -768,6 +813,8 @@ def _dense_count_grid(model, n, total, x_lo, X):
     else:
         num, lag, base = (x + model.r - 1) / x * u, u, model.r * n + model.alpha
     for i in range(x.size):
+        if i == x_lo - x0:
+            grid[i] *= scale
         row = grid[i + 1]
         np.add(base, lag[i], out=row)
         np.divide(num[i], row, out=row)
@@ -781,40 +828,34 @@ def _dense_crossed(a, b):
     return diff, diff <= _CROSS_REL * a
 
 
-def _dense_l1_history(model, K, n, S):
+def _dense_l1(model, n, totals, x_lo, scale, gap):
+    """sum_{x>=x_lo} |a - b| of the rows at totals (a's, b's), the second
+    scaled, whose masses differ by ``gap``, and the largest crossing point."""
     X = 64
     while X <= 1 << 16:
-        diff, crossed = _dense_crossed(
-            _dense_count_grid(model, n, float(S), 0, X),
-            _dense_count_grid(model, n, float(S) + model.mass_shift / K, 0, X))
+        diff, crossed = _dense_crossed(_dense_count_grid(model, n, totals[0], x_lo, X),
+                                       _dense_count_grid(model, n, totals[1], x_lo, X, scale))
         if crossed.any(axis=0).all():
             at = crossed.argmax(axis=0)
             part = np.vstack([np.zeros(n.size), np.cumsum(diff, axis=0)])
-            return 2.0 * part[at, np.arange(n.size)], int(at.max())
+            return np.maximum(2.0 * part[at, np.arange(n.size)] - gap, 0.0), x_lo + int(at.max())
         X *= 2
     raise RuntimeError("no crossing found")
 
 
+def _dense_l1_history(model, K, n, S):
+    return _dense_l1(model, n, (float(S), float(S) + model.mass_shift / K), 0, 1.0, 0.0)
+
+
 def _dense_l4_mismatch(model, K, n):
-    totals, fresh = total_new_atom_rate(model, n), approx_fresh_mass(model, K, n)
-    X = 64
-    while X <= 1 << 16:
-        m = _dense_count_grid(model, n, 0.0, 1, X)
-        h = _dense_count_grid(model, n, model.mass_shift / K, 1, X)
-        h *= K
-        diff, crossed = _dense_crossed(m, h)
-        if crossed.any(axis=0).all():
-            tail_m = np.clip(totals - m.sum(axis=0), 0, None)
-            tail_h = np.clip(K * fresh - h.sum(axis=0), 0, None)
-            return np.abs(diff, out=diff).sum(axis=0) + np.abs(tail_m - tail_h), X
-        X *= 2
-    raise RuntimeError("no certified truncation point found")
+    gap = total_new_atom_rate(model, n) - K * approx_fresh_mass(model, K, n)
+    return _dense_l1(model, n, (0.0, model.mass_shift / K), 1, K, gap)
 
 
 def _streamed_matches_dense(model, K_set, n, scan):
-    """Compare the streamed and dense sums; returns the inequality-3 crossing
-    points (at n >= 2, as the checker scans histories) and the inequality-4
-    truncation points."""
+    """Compare the streamed and dense sums; returns the inequality-3 and
+    inequality-4 crossing points (inequality 3 at n >= 2, as the checker
+    scans histories)."""
     xs3, xs4 = set(), set()
     for S in scan:
         for K, (l1, X) in zip(K_set, model.l1_history(K_set, n[n >= 2], S)):
@@ -833,46 +874,47 @@ def _streamed_matches_dense(model, K_set, n, scan):
 @pytest.mark.parametrize("model, K_set, n, scan, want3, want4", [
     # the benchmark's check-conditions config, every scanned history total
     (BNB, [10, 100, 1000], np.arange(1, 10_001.0), _HISTORY_SCAN,
-     {1, 2, 3, 4, 5, 6, 7, 11, 17}, {64}),
+     {1, 2, 3, 4, 5, 6, 7, 11, 17}, {3}),
     # late crossings at large history totals
     (gamma_poisson(1.0, 0.01), [10, 1000], np.arange(1, 2001.0), _HISTORY_SCAN,
-     {1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 32, 50}, {64}),
+     {1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 32, 50}, {58}),
     # pairs of one block crossing at different x
-    (gamma_poisson(100.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {46, 47, 50}, {64}),
-    (gamma_poisson(300.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {46, 50, 58}, {64}),
-    (GP, [1, 7, 100], np.arange(1, 301.0), _HISTORY_SCAN, {1, 2, 3, 4, 5, 7, 8, 10, 16, 25}, {64}),
+    (gamma_poisson(100.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {46, 47, 50},
+     {2, 3, 5}),
+    (gamma_poisson(300.0, 0.1), [1, 3, 1000], np.array([2.0, 3.0, 5.0]), [50], {46, 50, 58},
+     {2, 5, 11}),
+    (GP, [1, 7, 100], np.arange(1, 301.0), _HISTORY_SCAN, {1, 2, 3, 4, 5, 7, 8, 10, 16, 25}, {2}),
     (BNB_R5, [2, 10], np.array([1.0, 4.0, 9.0, 5000.0]), _HISTORY_SCAN,
-     {1, 2, 3, 4, 5, 6, 10, 15}, {64}),
+     {1, 2, 3, 4, 5, 6, 10, 15}, {6, 7}),
     (beta_negative_binomial(0.5, 1.5, 0.5), [1, 1000], np.arange(1, 51.0), [1, 13, 50],
-     {1, 4, 13}, {64}),
-    # inequality 4 at n = 1 crosses at x = 114, past the first checkpoint
-    (gamma_poisson(1.0, 0.005), [10, 100], np.array([1.0, 2.0, 3.0]), [1, 50], {1, 50}, {128}),
+     {1, 4, 13}, {3, 4}),
+    # inequality 4 at n = 1 crosses at x = 114, past the dense grid's first
+    # truncation point 64 (the old doubling loop certified it at 128)
+    (gamma_poisson(1.0, 0.005), [10, 100], np.array([1.0, 2.0, 3.0]), [1, 50], {1, 50}, {114}),
 ], ids=["bnb-bench", "gp-late", "gp-mixed", "gp-mixed2", "gp", "bnb-r5", "bnb-r0.5", "gp-l4-128"])
 def test_streamed_sums_match_dense_reference(model, K_set, n, scan, want3, want4):
     # the partial sums add the differences in x order, as the dense cumsum
-    # does, and the inequality-4 running sums add rows in the order numpy's
-    # axis-0 sum adds the rows of a grid of two or more columns, so both are
-    # equal
+    # does, and subtract the same mass gap, so both sums are equal
     assert _streamed_matches_dense(model, K_set, n, scan) == (want3, want4)
 
 
 def test_single_column_sums_within_ulps_of_dense():
-    # one column: numpy summed the (X, 1) grid pairwise, the stream adds in
-    # order.  The named case: beta-NB(2, 3, 2), generic bounds, K = 1, where
-    # inequality 4 is evaluated at n = 1 only; its slack was
-    # -2.115950715950717 with the dense sums and moves 5 ulp.  The
-    # inequality-3 cumsum adds in order for one column too, so it is exact
+    # one column, where numpy sums an (X, 1) grid pairwise: the cumsum adds
+    # in order for one column too, so both sums equal the dense ones.  The
+    # named case: beta-NB(2, 3, 2), generic bounds, K = 1, where inequality
+    # 4 is evaluated at n = 1 only; its slack was -2.115950715950717 when it
+    # summed |a - b| to x = 64, and ending at the crossing x = 5 moves it 1 ulp
     model = beta_negative_binomial(2.0, 3.0, 2.0)
     report = check_condition_1(model, generic_condition_bounds(1.0, 1.0, 1.0, 0.0, 1.0), 50, [1])
     (e4,) = [e for e in report["inequalities"] if e["inequality"] == 4]
-    assert (e4["n_evaluated"], e4["n_worst"], e4["x_max"], e4["pass"]) == (1, 1, 64, False)
+    assert (e4["n_evaluated"], e4["n_worst"], e4["x_max"], e4["pass"]) == (1, 1, 5, False)
     ulp = np.spacing(2.115950715950717)
     assert abs(e4["slack"] - -2.115950715950717) <= 8 * ulp, e4["slack"]
     for n in (np.array([1.0]), np.array([2.0])):
         l4, X = model.l4_mismatch(1, n, total_new_atom_rate(model, n),
                                   approx_fresh_mass(model, 1, n))
         want, want_X = _dense_l4_mismatch(model, 1, n)
-        assert X == want_X and abs(l4[0] - want[0]) <= 8 * np.spacing(want[0])
+        assert X == want_X and np.array_equal(l4, want)
         ((l1, X),) = model.l1_history([1], n + 1, 3)
         want, want_X = _dense_l1_history(model, 1, n + 1, 3)
         assert X == want_X and np.array_equal(l1, want)
@@ -886,8 +928,8 @@ def _brute_l1(rows, a, b, j):
 
 def test_mismatch_sum_waits_for_a_late_crossing():
     # gamma-Poisson(1, 0.005), K = 10, n = 1: M_{1,x} - 10 h~(x | 0) changes
-    # sign at x = 114, past the first checkpoint X = 64, where the last 16
-    # differences already have one sign (a sum certified there reads
+    # sign at x = 114, past x = 64, where the last 16 differences already
+    # have one sign (a sum that treated x = 64 as past the crossing read
     # 3.6057e-05).  Each step shrinks the terms by about 0.995, so 2^15
     # stepped terms give the converged value
     model, K, n = gamma_poisson(1.0, 0.005), 10, np.array([1.0])
@@ -895,13 +937,43 @@ def test_mismatch_sum_waits_for_a_late_crossing():
     rows = _stacked_rows(model, n, [0.0, model.mass_shift / K], 1, 1 << 15)
     rows[:, 1] *= K
     brute = _brute_l1(rows, 0, 1, 0)
-    assert X == 128 and abs(l4[0] - brute) <= 1e-13, (l4[0], brute)
+    assert X == 114 and abs(l4[0] - brute) <= 1e-13, (l4[0], brute)
     # with C5 = 3.63e-4 the bound at n = 1 is 3.63e-05: below the sum
     bounds = generic_condition_bounds(1.0, 0.0, 0.0, 0.0, 3.63e-4)
     report = check_condition_1(model, bounds, 2, [10])
     (e4,) = [e for e in report["inequalities"] if e["inequality"] == 4]
-    assert (e4["n_worst"], e4["x_max"], e4["pass"], report["pass"]) == (1, 128, False, False)
+    assert (e4["n_worst"], e4["x_max"], e4["pass"], report["pass"]) == (1, 114, False, False)
     assert abs(e4["slack"] - (3.63e-4 / K - brute)) <= 1e-13, e4["slack"]
+
+
+def test_mismatch_sums_match_mpmath():
+    # the benchmark's beta-NB: sum_{x>=1} |M_{n,x} - K h~(x|0)| against
+    # 40-digit arithmetic, which sums the positive part before the single
+    # sign change and takes the exact masses for the identity
+    # sum |a - b| = 2 sum (a - b)^+ - (A - B).  A fresh mass that cancels
+    # puts the sums 6.3e-10 off at K = 100, n = 9817
+    mp = pytest.importorskip("mpmath")
+    n = np.array([1.0, 100.0, 9817.0, 1e4])
+    g, al, r = BNB.gamma, BNB.alpha, BNB.r
+    with mp.workdps(40):
+        for K in (100, 1000):
+            got, _ = BNB.l4_mismatch(K, n, total_new_atom_rate(BNB, n),
+                                     approx_fresh_mass(BNB, K, n))
+            t = mp.mpf(g) * al / K
+            for j, nj in enumerate(n):
+                b = r * (mp.mpf(nj) - 1) + al
+                A = g * al * (mp.digamma(b + r) - mp.digamma(b))
+                B = K * -mp.expm1(mp.loggamma(b + r) - mp.loggamma(b)
+                                  - mp.loggamma(t + b + r) + mp.loggamma(t + b))
+                pos, x = mp.mpf(0), 1
+                while True:
+                    c = mp.gamma(x + r) / (mp.factorial(x) * mp.gamma(r))
+                    d = c * (g * al * mp.beta(x, b + r) - K * mp.beta(t + x, b + r) / mp.beta(t, b))
+                    if d <= 0:
+                        break
+                    pos, x = pos + d, x + 1
+                want = 2 * pos - (A - B)
+                assert abs(got[j] - float(want)) <= 1e-13, (K, nj, got[j], float(want))
 
 
 @pytest.mark.parametrize("model, K_set, n, scan, X, last_crossing", [
@@ -930,7 +1002,7 @@ def test_history_sum_of_unresolvable_shift_is_zero():
     # a K so large that S + c/K == S: the rows are equal, and the sum is 0 at
     # crossing point 0.  The whole checker runs there: the beta-NB stepper
     # must add x - 1 to a total c/K below eps in one rounding, or the row
-    # K h~ is 0 from x = 1 on and never crosses M
+    # K h~ is 0 from x = 1 on and never crosses M; it crosses at x = 1
     n, K = np.arange(2, 200.0), 10**20  # past int64 too: K h~ stays a float row
     for model in (GP, BNB, beta_negative_binomial(0.5, 1.5, 0.5)):
         assert float(_HISTORY_SCAN[0]) + model.mass_shift / K == _HISTORY_SCAN[0]
@@ -938,7 +1010,7 @@ def test_history_sum_of_unresolvable_shift_is_zero():
             assert all(X == 0 and not l1.any() for l1, X in model.l1_history([K], n, S))
         report = check_condition_1(model, model.preset(), 50, [K])
         e3, e4 = (e for e in report["inequalities"] if "x_max" in e)
-        assert (e3["x_max"], e3["pass"], e4["x_max"]) == (0, True, 64)
+        assert (e3["x_max"], e3["pass"], e4["x_max"]) == (0, True, 1)
         # shifts of a few ulps end too, where rounding hides the crossing
         for S in (1, 13, 50):
             K_ulps = [round(model.mass_shift / (u * np.spacing(float(S)))) for u in (1, 2, 3)]
@@ -946,8 +1018,18 @@ def test_history_sum_of_unresolvable_shift_is_zero():
                 assert X < 64 and l1.max() <= 1e-13
 
 
+def test_bnb_preset_passes_at_large_K():
+    # K = 10^17: the betaln fresh mass read -0.0 and inequality 4 slack
+    # -4.66e-4 at n = 1, a false failure of a condition the preset meets
+    report = check_condition_1(BNB, BNB.preset(), 50, [10**17])
+    (e4,) = [e for e in report["inequalities"] if e["inequality"] == 4]
+    assert report["pass"], report
+    assert approx_fresh_mass(BNB, 10**17, 1) > 0 and e4["x_max"] == 1
+
+
 @pytest.mark.parametrize("n_max, K_set", [(1, [10]), (2.5, [10]), (True, [10]), (50, []),
-                                          (50, [0]), (50, [2.5]), (50, [True]), (50, 10)])
+                                          (50, [0]), (50, [2.5]), (50, [True]), (50, 10),
+                                          (50, [10, 10])])
 def test_condition_checker_rejects_bad_ranges(n_max, K_set):
     with pytest.raises(ValueError, match="n_max" if K_set == [10] else "K_set"):
         check_condition_1(GP, GP.preset(), n_max, K_set)
@@ -964,8 +1046,9 @@ def test_condition_report_shape():
     n3 = np.arange(2, 51.0)
     crossings = [_dense_l1_history(GP, 10, n3, S)[1] for S in _HISTORY_SCAN]
     assert e3["x_max"] == max(crossings) >= 1
-    # inequality 4: a certified truncation point; the doubling loop starts at 64
-    assert e4["x_max"] >= 64 and e4["x_max"] & (e4["x_max"] - 1) == 0
+    # inequality 4: the largest crossing point over the rounds
+    n = np.arange(1, 51.0)
+    assert e4["x_max"] == _dense_l4_mismatch(GP, 10, n)[1] >= 1
     bb = check_condition_1(BB, BB.preset(), 50, [10])
     assert [e["x_max"] for e in bb["inequalities"] if "x_max" in e] == [1, 1]
 
