@@ -23,10 +23,12 @@ at the 1e-300 floor where atom sizes are clamped (the head's mass on
 (0, 1e-300], a share that grows with K), exact power-law draws on the
 singular head above the floor (and, for the beta family, the right edge),
 and a monotone-cubic inverse-CDF table on 4096 log-spaced knots for the
-body.  The end pieces sample by rejection.  On the head, whose weight
-g^(eps-d) h is monotone for all four families, the envelope takes the
-weight's sup and inf from its values at the ends of [1e-300, a/K], and a
-uniform below the inf accepts without evaluating the weight.  The sampler is
+body.  The end pieces sample by rejection, from an envelope whose sup and
+inf provably bound the piece's weight: on the head, whose weight g^(eps-d) h
+is monotone for all four families, its values at the ends of [1e-300, a/K];
+on the beta edge, whose weight (1-v)^(eps-1-d S_b) has a non-decreasing
+S_b, 1 and (1-delta)^(eps-1-d S_b) at S_b's values at the edge's two ends.
+A uniform below the inf accepts without evaluating the weight.  The sampler is
 checked once per configuration against nu_K's exact CDF over the head, body
 and edge, with two point masses: draws clamped to the 1e-300 floor, and for
 the beta family draws of 1.0, to which an edge draw 1 - v rounds for
@@ -168,14 +170,22 @@ class AifaConfig(WeightDistribution):
         edge = None
         if upper < math.inf and (m1 < 1.0 or spec.edge_power < 1.0):
             delta = min(1e-3, 0.5 * (1.0 - m1)) if m1 < 1.0 else 1e-3
-            edge = _EndPiece(delta, spec.edge_power, lambda v: np.exp(self._log_power(1.0 - v)))
+            # the weight (1-v)^(eps-1-d S_b), log(1-v) in [log(1-delta), 0] and S_b
+            # non-decreasing in theta = 1 - v, lies between 1 and these two powers
+            s_b = indicator_value(self.indicator_kind, self.b,
+                                  np.array([1.0 - delta, 1.0]) - self.a / K)
+            lo, hi = np.exp((self.eps - 1.0 - spec.discount * s_b) * math.log(1.0 - delta))
+            edge = _EndPiece(delta, spec.edge_power, lambda v: np.exp(self._log_power(1.0 - v)),
+                             (min(1.0, lo), max(1.0, hi)))
             m1 = min(m1, 1.0 - delta)
             body_hi = 1.0 - delta
         elif upper < math.inf:
             body_hi = m1  # head swallowed the whole support (K <= a)
         else:
             body_hi = self._unbounded_right_end(m1, m2)
-        head = _EndPiece(m1, self.eps, self._head_weight, monotone=True, lo=_WEIGHT_FLOOR)
+        ends = self._head_weight(np.array([_WEIGHT_FLOOR, m1]))  # monotone for all families
+        head = _EndPiece(m1, self.eps, self._head_weight, (ends.min(), ends.max()),
+                         lo=_WEIGHT_FLOOR)
 
         # body [m1, body_hi]: 4096-knot table; log-spaced with the indicator
         # knot m2 inserted, a bounded support refined toward its right edge.
@@ -332,26 +342,22 @@ class _EndPiece:
     ``mass`` covers all of (0, scale] and ``lo_mass`` (0, lo], by the same
     adaptive rule on u in [0, 1] and [0, c].
 
-    A ``monotone`` weight (the head's g^(eps-d) h, for every family) has its
-    sup and inf at the ends of [_WEIGHT_FLOOR, scale], where proposals lie:
-    ``sup`` is the larger end value grown by 1e-9 and ``inf`` the smaller
-    shrunk by 1e-12, to cover rounding.  ``sample`` accepts a proposal whose
-    scaled uniform is <= inf without evaluating weight, which changes no draw.
-    Any other weight (the beta edge's indicator term need not be monotone) takes
-    ``sup`` from a 128-point log grid on [1e-15 scale, scale], and ``inf`` is -inf.
+    ``bounds`` = (inf, sup) bound the weight where proposals lie, from the
+    caller: the head's monotone g^(eps-d) h takes its two end values on
+    [_WEIGHT_FLOOR, scale], the beta edge the bounds of its power of 1 - v.
+    ``sup`` is grown by 1e-9 and ``inf`` shrunk by 1e-12, to cover rounding.
+    ``sample`` accepts a proposal whose scaled uniform is <= inf without
+    evaluating weight, which changes no draw.
     """
 
-    def __init__(self, scale, power, weight, monotone=False, lo=0.0):
+    def __init__(self, scale, power, weight, bounds, lo=0.0):
         self.scale, self.power, self.weight = scale, power, weight
         self._weight_of_u = lambda u: weight(scale * _pow_safe(u, 1.0 / power))
         self.mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, 1.0, _QUAD_TOL)
         self.c = math.exp(power * (math.log(lo) - math.log(scale))) if lo > 0 else 0.0
         self.lo_mass = (scale**power / power) * gauss_legendre(self._weight_of_u, 0.0, self.c,
                                                                _QUAD_TOL)
-        values = weight(np.array([_WEIGHT_FLOOR, scale]) if monotone
-                        else scale * np.exp(np.linspace(math.log(1e-15), 0.0, 128)))
-        self.sup = float(values.max()) * (1.0 + 1e-9)
-        self.inf = float(values.min()) * (1.0 - 1e-12) if monotone else -math.inf
+        self.inf, self.sup = float(bounds[0]) * (1.0 - 1e-12), float(bounds[1]) * (1.0 + 1e-9)
 
     def partial_masses(self, v):
         """Mass of (0, v] at each v of a sample's ascending draws (close where

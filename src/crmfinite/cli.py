@@ -407,12 +407,8 @@ def cmd_gibbs_run(config, out, seed, replicates):
     _write_csv(os.path.join(out, "chain.csv"), ("replicate", "sweep", "stat_name", "value"),
                *_by_replicate(chains))
     for rep, (state, _, _) in enumerate(results):
-        checkpoint = {
-            "tau": state.tau.tolist(), "psi": state.psi.tolist(),
-            "x": state.x.tolist(), "w": state.w.tolist(),
-            "gamma_w": state.gamma_w, "gamma_e": state.gamma_e, "prior": state.prior,
-            "degenerate_draws": state.degenerate_draws,
-        }
+        values = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+        checkpoint = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
         _write_atomic(os.path.join(out, f"state_{rep:04d}.json"), json.dumps(checkpoint))
     plls = [pll for *_, pll in results if pll is not None]
     summary = {"prior_kind": model.prior, "sweeps": sweeps, "burnin": burnin,

@@ -24,15 +24,15 @@ The joint block draws each column's x with its w integrated out, then w given x:
 one column scan with the same stationary law as separate x and w scans.  Its
 factor kernel reads each column's residual projection from y psi^T and psi psi^T,
 fixed during the block, and takes optional leading sample axes: a sweep has none,
-held-out scoring runs all kept samples (SampleBatch) at once.  psi is one joint
-Gaussian block: given S = x * w its columns share the precision
+held-out scoring runs all kept samples (one GibbsState with a sample axis) at once.
+psi is one joint Gaussian block: given S = x * w its columns share the precision
 I / psi_scale + gamma_e S^T S, drawn through its Cholesky factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .checks import integer, positive, real
 __all__ = [
     "LinearGaussianModel",
     "GibbsState",
-    "SampleBatch",
     "init_state",
     "aifa_tau_conditional",
     "sample_truncated_beta",
@@ -91,7 +90,10 @@ class LinearGaussianModel:
 
 @dataclass
 class GibbsState:
-    """Latent state of one chain; owned by that chain."""
+    """Latent state of one chain, owned by that chain; or S kept samples of it (a batch),
+    with a leading sample axis on tau (S, K) and psi (S, K, D), the precisions as (S, 1)
+    columns that broadcast over rows as one chain's floats do, and x, w (S, m, K) of
+    held-out rows, None until ``impute_heldout_locals`` fills them."""
 
     tau: np.ndarray      # (K,)
     psi: np.ndarray      # (K, D)
@@ -104,24 +106,12 @@ class GibbsState:
 
     @property
     def reconstruction(self):
-        return (self.x * self.w) @ self.psi
-
-
-@dataclass
-class SampleBatch:
-    """Globals of S samples: tau (S, K), psi (S, K, D), gamma_w and gamma_e (S, 1) columns
-    that broadcast over rows as a GibbsState's floats do; imputation adds x, w (S, m, K)."""
-
-    tau: np.ndarray
-    psi: np.ndarray
-    gamma_w: np.ndarray
-    gamma_e: np.ndarray
-    x: np.ndarray = None
-    w: np.ndarray = None
-
-    reconstruction = GibbsState.reconstruction  # (S, m, D) by batched matmul
+        return (self.x * self.w) @ self.psi  # (S, m, D) by batched matmul in a batch
 
     def __len__(self):
+        """The sample count of a batch; one chain's state has no sample axis."""
+        if self.tau.ndim < 2:
+            raise TypeError("one chain's state has no sample axis")
         return self.tau.shape[0]
 
 
@@ -415,14 +405,15 @@ def generate_synthetic(N, D, n_features, rng, activation=0.3, feature_scale=1.0,
 # held-out evaluation
 # ---------------------------------------------------------------------------
 
-def impute_heldout_locals(samples: SampleBatch, y_heldout, model, rng, scans=5) -> SampleBatch:
-    """The samples' globals with a posterior draw of the held-out rows' x, w (S, m, K);
+def impute_heldout_locals(samples: GibbsState, y_heldout, model, rng, scans=5) -> GibbsState:
+    """The batch's globals with a posterior draw of the held-out rows' x, w (S, m, K);
     every column step redraws column k of all S samples in one call."""
     y = np.asarray(y_heldout, dtype=float)
     shape = (len(samples), y.shape[0], model.K)
-    out = SampleBatch(samples.tau, samples.psi, samples.gamma_w, samples.gamma_e,
-                      _by_column((rng.random(shape) < samples.tau[:, None, :]).astype(np.int8)),
-                      _by_column(rng.normal(0.0, 1.0 / np.sqrt(samples.gamma_w)[..., None], size=shape)))
+    sd = 1.0 / np.sqrt(samples.gamma_w)[..., None]
+    out = replace(samples,
+                  x=_by_column((rng.random(shape) < samples.tau[:, None, :]).astype(np.int8)),
+                  w=_by_column(rng.normal(0.0, sd, size=shape)))
     S = _by_column(out.x * out.w)
     P = (out.psi @ y.T).swapaxes(-1, -2)  # (S, m, K) with contiguous columns, no copy
     G = out.psi @ out.psi.swapaxes(-1, -2)
@@ -432,7 +423,7 @@ def impute_heldout_locals(samples: SampleBatch, y_heldout, model, rng, scans=5) 
     return out
 
 
-def predictive_log_likelihood(samples: SampleBatch, y_heldout) -> float:
+def predictive_log_likelihood(samples: GibbsState, y_heldout) -> float:
     """Mean over held-out rows of log( (1/S) sum_s N(y | recon_s, I/gamma_e^s) ).
 
     The batch carries held-out x, w (impute_heldout_locals); invariant to sample order."""
@@ -447,7 +438,7 @@ def predictive_log_likelihood(samples: SampleBatch, y_heldout) -> float:
 
 
 def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
-    """Run one chain and return (final state, SampleBatch of kept globals, stats).
+    """Run one chain and return (final state, kept globals as a GibbsState batch, stats).
 
     ``stats`` is a (sweeps, len(CHAIN_STATS)) array; row s - 1 holds sweep
     s's Geweke statistics sum_x, mean_tau and gamma_e, then gamma_w and the
@@ -457,7 +448,8 @@ def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
     y = np.asarray(y, dtype=float)
     state = init_state(model, y.shape[0], rng) if initial_state is None else initial_state
     n, K = max(0, sweeps - burnin) // thin, model.K
-    samples = SampleBatch(np.empty((n, K)), np.empty((n, K, model.D)), *np.empty((2, n, 1)))
+    samples = GibbsState(np.empty((n, K)), np.empty((n, K, model.D)), None, None,
+                         *np.empty((2, n, 1)), model.prior)
     stats = np.empty((sweeps, len(CHAIN_STATS)))
     for sweep in range(1, sweeps + 1):
         state = gibbs_sweep(state, y, model, rng)

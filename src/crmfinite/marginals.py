@@ -10,11 +10,13 @@ through the round index n and the count total S:
     beta-neg-binomial   h(x | hist) = Gamma(x+r)/(x! Gamma(r))
                                       * B(S + x, rn + alpha) / B(S, r(n-1) + alpha)
 
-The level-K approximation shifts S by c/K (c = gamma*alpha resp. gamma*lambda),
-which also gives the dormant-atom law at an all-zero history.  Fresh atoms in
-the target process arrive as independent Poissons with means M_{n,x}; their
-per-round totals have closed forms (the beta-negative-binomial one is a
-digamma difference, cross-checked against brute-force summation in the tests).
+The level-K approximation shifts S by c/K, which also gives the dormant-atom
+law at an all-zero history; c is every family's ``mass_shift``, the library's
+one ``small_weight_coefficient`` (gamma*alpha resp. gamma*lambda up to
+rounding).  Fresh atoms in the target process arrive as independent
+Poissons with means M_{n,x}; their per-round totals have closed forms (the
+beta-negative-binomial one is a digamma difference, cross-checked against
+brute-force summation in the tests).
 
 Each family is one subclass of ``ExpFamilyModel`` that holds all of the
 family's formulas below as methods, with its ``kind`` string and its
@@ -31,10 +33,11 @@ Gamma(S + shift, rate lambda + n) or Beta(S + shift, alpha + r n), and its
 later counts are i.i.d. Bernoulli, Poisson or negative binomial given that
 weight.  Allocations are simulated this way, with no round-by-round walk.
 Given K, the level-K (AIFA) process *is* K i.i.d. IFA weights, Beta(c/K,
-alpha) or Gamma(c/K, lambda), plus the likelihood.  The target (K=None)
-draws each round's births as one Poisson, their sizes by inverse CDF over
-M_{n,x} / sum_x M_{n,x}, and every later count from the posterior weight
-after the birth round.
+alpha) or Gamma(c/K, lambda), drawn from ``aifa_closed_form`` (floored at
+1e-300, as every sampled atom size is), plus the likelihood.  The target
+(K=None) draws each round's births as one Poisson, their sizes by inverse
+CDF over M_{n,x} / sum_x M_{n,x}, and every later count from the posterior
+weight after the birth round.
 
 Both processes draw those counts sparsely, since each atom's counts depend
 only on its own weight theta.  An atom with F free rows (all N at level K,
@@ -81,7 +84,8 @@ import numpy as np
 
 from . import _special as special
 from .checks import integer, integers, positive, real
-from .measures import BetaMeasure, Family, GammaMeasure, RateMeasureSpec
+from .approximations import aifa_closed_form, sample_weights
+from .measures import BetaMeasure, Family, GammaMeasure, RateMeasureSpec, small_weight_coefficient
 
 __all__ = [
     "ExpFamilyModel",
@@ -130,6 +134,12 @@ class ExpFamilyModel:
     def gamma(self):
         return self.spec.gamma
 
+    @property
+    def mass_shift(self):
+        """c = ``small_weight_coefficient``, gamma*alpha resp. gamma*lambda up to
+        rounding; level K adds c/K to every count total."""
+        return small_weight_coefficient(self.spec)
+
     def fresh_mass(self, shift, n):
         """1 - h~(0 | all-zero history), whose count total is the shift alone."""
         return -np.expm1(self.logpmf(n, shift, shift, 0.0))
@@ -156,11 +166,6 @@ class _BetaModel(ExpFamilyModel):
     @property
     def alpha(self):
         return self.spec.eta
-
-    @property
-    def mass_shift(self):
-        """c = gamma*alpha; level K adds c/K to every count total."""
-        return self.gamma * self.alpha
 
 
 class _BetaBernoulli(_BetaModel):
@@ -223,11 +228,6 @@ class _GammaPoisson(ExpFamilyModel):
     @property
     def lam(self):
         return self.spec.rate
-
-    @property
-    def mass_shift(self):
-        """c = gamma*lambda; level K adds c/K to every count total."""
-        return self.gamma * self.lam
 
     def logpmf(self, n, total, shift, x):
         p = 1.0 / (self.lam + n)
@@ -521,11 +521,11 @@ def _birth_sizes(model, rounds, totals, rng):
 def simulate_allocation(model: ExpFamilyModel, N, rng, K=None) -> FeatureAllocation:
     """Simulate N rounds of the marginal process from conjugate latent weights.
 
-    Given K: K i.i.d. level-K IFA weights, each atom with N i.i.d. counts
-    given its weight; atoms that never fire are dropped.  K=None, the
-    target: each round's births are one Poisson draw with sizes from
-    M_{n,x}; an atom's counts after its birth round are i.i.d. given its
-    posterior weight after that round.
+    Given K: K i.i.d. level-K IFA weights from ``aifa_closed_form``, each
+    atom with N i.i.d. counts given its weight; atoms that never fire are
+    dropped.  K=None, the target: each round's births are one Poisson draw
+    with sizes from M_{n,x}; an atom's counts after its birth round are
+    i.i.d. given its posterior weight after that round.
 
     Counts are drawn sparsely (``_sparse_counts``): each atom draws how many
     of its free rows fire, M ~ Binomial(free rows, P(count > 0 | weight)),
@@ -534,9 +534,8 @@ def simulate_allocation(model: ExpFamilyModel, N, rng, K=None) -> FeatureAllocat
     """
     integer(N, "N")
     if K is not None:
-        integer(K, "approximation level K")
+        theta = sample_weights(aifa_closed_form(model.spec, K), rng)
         first = np.zeros(K, dtype=np.int64)  # every row is free
-        theta = model.posterior_weight(first, 0, model.mass_shift / K, rng)
         live, rows, cols, counts = _sparse_counts(model, theta, first, N, rng)
         mat = np.zeros((N, live.size), dtype=np.int64)  # atoms that never fire go
     else:

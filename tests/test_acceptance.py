@@ -34,7 +34,6 @@ from crmfinite.approximations import (
 )
 from crmfinite.inference import (
     LinearGaussianModel,
-    SampleBatch,
     aifa_tau_conditional,
     generate_synthetic,
     impute_heldout_locals,
@@ -291,12 +290,14 @@ def test_criterion_10_aifa_vs_tfa_parity():
             init = data_informed_init(model, y_train, crng)
             _, samples, _ = run_chain(model, y_train, 3000, crng,
                                       burnin=1500, thin=25, initial_state=init)
-            twice = SampleBatch(*(np.repeat(a, 2, axis=0) for a in
-                                  (samples.tau, samples.psi, samples.gamma_w, samples.gamma_e)))
+            twice = dataclasses.replace(samples, **{
+                f: np.repeat(getattr(samples, f), 2, axis=0)
+                for f in ("tau", "psi", "gamma_w", "gamma_e")})
             pooled.append(impute_heldout_locals(twice, y_heldout, model, crng, scans=8))
         plls[prior] = predictive_log_likelihood(
-            SampleBatch(*(np.concatenate([getattr(b, f) for b in pooled]) for f in
-                          ("tau", "psi", "gamma_w", "gamma_e", "x", "w"))), y_heldout)
+            dataclasses.replace(pooled[0], **{
+                f: np.concatenate([getattr(b, f) for b in pooled])
+                for f in ("tau", "psi", "x", "w", "gamma_w", "gamma_e")}), y_heldout)
     rel = abs(plls["aifa"] - plls["bondesson_tfa"]) / abs(plls["bondesson_tfa"])
     elapsed = time.time() - started
     ok = rel < 0.05 and elapsed < 1800

@@ -473,18 +473,43 @@ def test_head_squeeze_is_a_lower_bound_and_changes_no_draw(family, d):
     assert tables["floor_p"] > 0.1 and head.c > 0.1
     grid = np.geomspace(floor, head.scale, 20_001)
     assert 0.0 < head.inf <= head.weight(grid).min()
-    plain = approximations._EndPiece(head.scale, head.power, head.weight, lo=floor)
-    assert plain.inf == -math.inf and plain.c == head.c
+    ends = head.weight(np.array([floor, head.scale]))
+    plain = approximations._EndPiece(head.scale, head.power, head.weight, (-math.inf, ends.max()),
+                                     lo=floor)
+    assert plain.inf == -math.inf and plain.sup == head.sup and plain.c == head.c
     draws = [sample(50_000, derive_rng(97, 0))
              for sample in (head.sample, plain.sample, lambda n, rng: _plain_end_sample(head, n, rng))]
     assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
     # no head draw falls below the floor, and almost none sits on it
     assert draws[0].min() >= floor and (draws[0] == floor).mean() < 1e-3
-    # the beta right edge's indicator term need not be monotone: no squeeze,
-    # and it proposes from all of (0, scale]
+    # the beta right edge proposes from all of (0, scale]
     edge = tables["edge"]
     assert (edge is not None) == (family == "beta")
-    assert edge is None or (edge.inf == -math.inf and edge.c == 0.0 and edge.lo_mass == 0.0)
+    assert edge is None or (edge.inf > 0.0 and edge.c == 0.0 and edge.lo_mass == 0.0)
+
+
+@pytest.mark.parametrize("d", [0.0, 0.4])
+@pytest.mark.parametrize("alpha", [0.5, 3.0])
+@pytest.mark.parametrize("b", ["1/K", "1/sqrt(K)"])
+def test_edge_squeeze_bounds_the_weight_and_changes_no_draw(b, alpha, d):
+    # at K = 2, a = 1 the edge (1 - delta, 1] lies inside the indicator ramp
+    # above a/K = 1/2, so S_b varies across it (b = 1/K by a hair, b = 1/sqrt(K)
+    # widely), and the weight (1 - v)^(eps - 1 - d S_b) is not a power of 1 - v;
+    # inf and sup, 1 and powers of 1 - delta at S_b's end values, still bound it
+    # on all of (0, delta]
+    edge = AifaConfig(beta_process(2.0, alpha, d), 2, a=1.0, b=b)._build()["edge"]
+    grid = edge.scale * np.concatenate([np.geomspace(1e-300, 1e-3, 2_000),
+                                        np.linspace(1e-3, 1.0, 20_001)])
+    weight = edge.weight(grid)
+    assert 0.0 < edge.inf <= weight.min() and weight.max() <= edge.sup
+    if d > 0.0:  # S_b moves the weight's exponent across the edge (v >= 1e-3 delta)
+        assert np.ptp(np.log(weight[2_000:]) / np.log(1.0 - grid[2_000:])) > 1e-7
+    plain = approximations._EndPiece(edge.scale, edge.power, edge.weight,
+                                     (-math.inf, edge.sup / (1.0 + 1e-9)))
+    assert plain.inf == -math.inf and plain.sup == edge.sup
+    draws = [sample(50_000, derive_rng(98, 0))
+             for sample in (edge.sample, plain.sample, lambda n, rng: _plain_end_sample(edge, n, rng))]
+    assert draws[0].tobytes() == draws[1].tobytes() == draws[2].tobytes()
 
 
 def _generalized_gamma_law(eta2):

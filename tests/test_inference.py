@@ -13,7 +13,6 @@ from crmfinite.inference import (
     CHAIN_STATS,
     GibbsState,
     LinearGaussianModel,
-    SampleBatch,
     aifa_tau_conditional,
     generate_synthetic,
     gibbs_sweep,
@@ -587,17 +586,17 @@ def test_geweke_moments_match():
 
 # -- held-out evaluation ---------------------------------------------------------
 
-_FIELDS = ("tau", "psi", "gamma_w", "gamma_e", "x", "w")
+_FIELDS = ("tau", "psi", "x", "w", "gamma_w", "gamma_e")
 
 
 def _stack(states):
-    """The states' globals and locals as one SampleBatch; precisions become (S, 1)."""
-    return SampleBatch(*(np.stack([np.atleast_1d(getattr(st, f)) for st in states])
-                         for f in _FIELDS))
+    """The states' globals and locals as one GibbsState batch; precisions become (S, 1)."""
+    return GibbsState(**{f: np.stack([np.atleast_1d(getattr(st, f)) for st in states])
+                         for f in _FIELDS}, prior=states[0].prior)
 
 
 def _take(batch, index):
-    return SampleBatch(*(getattr(batch, f)[index] for f in _FIELDS))
+    return dataclasses.replace(batch, **{f: getattr(batch, f)[index] for f in _FIELDS})
 
 
 def test_predictive_trivial_exact_reconstruction():
@@ -633,6 +632,7 @@ def test_impute_heldout_locals_shapes_and_reproducibility():
     y_new = sample_data(init_state(MODEL, 7, rng), rng)
     ev1 = impute_heldout_locals(samples, y_new, MODEL, derive_rng(67, 1))
     ev2 = impute_heldout_locals(samples, y_new, MODEL, derive_rng(67, 1))
+    assert type(ev1) is GibbsState and len(ev1) == 3 and ev1.tau is samples.tau
     assert ev1.x.shape == (3, 7, MODEL.K) and ev1.w.shape == (3, 7, MODEL.K)
     assert np.array_equal(ev1.x, ev2.x) and np.array_equal(ev1.w, ev2.w)
     assert np.array_equal(ev1.gamma_e, samples.gamma_e)
@@ -642,7 +642,12 @@ def test_run_chain_keeps_globals_of_kept_sweeps():
     y, _ = generate_synthetic(15, 3, 2, derive_rng(71, 0))
     final, samples, stats = run_chain(MODEL, y, 20, derive_rng(71, 1), burnin=5, thin=3)
     kept = np.arange(8, 21, 3) - 1  # rows of sweeps 8, 11, 14, 17, 20
+    # the kept samples are one GibbsState with a leading sample axis, which
+    # one chain's state has not
+    assert type(samples) is GibbsState and samples.prior == MODEL.prior
     assert len(samples) == 5 and samples.x is None and samples.w is None
+    with pytest.raises(TypeError, match="no sample axis"):
+        len(final)
     assert samples.gamma_e.shape == samples.gamma_w.shape == (5, 1)
     for name, values in (("gamma_e", samples.gamma_e[:, 0]), ("gamma_w", samples.gamma_w[:, 0]),
                          ("mean_tau", samples.tau.mean(axis=1))):
@@ -754,8 +759,8 @@ def test_imputation_matches_exact_activation_posterior():
                     y[0], np.zeros(D), np.eye(D) / gamma_e + (psi.T * x) @ psi / gamma_w)
                 for x in patterns]
     exact = special.softmax(log_post)
-    batch = SampleBatch(np.tile(tau, (n, 1)), np.tile(psi, (n, 1, 1)),
-                        np.full((n, 1), gamma_w), np.full((n, 1), gamma_e))
+    batch = GibbsState(np.tile(tau, (n, 1)), np.tile(psi, (n, 1, 1)), None, None,
+                       np.full((n, 1), gamma_w), np.full((n, 1), gamma_e), model.prior)
     out = impute_heldout_locals(batch, y, model, derive_rng(72, 0), scans=50)
     counts = np.bincount(out.x[:, 0, :] @ (2 ** np.arange(K)[::-1]), minlength=2**K)
     chi2 = float(((counts - n * exact) ** 2 / (n * exact)).sum())

@@ -23,6 +23,7 @@ from crmfinite.analysis import (
     tsb_dp_bound,
     tv_binom_poisson,
 )
+from crmfinite.approximations import aifa_closed_form, sample_weights
 from crmfinite.cli import _MODEL_KINDS
 from crmfinite.marginals import (
     _CROSS_REL,
@@ -42,7 +43,7 @@ from crmfinite.marginals import (
     target_new_atom_rate,
     total_new_atom_rate,
 )
-from crmfinite.measures import Family, beta_process, gamma_process
+from crmfinite.measures import Family, beta_process, gamma_process, small_weight_coefficient
 from crmfinite.rng import derive_rng
 
 from _reference import approx_predictive_pmf, dp_urn_probs, fsd_urn_probs, target_predictive_pmf
@@ -311,6 +312,26 @@ def test_aifa_allocation_never_exceeds_K():
     for i in range(10):
         alloc = simulate_allocation(GP, 10, derive_rng(34, i), K=5)
         assert alloc.n_columns <= 5
+
+
+@pytest.mark.parametrize("model", [
+    beta_bernoulli(2.0, 1.0), beta_bernoulli(2.0, 3.0), gamma_poisson(2.0, 1.0),
+    gamma_poisson(2.0, 3.0), beta_negative_binomial(2.0, 2.0, 2.0),
+    beta_negative_binomial(2.0, 3.0, 2.0)], ids=["bb1", "bb3", "gp1", "gp3", "bnb2", "bnb3"])
+def test_level_K_weights_are_the_closed_form_law(model, monkeypatch):
+    # the level-K process draws its K weights from the library's one level-K
+    # law, at the library's one c; at alpha = 3, gamma alpha = 6 and c are an
+    # ulp apart, so a second statement of either would show here
+    K, seen, sparse_counts = 50, [], crmfinite.marginals._sparse_counts
+
+    def recording(model, theta, *rest):
+        seen.append(theta)
+        return sparse_counts(model, theta, *rest)
+    monkeypatch.setattr(crmfinite.marginals, "_sparse_counts", recording)
+    assert model.mass_shift == small_weight_coefficient(model.spec)
+    simulate_allocation(model, 5, derive_rng(37, 0), K=K)
+    expected = sample_weights(aifa_closed_form(model.spec, K), derive_rng(37, 0))
+    assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
 
 
 def test_aifa_first_round_activation_count():
