@@ -12,9 +12,12 @@ manifest as the only output.  Anything raised after parsing exits 3.
 Replicates run on independent Philox streams derived as
 split(master, replicate); files are written atomically (tmp + rename) and
 merged in replicate order, so outputs are byte-identical for identical
-(config, seed, version).  The manifest records the config hash, seed, library
-version, wall time (the one field that varies between runs) and the run's
-status: ok, check_failed, config_error or crashed.
+(config, seed, version).  A write that raises removes its temp file and
+leaves the target as it was.  Every table is one CSV written in
+fixed blocks of rows, so the writer's memory is bounded by one block, not by
+the table.  The manifest records the config hash, seed, library version, wall
+time and peak resident memory (the two fields that vary between runs) and the
+run's status: ok, check_failed, config_error or crashed.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ import os
 import sys
 import time
 import traceback
+
+try:
+    import resource
+except ImportError:  # Unix only; elsewhere the manifest's peak_rss_mb is null
+    resource = None
 
 import numpy as np
 
@@ -164,22 +172,47 @@ def _master_seed(config, flag):
 
 
 def _write_atomic(path, text, lines=()):
-    """Write ``text``, then stream the strings ``lines``, to a temp file renamed to ``path``."""
+    """Write ``text``, then stream the strings ``lines``, to a temp file renamed to ``path``.
+
+    If anything raises, the temp file is removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        # the write's own exception is the one to report, not a failed clean-up
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+# rows formatted at a time: a block's Python objects are the writer's only
+# memory that grows with the table
+_BLOCK_ROWS = 4096
 
 
 def _write_csv(path, header, *columns):
     """Write equal-length 1-D columns as a CSV table, one line per row.
 
     A cell is ``str`` of its column's ``tolist()`` value: the shortest repr
-    that round-trips for a float, the digits for an integer."""
+    that round-trips for a float, the digits for an integer.  Rows are
+    formatted and written ``_BLOCK_ROWS`` at a time.  Columns of unequal
+    length raise ValueError before any file is opened."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"{path}: expected columns of one length, got {[len(c) for c in columns]}")
+    (n_rows,) = lengths
     line = ",".join(["%s"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
-    _write_atomic(path, ",".join(header) + "\n", map(line.__mod__, rows))
+
+    def blocks():
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            rows = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns))
+            yield "".join(map(line.__mod__, rows))
+
+    _write_atomic(path, ",".join(header) + "\n", blocks())
 
 
 def _by_replicate(tables):
@@ -464,6 +497,15 @@ _COMMANDS = {
 }
 
 
+def _peak_rss_mb():
+    """The process's peak resident set size so far in MiB, or None where unknown."""
+    if resource is None:
+        return None
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+        2**20 if sys.platform == "darwin" else 2**10)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="crmfinite",
@@ -502,6 +544,7 @@ def main(argv=None) -> int:
         "replicates": args.replicates,
         "library_version": __version__,
         "wall_time_s": time.perf_counter() - started,
+        "peak_rss_mb": _peak_rss_mb(),
         "pass": status == "ok",
         "status": status,
     }

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_sample_prior_fsd_symmetry(tmp_path):
     assert summary["mean_total_mass"] == pytest.approx(1.0, abs=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["pass"] and manifest["seed"] == 11 and manifest["command"] == "sample-prior"
-    assert manifest["status"] == "ok"
+    assert manifest["status"] == "ok" and manifest["peak_rss_mb"] > 0
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
@@ -113,6 +114,65 @@ def test_outputs_byte_identical_across_runs(tmp_path):
     _, out2 = run(tmp_path, "sample-prior", config, replicates=8, name="b")
     assert (out1 / "weights.csv").read_bytes() == (out2 / "weights.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def _one_shot_csv(header, *columns):
+    """The table as one string, every row formatted at once: the block writer's reference."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c).tolist() for c in columns), strict=True)
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+
+
+_B = cli._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_csv_blocks_match_one_shot_writer(tmp_path, n_rows):
+    columns = (np.arange(n_rows, dtype=np.int64) - n_rows // 2,
+               np.resize([1e-300, -0.0, 0.1, 1 / 3, 1e22, -2.5e-8], n_rows),
+               np.resize(np.array(["tv_binom_poisson", "K=3;gamma=1.5", "1+2"]), n_rows),
+               [f"s{i}" for i in range(n_rows)])
+    header = ("int", "float", "unicode", "str")
+    cli._write_csv(tmp_path / "t.csv", header, *columns)
+    assert (tmp_path / "t.csv").read_text() == _one_shot_csv(header, *columns)
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell failed to format mid-table")
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # the bad cell sits in the second block, after the first was written
+    target = tmp_path / "t.csv"
+    cells = np.array([0] * (_B + 1) + [_Unprintable()], dtype=object)
+    with pytest.raises(RuntimeError, match="mid-table"):
+        cli._write_csv(target, ("a", "b"), np.arange(cells.size), cells)
+    assert os.listdir(tmp_path) == []
+    target.write_text("kept\n")
+    with pytest.raises(RuntimeError, match="mid-table"):
+        cli._write_csv(target, ("a", "b"), np.arange(cells.size), cells)
+    assert os.listdir(tmp_path) == ["t.csv"] and target.read_text() == "kept\n"
+    # unequal columns are rejected before any file is opened
+    with pytest.raises(ValueError, match="one length"):
+        cli._write_csv(tmp_path / "u.csv", ("a", "b"), [1, 2, 3], [1, 2])
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_csv_writer_memory_bounded_by_one_block(tmp_path):
+    # a writer that lists every cell of the table at once traces about 7 MB here
+    n = 100_000
+    columns = (np.repeat(np.arange(n // 100), 100), np.tile(np.arange(100), n // 100),
+               np.random.default_rng(0).random(n))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "w.csv", ("replicate", "atom_index", "weight"), *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (tmp_path / "w.csv").read_bytes().count(b"\n") == n + 1
 
 
 def test_threads_flag_rejected(tmp_path, capsys):
@@ -164,6 +224,7 @@ def test_crash_exits_3_with_manifest(tmp_path, capsys, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "crashed" and not manifest["pass"]
     assert manifest["seed"] == 11 and manifest["wall_time_s"] >= 0
+    assert manifest["peak_rss_mb"] > 0
 
 
 def test_invalid_payload_nonzero_exit(tmp_path, capsys):
