@@ -25,6 +25,14 @@ one column scan with the same stationary law as separate x and w scans.  Its
 factor kernel reads each column's residual projection from y psi^T and psi psi^T,
 fixed during the block, and takes optional leading sample axes: a sweep has none,
 held-out scoring runs all kept samples (one GibbsState with a sample axis) at once.
+The kernel's column step takes that column's uniforms and normals from its caller.
+A sweep draws them for the whole block first, one (K, N) uniform call and then one
+(K, N) normal call, turns them into compare thresholds and scaled noise in a few
+array passes, and writes x and w in one pass after the last column; only the
+projection, the compare, w's mean plus noise and the S column stay in the loop.
+Held-out imputation draws one uniform and one normal call per column, for all
+samples, as a loop over samples did: a (K, S, m) pre-draw would hold three more
+arrays of that size and ran slower.
 psi is one joint Gaussian block: given S = x * w its columns share the precision
 I / psi_scale + gamma_e S^T S, drawn through its Cholesky factor.
 """
@@ -103,6 +111,8 @@ class GibbsState:
     gamma_e: float
     prior: str           # "aifa" | "bondesson_tfa"
     degenerate_draws: int = 0  # truncated-beta intervals below resolution
+    # not a field: ||y - S psi||^2 as the last sweep's precision block formed it, for run_chain
+    resid_sq = math.nan
 
     @property
     def reconstruction(self):
@@ -133,7 +143,7 @@ def init_state(model: LinearGaussianModel, N, rng) -> GibbsState:
     gamma_e = float(np.clip(rng.gamma(model.prec_shape, 1.0 / model.prec_rate), 1e-10, 1e10))
     w = rng.normal(0.0, 1.0 / math.sqrt(gamma_w), size=(N, model.K))
     x = (rng.random((N, model.K)) < tau).astype(np.int8)
-    # column-contiguous: the sweep writes x and w one column at a time and counts x by column
+    # column-contiguous, as the sweep's (x, w) block leaves them: x is counted by column
     return GibbsState(tau, psi, _by_column(x), _by_column(w), gamma_w, gamma_e, model.prior)
 
 
@@ -147,6 +157,11 @@ def aifa_tau_conditional(x_column_sum, N, model: LinearGaussianModel):
     broadcast."""
     if np.any(np.asarray(x_column_sum) < 0) or np.any(np.asarray(x_column_sum) > N):
         raise ValueError("column sum must lie in [0, N]")
+    return _aifa_tau_params(x_column_sum, N, model)
+
+
+def _aifa_tau_params(x_column_sum, N, model):
+    """aifa_tau_conditional without its range check, for counts the sweep has just formed."""
     c = model.gamma * model.alpha / model.K
     return c + x_column_sum, model.alpha + N - x_column_sum
 
@@ -227,32 +242,54 @@ def _logit(tau):
     return np.reshape([math.log(t) - math.log1p(-t) for t in tau.ravel().tolist()], tau.shape)
 
 
-def _draw_xw(state, logit, gram):
-    """_scan_factors' column step of the joint (x, w) block, rows vectorized: x[..., k]
-    with w[..., k] integrated out, then w[..., k] given x[..., k].  With b = gamma_e proj and
-    lam = gamma_w + gamma_e gram[k, k], the matrix-determinant lemma and Sherman-Morrison
-    give the exact collapsed log odds logit tau_k + log(gamma_w / lam) / 2 + b^2 / (2 lam);
-    x = 1 where its uniform u < 1 / (1 + exp(-odds)), tested as u exp(-odds) < 1 - u (an
-    exp that overflows to inf sets x = 0, where P(x = 1) < 1e-300).  Then w ~ N(b / lam, 1 / lam)
-    where x = 1 and its prior N(0, 1 / gamma_w) where x = 0.  The per-column scalars depend
-    only on gram's diagonal, so they are computed once: floats in a sweep, (..., 1) columns
-    with sample axes."""
+def _xw_scalars(state, logit, gram):
+    """Per-column scalars (base, slope, to_mean, sd) of the joint (x, w) block, each with
+    trailing axis k: (K,) in a sweep, (..., K) with sample axes.  With b = gamma_e proj and
+    lam = gamma_w + gamma_e gram[k, k], the matrix-determinant lemma and Sherman-Morrison give
+    the exact collapsed log odds of x[..., k] = 1 with w[..., k] integrated out, base + slope
+    proj^2: base = logit tau_k + log(gamma_w / lam) / 2, slope = gamma_e^2 / (2 lam).  Given
+    x = 1, w ~ N(to_mean proj, sd^2) with to_mean = gamma_e / lam and sd = lam^-1/2."""
     inv_lam = 1.0 / (state.gamma_w + state.gamma_e * np.diagonal(gram, axis1=-2, axis2=-1))
-    cols = np.moveaxis(np.stack([-logit - 0.5 * np.log(state.gamma_w * inv_lam),
-                                 -0.5 * state.gamma_e**2 * inv_lam, state.gamma_e * inv_lam,
-                                 np.sqrt(inv_lam)]), -1, 0)  # (K, 4, ...)
-    cols = cols.tolist() if cols.ndim == 2 else cols[..., None]
-    prior_sd = np.sqrt(state.gamma_w)
+    return (logit + 0.5 * np.log(state.gamma_w * inv_lam), 0.5 * state.gamma_e**2 * inv_lam,
+            state.gamma_e * inv_lam, np.sqrt(inv_lam))
 
-    def draw(k, proj, rng):
-        neg_base, neg_odds, to_mean, sd = cols[k]
-        u = rng.random(proj.shape)
-        x = u * np.exp(proj * proj * neg_odds + neg_base) < 1.0 - u
-        z = rng.standard_normal(proj.shape)
-        w = proj * to_mean + z * sd
-        state.x[..., k], state.w[..., k] = x, np.where(x, w, z / prior_sd)
-        return x * w
-    return draw
+
+def _xw_noise(u, z, base, slope, sd, prior_sd):
+    """Uniforms u and normals z in the form a column step reads them: (t, z sd, z / prior_sd).
+    x = 1 where u < 1 / (1 + exp(-(base + slope proj^2))), that is where proj^2 > t =
+    (logit u - base) / slope, as slope > 0 (u = 0 gives t = -inf and x = 1).  Rows with x = 1
+    take w = to_mean proj + z sd, rows with x = 0 w's prior draw z / prior_sd.  t and the
+    prior draw overwrite u and z, so a sweep holds no more (K, N) arrays than it needs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.log(np.divide(u, 1.0 - u, out=u), out=u)
+        t -= base
+        t /= slope
+    return t, z * sd, np.divide(z, prior_sd, out=z)
+
+
+def _draw_xw(state, logit, gram, rng):
+    """The sweep's joint (x, w) block as _scan_factors' (step, draws, done).  Its randomness is
+    one (K, N) uniform call, then one (K, N) normal call, both turned by _xw_noise at once; row
+    k is column k's.  The step keeps only what needs the column's projection: the compare of
+    proj^2 with the threshold row, w's mean plus its noise, and the new S column.  x goes to a
+    (K, N) store and w's posterior draw to its noise row.  done then writes state.x, and
+    state.w as the prior draws with the posterior draw put in where x = 1, in one pass."""
+    base, slope, to_mean, sd = _xw_scalars(state, logit, gram)
+    shape = state.x.shape[::-1]
+    T, W, Zp = _xw_noise(rng.random(shape), rng.standard_normal(shape), base[:, None],
+                         slope[:, None], sd[:, None], math.sqrt(state.gamma_w))
+    X = np.empty(shape, dtype=bool)
+    to_mean = to_mean.tolist()
+
+    def step(k, proj, noise):
+        t, w = noise  # w: row k of W, the posterior noise until w's mean is added
+        x = np.greater(proj * proj, t, out=X[k])
+        return x * np.add(proj * to_mean[k], w, out=w)
+
+    def done():
+        np.putmask(Zp, X, W)  # w: the posterior draw where x = 1, the prior draw elsewhere
+        state.x, state.w = X.view(np.int8).T, Zp.T  # columns contiguous
+    return step, zip(T, W), done
 
 
 def _by_column(a):
@@ -260,17 +297,20 @@ def _by_column(a):
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _scan_factors(P, left, gram, draw, rng):
-    """Redraw each left[..., k] by draw(k, proj, rng) with proj = P[..., k] -
-    sum_{j != k} left[..., j] gram[..., j, k] on the current left: for P = y r^T and gram =
-    r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.  The (x, w) block
-    runs on (y psi^T, S, psi psi^T), in the sweep and in held-out imputation; psi is drawn
-    as one joint block (_update_psi).  Leading axes index samples."""
+def _scan_factors(P, left, gram, step, draws, done=None):
+    """Redraw each left[..., k] by step(k, proj, noise), noise the k-th item of draws, with
+    proj = P[..., k] - sum_{j != k} left[..., j] gram[..., j, k] on the current left: for
+    P = y r^T and gram = r r^T, r fixed, that is (y - sum_{j != k} outer(left_j, r_j)) @ r_k.
+    Then done(), if given.  The (x, w) block runs on (y psi^T, S, psi psi^T): in the sweep the
+    column noise is rows of blocks drawn once (_draw_xw), and in held-out imputation it is
+    drawn per column (impute_heldout_locals); psi is drawn as one joint block (_update_psi).
+    Leading axes index samples."""
     cross = gram * (1.0 - np.eye(gram.shape[-1]))
-    with np.errstate(over="ignore"):  # _draw_xw's exp(-log odds) where x = 1 is hopeless
-        for k in range(gram.shape[-1]):
-            proj = P[..., k] - (left @ cross[..., :, k, None])[..., 0]
-            left[..., k] = draw(k, proj, rng)
+    for k, noise in enumerate(draws):
+        proj = P[..., k] - (left @ cross[..., :, k, None])[..., 0]
+        left[..., k] = step(k, proj, noise)
+    if done is not None:
+        done()
 
 
 def _update_psi(state, S, y, psi_scale, rng):
@@ -283,16 +323,18 @@ def _update_psi(state, S, y, psi_scale, rng):
 
 
 def _update_precisions(state, E, model, rng):
+    """gamma_w | w and gamma_e | E = y - S psi; keeps ||E||^2 as state.resid_sq."""
+    state.resid_sq = float((E**2).sum())
     state.gamma_w = rng.gamma(model.prec_shape + 0.5 * state.w.size,
                               1.0 / (model.prec_rate + 0.5 * float((state.w**2).sum())))
     state.gamma_e = rng.gamma(model.prec_shape + 0.5 * E.size,
-                              1.0 / (model.prec_rate + 0.5 * float((E**2).sum())))
+                              1.0 / (model.prec_rate + 0.5 * state.resid_sq))
 
 
 def _update_tau(state, model, rng):
     m = state.x.sum(axis=0)  # active rows per column
     if state.prior == "aifa":
-        a, b = aifa_tau_conditional(m, state.x.shape[0], model)
+        a, b = _aifa_tau_params(m, state.x.shape[0], model)
         state.tau = np.clip(rng.beta(a, b), 1e-300, 1.0 - 1e-16)
     else:
         for k, m_k in enumerate(m.tolist()):
@@ -313,7 +355,7 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng) -> GibbsS
 
     S = _by_column(state.x * state.w)
     P, G = (state.psi @ y.T).T, state.psi @ state.psi.T  # psi is fixed through (x, w)
-    _scan_factors(P, S, G, _draw_xw(state, _logit(state.tau), G), rng)
+    _scan_factors(P, S, G, *_draw_xw(state, _logit(state.tau), G, rng))
     _update_psi(state, S, y, model.psi_scale, rng)
     _update_precisions(state, y - S @ state.psi, model, rng)
     _update_tau(state, model, rng)
@@ -338,6 +380,12 @@ def _gamma_logpdf(value, shape, rate):
 
 def joint_log_density_terms(state: GibbsState, y, model: LinearGaussianModel) -> dict:
     """Named terms of the unnormalized joint log density."""
+    resid = np.asarray(y, dtype=float) - state.reconstruction
+    return _log_density_terms(state, model, float((resid**2).sum()), resid.size)
+
+
+def _log_density_terms(state, model, resid_sq, n_resid):
+    """joint_log_density_terms with lp_y from the residual's sum of squares over n_resid cells."""
     n = state.x.shape[0]
     K = model.K
     if state.prior == "aifa":
@@ -360,9 +408,8 @@ def joint_log_density_terms(state: GibbsState, y, model: LinearGaussianModel) ->
     lp_x = float(np.sum(m * np.log(state.tau) + (n - m) * np.log1p(-state.tau)))
     lp_prec = (_gamma_logpdf(state.gamma_w, model.prec_shape, model.prec_rate)
                + _gamma_logpdf(state.gamma_e, model.prec_shape, model.prec_rate))
-    resid = np.asarray(y, dtype=float) - state.reconstruction
-    lp_y = float(-0.5 * state.gamma_e * (resid**2).sum()
-                 + 0.5 * resid.size * (math.log(state.gamma_e) - math.log(2 * math.pi)))
+    lp_y = (-0.5 * state.gamma_e * resid_sq
+            + 0.5 * n_resid * (math.log(state.gamma_e) - math.log(2 * math.pi)))
     return {"lp_tau": lp_tau, "lp_psi": lp_psi, "lp_w": lp_w, "lp_x": lp_x,
             "lp_prec": lp_prec, "lp_y": lp_y}
 
@@ -417,9 +464,24 @@ def impute_heldout_locals(samples: GibbsState, y_heldout, model, rng, scans=5) -
     S = _by_column(out.x * out.w)
     P = (out.psi @ y.T).swapaxes(-1, -2)  # (S, m, K) with contiguous columns, no copy
     G = out.psi @ out.psi.swapaxes(-1, -2)
-    draw = _draw_xw(out, _logit(out.tau), G)
+    base, slope, to_mean, sd = (np.moveaxis(c, -1, 0)[..., None]
+                                for c in _xw_scalars(out, _logit(out.tau), G))  # (K, S, 1)
+    prior_sd = np.sqrt(out.gamma_w)
+    xs, ws = np.moveaxis(out.x, -1, 0), np.moveaxis(out.w, -1, 0)  # column k is xs[k], ws[k]
+
+    def step(k, proj, noise):
+        t, zs, zp = noise
+        x = proj * proj > t
+        w = proj * to_mean[k] + zs
+        xs[k], ws[k] = x, np.where(x, w, zp)
+        return x * w
+
+    def draws():  # per column, as the reference loop over samples drew them
+        for k in range(model.K):
+            yield _xw_noise(rng.random(shape[:2]), rng.standard_normal(shape[:2]),
+                            base[k], slope[k], sd[k], prior_sd)
     for _ in range(scans):
-        _scan_factors(P, S, G, draw, rng)
+        _scan_factors(P, S, G, step, draws())
     return out
 
 
@@ -453,8 +515,9 @@ def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
     stats = np.empty((sweeps, len(CHAIN_STATS)))
     for sweep in range(1, sweeps + 1):
         state = gibbs_sweep(state, y, model, rng)
+        # lp_y from the residual the sweep's precision block formed: nothing after it moves S or psi
         stats[sweep - 1] = (state.x.sum(), state.tau.mean(), state.gamma_e, state.gamma_w,
-                            joint_log_density(state, y, model))
+                            sum(_log_density_terms(state, model, state.resid_sq, y.size).values()))
         if sweep > burnin and (sweep - burnin) % thin == 0:
             for name in ("tau", "psi", "gamma_w", "gamma_e"):
                 getattr(samples, name)[(sweep - burnin) // thin - 1] = getattr(state, name)

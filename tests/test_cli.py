@@ -599,7 +599,9 @@ def _golden_digests(tmp_path):
 # to read projections from Gram matrices: same random stream, same x, floats
 # moved in the last bits.  All six gibbs files were re-pinned again when the
 # separate x and w scans became one joint (x, w) block, which draws a new stream,
-# and once more when psi became one joint Gaussian draw in place of a column scan.
+# once more when psi became one joint Gaussian draw in place of a column scan, and
+# again when the sweep's (x, w) block came to draw one (K, N) uniform block, then
+# one (K, N) normal block, where it drew both per column.
 # The gamma-Poisson and beta-NB check-conditions reports were re-pinned when
 # the history sums came to end at each round's sign change (Scheffe's sum):
 # inequality 3's x_max went from the truncation point 64 to the largest
@@ -648,12 +650,12 @@ _GOLDEN_DIGESTS = {
         "summary.json": "4beacce229f0052320d356cab27e8345bd4c69a1aecded79f1b7224ffdb20f8e",
     },
     "gibbs": {
-        "chain.csv": "02a782f781c079b5442e7ae09d016ec38da68241c7fe1abcbc5af3b1c93c2918",
-        "chain_0000.csv": "d27c77318d31bb420143783fe6a760d1f7fcf868d7ef80d3150700baf9e48596",
-        "chain_0001.csv": "f31d38415f007d47c08086feee6ea3a6177e2d46a52ac879a8f36e9f9b2f9194",
-        "state_0000.json": "0ab7deeef6732e489aae26d35390c7c1cdb9acf16cf20d07b0fe5f281f260f7f",
-        "state_0001.json": "b4e171b31e3c53d72b713bdcabccf6b57cb4f977d34c26641b1e4bf71b95c47f",
-        "summary.json": "8040c035a308fd72cdfdcd277faa73d0576c7a49029c0a9f7615d265a64f59c4",
+        "chain.csv": "60e86780e57f5bc65553f65a7f6b2cf003355b6eb6d3169d60e06bdf3ffe622d",
+        "chain_0000.csv": "c5409da2b6560f86bc560414fef7509a27a28b15229edf97431c421921e10ccf",
+        "chain_0001.csv": "96b919a3f8d09dbeaa736cc3074e6fb4d64615987de5b690e2348761ffde6986",
+        "state_0000.json": "4774e4545528145331b90b6597293882ff53991a0007722ebf20c24d4f715eea",
+        "state_0001.json": "f879a8fb040d9e682f13d4cd0838837356b93cbd4603c639017eacb6608bb971",
+        "summary.json": "a8aa416477417cdbde040af90b3ce1341332c8781121ce87ee9643a6ca415462",
     },
     "compare": {
         "compare.csv": "42d6cf6ca9eb02593d22c20fb3013e997452c7e467b2923a08800a4866bb5512",

@@ -211,8 +211,8 @@ def test_tfa_requires_alpha_one():
 
 def test_zero_feature_state_reduces_to_priors():
     # with all x = 0 the psi conditionals equal their priors, and in the (x, w) block
-    # so does w | x = 0: rows whose new x is 0 get exactly the prior draw z / sqrt(gamma_w)
-    # from the block's normal call, which follows its uniform call
+    # so does w | x = 0: rows whose new x is 0 get exactly the prior draw z / sqrt(gamma_w),
+    # z from row k of the block's (K, N) normal call, which follows its (K, N) uniform call
     rng1 = derive_rng(56, 0)
     state = init_state(MODEL, 10, rng1)
     state.x[:] = 0
@@ -221,13 +221,13 @@ def test_zero_feature_state_reduces_to_priors():
     probe = derive_rng(56, 2)
     st = copy.deepcopy(state)
     G = st.psi @ st.psi.T
-    _scan_factors((st.psi @ y.T).T, _by_column(st.x * st.w), G, _draw_xw(st, _logit(st.tau), G),
-                  probe)
+    _scan_factors((st.psi @ y.T).T, _by_column(st.x * st.w), G,
+                  *_draw_xw(st, _logit(st.tau), G, probe))
     ref = derive_rng(56, 2)
+    ref.random((MODEL.K, 10))
+    Z = ref.normal(size=(MODEL.K, 10))
     off = 0
-    for k in range(MODEL.K):
-        ref.random(10)
-        z = ref.normal(size=10)
+    for k, z in enumerate(Z):
         rows = st.x[:, k] == 0
         np.testing.assert_array_equal(st.w[rows, k], z[rows] / np.sqrt(st.gamma_w))
         off += rows.sum()
@@ -274,7 +274,7 @@ def test_joint_block_activation_is_the_collapsed_posterior():
     for u, expected in ((p * (1 - 1e-9), 1), (p * (1 + 1e-9), 0)):
         st = copy.deepcopy(state)
         _scan_factors((psi @ y.T).T, _by_column(st.x * st.w), psi @ psi.T,
-                      _draw_xw(st, _logit(st.tau), psi @ psi.T), _Fixed(u))
+                      *_draw_xw(st, _logit(st.tau), psi @ psi.T, _Fixed(u)))
         assert st.x[0, 0] == expected, (u, p)
 
 
@@ -309,12 +309,15 @@ def test_psi_block_is_the_joint_gaussian_posterior():
 def _reference_sweep(state, y, model, rng):
     """Reference: the (x, w) block as a loop that rebuilds the residual from the
     reconstruction at every column, psi as one joint draw by explicit inverses,
-    then the precisions and tau.  The (x, w) step draws x from its odds with w
-    integrated out, by the marginal of the residual r = w psi_k + noise, then w
-    given x.  psi has precision Lam = I / psi_scale + gamma_e S^T S and mean
-    Lam^-1 gamma_e S^T y, and its noise maps the (K, D) normals through the
-    inverse transpose of Lam's Cholesky factor, as the sweep does."""
+    then the precisions and tau.  The (x, w) block first draws a (K, N) block of
+    uniforms, then a (K, N) block of normals; column k's step uses row k of each.
+    It draws x from its odds with w integrated out, by the marginal of the residual
+    r = w psi_k + noise, then w given x.  psi has precision Lam = I / psi_scale +
+    gamma_e S^T S and mean Lam^-1 gamma_e S^T y, and its noise maps the (K, D)
+    normals through the inverse transpose of Lam's Cholesky factor, as the sweep does."""
     recon = state.reconstruction
+    U = rng.random((model.K, y.shape[0]))
+    Z = rng.normal(size=(model.K, y.shape[0]))
     logit_tau = np.log(state.tau) - np.log1p(-state.tau)
     for k in range(model.K):
         contrib = np.outer(state.x[:, k] * state.w[:, k], state.psi[k])
@@ -324,8 +327,8 @@ def _reference_sweep(state, y, model, rng):
         logit = logit_tau[k] + 0.5 * math.log(state.gamma_w / lam) + 0.5 * b**2 / lam
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(-logit))
-        new = (rng.random(p.size) < p).astype(np.int8)
-        z = rng.normal(size=p.size)
+        new = (U[k] < p).astype(np.int8)
+        z = Z[k]
         state.w[:, k] = np.where(new == 1, b / lam + z / math.sqrt(lam),
                                  z / math.sqrt(state.gamma_w))
         state.x[:, k] = new
@@ -380,12 +383,43 @@ def test_sweep_draws_the_reference_random_stream(prior):
     np.testing.assert_equal(new.bit_generator.state, ref.bit_generator.state)
 
 
+class _CallLog:
+    """A generator that records the name and arguments of every call it forwards."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("prior", ["aifa", "bondesson_tfa"])
+def test_sweep_draws_its_xw_block_in_two_calls(prior):
+    # the (x, w) block draws all its randomness up front: one (K, N) uniform call,
+    # then one (K, N) standard-normal call, and then psi's (K, D) normal call follows
+    model = dataclasses.replace(MODEL, prior=prior)
+    state = init_state(model, 40, derive_rng(77, 0))
+    y = sample_data(state, derive_rng(77, 1))
+    log = _CallLog(derive_rng(77, 2))
+    gibbs_sweep(state, y, model, log)
+    assert log.calls[:3] == [("random", ((model.K, 40),), {}),
+                             ("standard_normal", ((model.K, 40),), {}),
+                             ("standard_normal", ((model.K, model.D),), {})]
+    rest = [name for name, *_ in log.calls[3:]]  # the precisions, then tau
+    assert rest[:2] == ["gamma", "gamma"]
+    assert rest[2:] == (["beta"] if prior == "aifa" else ["random"] * (len(rest) - 2))
+
+
 @pytest.mark.parametrize("noise", [1.0, 1e-6])
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_factor_kernel_projection_matches_direct_residual(batch, noise):
-    # a recording draw compares, at every k, the kernel's proj = P_k - left @ G_k
+    # a recording step compares, at every k, the kernel's proj = P_k - left @ G_k
     # (off the diagonal) with the direct projection (y - sum_{j != k} left_j psi_j^T) psi_k
-    # of the current left, then moves column k by noise * N(0, 1).  noise = 1e-6 is a
+    # of the current left, then moves column k by noise * N(0, 1), from row k of a
+    # (K, ..., m) normal block drawn before the scan, as the sweep draws.  noise = 1e-6 is a
     # near-exact fit, ||y - left psi|| / ||y|| ~ 1e-6, where P_k and left @ G_k cancel
     # to about six digits.  Either form rounds each dot product within (D + K) eps of
     # the sum of its terms' magnitudes (first order, fixed from float64, not from a
@@ -401,17 +435,17 @@ def test_factor_kernel_projection_matches_direct_residual(batch, noise):
     psi_norm = np.linalg.norm(psi, axis=-1)
     errors, scales = [], []
 
-    def draw(k, proj, rng):
+    def step(k, proj, z):
         others = left.copy()
         others[..., k] = 0.0
         direct = ((y - others @ psi) @ psi[..., k, :, None])[..., 0]
         errors.append(np.abs(proj - direct))
         scales.append((np.linalg.norm(y, axis=-1) + (np.abs(others) @ psi_norm[..., None])[..., 0])
                       * psi_norm[..., k, None])
-        return left[..., k] + noise * rng.normal(size=proj.shape)
+        return left[..., k] + noise * z
 
-    _scan_factors((psi @ y.swapaxes(-1, -2)).swapaxes(-1, -2), left,
-                  psi @ psi.swapaxes(-1, -2), draw, derive_rng(74, 9))
+    _scan_factors((psi @ y.swapaxes(-1, -2)).swapaxes(-1, -2), left, psi @ psi.swapaxes(-1, -2),
+                  step, derive_rng(74, 9).normal(size=(K,) + batch + (m,)))
     assert len(errors) == K
     bound = 2 * (D + K) * np.finfo(float).eps
     for err, scale in zip(errors, scales):
@@ -654,6 +688,20 @@ def test_run_chain_keeps_globals_of_kept_sweeps():
         np.testing.assert_array_equal(values, stats[kept, CHAIN_STATS.index(name)])
     assert np.array_equal(samples.tau[-1], final.tau) and np.array_equal(samples.psi[-1], final.psi)
     assert len(run_chain(MODEL, y, 4, derive_rng(71, 1), burnin=4)[1]) == 0
+
+
+@pytest.mark.parametrize("model", [MODEL, TFA_MODEL], ids=["aifa", "tfa"])
+def test_chain_density_column_scores_the_swept_state(model):
+    # run_chain reads lp_y from the residual y - S psi that the sweep's precision block
+    # formed; that is the residual of the state the sweep leaves, which joint_log_density
+    # rebuilds from the reconstruction (equal up to the rounding of either matmul)
+    y, _ = generate_synthetic(30, 3, 2, derive_rng(78, 0))
+    rng = derive_rng(78, 1)
+    state = init_state(model, 30, rng)
+    col = CHAIN_STATS.index("joint_log_density")
+    for _ in range(3):
+        state, _, stats = run_chain(model, y, 1, rng, initial_state=state)
+        assert stats[0, col] == pytest.approx(joint_log_density(state, y, model), rel=1e-12)
 
 
 class _Recorder:
