@@ -9,15 +9,15 @@ config object's fields are the parameters of the constructor that builds it
 (required where it has no default), numbers are finite and seeds integers;
 bad input raises ConfigError, the one exception that exits 2, with the
 manifest as the only output.  Anything raised after parsing exits 3.
-Replicates run on independent Philox streams derived as
-split(master, replicate); files are written atomically (tmp + rename) and
-merged in replicate order, so outputs are byte-identical for identical
-(config, seed, version).  A write that raises removes its temp file and
-leaves the target as it was.  Every table is one CSV written in
-fixed blocks of rows, so the writer's memory is bounded by one block, not by
-the table.  The manifest records the config hash, seed, library version, wall
-time and peak resident memory (the two fields that vary between runs) and the
-run's status: ok, check_failed, config_error or crashed.
+Replicate r runs on its own SFC64 stream derive_rng(master, r), independent
+of the others through its SeedSequence spawn key; files are written
+atomically (tmp + rename) and merged in replicate order, so outputs are
+byte-identical for identical (config, seed, version).  A write that raises
+removes its temp file and leaves the target as it was.  Every table is one
+CSV written in fixed blocks of rows, so the writer's memory is bounded by one
+block, not by the table.  The manifest records the config hash, seed, library
+version, wall time and peak resident memory (the two fields that vary between
+runs) and the run's status: ok, check_failed, config_error or crashed.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ I / psi_scale + gamma_e S^T S, drawn through its Cholesky factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -111,8 +112,10 @@ class GibbsState:
     gamma_e: float
     prior: str           # "aifa" | "bondesson_tfa"
     degenerate_draws: int = 0  # truncated-beta intervals below resolution
-    # not a field: ||y - S psi||^2 as the last sweep's precision block formed it, for run_chain
-    resid_sq = math.nan
+    # not fields: sums the last sweep's blocks formed, for run_chain's density row
+    resid_sq = math.nan  # ||y - S psi||^2 (precision block)
+    w_sq = math.nan      # ||w||^2 (precision block)
+    x_count = None       # active rows per column (tau block)
 
     @property
     def reconstruction(self):
@@ -323,16 +326,17 @@ def _update_psi(state, S, y, psi_scale, rng):
 
 
 def _update_precisions(state, E, model, rng):
-    """gamma_w | w and gamma_e | E = y - S psi; keeps ||E||^2 as state.resid_sq."""
+    """gamma_w | w and gamma_e | E = y - S psi; keeps ||E||^2 and ||w||^2 on the state."""
     state.resid_sq = float((E**2).sum())
+    state.w_sq = float((state.w**2).sum())
     state.gamma_w = rng.gamma(model.prec_shape + 0.5 * state.w.size,
-                              1.0 / (model.prec_rate + 0.5 * float((state.w**2).sum())))
+                              1.0 / (model.prec_rate + 0.5 * state.w_sq))
     state.gamma_e = rng.gamma(model.prec_shape + 0.5 * E.size,
                               1.0 / (model.prec_rate + 0.5 * state.resid_sq))
 
 
 def _update_tau(state, model, rng):
-    m = state.x.sum(axis=0)  # active rows per column
+    m = state.x_count = state.x.sum(axis=0)  # active rows per column
     if state.prior == "aifa":
         a, b = _aifa_tau_params(m, state.x.shape[0], model)
         state.tau = np.clip(rng.beta(a, b), 1e-300, 1.0 - 1e-16)
@@ -373,41 +377,53 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng) -> GibbsS
 # joint density bookkeeping
 # ---------------------------------------------------------------------------
 
-def _gamma_logpdf(value, shape, rate):
-    return (shape * math.log(rate) - special.gammaln(shape)
-            + (shape - 1) * math.log(value) - rate * value)
+def _gamma_logpdf(value, norm, shape, rate):
+    """Gamma(shape, rate) log density at value; norm = shape log(rate) - gammaln(shape)."""
+    return norm + (shape - 1) * math.log(value) - rate * value
+
+
+@functools.lru_cache(maxsize=16)
+def _log_norms(model, prior):
+    """The model-only terms of the joint log density, each formed as the density
+    once formed it in place, so every sum keeps its order: the tau prior's (AIFA
+    log B(gamma alpha / K, alpha), TFA K log gamma), psi's Gaussian normalizer and
+    the precisions' gamma normalizer."""
+    if prior == "aifa":
+        tau = special.betaln(model.gamma * model.alpha / model.K, model.alpha)
+    else:
+        tau = model.K * math.log(model.gamma)
+    psi = 0.5 * (model.K * model.D) * math.log(2 * math.pi * model.psi_scale)
+    prec = model.prec_shape * math.log(model.prec_rate) - special.gammaln(model.prec_shape)
+    return tau, psi, prec
 
 
 def joint_log_density_terms(state: GibbsState, y, model: LinearGaussianModel) -> dict:
     """Named terms of the unnormalized joint log density."""
     resid = np.asarray(y, dtype=float) - state.reconstruction
-    return _log_density_terms(state, model, float((resid**2).sum()), resid.size)
+    return _log_density_terms(state, model, state.x.sum(axis=0), float((state.w**2).sum()),
+                              float((resid**2).sum()), resid.size)
 
 
-def _log_density_terms(state, model, resid_sq, n_resid):
-    """joint_log_density_terms with lp_y from the residual's sum of squares over n_resid cells."""
+def _log_density_terms(state, model, m, w_sq, resid_sq, n_resid):
+    """joint_log_density_terms from the column counts m, ||w||^2 and the residual's
+    sum of squares over n_resid cells, as a sweep's blocks formed them."""
     n = state.x.shape[0]
-    K = model.K
+    tau_norm, psi_norm, prec_norm = _log_norms(model, state.prior)
+    log_tau, log1m_tau = np.log(state.tau), np.log1p(-state.tau)
     if state.prior == "aifa":
-        a = model.gamma * model.alpha / K
-        lp_tau = float(np.sum((a - 1) * np.log(state.tau)
-                              + (model.alpha - 1) * np.log1p(-state.tau)
-                              - special.betaln(a, model.alpha)))
+        a = model.gamma * model.alpha / model.K
+        lp_tau = float(np.sum((a - 1) * log_tau + (model.alpha - 1) * log1m_tau - tau_norm))
+    elif np.any(np.diff(state.tau) > 0):
+        lp_tau = -math.inf
     else:
-        if np.any(np.diff(state.tau) > 0):
-            lp_tau = -math.inf
-        else:
-            lp_tau = (K * math.log(model.gamma)
-                      + (model.gamma - 1) * math.log(state.tau[-1])
-                      - float(np.log(state.tau[:-1]).sum()))
-    lp_psi = float(-0.5 * (state.psi**2).sum() / model.psi_scale
-                   - 0.5 * state.psi.size * math.log(2 * math.pi * model.psi_scale))
-    lp_w = float(-0.5 * state.gamma_w * (state.w**2).sum()
+        lp_tau = (tau_norm + (model.gamma - 1) * math.log(state.tau[-1])
+                  - float(log_tau[:-1].sum()))
+    lp_psi = float(-0.5 * (state.psi**2).sum() / model.psi_scale - psi_norm)
+    lp_w = float(-0.5 * state.gamma_w * w_sq
                  + 0.5 * state.w.size * (math.log(state.gamma_w) - math.log(2 * math.pi)))
-    m = state.x.sum(axis=0)
-    lp_x = float(np.sum(m * np.log(state.tau) + (n - m) * np.log1p(-state.tau)))
-    lp_prec = (_gamma_logpdf(state.gamma_w, model.prec_shape, model.prec_rate)
-               + _gamma_logpdf(state.gamma_e, model.prec_shape, model.prec_rate))
+    lp_x = float(np.sum(m * log_tau + (n - m) * log1m_tau))
+    lp_prec = (_gamma_logpdf(state.gamma_w, prec_norm, model.prec_shape, model.prec_rate)
+               + _gamma_logpdf(state.gamma_e, prec_norm, model.prec_shape, model.prec_rate))
     lp_y = (-0.5 * state.gamma_e * resid_sq
             + 0.5 * n_resid * (math.log(state.gamma_e) - math.log(2 * math.pi)))
     return {"lp_tau": lp_tau, "lp_psi": lp_psi, "lp_w": lp_w, "lp_x": lp_x,
@@ -515,9 +531,12 @@ def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
     stats = np.empty((sweeps, len(CHAIN_STATS)))
     for sweep in range(1, sweeps + 1):
         state = gibbs_sweep(state, y, model, rng)
-        # lp_y from the residual the sweep's precision block formed: nothing after it moves S or psi
-        stats[sweep - 1] = (state.x.sum(), state.tau.mean(), state.gamma_e, state.gamma_w,
-                            sum(_log_density_terms(state, model, state.resid_sq, y.size).values()))
+        # the density row from the sums the sweep's blocks formed: no later block
+        # moves S, psi, w or x
+        m = state.x_count
+        terms = _log_density_terms(state, model, m, state.w_sq, state.resid_sq, y.size)
+        stats[sweep - 1] = (m.sum(), state.tau.mean(), state.gamma_e, state.gamma_w,
+                            sum(terms.values()))
         if sweep > burnin and (sweep - burnin) % thin == 0:
             for name in ("tau", "psi", "gamma_w", "gamma_e"):
                 getattr(samples, name)[(sweep - burnin) // thin - 1] = getattr(state, name)

@@ -498,7 +498,11 @@ def _birth_sizes(model, rounds, totals, rng):
     """Sizes of atoms born in the given (1-based) rounds, by inverse CDF over
     M_{n,x} / sum_x M_{n,x} (``totals`` holds each atom's sum_x M_{n,x}).
     The x grid doubles, only for the atoms whose uniform it does not cover
-    yet; sizes stop where the remaining rate is below 1e-12."""
+    yet; sizes stop where the remaining rate is below 1e-12.  A likelihood
+    whose counts are at most 1 (beta-Bernoulli) gives every birth size 1
+    and draws nothing."""
+    if model.max_count == 1:
+        return np.ones(rounds.size, dtype=np.int64)
     target = np.minimum(rng.random(rounds.size) * totals, totals - _TAIL_TOL)
     sizes = np.zeros(rounds.size, dtype=np.int64)
     todo = np.arange(rounds.size)

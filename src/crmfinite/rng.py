@@ -1,9 +1,10 @@
 """Seeded, splittable random number streams.
 
 Every sampler in this package takes an explicit ``numpy.random.Generator``.
-Streams are derived from a 64-bit master seed with the counter-based Philox
-bit generator, so replicate r of a run always sees the same stream regardless
-of scheduling:
+Streams are derived from a 64-bit master seed through a SeedSequence spawn
+key, and each runs on the SFC64 bit generator.  Independence between
+replicates comes from the spawn key, so replicate r of a run always sees the
+same stream however the replicates are scheduled:
 
     seed_r = SeedSequence(entropy=master, spawn_key=(r,))
 """
@@ -19,5 +20,5 @@ def derive_seedseq(master: int, *path: int) -> np.random.SeedSequence:
 
 
 def derive_rng(master: int, *path: int) -> np.random.Generator:
-    """Independent Philox stream for (master, *path); same inputs, same stream."""
-    return np.random.Generator(np.random.Philox(derive_seedseq(master, *path)))
+    """SFC64 stream for (master, *path), seeded by its spawn key; same inputs, same stream."""
+    return np.random.Generator(np.random.SFC64(derive_seedseq(master, *path)))

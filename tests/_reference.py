@@ -6,7 +6,8 @@ AIFA-against-TFA parity check run only under the tests, so they live here,
 beside them, and not in ``crmfinite.inference``.  So do the
 point-query predictive pmfs and the Dirichlet-process and
 finite-symmetric-Dirichlet urn probabilities, which state in closed form
-what ``crmfinite.marginals`` and ``crmfinite.analysis`` compute in bulk.
+what ``crmfinite.marginals`` and ``crmfinite.analysis`` compute in bulk,
+and the call-logging generator that tests which draws a sampler makes.
 """
 
 import math
@@ -16,6 +17,19 @@ import numpy as np
 from crmfinite.checks import integer, integers
 from crmfinite.inference import gibbs_sweep, init_state
 from crmfinite.marginals import _predictive_logpmf
+
+
+class CallLog:
+    """A generator that records the name and arguments of every call it forwards."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
 
 
 def sample_data(state, rng):

@@ -217,16 +217,17 @@ def test_reproducibility_bit_identical():
 # First draws at fixed seeds, pinned when the end pieces and inverse-CDF
 # tables got their shared samplers: a change to which random numbers a seed
 # produces shows up here and has to be named.  rtol 1e-12 absorbs 1-ulp
-# differences between SIMD builds of numpy.
+# differences between SIMD builds of numpy.  Re-pinned when derive_rng moved
+# from the Philox to the SFC64 bit generator.
 _GOLDEN_DRAWS = {
-    "aifa_beta": [0.3182115985484275, 0.9710381306734175, 1.375277025824364e-05, 0.7969031236384609, 0.7181825419800231, 0.9991864353293906, 0.9983239817661844, 0.06813249976406205, 0.9999987192224414, 0.00714164440895037, 0.9999999976809613, 0.8293544909459007, 0.0002539534639858963, 0.009582595274623362, 0.9684579687246333, 0.9990316245323966],
-    "aifa_gamma": [7.020307181110836e-07, 0.09225839158354891, 0.0034767117944586264, 0.44861781776814363, 0.9338476830122033, 0.024788085282762037, 0.01646807819439432, 0.027638116166539786, 0.03041086721907416, 0.09745312123837081, 0.2992628558219372, 1.3343880158699402, 0.14490352386773891, 4.593660213763848e-05, 1.1242377063064406e-06, 0.002593436497151877],
-    "closed_form": [0.00013730499573684949, 7.751957755927106e-08, 0.058548186717323855, 0.019164860685131187, 0.007386720970819866, 1.1426002434737952e-17, 0.015868861238625163, 0.0007390570620158547],
-    "bondesson": [0.4086166263488245, 0.16450979399367635, 0.03141364548734996, 0.10552979442724084, 0.025129958789662853, 0.0003606866809132317, 0.008064054221685829, 0.007284452818042318],
-    "beta_stick_breaking": [0.769965448677367, 0.8961117891301296, 0.6718583858181887, 0.968770513642895, 0.48252045721886594, 0.1658667443047052, 0.09301451512330189],
-    "tsb": [0.2574209114171377, 0.03756792260927936, 0.3345774806858609, 0.34834778129092153, 0.005290213106263943, 0.00019951449143859148, 0.005385637127619207, 0.011210539271478658],
-    "fsd": [0.9395711433979314, 7.488879697004795e-09, 0.01722389404073547, 0.0024742739882602396, 3.725452877240663e-10, 5.873421756240187e-09, 8.009947140924518e-10, 0.0407306740372314],
-    "bfry": [0.1704827518003476, 0.008137921232821747, 0.0011871929268104141, 0.0782234803502105, 0.5955190023552779, 0.51789617387974, 0.040142606340076506, 0.9999041179001052, 0.26450405198486704, 0.8220080689528014, 0.002406188972163213, 0.13812631515944304, 0.6880310655881037, 0.3432864404563682, 0.12150774098088858, 0.008290643172601251],
+    "aifa_beta": [3.696598509146074e-05, 0.9929395796827212, 0.0007207644194007323, 0.5535424944430831, 0.782974651498826, 0.3281131286081919, 0.00016158916015979064, 1.2100042998800905e-08, 1.333710624780623e-05, 0.8619140919446511, 0.8746344346084373, 0.9998250567748564, 0.8276199726022536, 0.058112346162063566, 0.00030080215637761054, 0.9691999745155013],
+    "aifa_gamma": [0.15488860469526222, 3.451277920446016e-05, 0.0007502454443341835, 2.842261778545753e-06, 1.905231260425049e-05, 0.03802660168576432, 0.0019056551049214327, 0.00610920489598553, 0.0009713797426811267, 0.24688349268242524, 0.12378613716831316, 0.0016536238833824723, 0.0035779287125297992, 0.1960469389365717, 0.17882817273915244, 0.44782301807943914],
+    "closed_form": [0.0009731707275826656, 0.0357424433925663, 3.125968400367801e-11, 0.0004855739844301737, 0.06886969787297802, 0.06347439756689355, 1.3351685745829735e-06, 0.6854928947445196],
+    "bondesson": [0.4500425708543034, 0.37862077784988846, 0.6345528065129074, 0.1008204344250473, 0.14957137189716777, 0.13847293383306708, 0.009076040510710183, 0.09975402101504816],
+    "beta_stick_breaking": [0.30205205454677214, 0.0037801945645358002, 0.022571723391616928],
+    "tsb": [0.38368411712650136, 0.45004584271988346, 0.039370953119968195, 0.022621941543861546, 0.09330865579870963, 0.010826056403172716, 5.025224187671297e-06, 0.00013740806371545495],
+    "fsd": [0.6564190382912644, 5.801015590688239e-10, 0.013568800024883403, 0.022619807211852496, 0.0179525803043886, 4.117457104560167e-09, 0.035548323734708225, 0.2538914457353442],
+    "bfry": [0.17712189815733856, 0.0015022980829701358, 0.002888285040346475, 0.022988921707362466, 0.04384190237647566, 0.24905484657459515, 0.011476080499092467, 0.045820740245451276, 0.0007330991615430945, 0.0033195957938833443, 0.0647257063820205, 0.08766985335095101, 0.01287791192716891, 0.7775607232295689, 0.20266453889078936, 0.02879428407003387],
 }
 
 
@@ -335,6 +336,7 @@ def test_golden_draws_every_kind():
 # the i-th case below: every weight kind, and the AIFA laws of every family
 # (closed form, numeric at d = 0 and at d = 0.4).  A change to which random
 # numbers a seed produces, or to any arithmetic on them, shows up here.
+# Every case was re-pinned when derive_rng moved from Philox to SFC64.
 _DIGEST_SPECS = {
     "beta": {"family": "beta", "gamma": 2.0, "discount": 0.0, "extras": {"eta": 1.5}},
     "beta_prime": {"family": "beta_prime", "gamma": 1.3, "discount": 0.0, "extras": {"eta": 1.2}},
@@ -350,44 +352,44 @@ def _digest_spec(family, d=0.0):
 
 _SAMPLE_DIGESTS = [
     ("closed_form-beta", lambda: aifa_closed_form(_digest_spec("beta"), 6),
-     "17d382c2820435252ea38aec399a7cf32c2dcc71af68e77e50877f86261f34f0"),
+     "ef18c607f76565db7c3eafc6d45e57a6d79e4bca7b32fc5836a817a9a6e89f07"),
     ("numeric-beta-d0", lambda: AifaConfig(_digest_spec("beta"), 6),
-     "de63400dd6d98057498b86291c64c5ae7c15a15227af8cc23ac336e29127bc5a"),
+     "c80ee578a14e47fe8de0868ca5d3725c3f41d4810e3e0ff4aef0942013cd331c"),
     ("numeric-beta-d0.4", lambda: AifaConfig(_digest_spec("beta", 0.4), 6),
-     "8050a8dcf05fe6bc615ce070e8da65d5da33fdbda5763da78ab6ec1c5cf2e7aa"),
+     "c70c85263d5c6b70aa17e1f0552adac1755b31cd7f88e5b4b08dbcdcd58cfa7d"),
     ("closed_form-beta_prime", lambda: aifa_closed_form(_digest_spec("beta_prime"), 6),
-     "a39bc06602d4b14ea576f8802a4ce5e28c1459f6a7095c73d22a5df765da9f90"),
+     "7a7d9e0e543d224862c20e39b17231d127c2e852dfb4c4d3147d59835a81abbd"),
     ("numeric-beta_prime-d0", lambda: AifaConfig(_digest_spec("beta_prime"), 6),
-     "f552d1650055c542ebefd55ed29b9ce5cbb9e7b1178683e2a4ad60e2bb16764a"),
+     "a746a46e52741debbf3fab03b6110cf96adb82c78e08286e292def565ccc1aef"),
     ("numeric-beta_prime-d0.4",
      lambda: AifaConfig(_digest_spec("beta_prime", 0.4), 6),
-     "b34d0763065c40f0e401501be41f2c73a8cb14ce81156e03cd50f1859c797a62"),
+     "bc640f6388951e38cc1f9ed3e7100f567380b6deec18f627e4528fdfe48eb8dc"),
     ("closed_form-gamma", lambda: aifa_closed_form(_digest_spec("gamma"), 6),
-     "ba9f9ab0e3ee1538bb89742a6b9eff69955abab26e9653cd74af079d0a6d0e07"),
+     "09ea3e9258d0e600ede6b23be4161796e43b270a39e0fd0bca9cf6fd92c90f5a"),
     ("numeric-gamma-d0", lambda: AifaConfig(_digest_spec("gamma"), 6),
-     "be16c0d8925413811f944f4fe376e265f502c8ad86fadd7abf5a67b561c0eadf"),
+     "77cbb385e46427c2717a5fca6f65127ad115851e02fef52af585925b246f4d1d"),
     ("numeric-gamma-d0.4", lambda: AifaConfig(_digest_spec("gamma", 0.4), 6),
-     "0845d80cefc67163f2b3b76c0dfec4ea9aa2a25214d9fec8410dd23bbaf92452"),
+     "2b34d1132526a6060eb481edaba95ee6c50c2b4350e4855373b6dc5c1109ae9c"),
     ("closed_form-generalized_gamma", lambda: aifa_closed_form(_digest_spec("generalized_gamma"), 6),
-     "944cf3a9d63671516230348093bd17080845b1566116197f24bc0324db89ab94"),
+     "bc7500050df1f34a7e02e65fa51629d513e0440d031b13dbe297f25fdfebab5c"),
     ("numeric-generalized_gamma-d0",
      lambda: AifaConfig(_digest_spec("generalized_gamma"), 6),
-     "30285f06eb5e3ad21dc3a881097b1bf20bbc2a2e96b92037dd830bc3cbc10eaa"),
+     "7a9b484e1bf3fc57770117a786f31eb490be4a51e977049541c5efe9c8919a7a"),
     ("numeric-generalized_gamma-d0.4",
      lambda: AifaConfig(_digest_spec("generalized_gamma", 0.4), 6),
-     "389cf430050ec7547b42589c4e7bed52cd7a918ddafb45bcb841a47f17ea6613"),
+     "789c61c08b6622ddc5945249e89089394a6962cbf9741560b017e1a658f6abe9"),
     ("bondesson-alpha1", lambda: bondesson(1.5, 1.0, 6),
-     "67fc4964ae9f52af14ae8bd63961d44e3b8922958efd8bc47f111a6fc5eb57d0"),
+     "a6ca6f2cd7c58f87d3a0c9f2ad8261bb1e7758c25504ffbf0bee5529be3d3e82"),
     ("bondesson-alpha2.5", lambda: bondesson(1.5, 2.5, 6),
-     "25c3667d2c2ad2e849a0d62b9a01649a096c5e80ffe3d1a8f0f3b9ce7e6819e9"),
+     "0c5a7b6673a05c9842e383cfc37cb296f631fdd54466e7aaf150b74e70bd07ec"),
     ("tsb", lambda: tsb(1.3, 6),
-     "36732f98ba8e9ea18750fcfe52848638d279634cda7013be1c48005e33760cbe"),
+     "0d8e5f2ba7d33374f1d4abdf009146da4baf3ccfb5cba13680ba120017c9a282"),
     ("fsd", lambda: fsd(0.8, 6),
-     "502ebecd89428fb883e2bceb551a0fd084d470cb04e35f66bd7e83bf7244c58d"),
+     "140c3974ee41531224b249f6a70708b345a8673943919fc60ee16c42804c707e"),
     ("bfry", lambda: bfry(2.0, 0.6, 6),
-     "dc96b45dea73547fb8fd549809813c07cec8c652278a56b9334e7c186a8eb3b8"),
+     "e30d9c9b445f49d03ec180945d4791d34f735646ecbf685e6f83416ef5551268"),
     ("beta_stick_breaking", lambda: beta_stick_breaking(1.5, 2.0, 6),
-     "09fb8a688ebdbfac041ff1b6b175e5cbeea4bffbd0183345cb3b33e9b88db875"),
+     "0e30b6c71e440b91f14282acb6317685962fb3662a0a19483552aaf2e28d1013"),
     # where much of the law lies on the 1e-300 floor (26-96% of the draws
     # sit on it): BP(2, 0, 0.6) at K = 10^3 and 10^4 over a in {0.1, 1} and
     # both width rules, d > 0 gamma and beta-prime laws at K = 10^3; and heads
@@ -398,42 +400,42 @@ _SAMPLE_DIGESTS = [
     # only above the floor, so these streams moved; the cases above, where
     # 1 - c rounds to 1, kept every bit.
     ("BP-K1000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/K"),
-     "34c80005e8d256a6f3e6462fc189322a2df3e66c0965cbbae5e90471e695a1b3"),
+     "fae6734bb96f41fde6d3761d144f108c524823f1af3e1e4bb8e65ff112365812"),
     ("BP-K1000-a0.1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 0.1, "1/sqrt(K)"),
-     "2ba7bc9ea513e0ee7f8982abad8b99de10fe64db20cb552ad538e73e4f35d4af"),
+     "2e45d1cf6355459994eb8aea56983180bb613d05b3618aa9c93ee79d22df1981"),
     ("BP-K1000-a1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 1.0, "1/K"),
-     "e936f097db7bb0beb35bb12abb9d2d9980124103ecc183844d701e7e01c6fd4b"),
+     "dfdd4522896d2c49a398c7a585d3efbf415aac80cc0faf6f651b9ba3d142d781"),
     ("BP-K1000-a1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 1000, 1.0, "1/sqrt(K)"),
-     "579017d51f9e3d1f092088e1b398fcd2213a9dcf8ef5fba62edcc66ad049fbbc"),
+     "c9c083edf346e8d2efd35c546e32d460a8caf295dafe3fd5491b106207ab7c67"),
     ("BP-K10000-a0.1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 0.1, "1/K"),
-     "fc1c6ea93b7e860b496a838c9f95fd2a931e7c94e2b5fd22293c1474d5a3599b"),
+     "39191b624d24aa856857f4898b5c3bb95b44063755774322d08e3699c14444e9"),
     ("BP-K10000-a0.1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 0.1, "1/sqrt(K)"),
-     "b6a52353c29093c0a40d1e63cd6bc223095a3ab500ab6b6efa36ffe9bbf89e04"),
+     "b6e7a8439bcd60726bfa1697e210a690652e72ebcfee0ade0828f92126ac9259"),
     ("BP-K10000-a1-1/K", lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 1.0, "1/K"),
-     "f63a56be29b54a1406bd7b4c2a9edbcf8752981bd238a37f6c9c3b3c41ad88dd"),
+     "71b7068bea6edc78b4f5405b69d9d6698c05f2625634b7d298beae6f4bcece9f"),
     ("BP-K10000-a1-1/sqrt(K)",
      lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 10_000, 1.0, "1/sqrt(K)"),
-     "a634317a01cb0f261a6073dc4f32ed30b8d610b0724d6105eba1bb00d1bef7cd"),
+     "96bd07efaa59ef4f10e058a8d52381b2c79ee1859cb364bad913daa4c18ba2d7"),
     ("gamma-d0.5-K1000", lambda: AifaConfig(gamma_process(2.0, 1.0, 0.5), 1000),
-     "d92d04a2cb01b0a1e8d86956c93d3a7e38e692815f18f2aed23c37944ba448c7"),
+     "dbc9981f91de94c2b44ed1451ca4185ea18677615e8f567a4247aef5a64f8fd4"),
     ("beta_prime-d0.3-K1000",
      lambda: AifaConfig(rate_measure("beta_prime", 2.0, 0.3, eta=1.5), 1000),
-     "83b0783ef0c7734333a85ba56e256a0bb5ba961bb4dc7ee0da748386e1ec6bba"),
+     "ffa3886334c45734bb1521f09846c157a19ad0fb25b989ea011569c7b3432ad6"),
     ("beta_prime-d0.3-head5000",
      lambda: AifaConfig(rate_measure("beta_prime", 1.3, 0.3, eta=1.2), 100, a=5e5),
-     "dd84167c4db93fd2808eb8ae2192a523b0212c44b42424247246eb19fd13b5db"),
+     "b71c4ed007a376bb29b5f225ec017352800922340cd49fcdac3d068ecc9e0686"),
     ("generalized_gamma-head5000",
      lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=5e5),
-     "75fee1c9f8b9ab83078e43fca06af8a49bbf17bff4c705698d7e7c31a61c7c3c"),
+     "5387c46bf0aa0dea55984fe19395e7a3a12d7bf657a8026f685376737da534c9"),
     ("beta_prime-d0.3-head1e8",
      lambda: AifaConfig(rate_measure("beta_prime", 1.3, 0.3, eta=1.2), 100, a=1e10),
-     "91a96a9dec6968be40267bbd4b09ede4f0d876313d23ea8926805a75c209e847"),
+     "d226663b618a7d352295b1383a25aec01e8f79545509bfaf2fe127dd238de9b2"),
     ("generalized_gamma-head1e8",
      lambda: AifaConfig(rate_measure("generalized_gamma", 2e3, 0.0, eta1=1e-4, eta2=0.5), 100, a=1e10),
-     "2e2b370982104819f0408606224e35085f850d361dd9733ab8472ee2535f7b01"),
+     "c8d4e7fb4e21b7b5c15db0bee35657635b92911aea240d0770f616ff1acb9759"),
 ]
 
 
@@ -593,18 +595,19 @@ def test_floor_piece_leaves_the_piece_masses(index):
 
 # sha256 of cfg.sample(200_000, derive_rng(94, 0)), pinned before the floor
 # became its own piece, for heads where 1 - c rounds to 1 (c <= 2^-54; BP at
-# K = 11 has c = 3.5e-17): there the proposals are the uniforms themselves
+# K = 11 has c = 3.5e-17): there the proposals are the uniforms themselves;
+# re-pinned when derive_rng moved from Philox to SFC64
 _SMALL_C_DIGESTS = [
     (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 5),
-     "486203002b882ee1f6f4bbddf9af4fdb68e87f373c8983285c83974254dab8fa"),
+     "e03d003435ec7f4564928f0ae447b63c9a258e67b2a0f649343679cb9cd61b91"),
     (lambda: AifaConfig(beta_process(2.0, 0.0, 0.6), 11),
-     "787be4eb5c3c7dc9e9d915d2df2541f570c2e9431751601606b6ee471910e6bc"),
+     "d68ce3bbd24f8cd425dd1b0f59ef77dda1d29aa930643af3289511ad4e5d536a"),
     (lambda: AifaConfig(gamma_process(2.0, 1.0, 0.5), 10),
-     "b66d43fa80602e818a15744bcc7dda34434396d2bd8c7cb055327c8c5e030531"),
+     "d322867b67f02c3ecb6d9fae88fd27d74dd2b8224be8a5aeda316ae06dace35a"),
     (lambda: AifaConfig(rate_measure("beta_prime", 2.0, 0.3, eta=1.5), 10),
-     "f50b6fea34ae982e9652ab6ac3ce6ba861eea4f6756b09d9516f97df807733e3"),
+     "fd91f9cd4dd51ec8ff3e8d00f0281a1c8808b0062ba2086c49f6e2b49a4b18ec"),
     (lambda: AifaConfig(rate_measure("generalized_gamma", 1.0, 0.2, eta1=1.0, eta2=2.0), 10),
-     "69219296aafdf6f3ec59bdf6d9277a4f1d822ae67c473b2f67a6700edbf80a3f"),
+     "a44e8d1a26c5f5816d5ae2b1105bc4873c17c630af6a692ecc22f47bd30bd9c9"),
 ]
 
 

@@ -28,7 +28,12 @@ from crmfinite.inference import (
 )
 from crmfinite.rng import derive_rng
 
-from _reference import geweke_marginal_conditional, geweke_successive_conditional, sample_data
+from _reference import (
+    CallLog,
+    geweke_marginal_conditional,
+    geweke_successive_conditional,
+    sample_data,
+)
 
 MODEL = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=5,
                             prec_shape=2.0, prec_rate=2.0)
@@ -383,19 +388,6 @@ def test_sweep_draws_the_reference_random_stream(prior):
     np.testing.assert_equal(new.bit_generator.state, ref.bit_generator.state)
 
 
-class _CallLog:
-    """A generator that records the name and arguments of every call it forwards."""
-
-    def __init__(self, rng):
-        self.rng, self.calls = rng, []
-
-    def __getattr__(self, name):
-        def call(*args, **kwargs):
-            self.calls.append((name, args, kwargs))
-            return getattr(self.rng, name)(*args, **kwargs)
-        return call
-
-
 @pytest.mark.parametrize("prior", ["aifa", "bondesson_tfa"])
 def test_sweep_draws_its_xw_block_in_two_calls(prior):
     # the (x, w) block draws all its randomness up front: one (K, N) uniform call,
@@ -403,7 +395,7 @@ def test_sweep_draws_its_xw_block_in_two_calls(prior):
     model = dataclasses.replace(MODEL, prior=prior)
     state = init_state(model, 40, derive_rng(77, 0))
     y = sample_data(state, derive_rng(77, 1))
-    log = _CallLog(derive_rng(77, 2))
+    log = CallLog(derive_rng(77, 2))
     gibbs_sweep(state, y, model, log)
     assert log.calls[:3] == [("random", ((model.K, 40),), {}),
                              ("standard_normal", ((model.K, 40),), {}),
@@ -702,6 +694,25 @@ def test_chain_density_column_scores_the_swept_state(model):
     for _ in range(3):
         state, _, stats = run_chain(model, y, 1, rng, initial_state=state)
         assert stats[0, col] == pytest.approx(joint_log_density(state, y, model), rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [MODEL, TFA_MODEL], ids=["aifa", "tfa"])
+def test_chain_density_row_is_the_swept_states_terms_bit_for_bit(model):
+    # the row reuses the sweep's column counts, ||w||^2 and ||y - S psi||^2 and
+    # model-only normalizers formed once; it equals joint_log_density_terms of
+    # the state the sweep leaves with rel=0, once lp_y is scored from the
+    # residual sum the sweep formed, and sum_x equals the state's count of ones
+    y, _ = generate_synthetic(30, 3, 2, derive_rng(79, 0))
+    rng = derive_rng(79, 1)
+    state = init_state(model, 30, rng)
+    cols = [CHAIN_STATS.index("sum_x"), CHAIN_STATS.index("joint_log_density")]
+    for _ in range(3):
+        state, _, stats = run_chain(model, y, 1, rng, initial_state=state)
+        terms = joint_log_density_terms(state, y, model)
+        terms["lp_y"] = (-0.5 * state.gamma_e * state.resid_sq
+                         + 0.5 * y.size * (math.log(state.gamma_e) - math.log(2 * math.pi)))
+        assert list(stats[0, cols]) == pytest.approx([state.x.sum(), sum(terms.values())],
+                                                     rel=0, abs=0)
 
 
 class _Recorder:

@@ -46,7 +46,13 @@ from crmfinite.marginals import (
 from crmfinite.measures import Family, beta_process, gamma_process, small_weight_coefficient
 from crmfinite.rng import derive_rng
 
-from _reference import approx_predictive_pmf, dp_urn_probs, fsd_urn_probs, target_predictive_pmf
+from _reference import (
+    CallLog,
+    approx_predictive_pmf,
+    dp_urn_probs,
+    fsd_urn_probs,
+    target_predictive_pmf,
+)
 
 BB = beta_bernoulli(1.0, 1.0)
 GP = gamma_poisson(1.0, 1.0)
@@ -373,6 +379,22 @@ def test_target_column_count_poisson():
     mean = growth_function(N, 1.0)
     assert abs(cols.mean() - mean) < 3 * math.sqrt(mean / reps)
     assert 0.85 < cols.var() / cols.mean() < 1.15
+
+
+@pytest.mark.parametrize("model, sizes_drawn", [(BB, False), (GP, True), (BNB, True)],
+                         ids=["beta_bernoulli", "gamma_poisson", "beta_neg_binomial"])
+def test_target_births_draw_sizes_only_where_counts_exceed_one(model, sizes_drawn):
+    # beta-Bernoulli counts are at most 1, so every birth has size 1 and no
+    # uniform is drawn for it: the births' Poisson call is followed by the
+    # posterior weights' call; the other families draw one uniform per birth
+    log = CallLog(derive_rng(45, 0))
+    alloc = simulate_allocation(model, 30, log)
+    names = [name for name, *_ in log.calls]
+    assert names[0] == "poisson" and (names[1] == "random") == sizes_drawn
+    births = alloc.counts[alloc.first_rows(), np.arange(alloc.n_columns)]
+    assert births.size > 0 and np.all(births >= 1)
+    if not sizes_drawn:
+        assert np.all(births == 1)
 
 
 def _pooled_chi2_sf(observed, expected, total):
