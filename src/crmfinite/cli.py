@@ -418,11 +418,11 @@ def cmd_gibbs_run(config, out, seed, replicates):
     thin = _integer(config.get("thin", max(1, (sweeps - burnin) // 50)), "thin")
     scans = _integer(config.get("heldout_scans", 5), "heldout_scans", 0)
     heldout_path = config.get("heldout_path")
-    if heldout_path and max(0, sweeps - burnin) // thin == 0:
+    if heldout_path is not None and max(0, sweeps - burnin) // thin == 0:
         raise ConfigError(f"a heldout_path needs a kept sample, and sweeps={sweeps}, "
                           f"burnin={burnin}, thin={thin} keep none")
     y = _data_grid(config["data_path"], "data_path", model.D)
-    heldout = _data_grid(heldout_path, "heldout_path", model.D) if heldout_path else None
+    heldout = None if heldout_path is None else _data_grid(heldout_path, "heldout_path", model.D)
 
     def one(rep):
         rng = derive_rng(seed, rep)

@@ -6,15 +6,15 @@ activations x_{n,k} and real weights w_{n,k}:
     y_n ~ N( sum_k x_{n,k} w_{n,k} psi_k,  I_D / gamma_e )
 
 with psi_k ~ N(0, psi_scale * I_D), w ~ N(0, 1/gamma_w), gamma-distributed
-precision hyperpriors, and atom sizes tau under either prior:
+precision hyperpriors, and atom sizes tau under the prior that the field ``prior`` names:
 
-    aifa           tau_k ~ Beta(gamma*alpha/K, alpha), independent
-    bondesson_tfa  tau_k = prod_{j<=k} p_j, p_j ~ Beta(gamma, 1)   (alpha = 1)
+    aifa           _AifaTau  tau_k ~ Beta(gamma*alpha/K, alpha), independent
+    bondesson_tfa  _TfaTau   tau_k = prod_{j<=k} p_j, p_j ~ Beta(gamma, 1)   (alpha = 1)
 
-The AIFA tau conditionals are exact independent betas and factorize across
-atoms; the truncation prior keeps the ordering 1 >= tau_1 >= ... >= tau_K > 0
-and its conditionals are interval-truncated betas, drawn exactly by inverting
-the regularized incomplete beta function at one uniform.
+The model keeps that class as ``tau_law``, which says all of one prior: its draw, its
+log density, and its tau update given the column counts (AIFA's exact independent
+betas; the truncation prior's interval-truncated betas, which keep 1 >= tau_1 >= ...
+>= tau_K > 0, drawn exactly by inverting the regularized incomplete beta function).
 
 The scan order is fixed ((x, w) jointly, psi, precisions, tau) and every update
 draws through the caller's generator, so a chain is reproducible from its seed.
@@ -81,7 +81,7 @@ class LinearGaussianModel:
     prec_shape: float = 1e-6   # gamma_w, gamma_e hyperprior shape
     prec_rate: float = 1e-6    # and rate
     psi_scale: float = None    # ground-measure variance; default 1/D
-    prior: str = "aifa"        # tau prior: "aifa" | "bondesson_tfa"
+    prior: str = "aifa"        # tau prior: "aifa" | "bondesson_tfa", resolved to tau_law
 
     def __post_init__(self):
         integer(self.D, "D")
@@ -91,10 +91,10 @@ class LinearGaussianModel:
         if self.psi_scale is None:
             object.__setattr__(self, "psi_scale", 1.0 / self.D)
         positive(self.psi_scale, "psi_scale")
-        if self.prior not in ("aifa", "bondesson_tfa"):
+        laws = {"aifa": _AifaTau, "bondesson_tfa": _TfaTau}
+        if not isinstance(self.prior, str) or self.prior not in laws:
             raise ValueError(f"unknown prior {self.prior!r}; use 'aifa' or 'bondesson_tfa'")
-        if self.prior == "bondesson_tfa" and self.alpha != 1.0:
-            raise ValueError("the truncation prior has a Gibbs path only for alpha = 1")
+        object.__setattr__(self, "tau_law", laws[self.prior](self))
 
 
 @dataclass
@@ -136,11 +136,7 @@ def init_state(model: LinearGaussianModel, N, rng) -> GibbsState:
     probability, which only matters at this initialization point (the first
     data sweep resamples both precisions).
     """
-    if model.prior == "aifa":
-        tau = rng.beta(model.gamma * model.alpha / model.K, model.alpha, size=model.K)
-    else:
-        tau = np.cumprod(rng.beta(model.gamma, 1.0, size=model.K))
-    tau = np.clip(tau, 1e-300, 1.0 - 1e-16)
+    tau = np.clip(model.tau_law.draw(rng), 1e-300, 1.0 - 1e-16)
     psi = rng.normal(0.0, math.sqrt(model.psi_scale), size=(model.K, model.D))
     gamma_w = float(np.clip(rng.gamma(model.prec_shape, 1.0 / model.prec_rate), 1e-10, 1e10))
     gamma_e = float(np.clip(rng.gamma(model.prec_shape, 1.0 / model.prec_rate), 1e-10, 1e10))
@@ -155,18 +151,10 @@ def init_state(model: LinearGaussianModel, N, rng) -> GibbsState:
 # ---------------------------------------------------------------------------
 
 def aifa_tau_conditional(x_column_sum, N, model: LinearGaussianModel):
-    """Beta(gamma*alpha/K + sum_n x_{n,k}, alpha + N - sum_n x_{n,k}): the
-    exact complete conditional, independent across atoms; the column sums
-    broadcast."""
+    """_AifaTau.conditional, once every column sum is checked to lie in [0, N]."""
     if np.any(np.asarray(x_column_sum) < 0) or np.any(np.asarray(x_column_sum) > N):
         raise ValueError("column sum must lie in [0, N]")
-    return _aifa_tau_params(x_column_sum, N, model)
-
-
-def _aifa_tau_params(x_column_sum, N, model):
-    """aifa_tau_conditional without its range check, for counts the sweep has just formed."""
-    c = model.gamma * model.alpha / model.K
-    return c + x_column_sum, model.alpha + N - x_column_sum
+    return _AifaTau(model).conditional(x_column_sum, N)
 
 
 def sample_truncated_beta(a, b, lo, hi, rng):
@@ -192,8 +180,7 @@ def sample_truncated_beta(a, b, lo, hi, rng):
 def tfa_tau_conditional_params(state: GibbsState, k, model: LinearGaussianModel, m_k):
     """(shape1, shape2, lo, hi) of the k-th truncated-beta conditional given m_k, column k's
     active rows; boundary conventions tau_0 = 1, tau_{K+1} = 0."""
-    K = state.tau.size
-    N = state.x.shape[0]
+    K, N = state.tau.size, state.x.shape[0]
     shape1 = (model.gamma if k == K - 1 else 0.0) + m_k
     shape2 = N - m_k + 1.0
     hi = 1.0 if k == 0 else float(state.tau[k - 1])
@@ -234,6 +221,59 @@ def tfa_tau_conditional_sample(state: GibbsState, k, model: LinearGaussianModel,
         draw = _sample_trunc_log_density(shape2, max(lo, 1e-300), hi, rng)
     state.tau[k] = min(max(draw, 1e-300), 1.0 - 1e-16)
     return state.tau[k]
+
+
+class _AifaTau:
+    """AIFA: tau_k ~ Beta(c, alpha), c = gamma alpha / K, independent across atoms."""
+
+    def __init__(self, model):
+        self.c, self.alpha, self.K = model.gamma * model.alpha / model.K, model.alpha, model.K
+
+    def draw(self, rng):
+        return rng.beta(self.c, self.alpha, size=self.K)
+
+    def conditional(self, m, N):
+        """The exact conditional Beta(c + m_k, alpha + N - m_k) given m_k of N rows active."""
+        return self.c + m, self.alpha + N - m
+
+    def update(self, state, m, rng):
+        state.tau = np.clip(rng.beta(*self.conditional(m, state.x.shape[0])), 1e-300, 1.0 - 1e-16)
+
+    @functools.cached_property
+    def log_norm(self):
+        return special.betaln(self.c, self.alpha)
+
+    def log_density(self, tau, log_tau, log1m_tau):
+        return float(np.sum((self.c - 1) * log_tau + (self.alpha - 1) * log1m_tau - self.log_norm))
+
+
+class _TfaTau:
+    """Bondesson TFA: tau_k = prod_{j<=k} p_j, p_j ~ Beta(gamma, 1), alpha = 1; ordered tau."""
+
+    def __init__(self, model):
+        if model.alpha != 1.0:
+            raise ValueError("the truncation prior has a Gibbs path only for alpha = 1")
+        self.model = model
+
+    def draw(self, rng):
+        return np.cumprod(rng.beta(self.model.gamma, 1.0, size=self.model.K))
+
+    @staticmethod
+    def ordered(tau):
+        return not np.any(np.diff(tau) > 0)
+
+    def update(self, state, m, rng):
+        for k, m_k in enumerate(m.tolist()):
+            tfa_tau_conditional_sample(state, k, self.model, rng, m_k)
+        if not self.ordered(state.tau):
+            raise RuntimeError("truncation-prior ordering invariant violated")
+
+    def log_density(self, tau, log_tau, log1m_tau):
+        """The Beta(gamma, 1) densities of p_k = tau_k / tau_{k-1} (tau_0 = 1) times |dp / dtau|."""
+        if not self.ordered(tau):
+            return -math.inf
+        gamma, K = self.model.gamma, self.model.K
+        return K * math.log(gamma) + (gamma - 1) * math.log(tau[-1]) - float(log_tau[:-1].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +376,8 @@ def _update_precisions(state, E, model, rng):
 
 
 def _update_tau(state, model, rng):
-    m = state.x_count = state.x.sum(axis=0)  # active rows per column
-    if state.prior == "aifa":
-        a, b = _aifa_tau_params(m, state.x.shape[0], model)
-        state.tau = np.clip(rng.beta(a, b), 1e-300, 1.0 - 1e-16)
-    else:
-        for k, m_k in enumerate(m.tolist()):
-            tfa_tau_conditional_sample(state, k, model, rng, m_k)
+    state.x_count = state.x.sum(axis=0)  # active rows per column
+    model.tau_law.update(state, state.x_count, rng)
 
 
 def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng) -> GibbsState:
@@ -368,8 +403,6 @@ def gibbs_sweep(state: GibbsState, y, model: LinearGaussianModel, rng) -> GibbsS
                         ("gamma_w", state.gamma_w), ("gamma_e", state.gamma_e)):
         if not np.isfinite(value).all():
             raise RuntimeError(f"non-finite values in {name} after sweep")
-    if state.prior == "bondesson_tfa" and np.any(np.diff(state.tau) > 0):
-        raise RuntimeError("truncation-prior ordering invariant violated")
     return state
 
 
@@ -383,18 +416,12 @@ def _gamma_logpdf(value, norm, shape, rate):
 
 
 @functools.lru_cache(maxsize=16)
-def _log_norms(model, prior):
-    """The model-only terms of the joint log density, each formed as the density
-    once formed it in place, so every sum keeps its order: the tau prior's (AIFA
-    log B(gamma alpha / K, alpha), TFA K log gamma), psi's Gaussian normalizer and
-    the precisions' gamma normalizer."""
-    if prior == "aifa":
-        tau = special.betaln(model.gamma * model.alpha / model.K, model.alpha)
-    else:
-        tau = model.K * math.log(model.gamma)
+def _log_norms(model):
+    """psi's Gaussian and the precisions' gamma normalizer, each formed as the density once
+    formed it in place, so every sum keeps its order (the tau law keeps the tau prior's)."""
     psi = 0.5 * (model.K * model.D) * math.log(2 * math.pi * model.psi_scale)
     prec = model.prec_shape * math.log(model.prec_rate) - special.gammaln(model.prec_shape)
-    return tau, psi, prec
+    return psi, prec
 
 
 def joint_log_density_terms(state: GibbsState, y, model: LinearGaussianModel) -> dict:
@@ -408,16 +435,9 @@ def _log_density_terms(state, model, m, w_sq, resid_sq, n_resid):
     """joint_log_density_terms from the column counts m, ||w||^2 and the residual's
     sum of squares over n_resid cells, as a sweep's blocks formed them."""
     n = state.x.shape[0]
-    tau_norm, psi_norm, prec_norm = _log_norms(model, state.prior)
+    psi_norm, prec_norm = _log_norms(model)
     log_tau, log1m_tau = np.log(state.tau), np.log1p(-state.tau)
-    if state.prior == "aifa":
-        a = model.gamma * model.alpha / model.K
-        lp_tau = float(np.sum((a - 1) * log_tau + (model.alpha - 1) * log1m_tau - tau_norm))
-    elif np.any(np.diff(state.tau) > 0):
-        lp_tau = -math.inf
-    else:
-        lp_tau = (tau_norm + (model.gamma - 1) * math.log(state.tau[-1])
-                  - float(log_tau[:-1].sum()))
+    lp_tau = model.tau_law.log_density(state.tau, log_tau, log1m_tau)
     lp_psi = float(-0.5 * (state.psi**2).sum() / model.psi_scale - psi_norm)
     lp_w = float(-0.5 * state.gamma_w * w_sq
                  + 0.5 * state.w.size * (math.log(state.gamma_w) - math.log(2 * math.pi)))
@@ -523,10 +543,10 @@ def run_chain(model, y, sweeps, rng, burnin=0, thin=1, initial_state=None):
     joint log density, named by CHAIN_STATS.  An ``initial_state`` must
     have been drawn under the model's prior.
     """
+    n = max(0, integer(sweeps, "sweeps") - integer(burnin, "burnin", 0)) // integer(thin, "thin")
     y = np.asarray(y, dtype=float)
     state = init_state(model, y.shape[0], rng) if initial_state is None else initial_state
-    n, K = max(0, sweeps - burnin) // thin, model.K
-    samples = GibbsState(np.empty((n, K)), np.empty((n, K, model.D)), None, None,
+    samples = GibbsState(np.empty((n, model.K)), np.empty((n, model.K, model.D)), None, None,
                          *np.empty((2, n, 1)), model.prior)
     stats = np.empty((sweeps, len(CHAIN_STATS)))
     for sweep in range(1, sweeps + 1):

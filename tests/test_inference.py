@@ -546,6 +546,36 @@ def test_tfa_joint_density_order_indicator():
     assert joint_log_density_terms(disordered, y, TFA_MODEL)["lp_tau"] == -math.inf
 
 
+@pytest.mark.parametrize("gamma, alpha, K", [(1.0, 1.0, 5), (2.5, 0.7, 10), (0.3, 3.0, 20)])
+def test_aifa_lp_tau_is_the_sum_of_beta_log_densities(gamma, alpha, K):
+    # independent atoms: lp_tau = sum_k log Beta(tau_k; gamma alpha / K, alpha)
+    from scipy.stats import beta
+    model = LinearGaussianModel(D=2, gamma=gamma, alpha=alpha, K=K)
+    rng = derive_rng(80, K)
+    state = init_state(model, 4, rng)
+    for _ in range(3):
+        state.tau = rng.uniform(0.01, 0.99, size=K)
+        expected = beta.logpdf(state.tau, gamma * alpha / K, alpha).sum()
+        lp_tau = joint_log_density_terms(state, np.zeros((4, 2)), model)["lp_tau"]
+        assert lp_tau == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("gamma, K", [(1.0, 5), (2.5, 10), (0.3, 20)])
+def test_tfa_lp_tau_is_the_change_of_variables_density(gamma, K):
+    # tau_k = prod_{j<=k} p_j with p_k = tau_k / tau_{k-1} ~ Beta(gamma, 1), tau_0 = 1:
+    # the Jacobian of tau -> p is prod_{k<K} 1 / tau_k
+    from scipy.stats import beta
+    model = LinearGaussianModel(D=2, gamma=gamma, alpha=1.0, K=K, prior="bondesson_tfa")
+    rng = derive_rng(81, K)
+    state = init_state(model, 4, rng)
+    for _ in range(3):
+        p = rng.uniform(0.3, 0.99, size=K)
+        state.tau = np.cumprod(p)
+        expected = beta.logpdf(p, gamma, 1.0).sum() - np.log(state.tau[:-1]).sum()
+        lp_tau = joint_log_density_terms(state, np.zeros((4, 2)), model)["lp_tau"]
+        assert lp_tau == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_ordering_invariant_across_sweeps():
     rng = derive_rng(61, 0)
     m = LinearGaussianModel(D=3, gamma=1.0, alpha=1.0, K=8, prec_shape=2.0, prec_rate=2.0,
@@ -838,6 +868,18 @@ def test_model_validation():
     tfa_state = init_state(TFA_MODEL, 5, derive_rng(0, 1))
     with pytest.raises(ValueError, match="drawn under prior 'bondesson_tfa'"):
         run_chain(MODEL, y, 5, derive_rng(0, 2), initial_state=tfa_state)
+
+
+@pytest.mark.parametrize("lengths, name", [
+    ({"sweeps": -1}, "sweeps"), ({"burnin": -3}, "burnin"), ({"thin": 0}, "thin")],
+    ids=["sweeps=-1", "burnin=-3", "thin=0"])
+def test_run_chain_rejects_bad_lengths_before_drawing(lengths, name):
+    # the CLI's floors, checked before the first draw: sweeps >= 1, burnin >= 0, thin >= 1
+    args = {"sweeps": 5, "burnin": 0, "thin": 1, **lengths}
+    rng = derive_rng(82, 0)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        run_chain(MODEL, np.zeros((5, MODEL.D)), args.pop("sweeps"), rng, **args)
+    assert rng.random() == derive_rng(82, 0).random()  # nothing drawn
 
 
 @pytest.mark.parametrize("field, value", [
